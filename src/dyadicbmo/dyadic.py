@@ -214,15 +214,23 @@ class DyadicFunction:
                               [v + Fraction(c) for v in self.cells])
 
     def abs(self):
-        return DyadicFunction(self.dim, self.depth, [abs(v) for v in self.cells])
+        """|f|, built once per function so its own caches are shared."""
+        if "abs" not in self._cache:
+            self._cache["abs"] = DyadicFunction(self.dim, self.depth,
+                                                [abs(v) for v in self.cells])
+        return self._cache["abs"]
 
     @property
     def is_nonnegative(self):
-        return all(v >= 0 for v in self.cells)
+        if "nonneg" not in self._cache:
+            self._cache["nonneg"] = all(v >= 0 for v in self.cells)
+        return self._cache["nonneg"]
 
     @property
     def is_constant(self):
-        return all(v == self.cells[0] for v in self.cells)
+        if "constant" not in self._cache:
+            self._cache["constant"] = all(v == self.cells[0] for v in self.cells)
+        return self._cache["constant"]
 
 
 def cube_average(f, q):

@@ -14,16 +14,14 @@ L^q tail bound for q < p.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .dyadic import every_cube, mean_oscillation
 from .errors import InputError, PreconditionError
-from .highprec import IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow, upper_float
-from .rearrangement import hardy_average, rearrange_abs
+from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow, mp,
+                       upper_float)
+from .rearrangement import _count_above, hardy_average, rearrange_abs
 
 P_CAP = 1.0e6
 
@@ -151,15 +149,7 @@ def theorem3_check(f, t, profile=None):
         raise InputError(f"t must lie in (0,1], got {t}")
     fstar = rearrange_abs(f)
     favg = hardy_average(fstar, t)
-    upto = bisect_left(fstar.breakpoints, t)  # pieces 1..upto meet (0,t]
-    lo, hi = 0, upto
-    while lo < hi:  # count of pieces with value > favg (values nonincreasing)
-        mid = (lo + hi) // 2
-        if fstar.values[mid] > favg:
-            lo = mid + 1
-        else:
-            hi = mid
-    s = min(fstar.breakpoints[lo], t)
+    s = min(fstar.breakpoints[_count_above(fstar.values, favg)], t)
     lhs = 2 * (fstar.integral_to(s) - favg * s) / t
     if profile is None:
         profile = gr_profile(f)

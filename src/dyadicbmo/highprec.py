@@ -1,10 +1,11 @@
 """Certified transcendental evaluation via interval arithmetic.
 
 All theorem right-hand sides involving e, log and fractional powers are
-computed as mpmath intervals at 160-bit precision; a bound reported as a
-float is the upper interval endpoint nudged one ulp upward, so it can only
-err on the generous side.  Interval widths here are ~1e-45, far below every
-assertion tolerance in the package.
+computed as mpmath intervals at 160-bit precision, in this module's private
+contexts `mp` and `iv` (mpmath's global contexts are left as they are); a
+bound reported as a float is the upper interval endpoint nudged one ulp
+upward, so it can only err on the generous side.  Interval widths here are
+~1e-45, far below every assertion tolerance in the package.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import iv, mp
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.ctx_mp import MPContext
 
-iv.prec = 160
+mp = MPContext()
 mp.prec = 160
+iv = MPIntervalContext()
+iv.prec = 160
 
 IV_ONE = iv.mpf(1)
 IV_E = iv.exp(IV_ONE)

@@ -24,9 +24,10 @@ sup exactly:
   substitution), so every candidate is an exact rational point.
 
 The reported lower bound is attained at the rational witness; the upper bound
-is the same exact value rounded one float ulp upward, so the gap is below any
-practical tolerance.  If the gap ever failed a requested tolerance the result
-would say so rather than raise.
+is the same exact value rounded one float ulp upward.  The gap is judged
+relative to the size of the value (gap <= tol * max(1, |lower|)), since a
+float ulp grows with the value; if it ever failed the requested tolerance the
+result would say so rather than raise.
 """
 
 from __future__ import annotations
@@ -422,7 +423,9 @@ def interval_bmo_norm(g, tol=1e-9):
     """Two-sided certified bound on sup over intervals [a,b] of the oscillation.
 
     The lower bound is exact and attained at the returned witness; the upper
-    bound is the same value rounded one float ulp up.
+    bound is the same value rounded one float ulp up.  tol_met reports
+    gap <= tol * max(1, |lower|): absolute for small values, relative for
+    large ones.
     """
     if not isinstance(g, StepFunction1D):
         raise InputError("interval_bmo_norm expects a StepFunction1D")
@@ -443,4 +446,5 @@ def interval_bmo_norm(g, tol=1e-9):
     upper = math.nextafter(lo_float, math.inf)
     gap = upper - lo_float
     return IntervalBMOBound(lower=best, upper=upper, witness=witness,
-                            gap=gap, tol=tol, tol_met=(gap <= tol))
+                            gap=gap, tol=tol,
+                            tol_met=gap <= tol * max(1.0, abs(lo_float)))

@@ -32,6 +32,7 @@ class StepFunction1D:
         self.breakpoints = bps
         self.values = vals
         self._prefix = None
+        self._nonincreasing = None
 
     def __eq__(self, other):
         return (isinstance(other, StepFunction1D)
@@ -58,7 +59,10 @@ class StepFunction1D:
 
     @property
     def is_nonincreasing(self):
-        return all(a >= b for a, b in zip(self.values, self.values[1:]))
+        if self._nonincreasing is None:
+            self._nonincreasing = all(
+                a >= b for a, b in zip(self.values, self.values[1:]))
+        return self._nonincreasing
 
     @property
     def is_nondecreasing(self):
@@ -159,6 +163,18 @@ def supinf_formula(f, t):
     return ordered[int(k) - 1]
 
 
+def _count_above(values, mu):
+    """Number of leading values > mu, for nonincreasing values."""
+    lo, hi = 0, len(values)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if values[mid] > mu:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def hardy_average(g, t):
     """(1/t) * integral of g over (0,t]."""
     t = Fraction(t)
@@ -168,11 +184,22 @@ def hardy_average(g, t):
 
 
 def interval_mean_oscillation(g, a, b):
-    """Exact mean oscillation of g over the interval [a,b] of (0,1]."""
+    """Exact mean oscillation of g over the interval [a,b] of (0,1].
+
+    For nonincreasing g the window mean mu splits [a,b] into a prefix
+    (a, s] where g > mu and a rest where g <= mu; the integral of |g - mu|
+    is twice the excess over (a, s], so one bisection for s and two
+    prefix-integral lookups give the value in O(log pieces).  Other step
+    functions are summed piece by piece, O(pieces).
+    """
     a, b = Fraction(a), Fraction(b)
     if not 0 <= a < b <= 1:
         raise InputError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
-    mu = (g.integral_to(b) - g.integral_to(a)) / (b - a)
+    ia = g.integral_to(a)
+    mu = (g.integral_to(b) - ia) / (b - a)
+    if g.is_nonincreasing:
+        s = min(max(g.breakpoints[_count_above(g.values, mu)], a), b)
+        return 2 * ((g.integral_to(s) - ia) - mu * (s - a)) / (b - a)
     acc = Fraction(0)
     for lo, hi, v in g.pieces():
         olo, ohi = max(lo, a), min(hi, b)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .dyadic import DyadicCubeId, cube_average, dyadic_maximal_function
+from .dyadic import (DyadicCubeId, _decode, _encode, cube_average,
+                     dyadic_maximal_function)
 from .errors import InputError, PreconditionError
 
 
@@ -52,6 +54,12 @@ def stopping_family(f, alpha, direction):
     requires alpha >= the global average (so the root never qualifies);
     direction='below' selects averages <= alpha and requires alpha < the
     global average.
+
+    The tree walk runs on (level, flat index) pairs over the level-sum
+    pyramid f._sums(), deciding each crossing by an integer cross-multiply,
+    and builds the cover in the same pass; it visits only cubes with no
+    stopping cube above them, O(n) each.  DyadicCubeIds are built only for
+    the result.
     """
     if direction not in ("above", "below"):
         raise InputError(f"direction must be 'above' or 'below', got {direction!r}")
@@ -65,40 +73,56 @@ def stopping_family(f, alpha, direction):
         raise PreconditionError(
             f"below-direction stopping requires alpha < the global average "
             f"({mean}), got {alpha}")
-    root = DyadicCubeId.root(f.dim)
-    if _crosses(cube_average(f, root), alpha, direction):
+    n, depth = f.dim, f.depth
+    sums = f._sums()
+    q = alpha.denominator
+    # the level-k average sums[k][j] / (den 2^(n(L-k))) crosses alpha = p/q
+    # iff sums[k][j] * q against thresholds[k], cross-multiplied
+    thresholds = [(alpha.numerator * f._den) << (n * (depth - k))
+                  for k in range(depth + 1)]
+    above = direction == "above"
+
+    def crosses(k, j):
+        lhs = sums[k][j] * q
+        return lhs > thresholds[k] if above else lhs <= thresholds[k]
+
+    if crosses(0, 0):
         raise PreconditionError(
             "the root cube itself crosses the threshold; its father is undefined")
 
-    stopping = []
-    stack = [root]
-    while stack:
-        q = stack.pop()
-        if _crosses(cube_average(f, q), alpha, direction):
-            stopping.append(q)
-            continue
-        if q.level < f.depth:
-            stack.extend(q.children())
-    stopping.sort(key=lambda q: (q.level, q.flat()))
+    # Walk the open (non-crossing) cubes level by level.  A cube with a
+    # crossing child is a father; it joins the cover unless a father above
+    # it already did, which the flag carried down the walk records.
+    stopping, cover = [], []
+    frontier = [(0, False)]  # (flat index, lies inside a cover cube)
+    for k in range(depth):
+        offsets = [_encode(delta, k + 1) for delta in product((0, 1), repeat=n)]
+        nxt = []
+        for j, covered in frontier:
+            base = _encode(tuple(2 * i for i in _decode(j, k, n)), k + 1)
+            is_father = False
+            opened = []
+            for c in (base + o for o in offsets):
+                if crosses(k + 1, c):
+                    stopping.append((k + 1, c))
+                    is_father = True
+                else:
+                    opened.append(c)
+            if is_father and not covered:
+                cover.append((k, j))
+            nxt.extend((c, covered or is_father) for c in opened)
+        frontier = nxt
+    stopping.sort()
+    cover.sort()
 
-    fathers = []
-    seen = set()
-    for q in stopping:
-        p = q.father()
-        if p not in seen:
-            seen.add(p)
-            fathers.append(p)
-    fathers.sort(key=lambda q: (q.level, q.flat()))
-    cover = []
-    for p in fathers:  # shallowest first: keep only set-maximal fathers
-        if not any(c.contains(p) for c in cover):
-            cover.append(p)
-
-    measure_e = sum((q.measure for q in stopping), Fraction(0))
-    measure_e_star = sum((q.measure for q in cover), Fraction(0))
+    cells = 1 << (n * depth)
+    measure_e = Fraction(sum(1 << (n * (depth - k)) for k, _ in stopping), cells)
+    measure_e_star = Fraction(sum(1 << (n * (depth - k)) for k, _ in cover), cells)
     return CZDecomposition(threshold=alpha, direction=direction,
-                           stopping_cubes=tuple(stopping),
-                           parent_cover=tuple(cover),
+                           stopping_cubes=tuple(DyadicCubeId.from_flat(k, j, n)
+                                                for k, j in stopping),
+                           parent_cover=tuple(DyadicCubeId.from_flat(k, j, n)
+                                              for k, j in cover),
                            measure_E=measure_e,
                            measure_E_star=measure_e_star)
 

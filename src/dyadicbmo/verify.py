@@ -8,6 +8,7 @@ bounds when the modulus is out of range) report a vacuous pass with a note.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,31 +99,49 @@ def _suite_lemma21(f):
     return _result("lemma21", checks, failures)
 
 
-def _matching_mean_endpoint(g, a, mu):
-    """b > a with the mean of g over (a,b] equal to mu, or None.
+def _mean_defect(g, mu):
+    """D[i] = P_i - mu t_i at each breakpoint t_i of g (P the prefix integral)."""
+    return [p - mu * t for p, t in zip(g.prefix_integrals, g.breakpoints)]
 
-    The defect H(b) = int_a^b g - mu (b - a) is piecewise linear in b, so
-    each piece contributes at most one exact zero.
+
+def _matching_mean_endpoint(g, a, mu, defect):
+    """Least b > a with the mean of g over (a,b] equal to mu, or None.
+
+    g must be nonincreasing and merged (no two adjacent pieces share a
+    value), as rearrange_signed returns it, so that a flat stretch at the
+    mean is one piece; defect is _mean_defect(g, mu).  The defect
+    D(t) = int_0^t g - mu t is concave, so the window mean equals mu exactly
+    where D returns to D(a).  From the first piece ending after a: if its
+    value is mu, the flat stretch at the mean extends to its right end; if
+    below mu, D only falls and no b exists; if above, the first breakpoint
+    with D <= D(a) (found by bisection, the predicate being monotone past a)
+    closes the piece where D crosses D(a), and that piece's linear equation
+    gives b.  O(log pieces) per anchor.
     """
-    pa = g.integral_to(a)
-    for lo, hi, v in g.pieces():
-        if hi <= a:
-            continue
-        seg_lo = max(lo, a)
-        h_lo = (g.integral_to(seg_lo) - pa) - mu * (seg_lo - a)
-        if v == mu:
-            if h_lo == 0 and hi > a:
-                return hi  # flat stretch at the mean: extend through it
-            continue
-        b = seg_lo + h_lo / (mu - v)
-        if a < b and seg_lo <= b <= hi:
-            return b
-    return None
+    bps = g.breakpoints
+    i = bisect_right(bps, a)  # first piece (t_{i-1}, t_i] with t_i > a
+    v = g.values[i - 1]
+    if v == mu:
+        return bps[i]
+    if v < mu:
+        return None
+    d_a = g.integral_to(a) - mu * a
+    lo, hi = i + 1, len(bps)
+    while lo < hi:  # first k > i with defect[k] <= d_a (defect[i] > d_a)
+        mid = (lo + hi) // 2
+        if defect[mid] > d_a:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == len(bps):
+        return None
+    return bps[lo - 1] + (defect[lo - 1] - d_a) / (mu - g.values[lo - 1])
 
 
 def _suite_lemma22(f):
     g = rearrange_signed(f)
     mu = g.integral
+    defect = _mean_defect(g, mu)
     base = interval_mean_oscillation(g, 0, 1)
     failures = []
     checks = 0
@@ -131,7 +150,7 @@ def _suite_lemma22(f):
     for a in anchors:
         if a >= 1:
             continue
-        b = _matching_mean_endpoint(g, a, mu)
+        b = _matching_mean_endpoint(g, a, mu, defect)
         if b is None or not a < b <= 1:
             continue
         inner_mean = (g.integral_to(b) - g.integral_to(a)) / (b - a)

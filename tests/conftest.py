@@ -121,9 +121,18 @@ def maximal_oracle(f):
     return out
 
 
+def window_oscillation_oracle(g, a, b):
+    """Mean oscillation of a step function over [a,b], summed piece by piece."""
+    a, b = Fraction(a), Fraction(b)
+    overlaps = [(min(hi, b) - max(lo, a), v)
+                for lo, hi, v in zip(g.breakpoints, g.breakpoints[1:], g.values)
+                if max(lo, a) < min(hi, b)]
+    mu = sum((w * v for w, v in overlaps), Fraction(0)) / (b - a)
+    return sum((w * abs(v - mu) for w, v in overlaps), Fraction(0)) / (b - a)
+
+
 def grid_bmo_lower_oracle(g, extra_points=24):
     """Dense-grid lower bound for the interval BMO sup of a step function."""
-    from dyadicbmo import interval_mean_oscillation
     pts = set(g.breakpoints)
     for k in range(extra_points + 1):
         pts.add(Fraction(k, extra_points))
@@ -134,8 +143,44 @@ def grid_bmo_lower_oracle(g, extra_points=24):
     best = Fraction(0)
     for i, a in enumerate(pts):
         for b in pts[i + 1:]:
-            best = max(best, interval_mean_oscillation(g, a, b))
+            best = max(best, window_oscillation_oracle(g, a, b))
     return best
+
+
+def matched_mean_b_oracle(g, a, mu):
+    """Matched-mean endpoint by scanning every piece for the linear zero."""
+    pa = g.integral_to(a)
+    for lo, hi, v in g.pieces():
+        if hi <= a:
+            continue
+        s = max(lo, a)
+        defect = (g.integral_to(s) - pa) - mu * (s - a)
+        if v == mu:
+            if defect == 0 and hi > a:
+                return hi
+            continue
+        b = s + defect / (mu - v)
+        if a < b and s <= b <= hi:
+            return b
+    return None
+
+
+def stopping_oracle(f, alpha, direction):
+    """Maximal crossing cubes by explicit enumeration of the whole tree."""
+    crossing = []
+    for q in all_cubes_oracle(f):
+        avg = average_oracle(f, q)
+        if (avg > alpha) if direction == "above" else (avg <= alpha):
+            crossing.append(q)
+    return [q for q in crossing
+            if not any(o != q and o.contains(q) for o in crossing)]
+
+
+def parent_cover_oracle(stopping):
+    """Fathers of the stopping cubes that no other father contains."""
+    fathers = {q.father() for q in stopping}
+    return [p for p in fathers
+            if not any(o != p and o.contains(p) for o in fathers)]
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from dyadicbmo import (DyadicFunction, GeneratorSpec, SearchConfig,
                        stopping_family, supinf_formula, theorem3_check,
                        theorem4_bound, theorem5_check, value_mass_distribution,
                        verify_stopping)
-from conftest import corpus, random_cube
+from conftest import corpus, matched_mean_b_oracle, random_cube
 
 TOL_TIGHT = Fraction(1, 10 ** 12)
 TOL_LOOSE = Fraction(1, 10 ** 9)
@@ -253,7 +253,7 @@ def test_criterion_10_monotone_window_lemmas(signed_corpus):
         base = interval_mean_oscillation(g, 0, 1)
         for a in (Fraction(1, 16), Fraction(1, 5), Fraction(1, 3),
                   Fraction(1, 2)):
-            b = _matched_mean_b(g, a, mu)
+            b = matched_mean_b_oracle(g, a, mu)
             if b is None:
                 continue
             assert (g.integral_to(b) - g.integral_to(a)) == mu * (b - a)
@@ -262,24 +262,6 @@ def test_criterion_10_monotone_window_lemmas(signed_corpus):
     assert window_checks >= 1000
     _report(10, "monotone window lemmas, exact",
             f"{gap_checks} gap instances, {window_checks} matched-mean windows")
-
-
-def _matched_mean_b(g, a, mu):
-    """Independent matched-mean solve: scan pieces for the linear zero."""
-    pa = g.integral_to(a)
-    for lo, hi, v in g.pieces():
-        if hi <= a:
-            continue
-        s = max(lo, a)
-        defect = (g.integral_to(s) - pa) - mu * (s - a)
-        if v == mu:
-            if defect == 0 and hi > a:
-                return hi
-            continue
-        b = s + defect / (mu - v)
-        if a < b and s <= b <= hi:
-            return b
-    return None
 
 
 def test_criterion_11_search_contract():

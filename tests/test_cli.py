@@ -88,6 +88,16 @@ class TestCommands:
         assert out["lower"] == "1/2"
         assert out["tol_met"] is True
 
+    def test_interval_bmo_large_value_meets_tol(self, tmp_path, capsys):
+        # the exact value 150000000 sits one float ulp (about 3e-8) below
+        # its upper bound; the gap is judged relative to the value
+        path = tmp_path / "g.json"
+        path.write_text('{"breakpoints":[0,"1/3",1],"values":[300000000,0]}')
+        assert main(["interval-bmo", "--input", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["lower"] == 150000000
+        assert out["tol_met"] is True
+
     def test_cz(self, spike_file, capsys):
         assert main(["cz", "--input", spike_file, "--alpha", "2",
                      "--direction", "above"]) == 0

@@ -220,3 +220,16 @@ class TestCubeIds:
     def test_bad_cell_count_rejected(self):
         with pytest.raises(InputError):
             DyadicFunction(2, 1, [1, 2, 3])
+
+
+class TestAbs:
+    def test_abs_built_once_and_shared(self):
+        from dyadicbmo import gr_profile, verify_all
+        f = DyadicFunction(1, 2, [-1, 2, 0, -3])
+        h = f.abs()
+        assert h is f.abs()
+        assert h.cells == (1, 2, 0, 3)
+        assert h.is_nonnegative and not f.is_nonnegative
+        # the |f| suites all read one modulus profile
+        verify_all(f, ["remark31", "thm3", "thm4"])
+        assert h._cache["gr_profile"] is gr_profile(f.abs())

@@ -6,8 +6,9 @@ import pytest
 
 import dyadicbmo.verify as verify_mod
 from dyadicbmo import (DyadicFunction, GenerationError, GeneratorSpec,
-                       InputError, generate, gr_membership, verify_all)
-from conftest import random_function
+                       InputError, StepFunction1D, generate, gr_membership,
+                       rearrange_signed, verify_all)
+from conftest import matched_mean_b_oracle, random_function
 
 
 class TestGenerators:
@@ -124,3 +125,43 @@ class TestVerifyAll:
         assert obj["passed"] is True
         assert obj["suites"][0]["name"] == "lemma21"
         assert obj["suites"][0]["checks"] > 0
+
+
+def _endpoint(g, a):
+    mu = g.integral
+    return verify_mod._matching_mean_endpoint(
+        g, a, mu, verify_mod._mean_defect(g, mu))
+
+
+class TestMatchedMeanEndpoint:
+    def test_flat_piece_at_the_mean(self):
+        third = Fraction(1, 3)
+        g = StepFunction1D([0, third, 2 * third, 1], [2, 1, 0])  # mean 1
+        assert _endpoint(g, 0) == 1
+        assert _endpoint(g, Fraction(1, 6)) == Fraction(5, 6)
+        for a in (third, Fraction(1, 2)):  # flat piece: its right end
+            assert _endpoint(g, a) == 2 * third
+        for a in (2 * third, Fraction(5, 6)):  # below the mean: none
+            assert _endpoint(g, a) is None
+
+    def test_matches_piece_scan(self, rng):
+        anchors_checked = 0
+        with_flat = 0
+        for i in range(160):
+            f = random_function(rng, rng.choice([1, 2]), rng.randrange(1, 4))
+            if i % 2:
+                # make the last cell equal the mean: the rearrangement then
+                # has a piece exactly at mu
+                cells = list(f.cells)
+                cells[-1] = sum(cells[:-1], Fraction(0)) / (len(cells) - 1)
+                f = DyadicFunction(f.dim, f.depth, cells)
+            g = rearrange_signed(f)
+            mu = g.integral
+            with_flat += mu in g.values
+            anchors = set(g.breakpoints[:-1])
+            anchors.update(Fraction(k, 16) for k in range(16))
+            anchors.update((lo + hi) / 2 for lo, hi, _ in g.pieces())
+            for a in sorted(anchors):
+                assert _endpoint(g, a) == matched_mean_b_oracle(g, a, mu)
+                anchors_checked += 1
+        assert with_flat >= 80 and anchors_checked > 2000

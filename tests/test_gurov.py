@@ -1,7 +1,10 @@
 """Modulus profile, exponent equation, and the power/exponential decay bounds."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -271,3 +274,15 @@ class TestLqTail:
             for k in range(1, len(f.cells) + 1):
                 t = Fraction(k, len(f.cells))
                 assert g.value_at(t) <= hardy_average(g, t)
+
+
+def test_import_leaves_mpmath_precision_alone():
+    import dyadicbmo
+    src = os.path.dirname(os.path.dirname(dyadicbmo.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import mpmath, dyadicbmo; "
+            "print(mpmath.mp.prec, mpmath.iv.prec)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["53", "53"]

@@ -10,7 +10,7 @@ from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
                        interval_mean_oscillation, rearrange_abs,
                        rearrange_signed, supinf_formula,
                        value_mass_distribution)
-from conftest import random_function, random_nonneg
+from conftest import random_function, random_nonneg, window_oscillation_oracle
 
 
 def sort_oracle(f, absolute=False):
@@ -222,6 +222,26 @@ class TestIntervalOscillation:
             b = Fraction(idx + 1, 1 << level)
             assert interval_mean_oscillation(g, a, b) \
                 == mean_oscillation(f, q).oscillation
+
+
+    def test_matches_piecewise_oracle(self, rng):
+        # nonincreasing inputs take the bisection path, the rest the piece
+        # sum; both must agree with the oracle on every window tried
+        monotone = 0
+        for i in range(150):
+            f = random_function(rng, rng.choice([1, 2]), rng.randrange(4))
+            g = rearrange_signed(f)
+            if i % 3 == 2:
+                g = StepFunction1D(g.breakpoints, list(f.cells[:len(g.values)]))
+            monotone += g.is_nonincreasing
+            pts = sorted(set(g.breakpoints)
+                         | {Fraction(k, 12) for k in range(13)}
+                         | {(lo + hi) / 2 for lo, hi, _ in g.pieces()})
+            windows = [(0, 1)] + [sorted(rng.sample(pts, 2)) for _ in range(40)]
+            for a, b in windows:
+                assert interval_mean_oscillation(g, a, b) \
+                    == window_oscillation_oracle(g, a, b)
+        assert monotone >= 100
 
 
 class TestHardyGap:

@@ -8,20 +8,10 @@ import pytest
 from dyadicbmo import (CZDecomposition, DyadicCubeId, DyadicFunction,
                        PreconditionError, hardy_average, maximal_level_set,
                        rearrange_signed, stopping_family, verify_stopping)
-from conftest import all_cubes_oracle, average_oracle, random_function, random_nonneg
+from conftest import (parent_cover_oracle, random_function, random_nonneg,
+                      stopping_oracle)
 
 SPIKE = DyadicFunction(1, 2, [4, 0, 0, 0])
-
-
-def stopping_oracle(f, alpha, direction):
-    """Maximal crossing cubes by explicit enumeration of the whole tree."""
-    crossing = []
-    for q in all_cubes_oracle(f):
-        avg = average_oracle(f, q)
-        if (avg > alpha) if direction == "above" else (avg <= alpha):
-            crossing.append(q)
-    return [q for q in crossing
-            if not any(o != q and o.contains(q) for o in crossing)]
 
 
 class TestExamples:
@@ -98,18 +88,24 @@ class TestVerify:
 
 class TestInvariants:
     def test_matches_enumeration_oracle(self, rng):
-        for _ in range(120):
-            f = random_function(rng, rng.choice([1, 2]), rng.randrange(4))
+        def check(f, alpha, direction):
+            d = stopping_family(f, alpha, direction)
+            stopping = stopping_oracle(f, alpha, direction)
+            cover = parent_cover_oracle(stopping)
+            order = lambda q: (q.level, q.flat())
+            assert d.stopping_cubes == tuple(sorted(stopping, key=order))
+            assert d.parent_cover == tuple(sorted(cover, key=order))
+            assert d.measure_E == sum((q.measure for q in stopping), Fraction(0))
+            assert d.measure_E_star == sum((q.measure for q in cover), Fraction(0))
+
+        for i in range(180):
+            dim = (1, 2, 3)[i % 3]
+            f = random_function(rng, dim, rng.randrange(6 - dim))
             mean = f.mean
             span = max(f.cells) - min(f.cells)
-            alpha = mean + span * Fraction(rng.randrange(0, 9), 8)
-            d = stopping_family(f, alpha, "above")
-            assert set(d.stopping_cubes) == set(stopping_oracle(f, alpha, "above"))
-            if span > 0 and rng.random() < 0.7:
-                beta = mean - span * Fraction(rng.randrange(1, 9), 8)
-                db = stopping_family(f, beta, "below")
-                assert set(db.stopping_cubes) == set(
-                    stopping_oracle(f, beta, "below"))
+            check(f, mean + span * Fraction(rng.randrange(0, 9), 8), "above")
+            if span > 0:
+                check(f, mean - span * Fraction(rng.randrange(1, 9), 8), "below")
 
     def test_structure_randomized(self, rng):
         for _ in range(150):

@@ -5,18 +5,29 @@ half-open box prod_m (i_m 2^-L, (i_m+1) 2^-L].  All derived quantities
 (averages, mean oscillations, the dyadic sup norm, maximal-function values,
 level-set measures) are computed in exact rational arithmetic; no floating
 point enters this module.
+
+Internally every cell and cube is addressed in Morton (Z-) order: a level-k
+cube's address z is its path of child digits from the root, each digit the
+child's position in product((0, 1), repeat=n) (the order of
+DyadicCubeId.children()).  A cube is then the contiguous slice
+[z << n(L-k), (z+1) << n(L-k)) of the level-L cells, its children are
+(z << n) + d and a cell's level-k ancestor is z >> n(L-k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
 from .errors import InputError
 
 Rational = Fraction
+
+# Largest dim * depth accepted anywhere: grids have at most 2^20 cells.
+MAX_GRID_BITS = 20
 
 
 def _encode(index, level):
@@ -27,6 +38,29 @@ def _encode(index, level):
 def _decode(flat, level, dim):
     mask = (1 << level) - 1
     return tuple((flat >> (m * level)) & mask for m in range(dim))
+
+
+@lru_cache(maxsize=16)
+def _morton_order(dim, depth):
+    """Public flat index of the level-`depth` cell at each Morton address.
+
+    The one map from Morton addresses to the public layout.  The level-k
+    digit of an address holds bit depth-k of every coordinate index.
+    """
+    order = [0]
+    for k in range(1, depth + 1):
+        offsets = [sum(b << (m * depth + depth - k) for m, b in enumerate(delta))
+                   for delta in product((0, 1), repeat=dim)]
+        order = [p + o for p in order for o in offsets]
+    return tuple(order)
+
+
+def check_grid_size(dim, depth):
+    """InputError unless an n=dim, L=depth grid has at most 2^MAX_GRID_BITS cells."""
+    if dim * depth > MAX_GRID_BITS:
+        raise InputError(
+            f"grid of n={dim}, L={depth} has 2^{dim * depth} cells; "
+            f"at most 2^{MAX_GRID_BITS} are supported")
 
 
 @dataclass(frozen=True)
@@ -67,6 +101,15 @@ class DyadicCubeId:
     def from_flat(cls, level, flat, dim):
         return cls(level, _decode(flat, level, dim))
 
+    def morton(self):
+        """Morton address: one n-bit digit per level from the root, the bit
+        of coordinate 0 highest in each digit."""
+        z = 0
+        for b in range(self.level - 1, -1, -1):
+            for i in self.index:
+                z = (z << 1) | ((i >> b) & 1)
+        return z
+
     @classmethod
     def root(cls, dim):
         return cls(0, (0,) * dim)
@@ -104,8 +147,10 @@ class DyadicFunction:
     """Immutable level-L piecewise-constant function on [0,1]^n.
 
     cells[flat] with flat = i_1 + i_2*2^L + ... + i_n*2^((n-1)L).  Treated as
-    immutable: internal integer kernels (common-denominator numerators, level
-    sum pyramids, ancestor tables) are cached lazily.
+    immutable: the integer kernel is cached lazily.  It holds the
+    common-denominator numerators in Morton order (see the module docstring),
+    so every cube is one slice, and per-level pyramids of cube sums and
+    oscillation numerators built from blocks of 2^n neighbours.
     """
 
     def __init__(self, dim, depth, cells):
@@ -113,6 +158,7 @@ class DyadicFunction:
             raise InputError(f"dimension must be >= 1, got {dim}")
         if depth < 0:
             raise InputError(f"depth must be >= 0, got {depth}")
+        check_grid_size(dim, depth)
         cells = tuple(Fraction(v) for v in cells)
         if len(cells) != 1 << (dim * depth):
             raise InputError(
@@ -145,43 +191,67 @@ class DyadicFunction:
 
     @property
     def _nums(self):
+        """Cell numerators over self._den, in Morton order."""
         if "nums" not in self._cache:
-            d = self._den
-            self._cache["nums"] = [int(v * d) for v in self.cells]
+            d, cells = self._den, self.cells
+            self._cache["nums"] = [
+                v.numerator * (d // v.denominator)
+                for v in map(cells.__getitem__, _morton_order(self.dim, self.depth))]
         return self._cache["nums"]
 
-    def _sums(self, absolute=False):
-        """Per-level lists of cell-value numerator sums (over self._den)."""
-        key = "asums" if absolute else "sums"
-        if key not in self._cache:
-            n, L = self.dim, self.depth
-            level = [abs(a) for a in self._nums] if absolute else list(self._nums)
+    def _sums(self):
+        """Per-level lists of cube numerator sums (over self._den), Morton order:
+        each sum adds a block of 2^n neighbours one level down."""
+        if "sums" not in self._cache:
+            block = 1 << self.dim
+            level = self._nums
             pyramid = [level]
-            for k in range(L - 1, -1, -1):
-                prev = pyramid[0]
-                cur = [0] * (1 << (n * k))
-                for j in range(len(cur)):
-                    idx = _decode(j, k, n)
-                    for delta in product((0, 1), repeat=n):
-                        child = tuple(2 * i + d for i, d in zip(idx, delta))
-                        cur[j] += prev[_encode(child, k + 1)]
-                pyramid.insert(0, cur)
-            self._cache[key] = pyramid
-        return self._cache[key]
+            for _ in range(self.depth):
+                level = [sum(t) for t in zip(*(level[d::block] for d in range(block)))]
+                pyramid.append(level)
+            pyramid.reverse()
+            self._cache["sums"] = pyramid
+        return self._cache["sums"]
 
-    def _ancestors(self):
-        """anc[k][cell_flat] = flat index of the cell's level-k ancestor."""
-        if "anc" not in self._cache:
-            n, L = self.dim, self.depth
-            anc = []
-            for k in range(L + 1):
-                shift = L - k
-                anc.append([
-                    _encode(tuple(i >> shift for i in _decode(c, L, n)), k)
-                    for c in range(len(self.cells))
-                ])
-            self._cache["anc"] = anc
-        return self._cache["anc"]
+    def _osc(self):
+        """osc[k][z] = sum of |cnt * num - sums[k][z]| over the cells of cube z,
+        cnt = 2^(n(L-k)): its mean oscillation times den * cnt^2.  Levels
+        0..L-1 only; level-L cubes are single cells with oscillation 0.
+        """
+        if "osc" not in self._cache:
+            n, L, nums = self.dim, self.depth, self._nums
+            pyramid = []
+            for k, sums in enumerate(self._sums()[:L]):
+                cnt = 1 << (n * (L - k))
+                pyramid.append([sum(abs(a * cnt - s) for a in nums[z * cnt:(z + 1) * cnt])
+                                for z, s in enumerate(sums)])
+            self._cache["osc"] = pyramid
+        return self._cache["osc"]
+
+    def _block(self, q):
+        """(z, cnt): q's Morton address and cell count; its cells are the
+        slice [z * cnt, (z + 1) * cnt) of self._nums."""
+        if q.dim != self.dim:
+            raise InputError(f"cube dimension {q.dim} != function dimension {self.dim}")
+        if q.level > self.depth:
+            raise InputError(
+                f"cube level {q.level} exceeds function depth {self.depth}")
+        return q.morton(), 1 << (self.dim * (self.depth - q.level))
+
+    def _cube(self, k, z):
+        """The level-k cube at Morton address z, found through its first cell."""
+        shift = self.depth - k
+        first = _morton_order(self.dim, self.depth)[z << (self.dim * shift)]
+        return DyadicCubeId(k, tuple(i >> shift
+                                     for i in _decode(first, self.depth, self.dim)))
+
+    @classmethod
+    def _from_morton(cls, dim, depth, values):
+        """The function whose cell at Morton address z has value values[z]."""
+        cells = [None] * len(values)
+        for p, v in zip(_morton_order(dim, depth), values):
+            cells[p] = v
+        return cls(dim, depth, cells)
 
     # -- basic quantities ---------------------------------------------------
 
@@ -190,20 +260,10 @@ class DyadicFunction:
         """Average over the whole of [0,1]^n (equals the total integral)."""
         return Fraction(sum(self._nums), self._den * len(self.cells))
 
-    def _check_cube(self, q):
-        if q.dim != self.dim:
-            raise InputError(f"cube dimension {q.dim} != function dimension {self.dim}")
-        if q.level > self.depth:
-            raise InputError(
-                f"cube level {q.level} exceeds function depth {self.depth}")
-
     def cell_indices(self, q):
-        """Flat indices of the level-L cells inside cube q."""
-        self._check_cube(q)
-        shift = self.depth - q.level
-        ranges = [range(i << shift, (i + 1) << shift) for i in q.index]
-        for idx in product(*ranges):
-            yield _encode(idx, self.depth)
+        """Flat indices of the level-L cells inside cube q, in Morton order."""
+        z, cnt = self._block(q)
+        return _morton_order(self.dim, self.depth)[z * cnt:(z + 1) * cnt]
 
     def scaled(self, c):
         return DyadicFunction(self.dim, self.depth,
@@ -214,7 +274,10 @@ class DyadicFunction:
                               [v + Fraction(c) for v in self.cells])
 
     def abs(self):
-        """|f|, built once per function so its own caches are shared."""
+        """|f|: f itself when f >= 0, else built once per function, so the
+        caches of |f| are shared."""
+        if self.is_nonnegative:
+            return self
         if "abs" not in self._cache:
             self._cache["abs"] = DyadicFunction(self.dim, self.depth,
                                                 [abs(v) for v in self.cells])
@@ -235,19 +298,15 @@ class DyadicFunction:
 
 def cube_average(f, q):
     """Exact mean of f over the dyadic cube q."""
-    f._check_cube(q)
-    cnt = 1 << (f.dim * (f.depth - q.level))
-    s = f._sums()[q.level][q.flat()]
-    return Fraction(s, f._den * cnt)
+    z, cnt = f._block(q)
+    return Fraction(f._sums()[q.level][z], f._den * cnt)
 
 
 def mean_oscillation(f, q):
     """Average of |f - f_Q| over q, with the average f_Q, all exact."""
-    f._check_cube(q)
-    cnt = 1 << (f.dim * (f.depth - q.level))
-    s = f._sums()[q.level][q.flat()]
-    nums = f._nums
-    osc_num = sum(abs(nums[c] * cnt - s) for c in f.cell_indices(q))
+    z, cnt = f._block(q)
+    s = f._sums()[q.level][z]
+    osc_num = sum(abs(a * cnt - s) for a in f._nums[z * cnt:(z + 1) * cnt])
     return OscillationReport(
         cube=q,
         average=Fraction(s, f._den * cnt),
@@ -263,14 +322,13 @@ def one_sided_oscillation(f, q, side):
     """
     if side not in ("above", "below"):
         raise InputError(f"side must be 'above' or 'below', got {side!r}")
-    f._check_cube(q)
-    cnt = 1 << (f.dim * (f.depth - q.level))
-    s = f._sums()[q.level][q.flat()]
-    nums = f._nums
+    z, cnt = f._block(q)
+    s = f._sums()[q.level][z]
+    block = f._nums[z * cnt:(z + 1) * cnt]
     if side == "above":
-        num = sum(nums[c] * cnt - s for c in f.cell_indices(q) if nums[c] * cnt > s)
+        num = sum(a * cnt - s for a in block if a * cnt > s)
     else:
-        num = sum(s - nums[c] * cnt for c in f.cell_indices(q) if nums[c] * cnt < s)
+        num = sum(s - a * cnt for a in block if a * cnt < s)
     return Fraction(2 * num, f._den * cnt * cnt)
 
 
@@ -282,6 +340,11 @@ def every_cube(f, max_level=None):
             yield DyadicCubeId.from_flat(k, j, f.dim)
 
 
+def _public_key(q):
+    """Sort key of the public cube order: (level, flat index)."""
+    return q.level, q.flat()
+
+
 def bmo_argmax(f):
     """Maximal mean oscillation over all dyadic cubes, with its witness cube.
 
@@ -290,26 +353,16 @@ def bmo_argmax(f):
     """
     if "bmo" in f._cache:
         return f._cache["bmo"]
-    n, L, den = f.dim, f.depth, f._den
-    sums = f._sums()
-    anc = f._ancestors()
-    nums = f._nums
-    best = Fraction(0)
-    best_cube = DyadicCubeId.root(n)
-    for k in range(L):  # level-L cubes are single cells: oscillation 0
+    n, L = f.dim, f.depth
+    best, best_cube = Fraction(0), DyadicCubeId.root(n)
+    for k, osc in enumerate(f._osc()):
+        top = max(osc)
         cnt = 1 << (n * (L - k))
-        s_k = sums[k]
-        anc_k = anc[k]
-        osc = [0] * (1 << (n * k))
-        for c, a in enumerate(nums):
-            j = anc_k[c]
-            osc[j] += abs(a * cnt - s_k[j])
-        d = den * cnt * cnt
-        for j, num in enumerate(osc):
-            val = Fraction(num, d)
-            if val > best:
-                best = val
-                best_cube = DyadicCubeId.from_flat(k, j, n)
+        val = Fraction(top, f._den * cnt * cnt)
+        if val > best:
+            best = val
+            best_cube = min((f._cube(k, z) for z, o in enumerate(osc) if o == top),
+                            key=_public_key)
     report = OscillationReport(cube=best_cube,
                                average=cube_average(f, best_cube),
                                oscillation=best)
@@ -323,20 +376,25 @@ def bmo_dyadic_norm(f):
 
 
 def dyadic_maximal_function(f):
-    """Pointwise max over dyadic cubes containing x of the average of |f|."""
-    n, L, den = f.dim, f.depth, f._den
-    asums = f._sums(absolute=True)
-    anc = f._ancestors()
-    scale = den << (n * L)
-    out = []
-    for c in range(len(f.cells)):
-        best = 0
-        for k in range(L + 1):
-            t = asums[k][anc[k][c]] << (n * k)
-            if t > best:
-                best = t
-        out.append(Fraction(best, scale))
-    return DyadicFunction(n, L, out)
+    """Pointwise max over dyadic cubes containing x of the average of |f|.
+
+    A running max down the sum pyramid of |f|: each cube's value is the
+    larger of its father's and its own average.  Cached per function.
+    """
+    h = f.abs()  # M f = M |f|, cached on |f|
+    if "maximal" not in h._cache:
+        n, L = h.dim, h.depth
+        digits = range(1 << n)
+        sums = h._sums()
+        # a level-k average times 2^(nL) den is its sum times 2^(nk)
+        best = sums[0]
+        for k in range(1, L + 1):
+            best = [max(b, s << (n * k))
+                    for b, s in zip((b for b in best for _ in digits), sums[k])]
+        scale = h._den << (n * L)
+        h._cache["maximal"] = DyadicFunction._from_morton(
+            n, L, [Fraction(b, scale) for b in best])
+    return h._cache["maximal"]
 
 
 def distribution_above(f, lam, center):

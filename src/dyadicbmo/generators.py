@@ -11,9 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .dyadic import DyadicFunction, _encode
+from .dyadic import DyadicFunction, check_grid_size
 from .errors import GenerationError, InputError
 from .gurov import gr_membership
 
@@ -39,6 +38,7 @@ class GeneratorSpec:
                              f"choose from {', '.join(KINDS)}")
         if self.dim < 1 or self.depth < 0:
             raise InputError("need dim >= 1 and depth >= 0")
+        check_grid_size(self.dim, self.depth)
         if self.kind == "monotone-1d" and self.dim != 1:
             raise InputError("monotone-1d generates one-dimensional functions")
         object.__setattr__(self, "low", Fraction(self.low))
@@ -72,24 +72,12 @@ def _cascade(rng, dim, depth, spread_bits, spread, multipliers):
             rng.randrange(-(1 << spread_bits), (1 << spread_bits) + 1),
             1 << spread_bits)
 
-    values = {(): Fraction(1)}
-    level = [()]
+    # children are drawn in Morton order, so the leaves come out in it
+    level = [Fraction(1)]
+    digits = range(1 << dim)
     for _ in range(depth):
-        nxt = []
-        for node in level:
-            parent = values[node]
-            for delta in product((0, 1), repeat=dim):
-                child = node + (delta,)
-                values[child] = parent * draw_factor()
-                nxt.append(child)
-        level = nxt
-    cells = [Fraction(0)] * (1 << (dim * depth))
-    for node in level:
-        idx = tuple(0 for _ in range(dim))
-        for deltas in node:
-            idx = tuple(2 * i + d for i, d in zip(idx, deltas))
-        cells[_encode(idx, depth)] = values[node]
-    return cells
+        level = [parent * draw_factor() for parent in level for _ in digits]
+    return DyadicFunction._from_morton(dim, depth, level)
 
 
 def generate(spec):
@@ -107,9 +95,8 @@ def generate(spec):
     # cascade-gr
     spread = min(Fraction(1, 8), spec.target_eps / 4)
     for _ in range(spec.cascade_retries):
-        cells = _cascade(rng, spec.dim, spec.depth, spec.denom_bits, spread,
-                         spec.multipliers)
-        f = DyadicFunction(spec.dim, spec.depth, cells)
+        f = _cascade(rng, spec.dim, spec.depth, spec.denom_bits, spread,
+                     spec.multipliers)
         if gr_membership(f) <= spec.target_eps:
             return f
         spread /= 2

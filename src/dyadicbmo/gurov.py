@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .dyadic import every_cube, mean_oscillation
 from .errors import InputError, PreconditionError
 from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow, mp,
                        upper_float)
@@ -85,14 +85,13 @@ def gr_profile(f):
     _require_nonneg(f)
     if "gr_profile" in f._cache:
         return f._cache["gr_profile"]
+    # oscillation / average of a level-k cube is osc / (s * cnt), s its sum;
+    # s = 0 means f vanishes on the cube (ratio 0), level-L cubes give 0
     per_level = [Fraction(0)] * (f.depth + 1)
-    for q in every_cube(f):
-        rep = mean_oscillation(f, q)
-        if rep.average == 0:
-            continue  # f vanishes on the cube, oscillation 0
-        ratio = rep.oscillation / rep.average
-        if ratio > per_level[q.level]:
-            per_level[q.level] = ratio
+    for k, (osc, sums) in enumerate(zip(f._osc(), f._sums())):
+        cnt = 1 << (f.dim * (f.depth - k))
+        per_level[k] = max((Fraction(o, s * cnt) for o, s in zip(osc, sums) if s),
+                           default=Fraction(0))
     suffix = [Fraction(0)] * (f.depth + 1)
     running = Fraction(0)
     for k in range(f.depth, -1, -1):
@@ -184,13 +183,18 @@ def solve_p(epsilon, n):
 
     Requires 0 < eps < 2^(1-n).  For eps so small that p would exceed 1e6 the
     root is capped there and the (large) residual reported; the downstream
-    bounds only weaken under the cap.
+    bounds only weaken under the cap.  Solved once per (eps, n).
     """
     epsilon = Fraction(epsilon)
     limit = Fraction(1, 1 << (n - 1))
     if not 0 < epsilon < limit:
         raise PreconditionError(
             f"epsilon must lie in (0, {limit}) for dimension {n}, got {epsilon}")
+    return _solve_p_exact(epsilon, n)
+
+
+@lru_cache(maxsize=256)
+def _solve_p_exact(epsilon, n):
     target = Fraction(1, 1) / (Fraction(1 << (n - 1)) * epsilon)
     target_mp = mp.mpf(target.numerator) / mp.mpf(target.denominator)
     target_log = mp.log(target_mp)

@@ -151,9 +151,9 @@ def _affine_eval(aff, x, y):
     return cx * x + cy * y + c0
 
 
-def _quad_eval(q, x, y):
-    c20, c11, c02, c10, c01, c00 = q
-    return c20 * x * x + c11 * x * y + c02 * y * y + c10 * x + c01 * y + c00
+def _bilinear_eval(fq, x, y):
+    c11, c10, c01, c00 = fq
+    return c11 * x * y + c10 * x + c01 * y + c00
 
 
 def _clip_polygon(poly, aff):
@@ -182,9 +182,13 @@ def _clip_polygon(poly, aff):
 
 
 def _region_candidates(fq, mid_len, constraints, poly):
-    """Rational points where the region max of 2F/T^2 can sit."""
+    """Rational points where the region max of 2F/T^2 can sit.
+
+    fq = (f11, f10, f01, f00) is the bilinear F = f11 xy + f10 x + f01 y + f00
+    and T = x + y + mid_len.
+    """
     pts = list(poly)
-    f20, f11, f02, f10, f01, f00 = fq
+    f11, f10, f01, f00 = fq
 
     # edge stationary points: along (x,y) = p + s*(q-p) the critical equation
     # F'(s)T(s) - 2F(s)T'(s) = 0 is linear in s.
@@ -192,10 +196,9 @@ def _region_candidates(fq, mid_len, constraints, poly):
     for idx in range(k if k > 2 else k - 1 if k == 2 else 0):
         (x0, y0), (x1, y1) = poly[idx], poly[(idx + 1) % k]
         dx, dy = x1 - x0, y1 - y0
-        a2 = f20 * dx * dx + f11 * dx * dy + f02 * dy * dy
-        a1 = (2 * f20 * x0 * dx + f11 * (x0 * dy + y0 * dx)
-              + 2 * f02 * y0 * dy + f10 * dx + f01 * dy)
-        a0 = _quad_eval(fq, x0, y0)
+        a2 = f11 * dx * dy
+        a1 = f11 * (x0 * dy + y0 * dx) + f10 * dx + f01 * dy
+        a0 = _bilinear_eval(fq, x0, y0)
         t0 = x0 + y0 + mid_len
         t1 = dx + dy
         lin = 2 * a2 * t0 - a1 * t1
@@ -205,98 +208,31 @@ def _region_candidates(fq, mid_len, constraints, poly):
             if 0 < s < 1:
                 pts.append((x0 + s * dx, y0 + s * dy))
 
-    # interior critical points: F_x = F_y is the line D = 0; substituting it
-    # into F_x*T - 2F leaves a linear equation (the quadratic terms cancel).
-    d_aff = (2 * f20 - f11, f11 - 2 * f02, f10 - f01)
-    g_quad = (2 * f20 - 2 * f20,          # 0 by construction
-              (2 * f20 + f11) - 2 * f11,
-              f11 - 2 * f02,
-              2 * f20 * mid_len + f10 - 2 * f10,
-              f11 * mid_len + f10 - 2 * f01,
-              f10 * mid_len - 2 * f00)
-    dcx, dcy, dc0 = d_aff
-    if dcx == 0 and dcy == 0:
-        if dc0 == 0:
-            # F is affine here; the critical set is the affine line G = 0
-            g20, g11, g02, g10, g01, g00 = g_quad
-            if g20 == 0 and g11 == 0 and g02 == 0 and (g10, g01) != (0, 0):
-                if g10 != 0:
-                    # x = -(g01*y + g00)/g10: feasible segment midpoint
-                    seg = _segment_on_affine_line(g10, g01, g00, constraints)
-                    if seg is not None:
-                        pts.append(seg)
-                else:
-                    seg = _x_segment_at_y(-Fraction(g00) / g01, constraints)
-                    if seg is not None:
-                        pts.append(seg)
-            # all-zero G: oscillation constant on the region, vertices suffice
-    else:
-        # normalize D = 0 to x = y*sy + q (or y = const when dcx == 0)
-        if dcx != 0:
-            # x = (-dcy*y - dc0)/dcx
-            sy = -dcy / dcx
-            q = -dc0 / dcx
-            coeffs = _substitute_line(g_quad, sy, q)
-            for y in _poly_roots_and_flats(coeffs, constraints, sy, q):
-                pts.append((sy * y + q, y))
+    # interior critical points: F_x = F_y is the line f11 (y - x) = f01 - f10,
+    # and on it G = F_x*T - 2F is linear in y (the y^2 terms cancel).
+    if f11 != 0:
+        q = (f10 - f01) / f11  # the line x = y + q
+        b = f11 * (mid_len - q) - 2 * f01
+        c = f10 * (mid_len - q) - 2 * f00
+        if b != 0:
+            y = -c / b
+        elif c == 0:  # G vanishes on the line: its feasible midpoint
+            y = _line_midpoint(constraints, 1, q)
         else:
-            y_const = -dc0 / dcy
-            # substitute y = const: polynomial in x
-            g20, g11, g02, g10, g01, g00 = g_quad
-            a = g20
-            b = g11 * y_const + g10
-            c = g02 * y_const * y_const + g01 * y_const + g00
-            if a == 0 and b != 0:
-                pts.append((-c / b, y_const))
-            elif a == 0 and b == 0 and c == 0:
-                seg = _x_segment_at_y(y_const, constraints)
-                if seg is not None:
-                    pts.append(seg)
+            y = None
+        if y is not None:
+            pts.append((y + q, y))
+    elif f10 == f01 != 0:
+        # F is affine with F_x = F_y everywhere; G vanishes on x + y = q
+        q = mid_len - 2 * f00 / f10
+        y = _line_midpoint(constraints, -1, q)
+        if y is not None:
+            pts.append((q - y, y))
     return pts
 
 
-def _substitute_line(quad, sy, q):
-    """Coefficients (in y) of quad(sy*y + q, y); degree <= 2."""
-    c20, c11, c02, c10, c01, c00 = quad
-    a = c20 * sy * sy + c11 * sy + c02
-    b = 2 * c20 * sy * q + c11 * q + c10 * sy + c01
-    c = c20 * q * q + c10 * q + c00
-    return a, b, c
-
-
-def _poly_roots_and_flats(coeffs, constraints, sy, q):
-    """Roots of a*y^2 + b*y + c = 0 relevant as candidates (all rational here).
-
-    For this objective the quadratic coefficient always cancels; a degenerate
-    all-zero polynomial means the oscillation is constant along the line,
-    so its feasible midpoint is the single candidate.
-    """
-    a, b, c = coeffs
-    if a == 0:
-        if b != 0:
-            return [-c / b]
-        if c == 0:
-            iv = _line_feasible_interval_general(constraints, sy, q)
-            if iv is not None:
-                return [(iv[0] + iv[1]) / 2]
-        return []
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    num = disc.numerator * disc.denominator
-    root = math.isqrt(num)
-    if root * root != num:
-        # cannot happen for this objective (quadratic term cancels); guard
-        # with a float root so a candidate is never silently dropped.
-        approx = Fraction(math.sqrt(float(disc))).limit_denominator(1 << 60)
-        sq = approx
-    else:
-        sq = Fraction(root, disc.denominator)
-    return [(-b + sq) / (2 * a), (-b - sq) / (2 * a)]
-
-
-def _line_feasible_interval_general(constraints, sy, q):
-    """Feasible y-interval of x = sy*y + q under affine constraints."""
+def _line_midpoint(constraints, sy, q):
+    """Midpoint y of the feasible part of the line x = sy*y + q, or None."""
     lo, hi = None, None
     for cx, cy, c0 in constraints:
         a = cx * sy + cy
@@ -312,36 +248,7 @@ def _line_feasible_interval_general(constraints, sy, q):
             lo = bound if lo is None else max(lo, bound)
     if lo is None or hi is None or lo > hi:
         return None
-    return lo, hi
-
-
-def _segment_on_affine_line(g10, g01, g00, constraints):
-    """Feasible midpoint of the line g10*x + g01*y + g00 = 0, or None."""
-    sy = -Fraction(g01) / g10
-    q = -Fraction(g00) / g10
-    iv = _line_feasible_interval_general(constraints, sy, q)
-    if iv is None:
-        return None
-    y_mid = (iv[0] + iv[1]) / 2
-    return (sy * y_mid + q, y_mid)
-
-
-def _x_segment_at_y(y_const, constraints):
-    lo, hi = None, None
-    for cx, cy, c0 in constraints:
-        b = cy * y_const + c0
-        if cx == 0:
-            if b > 0:
-                return None
-        elif cx > 0:
-            bound = -b / cx
-            hi = bound if hi is None else min(hi, bound)
-        else:
-            bound = -b / cx
-            lo = bound if lo is None else max(lo, bound)
-    if lo is None or hi is None or lo > hi:
-        return None
-    return ((lo + hi) / 2, y_const)
+    return (lo + hi) / 2
 
 
 def _general_norm(g):
@@ -383,11 +290,10 @@ def _general_norm(g):
                 aj = vj if bj else Fraction(0)
                 ib = Fraction(1 if bi else 0)
                 jb = Fraction(1 if bj else 0)
-                # F = S1*T - N*L1 expanded in (x, y)
+                # F = S1*T - N*L1 expanded in (x, y): bilinear, no x^2 or y^2
+                assert ai - vi * ib == aj - vj * jb == 0
                 fq = (
-                    ai - vi * ib,                                   # x^2 (=0)
                     (ai + aj) - (vi * jb + vj * ib),                # xy
-                    aj - vj * jb,                                   # y^2 (=0)
                     ai * mid_len + high_mid_int - (vi * high_mid_len + mid_int * ib),
                     aj * mid_len + high_mid_int - (vj * high_mid_len + mid_int * jb),
                     high_mid_int * mid_len - mid_int * high_mid_len,
@@ -408,7 +314,7 @@ def _general_norm(g):
                         continue
                     if any(_affine_eval(c, x, y) > 0 for c in constraints):
                         continue
-                    val = 2 * _quad_eval(fq, x, y) / (t_len * t_len)
+                    val = 2 * _bilinear_eval(fq, x, y) / (t_len * t_len)
                     if val > best:
                         best = val
                         witness = (bps[i] - x, bps[j - 1] + y)

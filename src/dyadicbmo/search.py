@@ -12,12 +12,13 @@ order (or in parallel processes) without changing the result.
 from __future__ import annotations
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import DyadicFunction, bmo_dyadic_norm
+from .dyadic import DyadicFunction, bmo_dyadic_norm, check_grid_size
 from .errors import InputError, PreconditionError
 from .highprec import IV_E, upper_float
 from .interval_bmo import interval_bmo_norm
@@ -50,6 +51,7 @@ class SearchConfig:
                              f"choose from {', '.join(OBJECTIVES)}")
         if self.dim < 1 or self.depth < 0:
             raise InputError("need dim >= 1 and depth >= 0")
+        check_grid_size(self.dim, self.depth)
 
 
 @dataclass(frozen=True)
@@ -195,9 +197,9 @@ def _run_restart(cfg, restart_index):
 
 def search(cfg):
     """Multistart annealing; the final best is re-scored at tol/10."""
-    results = []
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    workers = min(cfg.threads, cfg.restarts, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_restart, cfg, r)
                        for r in range(cfg.restarts)]
             results = [fut.result() for fut in futures]

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .dyadic import (DyadicCubeId, _decode, _encode, cube_average,
-                     dyadic_maximal_function)
+from .dyadic import _public_key, cube_average, dyadic_maximal_function
 from .errors import InputError, PreconditionError
 
 
@@ -55,11 +53,11 @@ def stopping_family(f, alpha, direction):
     direction='below' selects averages <= alpha and requires alpha < the
     global average.
 
-    The tree walk runs on (level, flat index) pairs over the level-sum
+    The tree walk runs on (level, Morton address) pairs over the level-sum
     pyramid f._sums(), deciding each crossing by an integer cross-multiply,
     and builds the cover in the same pass; it visits only cubes with no
-    stopping cube above them, O(n) each.  DyadicCubeIds are built only for
-    the result.
+    stopping cube above them, O(1) each.  DyadicCubeIds are built only for
+    the result, which is sorted by (level, flat index).
     """
     if direction not in ("above", "below"):
         raise InputError(f"direction must be 'above' or 'below', got {direction!r}")
@@ -94,15 +92,14 @@ def stopping_family(f, alpha, direction):
     # crossing child is a father; it joins the cover unless a father above
     # it already did, which the flag carried down the walk records.
     stopping, cover = [], []
-    frontier = [(0, False)]  # (flat index, lies inside a cover cube)
+    frontier = [(0, False)]  # (Morton address, lies inside a cover cube)
+    digits = range(1 << n)
     for k in range(depth):
-        offsets = [_encode(delta, k + 1) for delta in product((0, 1), repeat=n)]
         nxt = []
         for j, covered in frontier:
-            base = _encode(tuple(2 * i for i in _decode(j, k, n)), k + 1)
             is_father = False
             opened = []
-            for c in (base + o for o in offsets):
+            for c in ((j << n) + d for d in digits):
                 if crosses(k + 1, c):
                     stopping.append((k + 1, c))
                     is_father = True
@@ -112,17 +109,16 @@ def stopping_family(f, alpha, direction):
                 cover.append((k, j))
             nxt.extend((c, covered or is_father) for c in opened)
         frontier = nxt
-    stopping.sort()
-    cover.sort()
+
+    def public(cubes):
+        return tuple(sorted((f._cube(k, z) for k, z in cubes), key=_public_key))
 
     cells = 1 << (n * depth)
     measure_e = Fraction(sum(1 << (n * (depth - k)) for k, _ in stopping), cells)
     measure_e_star = Fraction(sum(1 << (n * (depth - k)) for k, _ in cover), cells)
     return CZDecomposition(threshold=alpha, direction=direction,
-                           stopping_cubes=tuple(DyadicCubeId.from_flat(k, j, n)
-                                                for k, j in stopping),
-                           parent_cover=tuple(DyadicCubeId.from_flat(k, j, n)
-                                              for k, j in cover),
+                           stopping_cubes=public(stopping),
+                           parent_cover=public(cover),
                            measure_E=measure_e,
                            measure_E_star=measure_e_star)
 
@@ -164,14 +160,8 @@ def verify_stopping(d, f):
     for q in d.stopping_cubes:
         covered.update(f.cell_indices(q))
     ok_complement = True
-    nums, den = f._nums, f._den
-    p, qden = alpha.numerator, alpha.denominator
-    for c, a in enumerate(nums):
-        if c in covered:
-            continue
-        value_crosses = (a * qden > p * den) if direction == "above" \
-            else (a * qden <= p * den)
-        if value_crosses:
+    for c, v in enumerate(f.cells):
+        if c not in covered and _crosses(v, alpha, direction):
             ok_complement = False
             failures.append(f"cell {c} outside E crosses {alpha}")
 

@@ -226,7 +226,7 @@ def _suite_thm31(f):
 
 
 def _suite_remark31(f):
-    h = f if f.is_nonnegative else f.abs()
+    h = f.abs()
     note = "" if f.is_nonnegative else "applied to |f|"
     failures = []
     if rearrange_signed(h) != rearrange_abs(h):
@@ -248,7 +248,7 @@ def _cell_aligned_grid(f, cap=48):
 
 
 def _suite_thm3(f):
-    h = f if f.is_nonnegative else f.abs()
+    h = f.abs()
     note = "" if f.is_nonnegative else "applied to |f|"
     if h.is_constant and h.cells[0] == 0:
         return _result("thm3", 0, [], skipped=True, note="identically zero")
@@ -265,7 +265,7 @@ def _suite_thm3(f):
 
 
 def _suite_thm4(f):
-    h = f if f.is_nonnegative else f.abs()
+    h = f.abs()
     note = "" if f.is_nonnegative else "applied to |f|"
     if h.is_constant and h.cells[0] == 0:
         return _result("thm4", 0, [], skipped=True, note="identically zero")
@@ -288,7 +288,7 @@ def _modulus_in_range(h):
 
 
 def _suite_thm5(f):
-    h = f if f.is_nonnegative else f.abs()
+    h = f.abs()
     if not _modulus_in_range(h):
         return _result("thm5", 0, [], skipped=True,
                        note="modulus not below 2^(1-n)")
@@ -303,7 +303,7 @@ def _suite_thm5(f):
 
 
 def _suite_cor1(f):
-    h = f if f.is_nonnegative else f.abs()
+    h = f.abs()
     if not _modulus_in_range(h):
         return _result("cor1", 0, [], skipped=True,
                        note="modulus not below 2^(1-n)")
@@ -355,7 +355,7 @@ def _suite_cz(f):
         prev = d.measure_E
     # the maximal operator averages |f|, so its level sets match the
     # stopping family of |f|
-    h = f if f.is_nonnegative else f.abs()
+    h = f.abs()
     for alpha in _cz_alphas(h)[0]:
         d = stopping_family(h, alpha, "above")
         checks += 1

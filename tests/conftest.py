@@ -60,9 +60,9 @@ def random_cube(rng, f):
 # -- independent oracles ----------------------------------------------------
 
 def cube_cells_oracle(f, q):
-    """Cells inside q by geometric containment of cell corners."""
-    side = Fraction(1, 1 << f.depth)
-    qside = Fraction(1, 1 << q.level)
+    """Cells inside q by geometric containment of cell corners, in units of
+    the cell side 2^-L (so the comparisons are integer)."""
+    qside = 1 << (f.depth - q.level)
     out = []
     for flat in range(len(f.cells)):
         rest = flat
@@ -70,9 +70,8 @@ def cube_cells_oracle(f, q):
         for m in range(f.dim):
             i = rest % (1 << f.depth)
             rest //= 1 << f.depth
-            lo, hi = i * side, (i + 1) * side
             qlo, qhi = q.index[m] * qside, (q.index[m] + 1) * qside
-            if not (qlo <= lo and hi <= qhi):
+            if not (qlo <= i and i + 1 <= qhi):
                 inside = False
                 break
         if inside:

@@ -195,6 +195,13 @@ class TestCommands:
         best = function_from_obj(json.loads(best_path.read_text()))
         assert best.dim == 1 and best.depth == 1
 
+    def test_grid_cap(self, capsys):
+        # 2^21 cells: rejected by the spec and the config before any allocation
+        assert main(["generate", "--kind", "uniform-cells", "--n", "3",
+                     "--level", "7"]) == 2
+        assert main(["search", "--n", "3", "--level", "7"]) == 2
+        assert "at most 2^20" in capsys.readouterr().err
+
     def test_missing_input(self, capsys):
         assert main(["norm"]) == 2
         assert "error:" in capsys.readouterr().err

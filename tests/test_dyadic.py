@@ -9,7 +9,8 @@ from dyadicbmo import (DyadicCubeId, DyadicFunction, InputError, bmo_argmax,
                        bmo_dyadic_norm, cube_average, distribution_above,
                        dyadic_maximal_function, every_cube, mean_oscillation,
                        one_sided_oscillation)
-from conftest import (average_oracle, bmo_norm_oracle, maximal_oracle,
+from conftest import (all_cubes_oracle, average_oracle, bmo_norm_oracle,
+                      cube_cells_oracle, maximal_oracle, oscillation_oracle,
                       random_cube, random_function)
 
 Q0_1D = DyadicCubeId.root(1)
@@ -122,9 +123,21 @@ class TestBMONorm:
         assert rep.cube == DyadicCubeId(1, (0,))
 
     def test_matches_enumeration_oracle(self, rng):
-        for _ in range(120):
-            f = random_function(rng, rng.choice([1, 2]), rng.randrange(3))
-            assert bmo_dyadic_norm(f) == bmo_norm_oracle(f)
+        # 0/1-valued functions tie on many cubes: the witness is the lowest
+        # (level, flat index) cube attaining the norm
+        zero_one = [DyadicFunction(n, depth, [rng.randrange(2)
+                                              for _ in range(1 << (n * depth))])
+                    for n, depth in [(1, 4), (2, 2), (3, 1), (3, 2)] * 10]
+        randoms = [random_function(rng, rng.choice([1, 2]), rng.randrange(3))
+                   for _ in range(120)]
+        for f in zero_one + randoms:
+            norm = bmo_norm_oracle(f)
+            rep = bmo_argmax(f)
+            assert rep.oscillation == norm
+            assert rep.cube == min(
+                (q for q in all_cubes_oracle(f) if oscillation_oracle(f, q) == norm),
+                key=lambda q: (q.level, q.flat()))
+            assert rep.average == average_oracle(f, rep.cube)
 
     def test_shift_invariance_and_scaling(self, rng):
         for _ in range(60):
@@ -195,6 +208,21 @@ class TestCubeIds:
         q = DyadicCubeId(3, (5, 2))
         assert all(c.father() == q for c in q.children())
 
+    def test_morton_addresses(self):
+        # children of the cube at Morton address z are (z << n) + d, d in the
+        # order children() yields them, and each level's addresses are 0..2^(nk)-1
+        for n, depth in [(1, 4), (2, 3), (3, 2)]:
+            f = DyadicFunction(n, depth, [0] * (1 << (n * depth)))
+            for k in range(depth + 1):
+                cubes = [q for q in every_cube(f) if q.level == k]
+                assert sorted(q.morton() for q in cubes) == list(range(len(cubes)))
+                for q in cubes:
+                    z = q.morton()
+                    assert f._cube(k, z) == q
+                    if k < depth:
+                        assert [c.morton() for c in q.children()] == \
+                            [(z << n) + d for d in range(1 << n)]
+
     def test_root_has_no_father(self):
         with pytest.raises(InputError):
             DyadicCubeId.root(2).father()
@@ -212,14 +240,19 @@ class TestCubeIds:
         assert q.measure == Fraction(1, 16)
 
     def test_cell_count_per_level(self):
-        f = DyadicFunction(2, 3, list(range(64)))
-        for q in every_cube(f):
-            expect = 1 << (2 * (3 - q.level))
-            assert len(list(f.cell_indices(q))) == expect
+        for n, depth in [(1, 4), (2, 3), (3, 2)]:
+            f = DyadicFunction(n, depth, list(range(1 << (n * depth))))
+            for q in every_cube(f):
+                cells = list(f.cell_indices(q))
+                assert len(cells) == 1 << (n * (depth - q.level))
+                assert set(cells) == set(cube_cells_oracle(f, q))
 
     def test_bad_cell_count_rejected(self):
         with pytest.raises(InputError):
             DyadicFunction(2, 1, [1, 2, 3])
+        # over the 2^20-cell cap: rejected before the grid size is computed
+        with pytest.raises(InputError, match="at most 2"):
+            DyadicFunction(3, 7, [])
 
 
 class TestAbs:

@@ -61,6 +61,8 @@ class TestGenerators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
             GeneratorSpec(kind="bogus", dim=1, depth=1)
+        with pytest.raises(InputError):
+            GeneratorSpec(kind="uniform-cells", dim=3, depth=7)  # 2^21 cells
 
 
 class TestVerifyAll:

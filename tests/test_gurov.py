@@ -75,10 +75,13 @@ class TestModulus:
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(100):
-            f = random_nonneg(rng, rng.choice([1, 2]), rng.randrange(3))
+            f = random_nonneg(rng, rng.choice([1, 2, 3]), rng.randrange(3))
+            prof = gr_profile(f)
             for k in range(f.depth + 2):
                 sigma = Fraction(1, 1 << k)
-                assert gr_modulus(f, sigma) == modulus_oracle(f, sigma)
+                expect = modulus_oracle(f, sigma)
+                assert gr_modulus(f, sigma) == expect
+                assert prof.value_at_level(k) == expect
 
     def test_profile_monotone_and_capped(self, rng):
         for _ in range(120):

@@ -1,5 +1,7 @@
 """Extremal search: determinism, caps, the exhaustive binary case."""
 
+import sys
+from concurrent.futures import Future
 from fractions import Fraction
 from itertools import product
 
@@ -111,6 +113,39 @@ class TestSearch:
             SearchConfig(restarts=0)
         with pytest.raises(InputError):
             SearchConfig(objective="nope")
+        with pytest.raises(InputError):
+            SearchConfig(dim=3, depth=7)  # over the 2^20-cell cap
+
+    def test_pool_clamped(self, monkeypatch):
+        # a pool that runs inline and records its size: no process starts
+        search_mod = sys.modules["dyadicbmo.search"]
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 4)
+        base = dict(dim=1, depth=2, iterations=5, seed=5)
+        serial = search(SearchConfig(restarts=3, **base))
+        pooled = search(SearchConfig(restarts=3, threads=8, **base))
+        search(SearchConfig(restarts=6, threads=8, **base))
+        search(SearchConfig(restarts=6, threads=1, **base))
+        assert sizes == [3, 4]
+        assert pooled.best_function == serial.best_function
+        assert pooled.trace == serial.trace
 
     def test_jn_probe_objective(self):
         cfg = SearchConfig(dim=1, depth=2, restarts=1, iterations=40, seed=3,

@@ -13,6 +13,10 @@ sup exactly:
   Along each family the oscillation is piecewise a ratio (linear * linear)/t^2
   in t, so all stationary points are rational and the finite candidate set
   {piece ends, mean-crossing points, stationary points} attains the sup.
+  The path runs in scaled integers: breakpoints over the lcm TD of their
+  denominators, values over the lcm VD of theirs, each candidate t and its
+  oscillation an integer (numerator, denominator) pair compared by
+  cross-multiplying; only the best value and its witness become Fractions.
 
 * general input: endpoints (a,b) range over a piece pair (i,j); inside the
   polygon where additionally the window mean stays between two consecutive
@@ -33,6 +37,7 @@ result would say so rather than raise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,95 +56,89 @@ class IntervalBMOBound:
 
 
 # ---------------------------------------------------------------------------
-# monotone (nonincreasing) path: end-anchored windows, all-rational candidates
+# monotone path: end-anchored windows, rational candidates in scaled integers
 # ---------------------------------------------------------------------------
 
-def _count_greater(vals, upto, mu):
-    """#L of k < upto with vals[k] > mu, for nonincreasing vals (prefix count)."""
-    lo, hi = 0, upto
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if vals[mid] > mu:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _left_anchored_candidates(B, V, Q):
+    """(wn, wd, tn, td) candidates for the sup over windows [0,t], V nonincreasing.
 
-
-def _count_geq(vals, upto, w):
-    lo, hi = 0, upto
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if vals[mid] >= w:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _left_anchored_candidates(g):
-    """(oscillation, t) candidates for sup over windows [0,t], g nonincreasing.
+    Scaled integers: breakpoints B in units 1/TD, values V in units 1/VD and
+    prefix integrals Q in units 1/(TD*VD).  A candidate is t = tn/td in TD
+    units with oscillation wn/(wd*VD); VD is common to all candidates, so
+    they compare by cross-multiplying wn/wd.
 
     On the segment where t ends in piece j and the window mean mu(t) sits
     between consecutive distinct values (kappa pieces strictly above mu):
-    oscillation(t) = 2*(A*t - C*t_k)/t^2, A and C constants, so the one
-    stationary point t* = 2*C*t_k/A is rational.
+    oscillation(t) = 2*(a*t - c*t_k)/(VD*t^2), a and c constants, so the one
+    stationary point t* = 2*c*t_k/a is rational.
     """
-    bps, vals = g.breakpoints, g.values
-    P = g.prefix_integrals
-    m = len(vals)
-    out = []
-    for j in range(2, m + 1):
-        t0, t1 = bps[j - 1], bps[j]
-        vj = vals[j - 1]
-        c_j = P[j - 1] - vj * t0  # integral of (g - vj) over the prefix, >= 0
-        if c_j == 0:
+    # the negated values ascend, so counting the values above a threshold is
+    # a bisection; an integer V[k] exceeds x/y (y > 0) iff it exceeds x // y
+    neg = [-v for v in V]
+    for j in range(2, len(V) + 1):
+        t0, t1 = B[j - 1], B[j]
+        vj = V[j - 1]
+        c = Q[j - 1] - vj * t0  # integral of (g - vj) over the prefix, >= 0
+        if c == 0:
             continue  # prefix constant at vj: oscillation 0 throughout
-        mu0 = P[j - 1] / t0
-        kappa = _count_greater(vals, j - 1, mu0)
-        t_cur = t0
+        kappa = bisect_left(neg, -(Q[j - 1] // t0), 0, j - 1)
+        cn, cd = t0, 1  # segment start
         while True:
-            if kappa < j - 1 and vals[kappa] > vj:
-                # mean crosses the next distinct value at t_x
-                t_x = c_j / (vals[kappa] - vj)
-                t_hi = min(t_x, t1)
+            if kappa < j - 1 and V[kappa] > vj:
+                # mean crosses the next distinct value at t_x = c / (V - vj)
+                hn, hd = c, V[kappa] - vj
+                if hn > t1 * hd:
+                    hn, hd = t1, 1
             else:
-                t_hi = t1
-            if t_hi > t_cur and kappa >= 1:
-                t_k, p_k = bps[kappa], P[kappa]
-                a_coef = p_k - vj * t_k
-
-                def omega(t, a_coef=a_coef, c_j=c_j, t_k=t_k):
-                    return 2 * (a_coef * t - c_j * t_k) / (t * t)
-
-                out.append((omega(t_cur), t_cur))
-                out.append((omega(t_hi), t_hi))
-                if a_coef > 0:
-                    t_star = 2 * c_j * t_k / a_coef
-                    if t_cur < t_star < t_hi:
-                        out.append((omega(t_star), t_star))
-            if t_hi >= t1:
+                hn, hd = t1, 1
+            ahead = hn * cd > cn * hd
+            if ahead and kappa >= 1:
+                t_k = B[kappa]
+                a = Q[kappa] - vj * t_k
+                ct = c * t_k
+                yield 2 * (a * cn - ct * cd) * cd, cn * cn, cn, cd
+                yield 2 * (a * hn - ct * hd) * hd, hn * hn, hn, hd
+                if a > 0:
+                    sn = 2 * ct  # t* = sn / a
+                    if cn * a < sn * cd and sn * hd < hn * a:
+                        yield 2 * (a * sn - ct * a) * a, sn * sn, sn, a
+            if hn >= t1 * hd:
                 break
-            t_cur = max(t_cur, t_hi)
-            new_kappa = _count_geq(vals, j - 1, vals[kappa])
-            if new_kappa <= kappa:  # defensive: guarantee progress
-                new_kappa = kappa + 1
-            kappa = new_kappa
-    return out
+            if ahead:
+                cn, cd = hn, hd
+            # V[0..kappa] >= V[kappa], so this count exceeds kappa
+            kappa = bisect_right(neg, neg[kappa], 0, j - 1)
 
 
 def _monotone_norm(g):
-    """Exact sup of interval oscillation for nonincreasing g, with witness."""
-    best = Fraction(0)
-    witness = (Fraction(0), Fraction(1))
-    for val, t in _left_anchored_candidates(g):
-        if val > best:
-            best, witness = val, (Fraction(0), t)
-    mirrored = g.reflected().negated()  # nonincreasing again
-    for val, t in _left_anchored_candidates(mirrored):
-        if val > best:
-            best, witness = val, (1 - t, Fraction(1))
-    return best, witness
+    """Exact sup of interval oscillation for monotone g, with witness.
+
+    A nondecreasing g is negated first.  Windows [0,t] come from g itself,
+    windows [1-t,1] from its mirror -g(1-t), both built as integer arrays.
+    Ties keep the first candidate: the [0,t] family in order, then [1-t,1].
+    """
+    bps, vals = g.breakpoints, g.values
+    TD = math.lcm(*(t.denominator for t in bps))
+    VD = math.lcm(*(v.denominator for v in vals))
+    sign = 1 if g.is_nonincreasing else -1
+    B = [t.numerator * (TD // t.denominator) for t in bps]
+    V = [sign * v.numerator * (VD // v.denominator) for v in vals]
+    Q = [0]
+    for v, lo, hi in zip(V, B, B[1:]):
+        Q.append(Q[-1] + v * (hi - lo))
+    mirrored = ([TD - b for b in reversed(B)], [-v for v in reversed(V)],
+                [q - Q[-1] for q in reversed(Q)])
+    bn, bd, arg = 0, 1, None
+    for side, family in enumerate(((B, V, Q), mirrored)):
+        for wn, wd, tn, td in _left_anchored_candidates(*family):
+            if wn * bd > bn * wd:
+                bn, bd, arg = wn, wd, (side, tn, td)
+    if arg is None:
+        return Fraction(0), (Fraction(0), Fraction(1))
+    side, tn, td = arg
+    t = Fraction(tn, td * TD)
+    return (Fraction(bn, bd * VD),
+            (Fraction(0), t) if side == 0 else (1 - t, Fraction(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +341,8 @@ def interval_bmo_norm(g, tol=1e-9):
         return IntervalBMOBound(lower=Fraction(0), upper=0.0,
                                 witness=(Fraction(0), Fraction(1)),
                                 gap=0.0, tol=tol, tol_met=True)
-    if h.is_nonincreasing:
+    if h.is_nonincreasing or h.is_nondecreasing:
         best, witness = _monotone_norm(h)
-    elif h.is_nondecreasing:
-        best, witness = _monotone_norm(h.negated())
     else:
         best, witness = _general_norm(h)
     lo_float = float(best)

@@ -92,7 +92,10 @@ def jn_abs_check(f, lam):
     norm = bmo_dyadic_norm(f)
     center = f.mean
     upper = distribution_above(f, lam, center)
-    lower = distribution_above(f.scaled(-1), lam, -center)
+    # {f < center - lam}, counted on the numerators over f's denominator
+    thr = center - lam
+    p, q, den = thr.numerator, thr.denominator, f._den
+    lower = Fraction(sum(1 for a in f._nums if a * q < p * den), len(f.cells))
     measure = upper + lower
     if norm == 0:
         return measure, 0.0

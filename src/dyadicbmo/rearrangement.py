@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import groupby
 
 from .dyadic import DyadicFunction
 from .errors import InputError, PreconditionError
@@ -90,7 +91,9 @@ class StepFunction1D:
         return zip(self.breakpoints, self.breakpoints[1:], self.values)
 
     def merged(self):
-        """Copy with equal adjacent values merged into single pieces."""
+        """Equal adjacent values merged into single pieces; self if none are."""
+        if all(a != b for a, b in zip(self.values, self.values[1:])):
+            return self
         bps = [Fraction(0)]
         vals = []
         for _, b, v in self.pieces():
@@ -110,28 +113,22 @@ class StepFunction1D:
         return StepFunction1D(bps, list(reversed(self.values)))
 
 
-def _sorted_mass_pairs(values, mass):
-    """(value, total mass) pairs in nonincreasing value order, ties merged."""
-    out = []
-    for v in sorted(values, reverse=True):
-        if out and out[-1][0] == v:
-            out[-1][1] += mass
-        else:
-            out.append([v, mass])
-    return out
-
-
 def rearrange_signed(f):
-    """Nonincreasing left-continuous step function equimeasurable with f."""
+    """Nonincreasing left-continuous step function equimeasurable with f.
+
+    Sorts the integer cell numerators over f's common denominator; each run
+    of equal numerators becomes one piece.
+    """
     if "rearr_signed" in f._cache:
         return f._cache["rearr_signed"]
-    mass = Fraction(1, len(f.cells))
-    pairs = _sorted_mass_pairs(f.cells, mass)
+    den, total = f._den, len(f.cells)
     bps = [Fraction(0)]
     vals = []
-    for v, m in pairs:
-        vals.append(v)
-        bps.append(bps[-1] + m)
+    count = 0
+    for num, run in groupby(sorted(f._nums, reverse=True)):
+        count += sum(1 for _ in run)
+        vals.append(Fraction(num, den))
+        bps.append(Fraction(count, total))
     g = StepFunction1D(bps, vals)
     f._cache["rearr_signed"] = g
     return g

@@ -73,13 +73,10 @@ def ratio_objective(f, tol=1e-9):
     bound = interval_bmo_norm(rearrange_signed(f), tol)
     ratio = bound.lower / norm
     cap = 1 << f.dim
-    if float(ratio) > cap - 1e-6:
-        # re-derive at tighter tolerance before declaring a contradiction
-        recheck = interval_bmo_norm(rearrange_signed(f), tol / 100).lower / norm
-        if recheck > cap:
-            raise AssertionError(
-                f"ratio {recheck} exceeds the proven cap {cap}; "
-                f"this indicates a bug in the norm computation")
+    if ratio > cap:
+        raise AssertionError(
+            f"ratio {ratio} exceeds the proven cap {cap}; "
+            f"this indicates a bug in the norm computation")
     return float(ratio)
 
 

@@ -146,6 +146,76 @@ def grid_bmo_lower_oracle(g, extra_points=24):
     return best
 
 
+def _count_leading(vals, upto, above):
+    """Number of leading vals[k], k < upto, with above(vals[k]) (a prefix)."""
+    lo, hi = 0, upto
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if above(vals[mid]):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _left_anchored_oracle(g):
+    """(oscillation, t) candidates over windows [0,t], g nonincreasing, in
+    Fraction arithmetic: the piecewise (linear * linear)/t^2 closed form,
+    its segment ends and its stationary points, in order."""
+    bps, vals = g.breakpoints, g.values
+    P = g.prefix_integrals
+    m = len(vals)
+    out = []
+    for j in range(2, m + 1):
+        t0, t1 = bps[j - 1], bps[j]
+        vj = vals[j - 1]
+        c_j = P[j - 1] - vj * t0
+        if c_j == 0:
+            continue
+        mu0 = P[j - 1] / t0
+        kappa = _count_leading(vals, j - 1, lambda v: v > mu0)
+        t_cur = t0
+        while True:
+            if kappa < j - 1 and vals[kappa] > vj:
+                t_hi = min(c_j / (vals[kappa] - vj), t1)
+            else:
+                t_hi = t1
+            if t_hi > t_cur and kappa >= 1:
+                t_k, p_k = bps[kappa], P[kappa]
+                a_coef = p_k - vj * t_k
+
+                def omega(t, a_coef=a_coef, c_j=c_j, t_k=t_k):
+                    return 2 * (a_coef * t - c_j * t_k) / (t * t)
+
+                out.append((omega(t_cur), t_cur))
+                out.append((omega(t_hi), t_hi))
+                if a_coef > 0:
+                    t_star = 2 * c_j * t_k / a_coef
+                    if t_cur < t_star < t_hi:
+                        out.append((omega(t_star), t_star))
+            if t_hi >= t1:
+                break
+            t_cur = max(t_cur, t_hi)
+            w = vals[kappa]
+            kappa = max(_count_leading(vals, j - 1, lambda v: v >= w), kappa + 1)
+    return out
+
+
+def monotone_norm_oracle(g):
+    """(sup, witness) of the interval oscillation of a nonincreasing step
+    function in Fraction arithmetic: windows [0,t] of g, then windows
+    [1-t,1] through the mirror -g(1-t); ties keep the first candidate."""
+    best = Fraction(0)
+    witness = (Fraction(0), Fraction(1))
+    for val, t in _left_anchored_oracle(g):
+        if val > best:
+            best, witness = val, (Fraction(0), t)
+    for val, t in _left_anchored_oracle(g.reflected().negated()):
+        if val > best:
+            best, witness = val, (1 - t, Fraction(1))
+    return best, witness
+
+
 def matched_mean_b_oracle(g, a, mu):
     """Matched-mean endpoint by scanning every piece for the linear zero."""
     pa = g.integral_to(a)

@@ -9,7 +9,8 @@ from dyadicbmo import (DyadicFunction, InputError, StepFunction1D,
                        bmo_dyadic_norm, interval_bmo_norm,
                        interval_mean_oscillation, rearrange_signed)
 from dyadicbmo.interval_bmo import _general_norm, _monotone_norm
-from conftest import grid_bmo_lower_oracle, random_function
+from conftest import (grid_bmo_lower_oracle, monotone_norm_oracle,
+                      random_function)
 
 
 def random_step(rng, pieces, lo=-6, hi=6, den=16):
@@ -71,13 +72,66 @@ class TestAgainstDenseGrid:
                 assert interval_mean_oscillation(g, a, t) == b.lower
 
 
+def random_monotone(rng, pieces, increasing=False):
+    """Monotone step function with mixed breakpoint and value denominators
+    and many tied values (adjacent ties are left unmerged)."""
+    dens = (2, 3, 5, 7, 8, 12, 64)
+    cuts = set()
+    while len(cuts) < pieces - 1:
+        d = rng.choice(dens)
+        cuts.add(Fraction(rng.randrange(1, d), d))
+    bps = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
+    pool = [Fraction(rng.randrange(-12, 13), rng.choice((1, 3, 16)))
+            for _ in range(rng.randrange(1, pieces + 1))]
+    vals = sorted((rng.choice(pool) for _ in range(pieces)),
+                  reverse=not increasing)
+    return StepFunction1D(bps, vals)
+
+
+class TestIntegerMonotonePath:
+    def test_matches_fraction_oracle(self):
+        # same sup and the same witness, tie-break included
+        rng = random.Random(41)
+        for _ in range(120):
+            g = random_monotone(rng, rng.randrange(2, 41))
+            for h in (g, g.merged()):
+                assert _monotone_norm(h) == monotone_norm_oracle(h)
+
+    def test_nondecreasing_matches_negated_oracle(self):
+        rng = random.Random(42)
+        for _ in range(60):
+            g = random_monotone(rng, rng.randrange(2, 41), increasing=True)
+            for h in (g, g.merged()):
+                assert _monotone_norm(h) == monotone_norm_oracle(h.negated())
+
+    def test_public_bound_matches_oracle(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            g = random_monotone(rng, rng.randrange(2, 21),
+                                increasing=rng.random() < 0.5)
+            h = g.merged()
+            if len(h.values) == 1:
+                continue
+            b = interval_bmo_norm(g)
+            dec = h if h.is_nonincreasing else h.negated()
+            assert (b.lower, b.witness) == monotone_norm_oracle(dec)
+
+
 class TestPathAgreement:
     def test_monotone_matches_general_path(self, rng):
         # run monotone inputs through the generic polygon machinery too
+        cases = []
         for _ in range(60):
             g = random_step(rng, rng.randrange(2, 6))
-            g = StepFunction1D(g.breakpoints,
-                               sorted(g.values, reverse=True)).merged()
+            cases.append(StepFunction1D(g.breakpoints,
+                                        sorted(g.values, reverse=True)))
+        # mixed breakpoint and value denominators, both directions
+        mixed = random.Random(44)
+        for _ in range(40):
+            cases.append(random_monotone(mixed, mixed.randrange(2, 7),
+                                         increasing=mixed.random() < 0.5))
+        for g in cases:
+            g = g.merged()
             if len(g.values) == 1:
                 continue
             mono, _ = _monotone_norm(g)

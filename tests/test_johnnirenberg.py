@@ -157,6 +157,22 @@ class TestJNAbs:
             down = distribution_above(f.scaled(-1), lam, -f.mean)
             assert measure == up + down
 
+    def test_measure_matches_cell_count(self):
+        # brute force over the public cells, both tails, strict inequalities;
+        # lambdas hit cell values exactly so boundary cells are exercised
+        rng = random.Random(13)
+        for _ in range(120):
+            n = rng.choice([1, 2, 3])
+            f = random_nonneg(rng, n, rng.randrange(4 if n < 3 else 3))
+            center = f.mean
+            for v in set(f.cells) | {center + 1}:
+                lam = abs(v - center)
+                if lam == 0:
+                    continue
+                count = sum(1 for c in f.cells if abs(c - center) > lam)
+                measure, _ = jn_abs_check(f, lam)
+                assert measure == Fraction(count, len(f.cells))
+
     def test_grid_randomized(self, rng):
         tol = Fraction(1, 10 ** 12)
         for _ in range(100):

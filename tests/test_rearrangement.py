@@ -55,6 +55,7 @@ class TestStepFunction:
         h = g.merged()
         assert h.breakpoints == (0, Fraction(1, 2), 1)
         assert h.values == (2, 1)
+        assert h.merged() is h  # nothing left to merge
 
     def test_reflect_negate(self):
         g = StepFunction1D([0, Fraction(1, 4), 1], [4, 0])
@@ -108,6 +109,26 @@ class TestRearrange:
                 mg = sum((hi - lo for lo, hi, v in g.pieces() if v > lam),
                          Fraction(0))
                 assert mf == mg
+
+    def test_matches_sorted_fraction_oracle(self):
+        # mixed cell denominators, so the common denominator is nontrivial
+        rng = random.Random(11)
+        for _ in range(150):
+            n = rng.choice([1, 2, 3])
+            depth = rng.randrange(4 if n < 3 else 3)
+            cells = [Fraction(rng.randrange(-6, 7), rng.choice((1, 3, 4, 10)))
+                     for _ in range(1 << (n * depth))]
+            bps, vals = [Fraction(0)], []
+            for v, m in sort_oracle(DyadicFunction(n, depth, cells)):
+                if vals and vals[-1] == v:
+                    bps[-1] += m
+                else:
+                    vals.append(v)
+                    bps.append(bps[-1] + m)
+            g = rearrange_signed(DyadicFunction(n, depth, cells))
+            assert g.breakpoints == tuple(bps)
+            assert g.values == tuple(vals)
+            assert g.merged() is g
 
     def test_output_nonincreasing_and_integral_preserved(self, rng):
         for _ in range(200):

@@ -14,6 +14,7 @@ L^q tail bound for q < p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -158,7 +159,8 @@ def theorem3_check(f, t, profile=None):
 
 
 def _solve_exponent_mp(target_log):
-    """Root of p*ln(p) - (p-1)*ln(p-1) = target_log, by bisection; increasing."""
+    """Bracket (lo, hi) of the root of p*ln(p) - (p-1)*ln(p-1) = target_log,
+    by bisection (the left side is increasing); val(lo) < target_log."""
     lo = mp.mpf(1) + mp.mpf(2) ** (-100)
     hi = mp.mpf(2)
 
@@ -168,14 +170,14 @@ def _solve_exponent_mp(target_log):
     while val(hi) < target_log:
         hi *= 2
         if hi > 4 * P_CAP:
-            return hi  # caller caps
+            return hi, hi  # caller caps
     for _ in range(400):
         mid = (lo + hi) / 2
         if val(mid) < target_log:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return lo, hi
 
 
 def solve_p(epsilon, n):
@@ -183,7 +185,9 @@ def solve_p(epsilon, n):
 
     Requires 0 < eps < 2^(1-n).  For eps so small that p would exceed 1e6 the
     root is capped there and the (large) residual reported; the downstream
-    bounds only weaken under the cap.  Solved once per (eps, n).
+    bounds only weaken under the cap.  p is a float no larger than the root
+    (the 160-bit lower bisection endpoint rounded down); the residual is that
+    of the 160-bit midpoint.  Solved once per (eps, n).
     """
     epsilon = Fraction(epsilon)
     limit = Fraction(1, 1 << (n - 1))
@@ -198,13 +202,19 @@ def _solve_p_exact(epsilon, n):
     target = Fraction(1, 1) / (Fraction(1 << (n - 1)) * epsilon)
     target_mp = mp.mpf(target.numerator) / mp.mpf(target.denominator)
     target_log = mp.log(target_mp)
-    root = _solve_exponent_mp(target_log)
+    lo, hi = _solve_exponent_mp(target_log)
+    root = (lo + hi) / 2
     capped = root > P_CAP
     if capped:
-        root = mp.mpf(P_CAP)
+        lo = root = mp.mpf(P_CAP)
     value = mp.exp(root * mp.log(root) - (root - 1) * mp.log(root - 1))
     residual = abs(value - target_mp)
-    return ExponentSolution(epsilon=epsilon, n=n, p=float(root),
+    # the float p is the lower endpoint rounded down, so p <= the true root:
+    # the thm5 and cor1 bounds shrink as p grows
+    p = float(lo)
+    if p > lo:
+        p = math.nextafter(p, -math.inf)
+    return ExponentSolution(epsilon=epsilon, n=n, p=p,
                             residual=float(residual), capped=capped)
 
 

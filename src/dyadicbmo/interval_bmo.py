@@ -25,7 +25,14 @@ sup exactly:
   x = t_i - a, y = b - t_{j-1} and T = b - a affine.  Maxima over each closed
   polygon sit at vertices, at stationary points of edge restrictions (always
   a linear equation), or on the interior critical line (again linear after
-  substitution), so every candidate is an exact rational point.
+  substitution), so every candidate is an exact rational point.  This path
+  runs in the same scaled integers: F, T and the clipping lines have integer
+  coefficients, polygon vertices and candidates are homogeneous integer
+  triples (X, Y, W) with W > 0 reduced by their gcd (so equal points are
+  equal tuples), and 2F/T^2 is homogeneous of degree 0, so W cancels and
+  candidates compare by cross-multiplying.  Piece pairs and mean bands whose
+  bound 2(H-mu)(mu-Lo)/(H-Lo) cannot beat max|jump|/2 or the best so far
+  are skipped before any polygon is built.
 
 The reported lower bound is attained at the rational witness; the upper bound
 is the same exact value rounded one float ulp upward.  The gap is judged
@@ -142,35 +149,50 @@ def _monotone_norm(g):
 
 
 # ---------------------------------------------------------------------------
-# general path: piece-pair x mean-band polygons, rational candidate points
+# general path: piece-pair x mean-band polygons in homogeneous integer points
 # ---------------------------------------------------------------------------
 
-def _affine_eval(aff, x, y):
-    cx, cy, c0 = aff
-    return cx * x + cy * y + c0
+def _reduced(X, Y, W):
+    """The homogeneous point (X, Y, W), W > 0, divided by its gcd."""
+    d = math.gcd(X, Y, W)
+    return (X, Y, W) if d == 1 else (X // d, Y // d, W // d)
 
 
-def _bilinear_eval(fq, x, y):
-    c11, c10, c01, c00 = fq
-    return c11 * x * y + c10 * x + c01 * y + c00
+def _homogeneous(x, y):
+    """The point (x, y) of Fractions as a reduced triple over their lcm."""
+    W = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (W // x.denominator),
+            y.numerator * (W // y.denominator), W)
 
 
 def _clip_polygon(poly, aff):
-    """Sutherland-Hodgman clip of a convex polygon by {aff(x,y) <= 0}."""
+    """Sutherland-Hodgman clip of a convex polygon by {aff . (X, Y, W) <= 0}.
+
+    Vertices are reduced homogeneous triples, so equal points are equal
+    tuples and the dedup matches the one over exact Fraction points.
+    """
     if not poly:
         return []
+    a, b, c = aff
+    side = [a * X + b * Y + c * W for X, Y, W in poly]
+    if max(side) <= 0:
+        return poly
     out = []
     k = len(poly)
     for idx in range(k):
-        cur, nxt = poly[idx], poly[(idx + 1) % k]
-        s_cur = _affine_eval(aff, *cur)
-        s_nxt = _affine_eval(aff, *nxt)
-        if s_cur <= 0:
+        cur, s0 = poly[idx], side[idx]
+        nidx = (idx + 1) % k
+        s1 = side[nidx]
+        if s0 <= 0:
             out.append(cur)
-        if (s_cur < 0 < s_nxt) or (s_nxt < 0 < s_cur):
-            s = s_cur / (s_cur - s_nxt)
-            out.append((cur[0] + s * (nxt[0] - cur[0]),
-                        cur[1] + s * (nxt[1] - cur[1])))
+        if (s0 < 0 < s1) or (s1 < 0 < s0):
+            # the zero of aff on the segment is s1*cur - s0*nxt, up to sign
+            if s0 > 0:
+                s0, s1 = -s0, -s1
+            nxt = poly[nidx]
+            out.append(_reduced(s1 * cur[0] - s0 * nxt[0],
+                                s1 * cur[1] - s0 * nxt[1],
+                                s1 * cur[2] - s0 * nxt[2]))
     dedup = []
     for pt in out:
         if not dedup or dedup[-1] != pt:
@@ -180,58 +202,8 @@ def _clip_polygon(poly, aff):
     return dedup
 
 
-def _region_candidates(fq, mid_len, constraints, poly):
-    """Rational points where the region max of 2F/T^2 can sit.
-
-    fq = (f11, f10, f01, f00) is the bilinear F = f11 xy + f10 x + f01 y + f00
-    and T = x + y + mid_len.
-    """
-    pts = list(poly)
-    f11, f10, f01, f00 = fq
-
-    # edge stationary points: along (x,y) = p + s*(q-p) the critical equation
-    # F'(s)T(s) - 2F(s)T'(s) = 0 is linear in s.
-    k = len(poly)
-    for idx in range(k if k > 2 else k - 1 if k == 2 else 0):
-        (x0, y0), (x1, y1) = poly[idx], poly[(idx + 1) % k]
-        dx, dy = x1 - x0, y1 - y0
-        a2 = f11 * dx * dy
-        a1 = f11 * (x0 * dy + y0 * dx) + f10 * dx + f01 * dy
-        a0 = _bilinear_eval(fq, x0, y0)
-        t0 = x0 + y0 + mid_len
-        t1 = dx + dy
-        lin = 2 * a2 * t0 - a1 * t1
-        const = a1 * t0 - 2 * a0 * t1
-        if lin != 0:
-            s = -const / lin
-            if 0 < s < 1:
-                pts.append((x0 + s * dx, y0 + s * dy))
-
-    # interior critical points: F_x = F_y is the line f11 (y - x) = f01 - f10,
-    # and on it G = F_x*T - 2F is linear in y (the y^2 terms cancel).
-    if f11 != 0:
-        q = (f10 - f01) / f11  # the line x = y + q
-        b = f11 * (mid_len - q) - 2 * f01
-        c = f10 * (mid_len - q) - 2 * f00
-        if b != 0:
-            y = -c / b
-        elif c == 0:  # G vanishes on the line: its feasible midpoint
-            y = _line_midpoint(constraints, 1, q)
-        else:
-            y = None
-        if y is not None:
-            pts.append((y + q, y))
-    elif f10 == f01 != 0:
-        # F is affine with F_x = F_y everywhere; G vanishes on x + y = q
-        q = mid_len - 2 * f00 / f10
-        y = _line_midpoint(constraints, -1, q)
-        if y is not None:
-            pts.append((q - y, y))
-    return pts
-
-
 def _line_midpoint(constraints, sy, q):
-    """Midpoint y of the feasible part of the line x = sy*y + q, or None."""
+    """Midpoint Y of the feasible part of the line X = sy*Y + q, or None."""
     lo, hi = None, None
     for cx, cy, c0 in constraints:
         a = cx * sy + cy
@@ -240,84 +212,181 @@ def _line_midpoint(constraints, sy, q):
             if b > 0:
                 return None
         elif a > 0:
-            bound = -b / a
+            bound = Fraction(-b) / a
             hi = bound if hi is None else min(hi, bound)
         else:
-            bound = -b / a
+            bound = Fraction(-b) / a
             lo = bound if lo is None else max(lo, bound)
     if lo is None or hi is None or lo > hi:
         return None
     return (lo + hi) / 2
 
 
+def _interior_candidate(fq, M, constraints):
+    """The interior critical point of 2F/T^2 as a reduced triple, or None.
+
+    F_x = F_y is the line F11 (Y - X) = F01 - F10, and on it
+    G = F_x*T - 2F is linear in Y (the Y^2 terms cancel).  With F11 = 0 and
+    F10 = F01 != 0, F is affine with G vanishing on the line X + Y = q.
+    """
+    F11, F10, F01, F00 = fq
+    if F11 != 0:
+        # X = Y + (F10 - F01)/F11 and Y = -C/(F11*B)
+        B = F11 * M - F10 - F01
+        C = F10 * (F11 * M - F10 + F01) - 2 * F00 * F11
+        if B != 0:
+            W = F11 * B
+            if W < 0:
+                W, C, B = -W, -C, -B
+            return _reduced((F10 - F01) * B - C, -C, W)
+        if C == 0:  # G vanishes on the line: its feasible midpoint
+            q = Fraction(F10 - F01, F11)
+            y = _line_midpoint(constraints, 1, q)
+            return None if y is None else _homogeneous(y + q, y)
+    elif F10 == F01 != 0:
+        q = M - Fraction(2 * F00, F10)
+        y = _line_midpoint(constraints, -1, q)
+        return None if y is None else _homogeneous(q - y, y)
+    return None
+
+
+def _region_candidates(fq, M, constraints, poly):
+    """Reduced triples where the max of 2F/T^2 over a clipped polygon can sit.
+
+    F = F11 XY + F10 XW + F01 YW + F00 W^2 and T = X + Y + M*W.  The
+    candidates are the vertices, then the stationary point of each edge,
+    then the interior critical point if it satisfies the constraints; the
+    first two lie in the polygon by construction.
+    """
+    F11, F10, F01, F00 = fq
+    pts = list(poly)
+    # edge stationary points: along P0 + u*(P1 - P0) the critical equation
+    # F'(u)T(u) - 2F(u)T'(u) = 0 is linear in u
+    k = len(poly)
+    for idx in range(k if k > 2 else k - 1 if k == 2 else 0):
+        (X0, Y0, W0), (X1, Y1, W1) = poly[idx], poly[(idx + 1) % k]
+        dX, dY, dW = X1 - X0, Y1 - Y0, W1 - W0
+        a2 = F11 * dX * dY + (F10 * dX + F01 * dY + F00 * dW) * dW
+        a1 = (F11 * (X0 * dY + Y0 * dX) + F10 * (X0 * dW + W0 * dX)
+              + F01 * (Y0 * dW + W0 * dY) + 2 * F00 * W0 * dW)
+        a0 = F11 * X0 * Y0 + (F10 * X0 + F01 * Y0 + F00 * W0) * W0
+        t0 = X0 + Y0 + M * W0
+        t1 = dX + dY + M * dW
+        lin = 2 * a2 * t0 - a1 * t1
+        u = 2 * a0 * t1 - a1 * t0  # the root is u / lin
+        if lin < 0:
+            lin, u = -lin, -u
+        if 0 < u < lin:
+            pts.append(_reduced(lin * X0 + u * dX, lin * Y0 + u * dY,
+                                lin * W0 + u * dW))
+    inner = _interior_candidate(fq, M, constraints)
+    if inner is not None:
+        X, Y, W = inner
+        if all(cx * X + cy * Y + c0 * W <= 0 for cx, cy, c0 in constraints):
+            pts.append(inner)
+    return pts
+
+
 def _general_norm(g):
     """Exact sup of interval oscillation for an arbitrary step function.
 
-    O(m^3)-ish in the piece count; intended for the modest piece counts this
-    package produces.  Monotone inputs take the faster end-anchored path.
+    Scaled integers as in the monotone path: breakpoints over TD, values
+    over VD.  Pair (i, j) holds the windows (a, b) with a in piece i and b
+    in piece j, x = t_i - a and y = b - t_{j-1} in units 1/TD; band r holds
+    those whose mean lies between the r-th and (r+1)-th distinct window
+    values.  There 2F/T^2 (F bilinear in x, y, T = x + y + mid_len) is the
+    oscillation times VD, and its candidates (polygon vertices, edge and
+    interior stationary points) are reduced homogeneous triples (X, Y, W),
+    W > 0, compared by cross-multiplying; only the best value and its
+    witness become Fractions.
+
+    Pruning keeps the sup and the witness: the balanced window around the
+    largest jump attains seed = max|jump|/2, so the sup is at least seed.
+    With H and Lo the max and min over pieces i..j, a window whose mean mu
+    lies in [w_lo, w_hi] oscillates at most max 2(H-mu)(mu-Lo)/(H-Lo) over
+    that band.  A pair with (H-Lo)/2 < seed or <= best, and a band whose
+    bound is < seed or <= best, holds no candidate that is the first to
+    attain the final sup, so it is skipped.  The band sums accumulate once
+    down the distinct values of each pair.  Cost: O(m^2 d) for m pieces and
+    at most d <= m distinct values in a window, with O(1) integer polygon
+    work per band; pruning sends few pairs and bands to the polygon work.
     """
     bps, vals = g.breakpoints, g.values
-    P = g.prefix_integrals
-    m = len(vals)
-    best = Fraction(0)
-    witness = (Fraction(0), Fraction(1))
+    TD = math.lcm(*(t.denominator for t in bps))
+    VD = math.lcm(*(v.denominator for v in vals))
+    B = [t.numerator * (TD // t.denominator) for t in bps]
+    V = [v.numerator * (VD // v.denominator) for v in vals]
+    Q = [0]
+    for v, lo, hi in zip(V, B, B[1:]):
+        Q.append(Q[-1] + v * (hi - lo))
+    m = len(V)
+    jump = max(abs(a - b) for a, b in zip(V, V[1:]))  # 2 * seed * VD
+    bn, bd, arg = 0, 1, None
     for i in range(1, m + 1):
+        vi = V[i - 1]
+        Li = B[i] - B[i - 1]
+        top = low = vi
+        asc = [vi]  # distinct values of pieces i..j, ascending
+        mid = {}    # value -> (length, integral) of the pieces strictly between
         for j in range(i + 1, m + 1):
-            len_i = bps[i] - bps[i - 1]
-            len_j = bps[j] - bps[j - 1]
-            vi, vj = vals[i - 1], vals[j - 1]
-            mid_len = bps[j - 1] - bps[i]
-            mid_int = P[j - 1] - P[i]
-            window = vals[i - 1:j]
-            distinct = sorted(set(window), reverse=True)
-            if len(distinct) == 1:
+            vj = V[j - 1]
+            if j > i + 1:
+                v, w = V[j - 2], B[j - 1] - B[j - 2]
+                hl, hs = mid.get(v, (0, 0))
+                mid[v] = (hl + w, hs + v * w)
+            if vj > top:
+                top = vj
+            elif vj < low:
+                low = vj
+            r = bisect_left(asc, vj)
+            if r == len(asc) or asc[r] != vj:
+                asc.insert(r, vj)
+            span = top - low
+            if span < jump or span * bd <= 2 * bn:
                 continue
-            box = [(Fraction(0), Fraction(0)), (len_i, Fraction(0)),
-                   (len_i, len_j), (Fraction(0), len_j)]
-            for r in range(len(distinct) - 1):
-                w_hi, w_lo = distinct[r], distinct[r + 1]
-                high_mid_len = Fraction(0)
-                high_mid_int = Fraction(0)
-                for k in range(i + 1, j):
-                    if vals[k - 1] >= w_hi:
-                        piece = bps[k] - bps[k - 1]
-                        high_mid_len += piece
-                        high_mid_int += vals[k - 1] * piece
-                bi = vi >= w_hi
-                bj = vj >= w_hi
-                ai = vi if bi else Fraction(0)
-                aj = vj if bj else Fraction(0)
-                ib = Fraction(1 if bi else 0)
-                jb = Fraction(1 if bj else 0)
+            Lj = B[j] - B[j - 1]
+            M = B[j - 1] - B[i]
+            MI = Q[j - 1] - Q[i]
+            box = [(0, 0, 1), (Li, 0, 1), (Li, Lj, 1), (0, Lj, 1)]
+            HL = HI = 0  # length and integral of the middle pieces >= w_hi
+            for r in range(len(asc) - 1, 0, -1):
+                w_hi, w_lo = asc[r], asc[r - 1]
+                hl, hs = mid.get(w_hi, (0, 0))
+                HL += hl
+                HI += hs
+                # 2 * VD * band bound = num / span, at 2*mu clamped to the band
+                mu2 = min(max(top + low, 2 * w_lo), 2 * w_hi)
+                num = (2 * top - mu2) * (mu2 - 2 * low)
+                if num < jump * span or num * bd <= 2 * span * bn:
+                    continue
+                ib = 1 if vi >= w_hi else 0
+                jb = 1 if vj >= w_hi else 0
                 # F = S1*T - N*L1 expanded in (x, y): bilinear, no x^2 or y^2
-                assert ai - vi * ib == aj - vj * jb == 0
-                fq = (
-                    (ai + aj) - (vi * jb + vj * ib),                # xy
-                    ai * mid_len + high_mid_int - (vi * high_mid_len + mid_int * ib),
-                    aj * mid_len + high_mid_int - (vj * high_mid_len + mid_int * jb),
-                    high_mid_int * mid_len - mid_int * high_mid_len,
-                )
-                band_hi = (vi - w_hi, vj - w_hi, mid_int - w_hi * mid_len)
-                band_lo = (w_lo - vi, w_lo - vj, w_lo * mid_len - mid_int)
+                fq = ((vi - vj) * (ib - jb),
+                      HI - vi * HL + ib * (vi * M - MI),
+                      HI - vj * HL + jb * (vj * M - MI),
+                      HI * M - MI * HL)
+                band_hi = (vi - w_hi, vj - w_hi, MI - w_hi * M)
+                band_lo = (w_lo - vi, w_lo - vj, w_lo * M - MI)
                 poly = _clip_polygon(_clip_polygon(box, band_hi), band_lo)
                 if not poly:
                     continue
-                constraints = [(Fraction(-1), Fraction(0), Fraction(0)),
-                               (Fraction(1), Fraction(0), -len_i),
-                               (Fraction(0), Fraction(-1), Fraction(0)),
-                               (Fraction(0), Fraction(1), -len_j),
-                               band_hi, band_lo]
-                for x, y in _region_candidates(fq, mid_len, constraints, poly):
-                    t_len = x + y + mid_len
-                    if t_len <= 0:
+                constraints = ((-1, 0, 0), (1, 0, -Li), (0, -1, 0), (0, 1, -Lj),
+                               band_hi, band_lo)
+                F11, F10, F01, F00 = fq
+                for X, Y, W in _region_candidates(fq, M, constraints, poly):
+                    T = X + Y + M * W
+                    if T <= 0:
                         continue
-                    if any(_affine_eval(c, x, y) > 0 for c in constraints):
-                        continue
-                    val = 2 * _bilinear_eval(fq, x, y) / (t_len * t_len)
-                    if val > best:
-                        best = val
-                        witness = (bps[i] - x, bps[j - 1] + y)
-    return best, witness
+                    n = 2 * (F11 * X * Y + (F10 * X + F01 * Y + F00 * W) * W)
+                    d = T * T
+                    if n * bd > bn * d:
+                        bn, bd, arg = n, d, (i, j, X, Y, W)
+    if arg is None:
+        return Fraction(0), (Fraction(0), Fraction(1))
+    i, j, X, Y, W = arg
+    return (Fraction(bn, bd * VD),
+            (Fraction(B[i] * W - X, W * TD), Fraction(B[j - 1] * W + Y, W * TD)))
 
 
 # ---------------------------------------------------------------------------

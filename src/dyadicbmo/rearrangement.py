@@ -35,6 +35,17 @@ class StepFunction1D:
         self._prefix = None
         self._nonincreasing = None
 
+    @classmethod
+    def _exact(cls, breakpoints, values):
+        """Unchecked build from tuples of Fractions that already form a valid
+        step function, for the package's own derived functions."""
+        g = cls.__new__(cls)
+        g.breakpoints = breakpoints
+        g.values = values
+        g._prefix = None
+        g._nonincreasing = None
+        return g
+
     def __eq__(self, other):
         return (isinstance(other, StepFunction1D)
                 and self.breakpoints == other.breakpoints
@@ -102,15 +113,17 @@ class StepFunction1D:
             else:
                 vals.append(v)
                 bps.append(b)
-        return StepFunction1D(bps, vals)
+        return StepFunction1D._exact(tuple(bps), tuple(vals))
 
     def negated(self):
-        return StepFunction1D(self.breakpoints, [-v for v in self.values])
+        return StepFunction1D._exact(self.breakpoints,
+                                     tuple(-v for v in self.values))
 
     def reflected(self):
         """g(1 - t) as a step function (piece order and breakpoints mirrored)."""
-        bps = [1 - t for t in reversed(self.breakpoints)]
-        return StepFunction1D(bps, list(reversed(self.values)))
+        return StepFunction1D._exact(
+            tuple(1 - t for t in reversed(self.breakpoints)),
+            self.values[::-1])
 
 
 def rearrange_signed(f):
@@ -129,7 +142,7 @@ def rearrange_signed(f):
         count += sum(1 for _ in run)
         vals.append(Fraction(num, den))
         bps.append(Fraction(count, total))
-    g = StepFunction1D(bps, vals)
+    g = StepFunction1D._exact(tuple(bps), tuple(vals))
     f._cache["rearr_signed"] = g
     return g
 

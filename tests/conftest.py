@@ -216,6 +216,168 @@ def monotone_norm_oracle(g):
     return best, witness
 
 
+def _affine_oracle(aff, x, y):
+    cx, cy, c0 = aff
+    return cx * x + cy * y + c0
+
+
+def _bilinear_oracle(fq, x, y):
+    c11, c10, c01, c00 = fq
+    return c11 * x * y + c10 * x + c01 * y + c00
+
+
+def _clip_polygon_oracle(poly, aff):
+    """Sutherland-Hodgman clip of a convex polygon by {aff(x,y) <= 0}."""
+    if not poly:
+        return []
+    out = []
+    k = len(poly)
+    for idx in range(k):
+        cur, nxt = poly[idx], poly[(idx + 1) % k]
+        s_cur = _affine_oracle(aff, *cur)
+        s_nxt = _affine_oracle(aff, *nxt)
+        if s_cur <= 0:
+            out.append(cur)
+        if (s_cur < 0 < s_nxt) or (s_nxt < 0 < s_cur):
+            s = s_cur / (s_cur - s_nxt)
+            out.append((cur[0] + s * (nxt[0] - cur[0]),
+                        cur[1] + s * (nxt[1] - cur[1])))
+    dedup = []
+    for pt in out:
+        if not dedup or dedup[-1] != pt:
+            dedup.append(pt)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def _line_midpoint_oracle(constraints, sy, q):
+    """Midpoint y of the feasible part of the line x = sy*y + q, or None."""
+    lo, hi = None, None
+    for cx, cy, c0 in constraints:
+        a = cx * sy + cy
+        b = cx * q + c0
+        if a == 0:
+            if b > 0:
+                return None
+        elif a > 0:
+            bound = -b / a
+            hi = bound if hi is None else min(hi, bound)
+        else:
+            bound = -b / a
+            lo = bound if lo is None else max(lo, bound)
+    if lo is None or hi is None or lo > hi:
+        return None
+    return (lo + hi) / 2
+
+
+def _region_candidates_oracle(fq, mid_len, constraints, poly):
+    """Polygon vertices, edge stationary points and interior critical points
+    of 2F/T^2, F = f11 xy + f10 x + f01 y + f00, T = x + y + mid_len."""
+    pts = list(poly)
+    f11, f10, f01, f00 = fq
+    k = len(poly)
+    for idx in range(k if k > 2 else k - 1 if k == 2 else 0):
+        (x0, y0), (x1, y1) = poly[idx], poly[(idx + 1) % k]
+        dx, dy = x1 - x0, y1 - y0
+        a2 = f11 * dx * dy
+        a1 = f11 * (x0 * dy + y0 * dx) + f10 * dx + f01 * dy
+        a0 = _bilinear_oracle(fq, x0, y0)
+        t0 = x0 + y0 + mid_len
+        t1 = dx + dy
+        lin = 2 * a2 * t0 - a1 * t1
+        const = a1 * t0 - 2 * a0 * t1
+        if lin != 0:
+            s = -const / lin
+            if 0 < s < 1:
+                pts.append((x0 + s * dx, y0 + s * dy))
+    if f11 != 0:
+        q = (f10 - f01) / f11
+        b = f11 * (mid_len - q) - 2 * f01
+        c = f10 * (mid_len - q) - 2 * f00
+        if b != 0:
+            y = -c / b
+        elif c == 0:
+            y = _line_midpoint_oracle(constraints, 1, q)
+        else:
+            y = None
+        if y is not None:
+            pts.append((y + q, y))
+    elif f10 == f01 != 0:
+        q = mid_len - 2 * f00 / f10
+        y = _line_midpoint_oracle(constraints, -1, q)
+        if y is not None:
+            pts.append((q - y, y))
+    return pts
+
+
+def general_norm_oracle(g):
+    """(sup, witness) of the interval oscillation of any step function in
+    Fraction arithmetic, with no pruning: every piece pair (i, j) and every
+    band between consecutive distinct window values is clipped out of the
+    box of partial lengths, its candidates visited in order, the band sums
+    rescanned per band; ties keep the first candidate."""
+    bps, vals = g.breakpoints, g.values
+    P = g.prefix_integrals
+    m = len(vals)
+    best = Fraction(0)
+    witness = (Fraction(0), Fraction(1))
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            len_i = bps[i] - bps[i - 1]
+            len_j = bps[j] - bps[j - 1]
+            vi, vj = vals[i - 1], vals[j - 1]
+            mid_len = bps[j - 1] - bps[i]
+            mid_int = P[j - 1] - P[i]
+            distinct = sorted(set(vals[i - 1:j]), reverse=True)
+            if len(distinct) == 1:
+                continue
+            box = [(Fraction(0), Fraction(0)), (len_i, Fraction(0)),
+                   (len_i, len_j), (Fraction(0), len_j)]
+            for r in range(len(distinct) - 1):
+                w_hi, w_lo = distinct[r], distinct[r + 1]
+                high_mid_len = Fraction(0)
+                high_mid_int = Fraction(0)
+                for k in range(i + 1, j):
+                    if vals[k - 1] >= w_hi:
+                        piece = bps[k] - bps[k - 1]
+                        high_mid_len += piece
+                        high_mid_int += vals[k - 1] * piece
+                ib = 1 if vi >= w_hi else 0
+                jb = 1 if vj >= w_hi else 0
+                ai, aj = vi * ib, vj * jb
+                # F = S1*T - N*L1 expanded in (x, y)
+                fq = (
+                    (ai + aj) - (vi * jb + vj * ib),
+                    ai * mid_len + high_mid_int - (vi * high_mid_len + mid_int * ib),
+                    aj * mid_len + high_mid_int - (vj * high_mid_len + mid_int * jb),
+                    high_mid_int * mid_len - mid_int * high_mid_len,
+                )
+                band_hi = (vi - w_hi, vj - w_hi, mid_int - w_hi * mid_len)
+                band_lo = (w_lo - vi, w_lo - vj, w_lo * mid_len - mid_int)
+                poly = _clip_polygon_oracle(_clip_polygon_oracle(box, band_hi),
+                                            band_lo)
+                if not poly:
+                    continue
+                constraints = [(Fraction(-1), Fraction(0), Fraction(0)),
+                               (Fraction(1), Fraction(0), -len_i),
+                               (Fraction(0), Fraction(-1), Fraction(0)),
+                               (Fraction(0), Fraction(1), -len_j),
+                               band_hi, band_lo]
+                for x, y in _region_candidates_oracle(fq, mid_len, constraints,
+                                                      poly):
+                    t_len = x + y + mid_len
+                    if t_len <= 0:
+                        continue
+                    if any(_affine_oracle(c, x, y) > 0 for c in constraints):
+                        continue
+                    val = 2 * _bilinear_oracle(fq, x, y) / (t_len * t_len)
+                    if val > best:
+                        best = val
+                        witness = (bps[i] - x, bps[j - 1] + y)
+    return best, witness
+
+
 def matched_mean_b_oracle(g, a, mu):
     """Matched-mean endpoint by scanning every piece for the linear zero."""
     pa = g.integral_to(a)

@@ -98,6 +98,12 @@ class TestCommands:
         assert out["lower"] == 150000000
         assert out["tol_met"] is True
 
+    def test_interval_bmo_rejects_bad_breakpoints(self, tmp_path):
+        # parsing validates: unordered breakpoints exit 2 (InputError)
+        path = tmp_path / "g.json"
+        path.write_text('{"breakpoints":[0,"1/2","1/3",1],"values":[1,0,2]}')
+        assert main(["interval-bmo", "--input", str(path)]) == 2
+
     def test_cz(self, spike_file, capsys):
         assert main(["cz", "--input", spike_file, "--alpha", "2",
                      "--direction", "above"]) == 0

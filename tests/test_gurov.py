@@ -14,6 +14,7 @@ from dyadicbmo import (DyadicFunction, GeneratorSpec,
                        gr_profile, hardy_average, lq_tail_bound, rearrange_abs,
                        sigma_level_for, solve_p, theorem3_check,
                        theorem4_bound, theorem5_check)
+from dyadicbmo.highprec import mp
 from conftest import all_cubes_oracle, average_oracle, oscillation_oracle, random_nonneg
 
 SPIKE = DyadicFunction(1, 2, [4, 0, 0, 0])
@@ -174,6 +175,25 @@ class TestSolveP:
             sol = solve_p(eps, n)
             assert abs(sol.p - bisect_oracle_p(target)) < 1e-7 * sol.p
             assert sol.residual <= 1e-12
+
+    def test_p_bracketed_from_below(self):
+        # at 160 bits, val(p) <= ln(target) for val(p) = p ln p - (p-1) ln(p-1):
+        # the float p never exceeds the root, and the next float up reaches it
+        for n, eps in ((1, Fraction(1, 4)), (1, Fraction(4, 27)),
+                       (2, Fraction(1, 8)), (1, Fraction(1, 10)),
+                       (3, Fraction(1, 7)), (2, Fraction(3, 1000)),
+                       (1, Fraction(1, 3)), (2, Fraction(49, 100))):
+            target_log = mp.log(mp.mpf(1) / (mp.mpf(1 << (n - 1))
+                                              * mp.mpf(eps.numerator)
+                                              / eps.denominator))
+
+            def val(p):
+                p = mp.mpf(p)
+                return p * mp.log(p) - (p - 1) * mp.log(p - 1)
+
+            p = solve_p(eps, n).p
+            assert val(p) <= target_log
+            assert val(math.nextafter(p, math.inf)) >= target_log
 
     def test_monotone_in_eps(self):
         ps = [solve_p(Fraction(1, d), 1).p for d in (3, 5, 9, 17, 33)]

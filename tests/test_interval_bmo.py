@@ -8,9 +8,10 @@ import pytest
 from dyadicbmo import (DyadicFunction, InputError, StepFunction1D,
                        bmo_dyadic_norm, interval_bmo_norm,
                        interval_mean_oscillation, rearrange_signed)
+from dyadicbmo.generators import GeneratorSpec, generate
 from dyadicbmo.interval_bmo import _general_norm, _monotone_norm
-from conftest import (grid_bmo_lower_oracle, monotone_norm_oracle,
-                      random_function)
+from conftest import (general_norm_oracle, grid_bmo_lower_oracle,
+                      monotone_norm_oracle, random_function)
 
 
 def random_step(rng, pieces, lo=-6, hi=6, den=16):
@@ -115,6 +116,85 @@ class TestIntegerMonotonePath:
             b = interval_bmo_norm(g)
             dec = h if h.is_nonincreasing else h.negated()
             assert (b.lower, b.witness) == monotone_norm_oracle(dec)
+
+
+def random_general(rng, pieces):
+    """Step function with non-uniform breakpoints of mixed denominators;
+    half the time few-valued (many ties, two-valued included), otherwise
+    values of mixed denominators."""
+    dens = (2, 3, 4, 5, 7, 8, 12, 16)
+    cuts = set()
+    while len(cuts) < pieces - 1:
+        d = rng.choice(dens)
+        cuts.add(Fraction(rng.randrange(1, d), d))
+    bps = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
+    if rng.random() < 0.5:
+        pool = [Fraction(rng.randrange(-4, 5), rng.choice((1, 2, 3)))
+                for _ in range(rng.randrange(2, 4))]
+        vals = [rng.choice(pool) for _ in range(pieces)]
+    else:
+        vals = [Fraction(rng.randrange(-12, 13), rng.choice((1, 3, 4, 16)))
+                for _ in range(pieces)]
+    return StepFunction1D(bps, vals)
+
+
+def max_half_jump(g):
+    return max(abs(a - b) for a, b in zip(g.values, g.values[1:])) / 2
+
+
+class TestIntegerGeneralPath:
+    def test_matches_fraction_oracle(self):
+        # same sup and the same witness as the unpruned Fraction version
+        rng = random.Random(51)
+        seen = 0
+        while seen < 220:
+            g = random_general(rng, rng.randrange(2, 10)).merged()
+            if len(g.values) < 2 or g.is_nonincreasing or g.is_nondecreasing:
+                continue
+            seen += 1
+            assert _general_norm(g) == general_norm_oracle(g)
+
+    def test_sup_at_the_pruning_seed(self):
+        # two- and three-valued functions: the sup is max|jump|/2, the
+        # value pruning compares against, and bands whose bound equals it
+        # exactly hold the witness
+        rng = random.Random(52)
+        at_seed = 0
+        for _ in range(80):
+            m = rng.randrange(3, 9)
+            pool = rng.sample([Fraction(k, 2) for k in range(-4, 5)],
+                              rng.choice((2, 3)))
+            vals = [rng.choice(pool) for _ in range(m)]
+            g = StepFunction1D([Fraction(k, m) for k in range(m + 1)],
+                               vals).merged()
+            if len(g.values) < 2:
+                continue
+            got = _general_norm(g)
+            assert got == general_norm_oracle(g)
+            at_seed += got[0] == max_half_jump(g)
+        assert at_seed >= 40
+
+    def test_square_waves(self):
+        # two-valued: every pair and every band is bounded exactly by the seed
+        for m in range(2, 9):
+            for lo, hi in ((0, 1), (Fraction(-1, 3), Fraction(5, 7))):
+                vals = [hi if k % 2 == 0 else lo for k in range(m)]
+                g = StepFunction1D([Fraction(k, m) for k in range(m + 1)], vals)
+                got = _general_norm(g)
+                assert got[0] == (hi - lo) / 2
+                assert got == general_norm_oracle(g)
+
+    def test_bench_sized_inputs(self):
+        # uniform-cells functions as the interval-bmo command sees them
+        for seed, depth, kw in ((1, 4, {}), (2, 4, {}),
+                                (3, 4, {"low": 0, "high": 4, "denom_bits": 2})):
+            spec = GeneratorSpec(kind="uniform-cells", dim=1, depth=depth,
+                                 seed=seed, **kw)
+            f = generate(spec)
+            g = StepFunction1D([Fraction(k, len(f.cells))
+                                for k in range(len(f.cells) + 1)],
+                               f.cells).merged()
+            assert _general_norm(g) == general_norm_oracle(g)
 
 
 class TestPathAgreement:

@@ -66,6 +66,16 @@ class TestStepFunction:
         assert g.negated().is_nondecreasing
 
 
+    def test_derived_functions_hold_fractions(self):
+        # derived functions skip validation; they must still hold tuples of
+        # Fractions equal to a validated build of the same pieces
+        g = StepFunction1D([0, Fraction(1, 3), Fraction(1, 2), 1], [2, 2, -1])
+        f = DyadicFunction(1, 2, [3, -1, 3, 0])
+        for h in (g.merged(), g.negated(), g.reflected(), rearrange_signed(f)):
+            assert type(h.breakpoints) is tuple and type(h.values) is tuple
+            assert all(type(x) is Fraction for x in h.breakpoints + h.values)
+            assert h == StepFunction1D(list(h.breakpoints), list(h.values))
+
 class TestRearrange:
     def test_sort_example(self):
         f = DyadicFunction(1, 2, [0, 4, 0, 0])

@@ -15,14 +15,15 @@ L^q tail bound for q < p.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, PreconditionError
-from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow, mp,
-                       upper_float)
-from .rearrangement import _count_above, hardy_average, rearrange_abs
+from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow,
+                       lower_float, mp, upper_float)
+from .rearrangement import hardy_average, rearrange_abs
 
 P_CAP = 1.0e6
 
@@ -149,7 +150,8 @@ def theorem3_check(f, t, profile=None):
         raise InputError(f"t must lie in (0,1], got {t}")
     fstar = rearrange_abs(f)
     favg = hardy_average(fstar, t)
-    s = min(fstar.breakpoints[_count_above(fstar.values, favg)], t)
+    above = bisect_left(fstar.values, True, key=favg.__ge__)  # pieces > favg
+    s = min(fstar.breakpoints[above], t)
     lhs = 2 * (fstar.integral_to(s) - favg * s) / t
     if profile is None:
         profile = gr_profile(f)
@@ -295,10 +297,12 @@ def theorem4_bound(f, t, profile=None):
 
 
 def lq_tail_bound(f, q):
-    """Exact (or high-precision) q-th power integral against the decay bound.
+    """The q-th power integral against the decay bound.
 
     bound = (p/(p-1))^q * mean^q * p/(p-q), from integrating the power decay
-    of the Hardy average; requires 1 <= q < p.
+    of the Hardy average; requires 1 <= q < p.  The integral is exact for an
+    integer q and otherwise summed in interval arithmetic and rounded down;
+    the bound is rounded up.
     """
     _require_nonneg(f)
     eps = gr_membership(f)
@@ -310,19 +314,17 @@ def lq_tail_bound(f, q):
     if not 1 <= q < sol.p:
         raise PreconditionError(
             f"q must lie in [1, p) with p = {sol.p}, got {q}")
-    mass = Fraction(1, len(f.cells))
+    q_iv = iv.mpf(q)
     if float(q).is_integer():
         qi = int(q)
-        lq = sum((v ** qi for v in f.cells), Fraction(0)) * mass
+        lq = sum((v ** qi for v in f.cells), Fraction(0)) / len(f.cells)
     else:
-        q_mp = mp.mpf(q)
-        acc = mp.mpf(0)
+        acc = iv.mpf(0)
         for v in f.cells:
             if v != 0:
-                acc += mp.exp(q_mp * mp.log(mp.mpf(v.numerator) / mp.mpf(v.denominator)))
-        lq = acc * mp.mpf(mass.numerator) / mp.mpf(mass.denominator)
+                acc += iv_pow(iv_from_fraction(v), q_iv)
+        lq = lower_float(acc / len(f.cells))
     p = iv.mpf(sol.p)
-    q_iv = iv.mpf(q)
     factor = iv_pow(p / (p - IV_ONE), q_iv)
     mean = f.mean
     if mean == 0:

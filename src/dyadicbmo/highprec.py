@@ -2,10 +2,12 @@
 
 All theorem right-hand sides involving e, log and fractional powers are
 computed as mpmath intervals at 160-bit precision, in this module's private
-contexts `mp` and `iv` (mpmath's global contexts are left as they are); a
+contexts `mp` and `iv` (mpmath's global contexts are left as they are).  A
 bound reported as a float is the upper interval endpoint nudged one ulp
-upward, so it can only err on the generous side.  Interval widths here are
-~1e-45, far below every assertion tolerance in the package.
+upward (`upper_float`), and a left-hand side reported as a float is the lower
+endpoint nudged one ulp downward (`lower_float`), so a violation `lhs > rhs`
+between them is never an artifact of rounding.  Interval widths here are
+~1e-45, far below a float ulp.
 """
 
 from __future__ import annotations

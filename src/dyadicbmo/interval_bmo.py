@@ -35,10 +35,10 @@ sup exactly:
   are skipped before any polygon is built.
 
 The reported lower bound is attained at the rational witness; the upper bound
-is the same exact value rounded one float ulp upward.  The gap is judged
-relative to the size of the value (gap <= tol * max(1, |lower|)), since a
-float ulp grows with the value; if it ever failed the requested tolerance the
-result would say so rather than raise.
+is the same exact value rounded one float ulp upward.  tol changes no
+computation: tol_met only labels whether that gap is within tol relative to
+the size of the value (gap <= tol * max(1, |lower|)), since a float ulp grows
+with the value.
 """
 
 from __future__ import annotations
@@ -397,9 +397,9 @@ def interval_bmo_norm(g, tol=1e-9):
     """Two-sided certified bound on sup over intervals [a,b] of the oscillation.
 
     The lower bound is exact and attained at the returned witness; the upper
-    bound is the same value rounded one float ulp up.  tol_met reports
-    gap <= tol * max(1, |lower|): absolute for small values, relative for
-    large ones.
+    bound is the same value rounded one float ulp up.  tol only labels the
+    result: tol_met reports gap <= tol * max(1, |lower|), absolute for small
+    values, relative for large ones.
     """
     if not isinstance(g, StepFunction1D):
         raise InputError("interval_bmo_norm expects a StepFunction1D")

@@ -66,6 +66,14 @@ def logbound_check(f, t):
     return lhs, upper_float(rhs)
 
 
+def _lambda_grid(f, points=32):
+    """The thresholds 2 spread i/points, i = 1..points; [] for a constant f."""
+    spread = max(f.cells) - min(f.cells)
+    if spread == 0:
+        return []
+    return [2 * spread * Fraction(i, points) for i in range(1, points + 1)]
+
+
 def jn_check(f, lam):
     """Measure of {f - f_Q0 > lam} against B exp(-b lam / ||f||).
 

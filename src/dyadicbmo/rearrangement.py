@@ -173,18 +173,6 @@ def supinf_formula(f, t):
     return ordered[int(k) - 1]
 
 
-def _count_above(values, mu):
-    """Number of leading values > mu, for nonincreasing values."""
-    lo, hi = 0, len(values)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if values[mid] > mu:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def hardy_average(g, t):
     """(1/t) * integral of g over (0,t]."""
     t = Fraction(t)
@@ -208,7 +196,8 @@ def interval_mean_oscillation(g, a, b):
     ia = g.integral_to(a)
     mu = (g.integral_to(b) - ia) / (b - a)
     if g.is_nonincreasing:
-        s = min(max(g.breakpoints[_count_above(g.values, mu)], a), b)
+        above = bisect_left(g.values, True, key=mu.__ge__)  # pieces > mu
+        s = min(max(g.breakpoints[above], a), b)
         return 2 * ((g.integral_to(s) - ia) - mu * (s - a)) / (b - a)
     acc = Fraction(0)
     for lo, hi, v in g.pieces():

@@ -22,7 +22,7 @@ from .dyadic import DyadicFunction, bmo_dyadic_norm, check_grid_size
 from .errors import InputError, PreconditionError
 from .highprec import IV_E, upper_float
 from .interval_bmo import interval_bmo_norm
-from .johnnirenberg import jn_check
+from .johnnirenberg import _lambda_grid, jn_check
 from .rearrangement import rearrange_signed
 
 OBJECTIVES = ("ratio_thm1", "jn_B_probe")
@@ -65,11 +65,12 @@ class SearchResult:
     hard_cap: float
 
 
-def ratio_objective(f, tol=1e-9):
-    """Certified lower bound of ||f_d||_* divided by the dyadic norm of f."""
+def _ratio(f, tol):
+    """(certified lower bound of ||f_d||_* / dyadic norm of f, the interval
+    bound it came from), or None for a constant f."""
     norm = bmo_dyadic_norm(f)
     if norm == 0:
-        raise PreconditionError("the ratio is undefined for constant functions")
+        return None
     bound = interval_bmo_norm(rearrange_signed(f), tol)
     ratio = bound.lower / norm
     cap = 1 << f.dim
@@ -77,14 +78,15 @@ def ratio_objective(f, tol=1e-9):
         raise AssertionError(
             f"ratio {ratio} exceeds the proven cap {cap}; "
             f"this indicates a bug in the norm computation")
-    return float(ratio)
+    return ratio, bound
 
 
-def _ratio_exact(f, tol):
-    norm = bmo_dyadic_norm(f)
-    if norm == 0:
-        return None
-    return interval_bmo_norm(rearrange_signed(f), tol).lower / norm
+def ratio_objective(f, tol=1e-9):
+    """Certified lower bound of ||f_d||_* divided by the dyadic norm of f."""
+    scored = _ratio(f, tol)
+    if scored is None:
+        raise PreconditionError("the ratio is undefined for constant functions")
+    return float(scored[0])
 
 
 def _jn_probe_score(f):
@@ -93,16 +95,13 @@ def _jn_probe_score(f):
     A lower estimate of the smallest admissible leading constant for this f;
     provably at most e.
     """
+    grid = _lambda_grid(f)
+    if not grid:
+        return None
     norm = bmo_dyadic_norm(f)
-    if norm == 0:
-        return None
-    spread = max(f.cells) - min(f.cells)
-    if spread == 0:
-        return None
     best = 0.0
     b = float(Fraction(1, 1 << (f.dim - 1))) / float(IV_E.mid)
-    for i in range(1, 33):
-        lam = 2 * spread * Fraction(i, 32)
+    for lam in grid:
         measure, _ = jn_check(f, lam)
         if measure == 0:
             continue
@@ -112,15 +111,19 @@ def _jn_probe_score(f):
 
 
 def _score(f, cfg):
+    """(float score, exact score, certificate) of f; all None for a constant f.
+
+    The certificate is the interval bound behind a ratio score (None for the
+    probe objective)."""
     if cfg.objective == "ratio_thm1":
-        r = _ratio_exact(f, cfg.tol)
-        if r is None:
-            return None, None
-        return float(r), r
+        scored = _ratio(f, cfg.tol)
+        if scored is None:
+            return None, None, None
+        return float(scored[0]), scored[0], scored[1]
     s = _jn_probe_score(f)
     if s is None:
-        return None, None
-    return s, Fraction(s)
+        return None, None, None
+    return s, Fraction(s), None
 
 
 def _canonicalize(cells):
@@ -158,16 +161,16 @@ def _run_restart(cfg, restart_index):
 
     cells = _quantize(_canonicalize(_random_start(rng, count, cfg.denom_bits)),
                       cfg.denom_bits)
-    score, exact = _score(build(cells), cfg)
+    score, exact, cert = _score(build(cells), cfg)
     retries = 0
     while score is None and retries < 64:
         cells = _quantize(_canonicalize(_random_start(rng, count, cfg.denom_bits)),
                           cfg.denom_bits)
-        score, exact = _score(build(cells), cfg)
+        score, exact, cert = _score(build(cells), cfg)
         retries += 1
     if score is None:
         return None
-    best_cells, best_score, best_exact = list(cells), score, exact
+    best_cells, best_score, best_exact, best_cert = list(cells), score, exact, cert
     trace = [(restart_index, 0, best_score)]
 
     cooling = (cfg.temp_final / cfg.temp_initial) ** (1.0 / max(cfg.iterations - 1, 1))
@@ -180,20 +183,22 @@ def _run_restart(cfg, restart_index):
             mag = max(1, int(step_num * temp / cfg.temp_initial))
             trial[c] += Fraction(rng.choice((-1, 1)) * rng.randrange(1, mag + 1), den)
         trial = _quantize(_canonicalize(trial), cfg.denom_bits)
-        new_score, new_exact = _score(build(trial), cfg)
+        new_score, new_exact, new_cert = _score(build(trial), cfg)
         if new_score is not None:
             delta = new_score - score
             if delta >= 0 or rng.random() < math.exp(delta / temp):
-                cells, score, exact = trial, new_score, new_exact
+                cells, score, exact, cert = trial, new_score, new_exact, new_cert
             if score > best_score:
-                best_cells, best_score, best_exact = list(cells), score, exact
+                best_cells, best_score, best_exact, best_cert = (
+                    list(cells), score, exact, cert)
                 trace.append((restart_index, it, best_score))
         temp *= cooling
-    return best_cells, best_score, best_exact, trace
+    return best_cells, best_score, best_exact, best_cert, trace
 
 
 def search(cfg):
-    """Multistart annealing; the final best is re-scored at tol/10."""
+    """Multistart annealing; the best evaluation is reported with the
+    certificate it was scored with."""
     workers = min(cfg.threads, cfg.restarts, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -208,29 +213,23 @@ def search(cfg):
     for res in results:  # ascending restart index: ties keep the earliest
         if res is None:
             continue
-        trace.extend(res[3])
+        trace.extend(res[4])
         if best is None or res[1] > best[1]:
             best = res
     if best is None:
         raise PreconditionError("no valid (non-constant) candidate was found")
 
-    f = DyadicFunction(cfg.dim, cfg.depth, best[0])
+    best_cells, score, exact, cert, _ = best
+    f = DyadicFunction(cfg.dim, cfg.depth, best_cells)
     cap = float(1 << cfg.dim)
-    if cfg.objective == "ratio_thm1":
-        cert = interval_bmo_norm(rearrange_signed(f), cfg.tol / 10)
-        norm = bmo_dyadic_norm(f)
-        exact = cert.lower / norm
-        score = float(exact)
-        if score > cap:
-            raise AssertionError(
-                f"certified ratio {exact} exceeds the proven cap {cap}")
-    else:
-        cert = None
-        exact = best[2]
-        score = best[1]
-        if score > upper_float(IV_E) + 1e-6:
-            raise AssertionError(
-                f"probe score {score} exceeds the proven constant e")
+    if cfg.objective == "jn_B_probe":
+        # implied <= e at every lambda is the certified distribution bound
+        for lam in _lambda_grid(f):
+            measure, bound = jn_check(f, lam)
+            if measure > bound:
+                raise AssertionError(
+                    f"the best probe breaks the certified bound at "
+                    f"lambda={lam}: measure {measure} > {bound}")
     return SearchResult(best_function=f, best_score=score,
                         best_score_exact=exact, certificate=cert,
                         trace=tuple(trace), objective=cfg.objective,

@@ -4,11 +4,16 @@ Each suite re-validates one statement on the given function over
 deterministic internal grids and reports pass/fail with failure witnesses.
 Suites whose hypotheses the function does not meet (e.g. the power-decay
 bounds when the modulus is out of range) report a vacuous pass with a note.
+
+Every inequality is decided by one rule, with no slack: the checkers return
+an lhs that is exact (a Fraction) or rounded down and an rhs that is exact or
+rounded up, and a check fails iff lhs > rhs.  Python compares a Fraction with
+a float exactly, so a reported violation is a real one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +23,7 @@ from .errors import InputError
 from .gurov import (gr_membership, gr_profile, lq_tail_bound, solve_p,
                     theorem3_check, theorem4_bound, theorem5_check)
 from .interval_bmo import interval_bmo_norm
-from .johnnirenberg import jn_abs_check, jn_check, logbound_check
+from .johnnirenberg import _lambda_grid, jn_abs_check, jn_check, logbound_check
 from .rearrangement import (hardy_average, hardy_gap_check,
                             interval_mean_oscillation, rearrange_abs,
                             rearrange_signed)
@@ -26,9 +31,6 @@ from .stopping import maximal_level_set, stopping_family, verify_stopping
 
 SUITES = ("lemma21", "lemma22", "lemma23", "thm1", "thm2", "thm31",
           "remark31", "thm3", "thm4", "thm5", "cor1", "cz")
-
-_TOL_TIGHT = Fraction(1, 10 ** 12)
-_TOL_LOOSE = Fraction(1, 10 ** 9)
 
 
 @dataclass(frozen=True)
@@ -61,20 +63,6 @@ def _result(name, checks, failures, skipped=False, note=""):
     return SuiteResult(name=name, passed=not failures, checks=checks,
                        skipped=skipped, note=note,
                        failures=tuple(failures[:8]))
-
-
-def _float_leq(lhs, rhs_float, tol):
-    """Exact comparison lhs <= rhs + tol with a float right-hand side."""
-    if not isinstance(lhs, Fraction):
-        lhs = Fraction(float(lhs))  # high-precision lhs: float suffices here
-    return lhs <= Fraction(rhs_float) + tol
-
-
-def _lambda_grid(f, points=32):
-    spread = max(f.cells) - min(f.cells)
-    if spread == 0:
-        return []
-    return [2 * spread * Fraction(i, points) for i in range(1, points + 1)]
 
 
 def _sampled_cubes(f, cap=512):
@@ -126,13 +114,8 @@ def _matching_mean_endpoint(g, a, mu, defect):
     if v < mu:
         return None
     d_a = g.integral_to(a) - mu * a
-    lo, hi = i + 1, len(bps)
-    while lo < hi:  # first k > i with defect[k] <= d_a (defect[i] > d_a)
-        mid = (lo + hi) // 2
-        if defect[mid] > d_a:
-            lo = mid + 1
-        else:
-            hi = mid
+    # first k > i with defect[k] <= d_a (defect[i] > d_a)
+    lo = bisect_left(defect, True, i + 1, len(bps), key=d_a.__ge__)
     if lo == len(bps):
         return None
     return bps[lo - 1] + (defect[lo - 1] - d_a) / (mu - g.values[lo - 1])
@@ -187,9 +170,9 @@ def _suite_thm1(f):
     failures = []
     if bound.lower > cap:
         failures.append(f"certified lower bound {bound.lower} exceeds 2^n norm {cap}")
-    if Fraction(bound.upper) > cap + _TOL_LOOSE:
-        failures.append(f"certified upper bound {bound.upper} exceeds "
-                        f"2^n norm {cap} + 1e-9")
+    if bound.upper < bound.lower:
+        failures.append(f"certified upper bound {bound.upper} rounded below "
+                        f"the lower bound {bound.lower}")
     return _result("thm1", 2, failures)
 
 
@@ -201,7 +184,7 @@ def _suite_thm2(f):
     for lam in grid:
         measure, bnd = jn_check(f, lam)
         checks += 1
-        if not _float_leq(measure, bnd, _TOL_TIGHT):
+        if measure > bnd:
             failures.append(f"distribution bound fails at lambda={lam}: "
                             f"{measure} > {bnd}")
         if prev_measure is not None and measure > prev_measure:
@@ -220,7 +203,7 @@ def _suite_thm31(f):
     for t in gd.breakpoints[1:]:
         lhs, rhs = logbound_check(g, t)
         checks += 1
-        if not _float_leq(lhs, rhs, _TOL_TIGHT):
+        if lhs > rhs:
             failures.append(f"log bound fails at t={t}: {lhs} > {rhs}")
     return _result("thm31", checks, failures)
 
@@ -235,7 +218,7 @@ def _suite_remark31(f):
     for lam in _lambda_grid(h, points=8):
         measure, bnd = jn_abs_check(h, lam)
         checks += 1
-        if not _float_leq(measure, bnd, _TOL_TIGHT):
+        if measure > bnd:
             failures.append(f"two-sided bound fails at lambda={lam}: "
                             f"{measure} > {bnd}")
     return _result("remark31", checks, failures, note=note)
@@ -277,7 +260,7 @@ def _suite_thm4(f):
         t = top * Fraction(j, 8)
         res = theorem4_bound(h, t, profile=profile)
         checks += 1
-        if not _float_leq(res.lhs, res.rhs, _TOL_LOOSE):
+        if res.lhs > res.rhs:
             failures.append(f"exponential bound fails at t={t}: "
                             f"{res.lhs} > {res.rhs}")
     return _result("thm4", checks, failures, note=note)
@@ -297,7 +280,7 @@ def _suite_thm5(f):
     for t in _cell_aligned_grid(h, cap=16):
         lhs, rhs = theorem5_check(h, t)
         checks += 1
-        if not _float_leq(lhs, rhs, _TOL_LOOSE):
+        if lhs > rhs:
             failures.append(f"power bound fails at t={t}: {lhs} > {rhs}")
     return _result("thm5", checks, failures)
 
@@ -317,7 +300,7 @@ def _suite_cor1(f):
     for q in qs:
         lq, bnd = lq_tail_bound(h, q)
         checks += 1
-        if not _float_leq(lq, bnd, _TOL_LOOSE):
+        if lq > bnd:
             failures.append(f"L^q tail bound fails at q={q}: {lq} > {bnd}")
     return _result("cor1", checks, failures)
 

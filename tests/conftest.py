@@ -5,6 +5,7 @@ membership, explicit sums, dense grids) without touching the package's
 flat-index machinery, so agreement is meaningful.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -49,6 +50,16 @@ def corpus(seed, count, nonneg=False, with_large=True):
         maker = random_nonneg if nonneg else random_function
         out.append(maker(rng, dim, depth))
     return out
+
+
+def float_just_below(x):
+    """The largest float strictly below the exact value x, which it misses
+    by far less than 1e-12 for the checkers' values."""
+    r = float(x)
+    if Fraction(r) >= x:
+        r = math.nextafter(r, -math.inf)
+    assert 0 < x - Fraction(r) < Fraction(1, 10 ** 12)
+    return r
 
 
 def random_cube(rng, f):

@@ -10,6 +10,7 @@ from dyadicbmo.cli import main
 from dyadicbmo.formats import (canonical_json, format_rational,
                                function_from_obj, function_to_obj,
                                parse_rational, step_from_obj, step_to_obj)
+from conftest import float_just_below
 
 
 @pytest.fixture
@@ -126,6 +127,24 @@ class TestCommands:
         assert lines[0] == "lambda,measure,bound,pass"
         assert len(lines) == 9
         assert all(line.split(",")[3] == "1" for line in lines[1:])
+
+    def test_jn_sub_ulp_violation_fails(self, spike_file, tmp_path,
+                                        monkeypatch):
+        # a bound one float below the measure is a violation, however small
+        import dyadicbmo.cli as cli_mod
+        real = cli_mod.jn_check
+
+        def just_below(fn, lam):
+            measure, _ = real(fn, lam)
+            return measure, float_just_below(measure)
+
+        monkeypatch.setattr(cli_mod, "jn_check", just_below)
+        out_path = tmp_path / "jn.csv"
+        assert main(["jn", "--input", spike_file, "--lambda-grid", "8",
+                     "--output", str(out_path)]) == 1
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 9
+        assert all(line.split(",")[3] == "0" for line in lines[1:])
 
     def test_gr_csv(self, spike_file, tmp_path, capsys):
         out_path = tmp_path / "gr.csv"

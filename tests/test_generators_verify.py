@@ -1,5 +1,6 @@
 """Generators, the aggregated verification suites, and fault injection."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import dyadicbmo.verify as verify_mod
 from dyadicbmo import (DyadicFunction, GenerationError, GeneratorSpec,
                        InputError, StepFunction1D, generate, gr_membership,
                        rearrange_signed, verify_all)
-from conftest import matched_mean_b_oracle, random_function
+from conftest import float_just_below, matched_mean_b_oracle, random_function
 
 
 class TestGenerators:
@@ -127,6 +128,50 @@ class TestVerifyAll:
         assert obj["passed"] is True
         assert obj["suites"][0]["name"] == "lemma21"
         assert obj["suites"][0]["checks"] > 0
+
+
+def _rhs_just_below(real):
+    """Wrap a checker so that its rhs sits just below its lhs."""
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if isinstance(out, tuple):
+            return out[0], float_just_below(Fraction(out[0]))
+        return dataclasses.replace(out, rhs=float_just_below(out.lhs))
+    return patched
+
+
+class TestExactDecisions:
+    """A violation far below any float tolerance is still a violation."""
+
+    CASCADE = generate(GeneratorSpec(kind="cascade-gr", dim=2, depth=2, seed=3,
+                                     target_eps=Fraction(1, 8)))
+
+    @pytest.mark.parametrize("suite, binding", [
+        ("thm2", "jn_check"), ("thm31", "logbound_check"),
+        ("remark31", "jn_abs_check"), ("thm4", "theorem4_bound"),
+        ("thm5", "theorem5_check"), ("cor1", "lq_tail_bound")])
+    def test_sub_ulp_violation_fails(self, monkeypatch, suite, binding):
+        assert verify_all(self.CASCADE, [suite]).passed
+        monkeypatch.setattr(verify_mod, binding,
+                            _rhs_just_below(getattr(verify_mod, binding)))
+        result = verify_all(self.CASCADE, [suite]).results[0]
+        assert not result.passed and not result.skipped
+        assert result.failures
+
+    def test_thm1_upper_below_lower_fails(self, monkeypatch):
+        real = verify_mod.interval_bmo_norm
+
+        def rounded_down(g, *args):
+            bound = real(g, *args)
+            return dataclasses.replace(bound,
+                                       upper=float_just_below(bound.lower))
+
+        f = DyadicFunction(1, 2, [4, 0, 1, 0])
+        assert verify_all(f, ["thm1"]).passed
+        monkeypatch.setattr(verify_mod, "interval_bmo_norm", rounded_down)
+        result = verify_all(f, ["thm1"]).results[0]
+        assert not result.passed
+        assert "rounded below" in result.failures[0]
 
 
 def _endpoint(g, a):

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from dyadicbmo import (DyadicFunction, GeneratorSpec,
                        PreconditionError, generate, gr_membership, gr_modulus,
@@ -266,13 +267,13 @@ class TestLqTail:
         f = DyadicFunction(1, 2, [3, 3, 3, 3])
         lq, bound = lq_tail_bound(f, 1.0)
         assert lq == 3
-        assert float(lq) <= bound + 1e-9
+        assert lq <= bound
 
     def test_cascade_fractional_q(self):
         f = generate(GeneratorSpec(kind="cascade-gr", dim=2, depth=2, seed=1,
                                    target_eps=Fraction(1, 8)))
         lq, bound = lq_tail_bound(f, 1.5)
-        assert float(lq) <= bound + 1e-9
+        assert lq <= bound
 
     def test_integer_q_exact(self):
         f = generate(GeneratorSpec(kind="cascade-gr", dim=2, depth=1, seed=2,
@@ -280,7 +281,27 @@ class TestLqTail:
         lq, bound = lq_tail_bound(f, 1)
         assert isinstance(lq, Fraction)
         assert lq == f.mean
-        assert float(lq) <= bound + 1e-9
+        assert lq <= bound
+
+    def test_fractional_q_is_a_lower_bound(self):
+        # the float lhs must not exceed the sum taken in an independent
+        # 300-bit context, and must be within a few ulps of it
+        ctx = MPContext()
+        ctx.prec = 300
+        kinds = set()
+        for seed in range(40):
+            f = generate(GeneratorSpec(kind="cascade-gr", dim=1 + seed % 2,
+                                       depth=4 - seed % 2, seed=seed,
+                                       target_eps=Fraction(1, 8)))
+            p = solve_p(gr_membership(f), f.dim).p
+            for q in (1.5, 1 + (p - 1) / 2):
+                lq, _ = lq_tail_bound(f, q)
+                exact = ctx.fsum(ctx.power(ctx.mpf(v.numerator) / v.denominator, q)
+                                 for v in f.cells) / len(f.cells)
+                assert ctx.mpf(lq) <= exact
+                assert exact - ctx.mpf(lq) <= exact * 1e-15
+                kinds.add(type(lq))
+        assert kinds == {float}
 
     def test_rejects_q_at_p(self):
         f = generate(GeneratorSpec(kind="cascade-gr", dim=2, depth=2, seed=3,

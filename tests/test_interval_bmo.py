@@ -239,6 +239,8 @@ class TestBoundsContract:
             assert b.tol_met
             assert 0 <= b.gap <= 1e-9
             assert float(b.lower) <= b.upper
+            # upper bounds the sup: never rounded to it or below it
+            assert Fraction(b.upper) > b.lower or b.upper == b.lower == 0
 
     def test_rejects_bad_tol(self):
         g = StepFunction1D([0, 1], [1])

@@ -153,3 +153,20 @@ class TestSearch:
         res = search(cfg)
         assert 0 < res.best_score <= res.hard_cap  # cap is e
         assert res.certificate is None
+
+    def test_jn_probe_checks_the_certified_bound(self, monkeypatch):
+        # the best probe is re-checked against jn_check's upward-rounded
+        # bound with no slack: a bound one float below the measure trips it
+        from conftest import float_just_below
+        search_mod = sys.modules["dyadicbmo.search"]
+        real = search_mod.jn_check
+
+        def just_below(fn, lam):
+            measure, _ = real(fn, lam)
+            return measure, float_just_below(measure)
+
+        monkeypatch.setattr(search_mod, "jn_check", just_below)
+        cfg = SearchConfig(dim=1, depth=2, restarts=1, iterations=5, seed=3,
+                           objective="jn_B_probe")
+        with pytest.raises(AssertionError, match="certified bound"):
+            search(cfg)

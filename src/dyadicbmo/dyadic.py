@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import lcm
 
 from .errors import InputError
@@ -61,6 +61,33 @@ def check_grid_size(dim, depth):
         raise InputError(
             f"grid of n={dim}, L={depth} has 2^{dim * depth} cells; "
             f"at most 2^{MAX_GRID_BITS} are supported")
+
+
+def _running_max(levels, n):
+    """Running max down the tree of per-level values in Morton order:
+    out[k][z] is the largest levels[j][z >> n(k-j)] over j <= k, the value
+    of cube z and of each of its ancestors.  `levels` may be lazy."""
+    out = []
+    for level in levels:
+        if out:
+            fathers = chain.from_iterable(zip(*[out[-1]] * (1 << n)))
+            level = [v if v > p else p for p, v in zip(fathers, level)]
+        else:
+            level = list(level)
+        out.append(level)
+    return out
+
+
+def _first_crossings(pyramid, a, n):
+    """(level, Morton address), in that order, of every cube of a running-max
+    pyramid whose value exceeds a while its father's does not (the root
+    counts as having a father at a)."""
+    out = []
+    fathers = [a]
+    for k, level in enumerate(pyramid):
+        out.extend((k, z) for z, v in enumerate(level) if v > a >= fathers[z >> n])
+        fathers = level
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,8 +176,9 @@ class DyadicFunction:
     cells[flat] with flat = i_1 + i_2*2^L + ... + i_n*2^((n-1)L).  Treated as
     immutable: the integer kernel is cached lazily.  It holds the
     common-denominator numerators in Morton order (see the module docstring),
-    so every cube is one slice, and per-level pyramids of cube sums and
-    oscillation numerators built from blocks of 2^n neighbours.
+    so every cube is one slice, per-level pyramids of cube sums and
+    oscillation numerators built from blocks of 2^n neighbours, and the
+    running-max pyramids that decide every threshold crossing.
     """
 
     def __init__(self, dim, depth, cells):
@@ -227,6 +255,35 @@ class DyadicFunction:
                                 for z, s in enumerate(sums)])
             self._cache["osc"] = pyramid
         return self._cache["osc"]
+
+    def _crossings(self, sign):
+        """(R, S): R is the running max from the root of the scaled averages
+        A[k][z] = sign * sums[k][z] << n*k (cube average times sign * den *
+        2^(nL)); S, levels 0..L-1, that of C[k][z], the max of A over z's
+        children.  Cached per sign."""
+        key = ("crossings", sign)
+        if key not in self._cache:
+            n, block, sums = self.dim, 1 << self.dim, self._sums()
+            top = max if sign > 0 else min
+            R = _running_max(((sign * s << n * k for s in level)
+                              for k, level in enumerate(sums)), n)
+            S = _running_max(([sign * c << n * k
+                               for c in map(top, *(level[d::block] for d in range(block)))]
+                              for k, level in enumerate(sums[1:], 1)), n)
+            self._cache[key] = R, S
+        return self._cache[key]
+
+    def _stopping(self, alpha, above):
+        """(stopping cubes, parent cover) at alpha as (level, Morton address)
+        pairs: with a = floor(alpha den 2^(nL)), above is A > a and below is
+        -A > -a - 1; a cube stops iff R[father] <= a < R[cube] and is in the
+        cover iff S[father] <= a < S[cube]."""
+        n = self.dim
+        a = (alpha.numerator * self._den << n * self.depth) // alpha.denominator
+        if not above:
+            a = -a - 1
+        R, S = self._crossings(1 if above else -1)
+        return _first_crossings(R, a, n), _first_crossings(S, a, n)
 
     def _block(self, q):
         """(z, cnt): q's Morton address and cell count; its cells are the
@@ -378,22 +435,16 @@ def bmo_dyadic_norm(f):
 def dyadic_maximal_function(f):
     """Pointwise max over dyadic cubes containing x of the average of |f|.
 
-    A running max down the sum pyramid of |f|: each cube's value is the
-    larger of its father's and its own average.  Cached per function.
+    The leaf level of the running-max pyramid R of |f| (the one stopping
+    families of |f| above a threshold read) over den * 2^(nL).  Cached per
+    function.
     """
     h = f.abs()  # M f = M |f|, cached on |f|
     if "maximal" not in h._cache:
         n, L = h.dim, h.depth
-        digits = range(1 << n)
-        sums = h._sums()
-        # a level-k average times 2^(nL) den is its sum times 2^(nk)
-        best = sums[0]
-        for k in range(1, L + 1):
-            best = [max(b, s << (n * k))
-                    for b, s in zip((b for b in best for _ in digits), sums[k])]
         scale = h._den << (n * L)
         h._cache["maximal"] = DyadicFunction._from_morton(
-            n, L, [Fraction(b, scale) for b in best])
+            n, L, [Fraction(b, scale) for b in h._crossings(1)[0][L]])
     return h._cache["maximal"]
 
 

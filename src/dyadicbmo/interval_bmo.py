@@ -158,13 +158,6 @@ def _reduced(X, Y, W):
     return (X, Y, W) if d == 1 else (X // d, Y // d, W // d)
 
 
-def _homogeneous(x, y):
-    """The point (x, y) of Fractions as a reduced triple over their lcm."""
-    W = math.lcm(x.denominator, y.denominator)
-    return (x.numerator * (W // x.denominator),
-            y.numerator * (W // y.denominator), W)
-
-
 def _clip_polygon(poly, aff):
     """Sutherland-Hodgman clip of a convex polygon by {aff . (X, Y, W) <= 0}.
 
@@ -202,52 +195,30 @@ def _clip_polygon(poly, aff):
     return dedup
 
 
-def _line_midpoint(constraints, sy, q):
-    """Midpoint Y of the feasible part of the line X = sy*Y + q, or None."""
-    lo, hi = None, None
-    for cx, cy, c0 in constraints:
-        a = cx * sy + cy
-        b = cx * q + c0
-        if a == 0:
-            if b > 0:
-                return None
-        elif a > 0:
-            bound = Fraction(-b) / a
-            hi = bound if hi is None else min(hi, bound)
-        else:
-            bound = Fraction(-b) / a
-            lo = bound if lo is None else max(lo, bound)
-    if lo is None or hi is None or lo > hi:
-        return None
-    return (lo + hi) / 2
-
-
-def _interior_candidate(fq, M, constraints):
+def _interior_candidate(fq, M):
     """The interior critical point of 2F/T^2 as a reduced triple, or None.
 
     F_x = F_y is the line F11 (Y - X) = F01 - F10, and on it
-    G = F_x*T - 2F is linear in Y (the Y^2 terms cancel).  With F11 = 0 and
-    F10 = F01 != 0, F is affine with G vanishing on the line X + Y = q.
+    G = F_x*T - 2F is linear in Y (the Y^2 terms cancel).  Where the
+    critical points fill a line instead (F11 != 0 with G vanishing on it,
+    or F11 = 0 with F10 = F01 != 0), the gradient vanishes along it, so
+    2F/T^2 is constant on its feasible segment.  The segment ends on the
+    polygon's boundary, at a vertex or an edge stationary point (or on an
+    edge where 2F/T^2 is constant), candidates that come earlier and that a
+    point of equal value never displaces; so there is no interior candidate.
     """
     F11, F10, F01, F00 = fq
-    if F11 != 0:
-        # X = Y + (F10 - F01)/F11 and Y = -C/(F11*B)
-        B = F11 * M - F10 - F01
-        C = F10 * (F11 * M - F10 + F01) - 2 * F00 * F11
-        if B != 0:
-            W = F11 * B
-            if W < 0:
-                W, C, B = -W, -C, -B
-            return _reduced((F10 - F01) * B - C, -C, W)
-        if C == 0:  # G vanishes on the line: its feasible midpoint
-            q = Fraction(F10 - F01, F11)
-            y = _line_midpoint(constraints, 1, q)
-            return None if y is None else _homogeneous(y + q, y)
-    elif F10 == F01 != 0:
-        q = M - Fraction(2 * F00, F10)
-        y = _line_midpoint(constraints, -1, q)
-        return None if y is None else _homogeneous(q - y, y)
-    return None
+    if F11 == 0:
+        return None
+    # X = Y + (F10 - F01)/F11 and Y = -C/(F11*B)
+    B = F11 * M - F10 - F01
+    if B == 0:
+        return None
+    C = F10 * (F11 * M - F10 + F01) - 2 * F00 * F11
+    W = F11 * B
+    if W < 0:
+        W, C, B = -W, -C, -B
+    return _reduced((F10 - F01) * B - C, -C, W)
 
 
 def _region_candidates(fq, M, constraints, poly):
@@ -279,7 +250,7 @@ def _region_candidates(fq, M, constraints, poly):
         if 0 < u < lin:
             pts.append(_reduced(lin * X0 + u * dX, lin * Y0 + u * dY,
                                 lin * W0 + u * dW))
-    inner = _interior_candidate(fq, M, constraints)
+    inner = _interior_candidate(fq, M)
     if inner is not None:
         X, Y, W = inner
         if all(cx * X + cy * Y + c0 * W <= 0 for cx, cy, c0 in constraints):

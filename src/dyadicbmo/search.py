@@ -56,6 +56,11 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """For ratio_thm1, best_score_exact is the certified ratio and
+    certificate its interval bound.  For jn_B_probe, best_score_exact is
+    the float probe score written as a Fraction and certificate is None;
+    only the final jn_check of the best function is certified."""
+
     best_function: DyadicFunction
     best_score: float
     best_score_exact: Fraction

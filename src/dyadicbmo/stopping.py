@@ -4,6 +4,12 @@ A stopping family collects the maximal dyadic cubes whose average crosses a
 threshold (strictly above it, or weakly below it); the parent cover takes
 each stopping cube's father and keeps the maximal ones.  All measures are
 exact, and the cover obeys |E*| <= 2^n |E| by construction.
+
+Both families come from two running-max pyramids of the integer kernel,
+cached per function and direction: a cube is in a family iff its running
+max crosses the integer threshold while its father's does not.  Each
+threshold costs one O(cubes) scan; the maximal function is the leaf level
+of the same pyramid for |f|.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import _public_key, cube_average, dyadic_maximal_function
+from .dyadic import (_public_key, cube_average, distribution_above,
+                     dyadic_maximal_function)
 from .errors import InputError, PreconditionError
 
 
@@ -53,11 +60,12 @@ def stopping_family(f, alpha, direction):
     direction='below' selects averages <= alpha and requires alpha < the
     global average.
 
-    The tree walk runs on (level, Morton address) pairs over the level-sum
-    pyramid f._sums(), deciding each crossing by an integer cross-multiply,
-    and builds the cover in the same pass; it visits only cubes with no
-    stopping cube above them, O(1) each.  DyadicCubeIds are built only for
-    the result, which is sorted by (level, flat index).
+    With A the cube averages times den * 2^(nL) and a = floor(alpha den
+    2^(nL)), a cube stops iff the running max of A from the root first
+    exceeds a there, and joins the cover iff the running max of its
+    children's A first does ('below' tests -A > -a - 1).  The pyramids are
+    built once per function and direction; each call is then one O(cubes)
+    integer scan.  The result is sorted by (level, flat index).
     """
     if direction not in ("above", "below"):
         raise InputError(f"direction must be 'above' or 'below', got {direction!r}")
@@ -71,48 +79,15 @@ def stopping_family(f, alpha, direction):
         raise PreconditionError(
             f"below-direction stopping requires alpha < the global average "
             f"({mean}), got {alpha}")
-    n, depth = f.dim, f.depth
-    sums = f._sums()
-    q = alpha.denominator
-    # the level-k average sums[k][j] / (den 2^(n(L-k))) crosses alpha = p/q
-    # iff sums[k][j] * q against thresholds[k], cross-multiplied
-    thresholds = [(alpha.numerator * f._den) << (n * (depth - k))
-                  for k in range(depth + 1)]
-    above = direction == "above"
-
-    def crosses(k, j):
-        lhs = sums[k][j] * q
-        return lhs > thresholds[k] if above else lhs <= thresholds[k]
-
-    if crosses(0, 0):
+    stopping, cover = f._stopping(alpha, direction == "above")
+    if stopping[:1] == [(0, 0)]:
         raise PreconditionError(
             "the root cube itself crosses the threshold; its father is undefined")
-
-    # Walk the open (non-crossing) cubes level by level.  A cube with a
-    # crossing child is a father; it joins the cover unless a father above
-    # it already did, which the flag carried down the walk records.
-    stopping, cover = [], []
-    frontier = [(0, False)]  # (Morton address, lies inside a cover cube)
-    digits = range(1 << n)
-    for k in range(depth):
-        nxt = []
-        for j, covered in frontier:
-            is_father = False
-            opened = []
-            for c in ((j << n) + d for d in digits):
-                if crosses(k + 1, c):
-                    stopping.append((k + 1, c))
-                    is_father = True
-                else:
-                    opened.append(c)
-            if is_father and not covered:
-                cover.append((k, j))
-            nxt.extend((c, covered or is_father) for c in opened)
-        frontier = nxt
 
     def public(cubes):
         return tuple(sorted((f._cube(k, z) for k, z in cubes), key=_public_key))
 
+    n, depth = f.dim, f.depth
     cells = 1 << (n * depth)
     measure_e = Fraction(sum(1 << (n * (depth - k)) for k, _ in stopping), cells)
     measure_e_star = Fraction(sum(1 << (n * (depth - k)) for k, _ in cover), cells)
@@ -179,15 +154,10 @@ def verify_stopping(d, f):
 
 
 def maximal_level_set(f, alpha):
-    """Exact measure of the super-level set of the dyadic maximal function.
-
-    Computed from the maximal function itself, independently of
-    stopping_family, so the two can cross-check each other.
-    """
+    """Exact measure of the super-level set of the dyadic maximal function,
+    counted over its cells."""
     alpha = Fraction(alpha)
     if alpha < f.mean:
         raise PreconditionError(
             f"requires alpha >= the global average ({f.mean}), got {alpha}")
-    m = dyadic_maximal_function(f)
-    count = sum(1 for v in m.cells if v > alpha)
-    return Fraction(count, len(m.cells))
+    return distribution_above(dyadic_maximal_function(f), alpha, 0)

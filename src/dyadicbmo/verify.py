@@ -306,19 +306,17 @@ def _suite_cor1(f):
 
 
 def _cz_alphas(f):
-    mean = f.mean
-    values = sorted(set(f.cells))
-    above = [mean]
-    below = []
-    for v in values:
-        if v >= mean and v != mean:
-            above.append(v)
-        if v < mean:
-            below.append(v)
-    mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
-    above.extend(m for m in mids if m >= mean)
-    below.extend(m for m in mids if m < mean)
-    return sorted(set(above))[:8], sorted(set(below))[:8]
+    """The mean, then the distinct cell values and the midpoints between
+    consecutive ones, above and below the mean (at most 8 each, smallest
+    first), compared as integer numerators over 2 den."""
+    cells, total = len(f.cells), 2 * sum(f._nums)  # mean = total / (2 den cells)
+    values = sorted(set(f._nums))
+    points = sorted([2 * v for v in values] + [a + b for a, b in zip(values, values[1:])])
+    above = [p for p in points if p * cells > total][:7]
+    below = [p for p in points if p * cells < total][:8]
+    scale = 2 * f._den
+    return ([f.mean] + [Fraction(p, scale) for p in above],
+            [Fraction(p, scale) for p in below])
 
 
 def _suite_cz(f):

@@ -215,7 +215,7 @@ class TestTheorem5:
         for t in (Fraction(1, 4), Fraction(1, 2), 1):
             lhs, rhs = theorem5_check(f, t)
             assert lhs == 3
-            assert float(lhs) <= rhs + 1e-9
+            assert lhs <= rhs
 
     def test_rejects_large_modulus(self):
         with pytest.raises(PreconditionError):
@@ -228,7 +228,7 @@ class TestTheorem5:
             total = len(f.cells)
             for k in range(1, total + 1, 3):
                 lhs, rhs = theorem5_check(f, Fraction(k, total))
-                assert float(lhs) <= rhs + 1e-9
+                assert lhs <= rhs
 
 
 class TestTheorem4:
@@ -259,7 +259,7 @@ class TestTheorem4:
             top = Fraction(1, 8 * (1 << f.dim))
             for j in range(1, 9):
                 res = theorem4_bound(f, top * Fraction(j, 8))
-                assert float(res.lhs) <= res.rhs
+                assert res.lhs <= res.rhs
 
 
 class TestLqTail:

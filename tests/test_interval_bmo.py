@@ -184,6 +184,34 @@ class TestIntegerGeneralPath:
                 assert got[0] == (hi - lo) / 2
                 assert got == general_norm_oracle(g)
 
+    def test_lines_of_critical_points(self, monkeypatch):
+        # the oracle adds the feasible midpoint of a line of critical points;
+        # 2F/T^2 is constant on it, so the integer path, which has no such
+        # candidate, keeps the same sup and witness
+        import conftest
+        line_midpoint = conftest._line_midpoint_oracle
+        hits = []
+
+        def counted(*args):
+            y = line_midpoint(*args)
+            hits.append(y is not None)
+            return y
+
+        monkeypatch.setattr(conftest, "_line_midpoint_oracle", counted)
+        rng = random.Random(54)
+        seen = 0
+        while seen < 60:
+            m = rng.randrange(3, 7)
+            pool = [Fraction(k, 2) for k in rng.sample(range(-4, 5), 3)]
+            cuts = sorted(rng.sample(range(1, 12), m - 1))
+            g = StepFunction1D([Fraction(c, 12) for c in [0, *cuts, 12]],
+                               [rng.choice(pool) for _ in range(m)]).merged()
+            if len(g.values) < 2 or g.is_nonincreasing or g.is_nondecreasing:
+                continue
+            seen += 1
+            assert _general_norm(g) == general_norm_oracle(g)
+        assert sum(hits) >= 60
+
     def test_bench_sized_inputs(self):
         # uniform-cells functions as the interval-bmo command sees them
         for seed, depth, kw in ((1, 4, {}), (2, 4, {}),

@@ -29,7 +29,7 @@ class TestLogBound:
         lhs, rhs = logbound_check(f, Fraction(1, 2))
         assert lhs == 1
         assert rhs == pytest.approx(math.e * (1 + math.log(2)), rel=1e-12)
-        assert float(lhs) <= rhs
+        assert lhs <= rhs
 
     def test_zero_function(self):
         f = DyadicFunction(1, 1, [0, 0])
@@ -44,7 +44,7 @@ class TestLogBound:
         # norm is 2, attained on the left half
         assert bmo_dyadic_norm(f) == 2
         assert rhs == pytest.approx(math.e * 2 * math.log(4 * math.e), rel=1e-12)
-        assert float(lhs) <= rhs
+        assert lhs <= rhs
 
     def test_rejects_nonzero_mean(self):
         with pytest.raises(PreconditionError):
@@ -127,7 +127,7 @@ class TestJNAbs:
         f = DyadicFunction(1, 2, [4, 0, 0, 0])
         measure, bound = jn_abs_check(f, Fraction(1, 2))
         assert measure == 1  # every cell deviates from the mean by > 1/2
-        assert float(measure) <= bound
+        assert measure <= bound
 
     def test_two_cells(self):
         f = DyadicFunction(1, 1, [1, 0])

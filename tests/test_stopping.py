@@ -1,5 +1,6 @@
 """Stopping families: examples from 7-cube enumeration, invariants, mutation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,10 +9,22 @@ import pytest
 from dyadicbmo import (CZDecomposition, DyadicCubeId, DyadicFunction,
                        PreconditionError, hardy_average, maximal_level_set,
                        rearrange_signed, stopping_family, verify_stopping)
-from conftest import (parent_cover_oracle, random_function, random_nonneg,
+from conftest import (all_cubes_oracle, average_oracle, maximal_oracle,
+                      parent_cover_oracle, random_function, random_nonneg,
                       stopping_oracle)
 
 SPIKE = DyadicFunction(1, 2, [4, 0, 0, 0])
+
+
+def agrees_with_oracles(f, alpha, direction):
+    d = stopping_family(f, alpha, direction)
+    stopping = stopping_oracle(f, alpha, direction)
+    cover = parent_cover_oracle(stopping)
+    order = lambda q: (q.level, q.flat())
+    assert d.stopping_cubes == tuple(sorted(stopping, key=order))
+    assert d.parent_cover == tuple(sorted(cover, key=order))
+    assert d.measure_E == sum((q.measure for q in stopping), Fraction(0))
+    assert d.measure_E_star == sum((q.measure for q in cover), Fraction(0))
 
 
 class TestExamples:
@@ -88,24 +101,16 @@ class TestVerify:
 
 class TestInvariants:
     def test_matches_enumeration_oracle(self, rng):
-        def check(f, alpha, direction):
-            d = stopping_family(f, alpha, direction)
-            stopping = stopping_oracle(f, alpha, direction)
-            cover = parent_cover_oracle(stopping)
-            order = lambda q: (q.level, q.flat())
-            assert d.stopping_cubes == tuple(sorted(stopping, key=order))
-            assert d.parent_cover == tuple(sorted(cover, key=order))
-            assert d.measure_E == sum((q.measure for q in stopping), Fraction(0))
-            assert d.measure_E_star == sum((q.measure for q in cover), Fraction(0))
-
         for i in range(180):
             dim = (1, 2, 3)[i % 3]
             f = random_function(rng, dim, rng.randrange(6 - dim))
             mean = f.mean
             span = max(f.cells) - min(f.cells)
-            check(f, mean + span * Fraction(rng.randrange(0, 9), 8), "above")
+            agrees_with_oracles(f, mean + span * Fraction(rng.randrange(0, 9), 8),
+                                "above")
             if span > 0:
-                check(f, mean - span * Fraction(rng.randrange(1, 9), 8), "below")
+                agrees_with_oracles(
+                    f, mean - span * Fraction(rng.randrange(1, 9), 8), "below")
 
     def test_structure_randomized(self, rng):
         for _ in range(150):
@@ -177,3 +182,55 @@ class TestInvariants:
             d = stopping_family(f, alpha, "above")
             assert d.measure_E <= t
             checks += 1
+
+
+class TestIntegerThresholdRule:
+    """stopping_family decides on running maxima of integer-scaled averages
+    against floor(alpha * den * 2^(nL)); these inputs sit where an
+    off-by-one in that rule shows."""
+
+    def test_alpha_at_cube_averages(self, rng):
+        # a cube whose average equals alpha stops below, not above
+        for i in range(60):
+            dim = (1, 2, 3)[i % 3]
+            f = random_function(rng, dim, 1 + rng.randrange(4 - dim))
+            mean = f.mean
+            for alpha in {average_oracle(f, q) for q in all_cubes_oracle(f)}:
+                agrees_with_oracles(f, alpha, "above" if alpha >= mean else "below")
+
+    def test_alpha_between_scaled_averages(self, rng):
+        # alpha 1/7 of a grid step D = 1/(den 2^(nL)) off a cube average, so
+        # alpha / D is no integer and the floor decides
+        for i in range(60):
+            dim = (1, 2, 3)[i % 3]
+            f = random_function(rng, dim, 1 + rng.randrange(4 - dim))
+            den = math.lcm(*(v.denominator for v in f.cells))
+            eps = Fraction(1, 7 * den << (dim * f.depth))
+            mean = f.mean
+            for avg in {average_oracle(f, q) for q in all_cubes_oracle(f)}:
+                for alpha in (avg - eps, avg + eps):
+                    agrees_with_oracles(f, alpha,
+                                        "above" if alpha >= mean else "below")
+
+    def test_depth_zero(self):
+        for dim in (1, 2, 3):
+            for v in (Fraction(-3, 2), Fraction(0), Fraction(5, 3)):
+                f = DyadicFunction(dim, 0, [v])
+                for alpha in (v, v + Fraction(1, 3), v + 7):
+                    agrees_with_oracles(f, alpha, "above")
+                for alpha in (v - Fraction(1, 3), v - 7):
+                    agrees_with_oracles(f, alpha, "below")
+
+    def test_maximal_level_set_counts_oracle_cells(self, rng):
+        # the maximal function and stopping_family now read one pyramid, so
+        # the level set is also counted on the per-cell oracle
+        for i in range(60):
+            dim = (1, 2, 3)[i % 3]
+            f = random_function(rng, dim, rng.randrange(5 - dim))
+            m = maximal_oracle(f)
+            values = sorted(set(m))
+            alphas = values + [(a + b) / 2 for a, b in zip(values, values[1:])]
+            for alpha in alphas:
+                if alpha >= f.mean:
+                    assert maximal_level_set(f, alpha) == Fraction(
+                        sum(v > alpha for v in m), len(m))

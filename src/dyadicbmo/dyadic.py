@@ -256,21 +256,24 @@ class DyadicFunction:
             self._cache["osc"] = pyramid
         return self._cache["osc"]
 
-    def _crossings(self, sign):
-        """(R, S): R is the running max from the root of the scaled averages
-        A[k][z] = sign * sums[k][z] << n*k (cube average times sign * den *
-        2^(nL)); S, levels 0..L-1, that of C[k][z], the max of A over z's
-        children.  Cached per sign."""
-        key = ("crossings", sign)
+    def _running_maxima(self, sign, children):
+        """R (children false): the running max from the root of the scaled
+        averages A[k][z] = sign * sums[k][z] << n*k (cube average times
+        sign * den * 2^(nL)); S (children true), levels 0..L-1: that of
+        C[k][z], the max of A over z's children.  Cached per sign and kind,
+        so the maximal function builds R alone."""
+        key = ("running max", sign, children)
         if key not in self._cache:
             n, block, sums = self.dim, 1 << self.dim, self._sums()
-            top = max if sign > 0 else min
-            R = _running_max(((sign * s << n * k for s in level)
-                              for k, level in enumerate(sums)), n)
-            S = _running_max(([sign * c << n * k
-                               for c in map(top, *(level[d::block] for d in range(block)))]
-                              for k, level in enumerate(sums[1:], 1)), n)
-            self._cache[key] = R, S
+            if children:
+                top = max if sign > 0 else min
+                levels = ([sign * c << n * k
+                           for c in map(top, *(level[d::block] for d in range(block)))]
+                          for k, level in enumerate(sums[1:], 1))
+            else:
+                levels = ((sign * s << n * k for s in level)
+                          for k, level in enumerate(sums))
+            self._cache[key] = _running_max(levels, n)
         return self._cache[key]
 
     def _stopping(self, alpha, above):
@@ -282,7 +285,7 @@ class DyadicFunction:
         a = (alpha.numerator * self._den << n * self.depth) // alpha.denominator
         if not above:
             a = -a - 1
-        R, S = self._crossings(1 if above else -1)
+        R, S = (self._running_maxima(1 if above else -1, c) for c in (False, True))
         return _first_crossings(R, a, n), _first_crossings(S, a, n)
 
     def _block(self, q):
@@ -295,12 +298,16 @@ class DyadicFunction:
                 f"cube level {q.level} exceeds function depth {self.depth}")
         return q.morton(), 1 << (self.dim * (self.depth - q.level))
 
-    def _cube(self, k, z):
-        """The level-k cube at Morton address z, found through its first cell."""
-        shift = self.depth - k
-        first = _morton_order(self.dim, self.depth)[z << (self.dim * shift)]
-        return DyadicCubeId(k, tuple(i >> shift
-                                     for i in _decode(first, self.depth, self.dim)))
+    def _cubes(self, pairs):
+        """The cubes at (level, Morton address) pairs, sorted by (level, flat
+        index).  Within a level, cubes sort as their first cells do, so the
+        pairs are sorted on the first cells' public indices and each cube is
+        built once, from its first cell."""
+        n, L = self.dim, self.depth
+        order = _morton_order(n, L)
+        return tuple(DyadicCubeId(k, tuple(i >> (L - k) for i in _decode(first, L, n)))
+                     for k, first in sorted((k, order[z << n * (L - k)])
+                                            for k, z in pairs))
 
     @classmethod
     def _from_morton(cls, dim, depth, values):
@@ -315,7 +322,9 @@ class DyadicFunction:
     @property
     def mean(self):
         """Average over the whole of [0,1]^n (equals the total integral)."""
-        return Fraction(sum(self._nums), self._den * len(self.cells))
+        if "mean" not in self._cache:
+            self._cache["mean"] = Fraction(sum(self._nums), self._den * len(self.cells))
+        return self._cache["mean"]
 
     def cell_indices(self, q):
         """Flat indices of the level-L cells inside cube q, in Morton order."""
@@ -397,11 +406,6 @@ def every_cube(f, max_level=None):
             yield DyadicCubeId.from_flat(k, j, f.dim)
 
 
-def _public_key(q):
-    """Sort key of the public cube order: (level, flat index)."""
-    return q.level, q.flat()
-
-
 def bmo_argmax(f):
     """Maximal mean oscillation over all dyadic cubes, with its witness cube.
 
@@ -418,8 +422,7 @@ def bmo_argmax(f):
         val = Fraction(top, f._den * cnt * cnt)
         if val > best:
             best = val
-            best_cube = min((f._cube(k, z) for z, o in enumerate(osc) if o == top),
-                            key=_public_key)
+            best_cube = f._cubes((k, z) for z, o in enumerate(osc) if o == top)[0]
     report = OscillationReport(cube=best_cube,
                                average=cube_average(f, best_cube),
                                oscillation=best)
@@ -444,7 +447,7 @@ def dyadic_maximal_function(f):
         n, L = h.dim, h.depth
         scale = h._den << (n * L)
         h._cache["maximal"] = DyadicFunction._from_morton(
-            n, L, [Fraction(b, scale) for b in h._crossings(1)[0][L]])
+            n, L, [Fraction(b, scale) for b in h._running_maxima(1, False)[L]])
     return h._cache["maximal"]
 
 

@@ -15,7 +15,6 @@ L^q tail bound for q < p.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +22,8 @@ from functools import lru_cache
 from .errors import InputError, PreconditionError
 from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow,
                        lower_float, mp, upper_float)
-from .rearrangement import hardy_average, rearrange_abs
+from .rearrangement import (hardy_average, interval_mean_oscillation,
+                            rearrange_abs)
 
 P_CAP = 1.0e6
 
@@ -138,9 +138,9 @@ def theorem3_check(f, t, profile=None):
     the rearrangement f*; rhs = 2^n * F(t) * v(sigma_t).  The caller asserts
     lhs <= rhs.
 
-    Since f* is nonincreasing, |f* - F(t)| integrates to twice the positive
-    part: lhs = 2 (P(s) - F(t) s)/t with s the measure where f* exceeds F(t)
-    within (0,t], so each evaluation costs O(log pieces).
+    lhs is the mean oscillation of f* over (0, t], F(t) being its mean
+    there; f* is nonincreasing, so interval_mean_oscillation takes its
+    O(log pieces) path.
     """
     _require_nonneg(f)
     if f.is_constant and f.cells[0] == 0:
@@ -150,9 +150,7 @@ def theorem3_check(f, t, profile=None):
         raise InputError(f"t must lie in (0,1], got {t}")
     fstar = rearrange_abs(f)
     favg = hardy_average(fstar, t)
-    above = bisect_left(fstar.values, True, key=favg.__ge__)  # pieces > favg
-    s = min(fstar.breakpoints[above], t)
-    lhs = 2 * (fstar.integral_to(s) - favg * s) / t
+    lhs = interval_mean_oscillation(fstar, 0, t)
     if profile is None:
         profile = gr_profile(f)
     v_t = profile.value_at_level(sigma_level_for(t, f.dim))

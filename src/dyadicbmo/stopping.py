@@ -6,19 +6,21 @@ each stopping cube's father and keeps the maximal ones.  All measures are
 exact, and the cover obeys |E*| <= 2^n |E| by construction.
 
 Both families come from two running-max pyramids of the integer kernel,
-cached per function and direction: a cube is in a family iff its running
-max crosses the integer threshold while its father's does not.  Each
-threshold costs one O(cubes) scan; the maximal function is the leaf level
-of the same pyramid for |f|.
+cached per function and direction: a cube is in a family iff its running max
+crosses the integer threshold while its father's does not.  Each threshold
+costs one O(cubes) scan, whose (level, Morton address) pairs become public
+cubes once, already in order; the maximal function is the leaf level of the
+same pyramid for |f|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import gt, le
 
-from .dyadic import (_public_key, cube_average, distribution_above,
-                     dyadic_maximal_function)
+from .dyadic import _morton_order, distribution_above, dyadic_maximal_function
 from .errors import InputError, PreconditionError
 
 
@@ -48,10 +50,6 @@ class StoppingReport:
                 and self.cover_measure_ok)
 
 
-def _crosses(avg, alpha, direction):
-    return avg > alpha if direction == "above" else avg <= alpha
-
-
 def stopping_family(f, alpha, direction):
     """Maximal dyadic cubes whose average crosses alpha, plus the parent cover.
 
@@ -65,7 +63,7 @@ def stopping_family(f, alpha, direction):
     exceeds a there, and joins the cover iff the running max of its
     children's A first does ('below' tests -A > -a - 1).  The pyramids are
     built once per function and direction; each call is then one O(cubes)
-    integer scan.  The result is sorted by (level, flat index).
+    integer scan.  Both families are sorted by (level, flat index).
     """
     if direction not in ("above", "below"):
         raise InputError(f"direction must be 'above' or 'below', got {direction!r}")
@@ -83,17 +81,13 @@ def stopping_family(f, alpha, direction):
     if stopping[:1] == [(0, 0)]:
         raise PreconditionError(
             "the root cube itself crosses the threshold; its father is undefined")
-
-    def public(cubes):
-        return tuple(sorted((f._cube(k, z) for k, z in cubes), key=_public_key))
-
     n, depth = f.dim, f.depth
     cells = 1 << (n * depth)
     measure_e = Fraction(sum(1 << (n * (depth - k)) for k, _ in stopping), cells)
     measure_e_star = Fraction(sum(1 << (n * (depth - k)) for k, _ in cover), cells)
     return CZDecomposition(threshold=alpha, direction=direction,
-                           stopping_cubes=public(stopping),
-                           parent_cover=public(cover),
+                           stopping_cubes=f._cubes(stopping),
+                           parent_cover=f._cubes(cover),
                            measure_E=measure_e,
                            measure_E_star=measure_e_star)
 
@@ -105,50 +99,50 @@ def verify_stopping(d, f):
     cube's father crosses (maximality); (iii) no parent-cover cube crosses;
     (iv) every cell outside E sits on the non-crossing side; (v) the cover
     measure is at most 2^n times the stopping measure.
+
+    Each fact is an integer comparison on the sum pyramid: the level-k cube
+    at Morton address z (Q.morton() for a cube Q; its father is at z >> n)
+    is above alpha = num/alpha_den iff sums[k][z] * alpha_den > num * den <<
+    n(L-k), below iff <=.  The running-max pyramids and the cube ordering
+    stopping_family decides with are not read, so a fault in them shows here
+    as a failed fact.
     """
-    alpha, direction = d.threshold, d.direction
-    failures = []
+    alpha, n, L, sums = d.threshold, f.dim, f.depth, f._sums()
+    crosses = gt if d.direction == "above" else le
+    num, alpha_den = alpha.numerator, alpha.denominator
+    bar = num * f._den  # alpha * den * alpha_den, a level-L cell's threshold
 
-    ok_cross = True
-    for q in d.stopping_cubes:
-        if not _crosses(cube_average(f, q), alpha, direction):
-            ok_cross = False
-            failures.append(f"stopping cube {q} does not cross {alpha}")
+    def cube_crosses(k, z):
+        return crosses(sums[k][z] * alpha_den, bar << n * (L - k))
 
-    ok_fathers = True
-    for q in d.stopping_cubes:
-        if q.level == 0:
-            ok_fathers = False
-            failures.append("root listed as a stopping cube")
-            continue
-        if _crosses(cube_average(f, q.father()), alpha, direction):
-            ok_fathers = False
-            failures.append(f"father of {q} also crosses {alpha}")
-
-    ok_parents = True
-    for p in d.parent_cover:
-        if _crosses(cube_average(f, p), alpha, direction):
-            ok_parents = False
-            failures.append(f"parent {p} crosses {alpha}")
-
-    covered = set()
-    for q in d.stopping_cubes:
-        covered.update(f.cell_indices(q))
-    ok_complement = True
-    for c, v in enumerate(f.cells):
-        if c not in covered and _crosses(v, alpha, direction):
-            ok_complement = False
-            failures.append(f"cell {c} outside E crosses {alpha}")
-
+    stopping = d.stopping_cubes
+    blocks = [f._block(q) for q in stopping]
+    not_crossing = [q for q, (z, _) in zip(stopping, blocks)
+                    if not cube_crosses(q.level, z)]
+    bad_fathers = [q for q, (z, _) in zip(stopping, blocks)
+                   if q.level == 0 or cube_crosses(q.level - 1, z >> n)]
+    bad_parents = [p for p in d.parent_cover if cube_crosses(p.level, f._block(p)[0])]
+    outside = bytearray(b"\1") * len(f.cells)  # by Morton address
+    for z, cnt in blocks:
+        outside[z * cnt:(z + 1) * cnt] = bytes(cnt)
+    order = _morton_order(n, L)
+    bad_cells = sorted(order[z] for z in compress(range(len(outside)), outside)
+                       if crosses(sums[L][z] * alpha_den, bar))
+    failures = (
+        [f"stopping cube {q} does not cross {alpha}" for q in not_crossing]
+        + ["root listed as a stopping cube" if q.level == 0
+           else f"father of {q} also crosses {alpha}" for q in bad_fathers]
+        + [f"parent {p} crosses {alpha}" for p in bad_parents]
+        + [f"cell {c} outside E crosses {alpha}" for c in bad_cells])
     ok_measure = d.measure_E_star <= (1 << f.dim) * d.measure_E
     if not ok_measure:
         failures.append(
             f"|E*| = {d.measure_E_star} exceeds 2^n |E| = {(1 << f.dim) * d.measure_E}")
 
-    return StoppingReport(stopping_cross=ok_cross,
-                          fathers_do_not_cross=ok_fathers,
-                          parents_do_not_cross=ok_parents,
-                          complement_clean=ok_complement,
+    return StoppingReport(stopping_cross=not not_crossing,
+                          fathers_do_not_cross=not bad_fathers,
+                          parents_do_not_cross=not bad_parents,
+                          complement_clean=not bad_cells,
                           cover_measure_ok=ok_measure,
                           failures=tuple(failures))
 

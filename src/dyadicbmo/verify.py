@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import (bmo_dyadic_norm, every_cube, mean_oscillation,
+from .dyadic import (DyadicCubeId, bmo_dyadic_norm, mean_oscillation,
                      one_sided_oscillation)
 from .errors import InputError
 from .gurov import (gr_membership, gr_profile, lq_tail_bound, solve_p,
@@ -66,11 +66,15 @@ def _result(name, checks, failures, skipped=False, note=""):
 
 
 def _sampled_cubes(f, cap=512):
-    cubes = list(every_cube(f))
-    if len(cubes) <= cap:
-        return cubes
-    step = len(cubes) // cap + 1
-    return cubes[::step]
+    """every_cube(f)[::step], step 1 up to cap cubes and else one more than
+    cubes // cap, picked level by level without listing every cube."""
+    n, sizes = f.dim, [1 << (f.dim * k) for k in range(f.depth + 1)]
+    step = 1 if sum(sizes) <= cap else sum(sizes) // cap + 1
+    cubes = []
+    for k, size in enumerate(sizes):  # the next pick: cube len(cubes) * step
+        cubes.extend(DyadicCubeId.from_flat(k, j, n)
+                     for j in range(len(cubes) * step - sum(sizes[:k]), size, step))
+    return cubes
 
 
 def _suite_lemma21(f):

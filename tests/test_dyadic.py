@@ -218,10 +218,23 @@ class TestCubeIds:
                 assert sorted(q.morton() for q in cubes) == list(range(len(cubes)))
                 for q in cubes:
                     z = q.morton()
-                    assert f._cube(k, z) == q
+                    assert f._cubes([(k, z)]) == (q,)
                     if k < depth:
                         assert [c.morton() for c in q.children()] == \
                             [(z << n) + d for d in range(1 << n)]
+
+    def test_cubes_in_public_order(self, rng):
+        # (level, Morton address) pairs in any order come back as the cubes
+        # they address, sorted by (level, flat index)
+        for n, depth in [(1, 5), (2, 3), (3, 2)]:
+            f = DyadicFunction(n, depth, [0] * (1 << (n * depth)))
+            by_address = {(q.level, q.morton()): q for q in every_cube(f)}
+            pairs = list(by_address)
+            for size in (0, 1, 7, len(pairs) // 2, len(pairs)):
+                picked = rng.sample(pairs, size)
+                assert f._cubes(picked) == tuple(sorted(
+                    (by_address[p] for p in picked),
+                    key=lambda q: (q.level, q.flat())))
 
     def test_root_has_no_father(self):
         with pytest.raises(InputError):

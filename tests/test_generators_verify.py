@@ -7,8 +7,8 @@ import pytest
 
 import dyadicbmo.verify as verify_mod
 from dyadicbmo import (DyadicFunction, GenerationError, GeneratorSpec,
-                       InputError, StepFunction1D, generate, gr_membership,
-                       rearrange_signed, verify_all)
+                       InputError, StepFunction1D, every_cube, generate,
+                       gr_membership, rearrange_signed, verify_all)
 from conftest import float_just_below, matched_mean_b_oracle, random_function
 
 
@@ -138,6 +138,16 @@ def _rhs_just_below(real):
             return out[0], float_just_below(Fraction(out[0]))
         return dataclasses.replace(out, rhs=float_just_below(out.lhs))
     return patched
+
+
+class TestSampledCubes:
+    @pytest.mark.parametrize("n, depth", [(1, 0), (1, 3), (1, 8), (1, 9), (1, 12),
+                                          (2, 4), (2, 5), (3, 3), (3, 4)])
+    def test_same_picks_as_listing_every_cube(self, n, depth):
+        f = DyadicFunction(n, depth, [0] * (1 << (n * depth)))
+        cubes = list(every_cube(f))
+        step = 1 if len(cubes) <= 512 else len(cubes) // 512 + 1
+        assert verify_mod._sampled_cubes(f) == cubes[::step]
 
 
 class TestExactDecisions:

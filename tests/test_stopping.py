@@ -9,9 +9,9 @@ import pytest
 from dyadicbmo import (CZDecomposition, DyadicCubeId, DyadicFunction,
                        PreconditionError, hardy_average, maximal_level_set,
                        rearrange_signed, stopping_family, verify_stopping)
-from conftest import (all_cubes_oracle, average_oracle, maximal_oracle,
-                      parent_cover_oracle, random_function, random_nonneg,
-                      stopping_oracle)
+from conftest import (all_cubes_oracle, average_oracle, cube_cells_oracle,
+                      maximal_oracle, parent_cover_oracle, random_function,
+                      random_nonneg, stopping_oracle)
 
 SPIKE = DyadicFunction(1, 2, [4, 0, 0, 0])
 
@@ -234,3 +234,128 @@ class TestIntegerThresholdRule:
                 if alpha >= f.mean:
                     assert maximal_level_set(f, alpha) == Fraction(
                         sum(v > alpha for v in m), len(m))
+
+
+def decomposition(alpha, direction, stopping, cover):
+    return CZDecomposition(
+        threshold=Fraction(alpha), direction=direction,
+        stopping_cubes=tuple(stopping), parent_cover=tuple(cover),
+        measure_E=sum((q.measure for q in stopping), Fraction(0)),
+        measure_E_star=sum((q.measure for q in cover), Fraction(0)))
+
+
+def report_oracle(d, f):
+    """The facts verify_stopping reports, from geometric cube membership and
+    Fraction averages."""
+    alpha = d.threshold
+
+    def crosses(v):
+        return v > alpha if d.direction == "above" else v <= alpha
+
+    cross = [crosses(average_oracle(f, q)) for q in d.stopping_cubes]
+    fathers = [q.level == 0 or crosses(average_oracle(f, q.father()))
+               for q in d.stopping_cubes]
+    parents = [crosses(average_oracle(f, p)) for p in d.parent_cover]
+    inside = {c for q in d.stopping_cubes for c in cube_cells_oracle(f, q)}
+    dirty = [c for c, v in enumerate(f.cells) if c not in inside and crosses(v)]
+    return (all(cross), not any(fathers), not any(parents), not dirty,
+            d.measure_E_star <= (1 << f.dim) * d.measure_E, dirty)
+
+
+class TestVerifyIntegerRule:
+    """verify_stopping compares cube sums times alpha's denominator with
+    alpha's numerator times den << n(L-k).  Each hand-made decomposition has
+    den != 1 and an average, father average or cell exactly at alpha, where a
+    strict/weak swap, a dropped den or a wrong father address shows."""
+
+    @staticmethod
+    def facts(rep):
+        return (rep.stopping_cross, rep.fathers_do_not_cross,
+                rep.parents_do_not_cross, rep.complement_clean,
+                rep.cover_measure_ok)
+
+    def test_above_father_at_alpha(self):
+        # den 3, alpha 1/2: cell 1 is above, its father averages exactly 1/2
+        f = DyadicFunction(1, 2, [Fraction(1, 3), Fraction(2, 3), 0, 0])
+        d = decomposition(Fraction(1, 2), "above", [DyadicCubeId(2, (1,))],
+                          [DyadicCubeId(1, (0,))])
+        assert stopping_family(f, Fraction(1, 2), "above") == d
+        rep = verify_stopping(d, f)
+        assert rep.passed and rep.failures == ()
+
+    def test_above_cube_at_alpha(self):
+        f = DyadicFunction(1, 2, [Fraction(1, 3), Fraction(2, 3), 0, 0])
+        d = decomposition(Fraction(1, 2), "above", [DyadicCubeId(1, (0,))],
+                          [DyadicCubeId.root(1)])
+        rep = verify_stopping(d, f)
+        assert self.facts(rep) == (False, True, True, True, True)
+        assert rep.failures == (
+            f"stopping cube {DyadicCubeId(1, (0,))} does not cross 1/2",)
+
+    def test_above_cell_at_alpha_outside_e(self):
+        # den 3, alpha 1/3 = the mean: cell 2 sits at alpha outside E, and
+        # the root, father of the stopping cube, averages exactly alpha
+        f = DyadicFunction(1, 2, [1, 0, Fraction(1, 3), 0])
+        d = stopping_family(f, Fraction(1, 3), "above")
+        assert d == decomposition(Fraction(1, 3), "above", [DyadicCubeId(1, (0,))],
+                                  [DyadicCubeId.root(1)])
+        assert verify_stopping(d, f).passed
+
+    def test_below_cube_and_father_at_alpha(self):
+        # den 3, alpha 1/2: the level-1 cube (0,1/2] averages exactly 1/2
+        f = DyadicFunction(1, 2, [Fraction(1, 3), Fraction(2, 3), 1, 1])
+        d = decomposition(Fraction(1, 2), "below", [DyadicCubeId(1, (0,))],
+                          [DyadicCubeId.root(1)])
+        assert stopping_family(f, Fraction(1, 2), "below") == d
+        assert verify_stopping(d, f).passed
+        # its child cell 0 also lies below, but the father at alpha crosses
+        child = DyadicCubeId(2, (0,))
+        rep = verify_stopping(decomposition(Fraction(1, 2), "below", [child],
+                                            [DyadicCubeId(1, (0,))]), f)
+        assert self.facts(rep) == (True, False, False, True, True)
+        assert rep.failures == (f"father of {child} also crosses 1/2",
+                                f"parent {DyadicCubeId(1, (0,))} crosses 1/2")
+
+    def test_below_cell_at_alpha_outside_e(self):
+        f = DyadicFunction(1, 2, [Fraction(1, 3), 1, 1, Fraction(4, 3)])
+        rep = verify_stopping(decomposition(Fraction(1, 3), "below", [], []), f)
+        assert self.facts(rep) == (True, True, True, False, True)
+        assert rep.failures == ("cell 0 outside E crosses 1/3",)
+
+    def test_father_address_in_two_dimensions(self):
+        # n = 2, den 3, alpha 1/2: the cell at index (1, 0) (Morton address
+        # 2) has father (0, 0), averaging 1/3; the level-1 cube (0, 1)
+        # (Morton address 1) averages 4/3 and stops too
+        cells = [0] * 16
+        for flat in (1, 8, 9, 12, 13):
+            cells[flat] = Fraction(4, 3)
+        f = DyadicFunction(2, 2, cells)
+        d = stopping_family(f, Fraction(1, 2), "above")
+        assert d.stopping_cubes == (DyadicCubeId(1, (0, 1)), DyadicCubeId(2, (1, 0)))
+        assert verify_stopping(d, f).passed
+        rep = verify_stopping(decomposition(
+            Fraction(1, 2), "above", [DyadicCubeId(2, (0, 2))],
+            [DyadicCubeId(1, (0, 1))]), f)
+        assert self.facts(rep) == (True, False, False, False, True)
+
+    def test_agrees_with_oracle_on_arbitrary_families(self, rng):
+        # alpha at every cube average and 1/7 of a grid step either side
+        # (a denominator den does not divide); the families are random cube
+        # sets, so every fact fails somewhere
+        for i in range(30):
+            dim = (1, 2, 3)[i % 3]
+            f = random_function(rng, dim, 1 + rng.randrange(4 - dim))
+            cubes = list(all_cubes_oracle(f))
+            eps = Fraction(1, 7 * f._den << (dim * f.depth))
+            for avg in {average_oracle(f, q) for q in cubes}:
+                for alpha in (avg - eps, avg, avg + eps):
+                    for direction in ("above", "below"):
+                        d = decomposition(alpha, direction,
+                                          rng.sample(cubes, rng.randrange(3)),
+                                          rng.sample(cubes, rng.randrange(3)))
+                        rep = verify_stopping(d, f)
+                        expect = report_oracle(d, f)
+                        assert self.facts(rep) == expect[:5]
+                        assert [m for m in rep.failures if m.startswith("cell")] \
+                            == [f"cell {c} outside E crosses {alpha}"
+                                for c in expect[5]]

@@ -1,12 +1,11 @@
 """Exact piecewise-constant functions on the dyadic grid of [0,1]^n.
 
 A function is stored as its cell values on the level-L grid, every cell a
-half-open box prod_m (i_m 2^-L, (i_m+1) 2^-L].  All derived quantities
-(averages, mean oscillations, the dyadic sup norm, maximal-function values,
-level-set measures) are computed in exact rational arithmetic; no floating
-point enters this module.
+half-open box prod_m (i_m 2^-L, (i_m+1) 2^-L], as integer numerators over
+their least common denominator.  All derived quantities are exact
+rationals computed on those integers; no floating point enters this module.
 
-Internally every cell and cube is addressed in Morton (Z-) order: a level-k
+Every cell and cube is addressed in Morton (Z-) order: a level-k
 cube's address z is its path of child digits from the root, each digit the
 child's position in product((0, 1), repeat=n) (the order of
 DyadicCubeId.children()).  A cube is then the contiguous slice
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -173,12 +172,11 @@ class OscillationReport:
 class DyadicFunction:
     """Immutable level-L piecewise-constant function on [0,1]^n.
 
-    cells[flat] with flat = i_1 + i_2*2^L + ... + i_n*2^((n-1)L).  Treated as
-    immutable: the integer kernel is cached lazily.  It holds the
-    common-denominator numerators in Morton order (see the module docstring),
-    so every cube is one slice, per-level pyramids of cube sums and
-    oscillation numerators built from blocks of 2^n neighbours, and the
-    running-max pyramids that decide every threshold crossing.
+    The state is dim, depth, _nums (the cell numerators in Morton order)
+    and _den (their least common denominator, so the pair is canonical and
+    equality reads it).  cells[flat], flat = i_1 + i_2*2^L + ... +
+    i_n*2^((n-1)L), is a view built on first read.  Cached: the pyramids of
+    cube sums and oscillation numerators and the running-max pyramids.
     """
 
     def __init__(self, dim, depth, cells):
@@ -192,40 +190,49 @@ class DyadicFunction:
             raise InputError(
                 f"expected {1 << (dim * depth)} cells for n={dim}, L={depth}, "
                 f"got {len(cells)}")
+        den = lcm(*(v.denominator for v in cells))
         self.dim = dim
         self.depth = depth
-        self.cells = cells
-        self._cache = {}
+        self._den = den
+        self._nums = tuple(v.numerator * (den // v.denominator)
+                           for v in map(cells.__getitem__, _morton_order(dim, depth)))
+        self._cache = {"cells": cells}
+
+    @classmethod
+    def _from_nums(cls, dim, depth, den, nums):
+        """Unchecked: the function with Morton-order numerators nums over
+        den > 0, reduced to lowest terms."""
+        g = gcd(den, *nums)
+        f = cls.__new__(cls)
+        f.dim = dim
+        f.depth = depth
+        f._den = den // g
+        f._nums = tuple(nums) if g == 1 else tuple(a // g for a in nums)
+        f._cache = {}
+        return f
+
+    @property
+    def cells(self):
+        """Cell values in public order (first coordinate fastest)."""
+        if "cells" not in self._cache:
+            cells = [None] * len(self._nums)
+            for p, a in zip(_morton_order(self.dim, self.depth), self._nums):
+                cells[p] = Fraction(a, self._den)
+            self._cache["cells"] = tuple(cells)
+        return self._cache["cells"]
 
     def __eq__(self, other):
         return (isinstance(other, DyadicFunction)
-                and self.dim == other.dim
-                and self.depth == other.depth
-                and self.cells == other.cells)
+                and (self.dim, self.depth, self._den, self._nums)
+                == (other.dim, other.depth, other._den, other._nums))
 
     def __hash__(self):
-        return hash((self.dim, self.depth, self.cells))
+        return hash((self.dim, self.depth, self._den, self._nums))
 
     def __repr__(self):
-        return f"DyadicFunction(n={self.dim}, L={self.depth}, cells={len(self.cells)})"
+        return f"DyadicFunction(n={self.dim}, L={self.depth}, cells={len(self._nums)})"
 
     # -- integer kernel -----------------------------------------------------
-
-    @property
-    def _den(self):
-        if "den" not in self._cache:
-            self._cache["den"] = lcm(*(v.denominator for v in self.cells))
-        return self._cache["den"]
-
-    @property
-    def _nums(self):
-        """Cell numerators over self._den, in Morton order."""
-        if "nums" not in self._cache:
-            d, cells = self._den, self.cells
-            self._cache["nums"] = [
-                v.numerator * (d // v.denominator)
-                for v in map(cells.__getitem__, _morton_order(self.dim, self.depth))]
-        return self._cache["nums"]
 
     def _sums(self):
         """Per-level lists of cube numerator sums (over self._den), Morton order:
@@ -309,21 +316,13 @@ class DyadicFunction:
                      for k, first in sorted((k, order[z << n * (L - k)])
                                             for k, z in pairs))
 
-    @classmethod
-    def _from_morton(cls, dim, depth, values):
-        """The function whose cell at Morton address z has value values[z]."""
-        cells = [None] * len(values)
-        for p, v in zip(_morton_order(dim, depth), values):
-            cells[p] = v
-        return cls(dim, depth, cells)
-
     # -- basic quantities ---------------------------------------------------
 
     @property
     def mean(self):
         """Average over the whole of [0,1]^n (equals the total integral)."""
         if "mean" not in self._cache:
-            self._cache["mean"] = Fraction(sum(self._nums), self._den * len(self.cells))
+            self._cache["mean"] = Fraction(sum(self._nums), self._den * len(self._nums))
         return self._cache["mean"]
 
     def cell_indices(self, q):
@@ -332,12 +331,17 @@ class DyadicFunction:
         return _morton_order(self.dim, self.depth)[z * cnt:(z + 1) * cnt]
 
     def scaled(self, c):
-        return DyadicFunction(self.dim, self.depth,
-                              [Fraction(c) * v for v in self.cells])
+        c = Fraction(c)
+        return DyadicFunction._from_nums(self.dim, self.depth,
+                                         self._den * c.denominator,
+                                         [a * c.numerator for a in self._nums])
 
     def shifted(self, c):
-        return DyadicFunction(self.dim, self.depth,
-                              [v + Fraction(c) for v in self.cells])
+        c = Fraction(c)
+        b = c.numerator * self._den
+        return DyadicFunction._from_nums(self.dim, self.depth,
+                                         self._den * c.denominator,
+                                         [a * c.denominator + b for a in self._nums])
 
     def abs(self):
         """|f|: f itself when f >= 0, else built once per function, so the
@@ -345,21 +349,17 @@ class DyadicFunction:
         if self.is_nonnegative:
             return self
         if "abs" not in self._cache:
-            self._cache["abs"] = DyadicFunction(self.dim, self.depth,
-                                                [abs(v) for v in self.cells])
+            self._cache["abs"] = DyadicFunction._from_nums(
+                self.dim, self.depth, self._den, [abs(a) for a in self._nums])
         return self._cache["abs"]
 
     @property
     def is_nonnegative(self):
-        if "nonneg" not in self._cache:
-            self._cache["nonneg"] = all(v >= 0 for v in self.cells)
-        return self._cache["nonneg"]
+        return min(self._nums) >= 0
 
     @property
     def is_constant(self):
-        if "constant" not in self._cache:
-            self._cache["constant"] = all(v == self.cells[0] for v in self.cells)
-        return self._cache["constant"]
+        return min(self._nums) == max(self._nums)
 
 
 def cube_average(f, q):
@@ -445,9 +445,8 @@ def dyadic_maximal_function(f):
     h = f.abs()  # M f = M |f|, cached on |f|
     if "maximal" not in h._cache:
         n, L = h.dim, h.depth
-        scale = h._den << (n * L)
-        h._cache["maximal"] = DyadicFunction._from_morton(
-            n, L, [Fraction(b, scale) for b in h._running_maxima(1, False)[L]])
+        h._cache["maximal"] = DyadicFunction._from_nums(
+            n, L, h._den << (n * L), h._running_maxima(1, False)[L])
     return h._cache["maximal"]
 
 
@@ -457,4 +456,4 @@ def distribution_above(f, lam, center):
     den = f._den
     p, q = thr.numerator, thr.denominator
     count = sum(1 for a in f._nums if a * q > p * den)
-    return Fraction(count, len(f.cells))
+    return Fraction(count, len(f._nums))

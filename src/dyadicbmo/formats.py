@@ -84,12 +84,18 @@ def load_json(path):
 
 
 def dump_json(obj, path=None, stream=None):
-    text = canonical_json(obj)
+    _write(canonical_json(obj), path, stream)
+
+
+def _write(text, path, stream):
     if path is None:
         stream.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def format_float(x):
@@ -100,9 +106,4 @@ def write_csv(rows, header, path=None, stream=None):
     """Rows of already-formatted strings; LF endings regardless of platform."""
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        stream.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", path, stream)

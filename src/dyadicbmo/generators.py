@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .dyadic import DyadicFunction, check_grid_size
 from .errors import GenerationError, InputError
@@ -36,8 +37,8 @@ class GeneratorSpec:
         if self.kind not in KINDS:
             raise InputError(f"unknown generator kind {self.kind!r}; "
                              f"choose from {', '.join(KINDS)}")
-        if self.dim < 1 or self.depth < 0:
-            raise InputError("need dim >= 1 and depth >= 0")
+        if self.dim < 1 or self.depth < 0 or self.denom_bits < 0:
+            raise InputError("need dim >= 1, depth >= 0 and denom_bits >= 0")
         check_grid_size(self.dim, self.depth)
         if self.kind == "monotone-1d" and self.dim != 1:
             raise InputError("monotone-1d generates one-dimensional functions")
@@ -77,7 +78,9 @@ def _cascade(rng, dim, depth, spread_bits, spread, multipliers):
     digits = range(1 << dim)
     for _ in range(depth):
         level = [parent * draw_factor() for parent in level for _ in digits]
-    return DyadicFunction._from_morton(dim, depth, level)
+    den = lcm(*(v.denominator for v in level))
+    return DyadicFunction._from_nums(
+        dim, depth, den, [v.numerator * (den // v.denominator) for v in level])
 
 
 def generate(spec):

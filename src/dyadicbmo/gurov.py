@@ -143,7 +143,7 @@ def theorem3_check(f, t, profile=None):
     O(log pieces) path.
     """
     _require_nonneg(f)
-    if f.is_constant and f.cells[0] == 0:
+    if not any(f._nums):
         raise PreconditionError("requires a function not identically zero")
     t = Fraction(t)
     if not 0 < t <= 1:
@@ -189,6 +189,8 @@ def solve_p(epsilon, n):
     (the 160-bit lower bisection endpoint rounded down); the residual is that
     of the 160-bit midpoint.  Solved once per (eps, n).
     """
+    if n < 1:
+        raise InputError(f"dimension must be >= 1, got {n}")
     epsilon = Fraction(epsilon)
     limit = Fraction(1, 1 << (n - 1))
     if not 0 < epsilon < limit:
@@ -256,7 +258,7 @@ def theorem4_bound(f, t, profile=None):
     exact values times interval-arithmetic logarithms; rhs rounds upward.
     """
     _require_nonneg(f)
-    if f.is_constant and f.cells[0] == 0:
+    if not any(f._nums):
         raise PreconditionError("requires a function not identically zero")
     t = Fraction(t)
     if not 0 < t <= 1:
@@ -315,13 +317,13 @@ def lq_tail_bound(f, q):
     q_iv = iv.mpf(q)
     if float(q).is_integer():
         qi = int(q)
-        lq = sum((v ** qi for v in f.cells), Fraction(0)) / len(f.cells)
+        lq = Fraction(sum(a ** qi for a in f._nums), f._den ** qi * len(f._nums))
     else:
         acc = iv.mpf(0)
         for v in f.cells:
             if v != 0:
                 acc += iv_pow(iv_from_fraction(v), q_iv)
-        lq = lower_float(acc / len(f.cells))
+        lq = lower_float(acc / len(f._nums))
     p = iv.mpf(sol.p)
     factor = iv_pow(p / (p - IV_ONE), q_iv)
     mean = f.mean

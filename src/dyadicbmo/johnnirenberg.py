@@ -68,7 +68,7 @@ def logbound_check(f, t):
 
 def _lambda_grid(f, points=32):
     """The thresholds 2 spread i/points, i = 1..points; [] for a constant f."""
-    spread = max(f.cells) - min(f.cells)
+    spread = Fraction(max(f._nums) - min(f._nums), f._den)
     if spread == 0:
         return []
     return [2 * spread * Fraction(i, points) for i in range(1, points + 1)]
@@ -103,7 +103,7 @@ def jn_abs_check(f, lam):
     # {f < center - lam}, counted on the numerators over f's denominator
     thr = center - lam
     p, q, den = thr.numerator, thr.denominator, f._den
-    lower = Fraction(sum(1 for a in f._nums if a * q < p * den), len(f.cells))
+    lower = Fraction(sum(1 for a in f._nums if a * q < p * den), len(f._nums))
     measure = upper + lower
     if norm == 0:
         return measure, 0.0

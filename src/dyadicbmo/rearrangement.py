@@ -134,7 +134,7 @@ def rearrange_signed(f):
     """
     if "rearr_signed" in f._cache:
         return f._cache["rearr_signed"]
-    den, total = f._den, len(f.cells)
+    den, total = f._den, len(f._nums)
     bps = [Fraction(0)]
     vals = []
     count = 0
@@ -148,12 +148,8 @@ def rearrange_signed(f):
 
 
 def rearrange_abs(f):
-    """Nonincreasing rearrangement of |f| (for f >= 0 identical to the signed one)."""
-    if "rearr_abs" in f._cache:
-        return f._cache["rearr_abs"]
-    g = rearrange_signed(f.abs())
-    f._cache["rearr_abs"] = g
-    return g
+    """Nonincreasing rearrangement of |f|, cached on |f| (itself cached on f)."""
+    return rearrange_signed(f.abs())
 
 
 def supinf_formula(f, t):
@@ -164,13 +160,13 @@ def supinf_formula(f, t):
     absolute cell value.  Restricted to cell-aligned t.
     """
     t = Fraction(t)
-    total = len(f.cells)
+    total = len(f._nums)
     k = t * total
     if k.denominator != 1 or not 1 <= k <= total:
         raise InputError(
             f"t must be a multiple of 1/{total} in (0,1], got {t}")
-    ordered = sorted((abs(v) for v in f.cells), reverse=True)
-    return ordered[int(k) - 1]
+    ordered = sorted(map(abs, f._nums), reverse=True)
+    return Fraction(ordered[int(k) - 1], f._den)
 
 
 def hardy_average(g, t):
@@ -231,7 +227,7 @@ def value_mass_distribution(obj):
     """Map value -> total measure carried, for a DyadicFunction or StepFunction1D."""
     dist = {}
     if isinstance(obj, DyadicFunction):
-        mass = Fraction(1, len(obj.cells))
+        mass = Fraction(1, len(obj._nums))
         for v in obj.cells:
             dist[v] = dist.get(v, Fraction(0)) + mass
     else:

@@ -4,9 +4,11 @@ The objective is the certified lower bound of the interval BMO norm of the
 signed rearrangement divided by the exact dyadic BMO norm; by the 2^n
 rearrangement inequality it can never exceed 2^n, and the search treats any
 apparent violation as an implementation bug, not a discovery.  Multistart
-simulated annealing on a dyadic-rational value lattice; fully deterministic
-for a fixed seed, with one RNG stream per restart so restarts may run in any
-order (or in parallel processes) without changing the result.
+simulated annealing on a lattice of integer cell numerators over
+2^denom_bits, kept from the random draw to the scored function (only the
+best function's cells become Fractions); fully deterministic for a fixed
+seed, with one RNG stream per restart so restarts may run in any order (or
+in parallel processes) without changing the result.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import DyadicFunction, bmo_dyadic_norm, check_grid_size
+from .dyadic import (DyadicFunction, _morton_order, bmo_dyadic_norm,
+                     check_grid_size)
 from .errors import InputError, PreconditionError
 from .highprec import IV_E, upper_float
 from .interval_bmo import interval_bmo_norm
@@ -49,9 +52,11 @@ class SearchConfig:
         if self.objective not in OBJECTIVES:
             raise InputError(f"unknown objective {self.objective!r}; "
                              f"choose from {', '.join(OBJECTIVES)}")
-        if self.dim < 1 or self.depth < 0:
-            raise InputError("need dim >= 1 and depth >= 0")
+        if self.dim < 1 or self.depth < 0 or self.denom_bits < 0:
+            raise InputError("need dim >= 1, depth >= 0 and denom_bits >= 0")
         check_grid_size(self.dim, self.depth)
+        if not (self.temp_initial > 0 and self.temp_final > 0):
+            raise InputError("temp_initial and temp_final must be > 0")
 
 
 @dataclass(frozen=True)
@@ -131,29 +136,29 @@ def _score(f, cfg):
     return s, Fraction(s), None
 
 
-def _canonicalize(cells):
-    """Shift to exact zero mean, scale by a power of two so max|v| in (1/2, 1]."""
-    mean = sum(cells, Fraction(0)) / len(cells)
-    out = [v - mean for v in cells]
-    top = max(abs(v) for v in out)
+def _normalize(nums, bits):
+    """The 2^m cells k_i / 2^bits shifted to zero mean, scaled by a power of
+    two to max |v| in (1/2, 1] and rounded to 2^-bits, ties to even: with
+    d_i = (k_i << m) - sum(k), that is d_i / 2^s rounded to an integer,
+    s = bit_length(max |d_i| - 1) - bits."""
+    m = len(nums).bit_length() - 1
+    total = sum(nums)
+    d = [(k << m) - total for k in nums]
+    top = max(map(abs, d))
     if top == 0:
-        return out
-    scale = Fraction(1)
-    while top * scale > 1:
-        scale /= 2
-    while top * scale <= Fraction(1, 2):
-        scale *= 2
-    return [v * scale for v in out]
+        return d
+    s = (top - 1).bit_length() - bits
+    if s <= 0:
+        return [x << -s for x in d]
+    half = 1 << (s - 1)
+    return [(x + half - 1 + ((x >> s) & 1)) >> s for x in d]
 
 
-def _quantize(cells, bits):
-    den = 1 << bits
-    return [Fraction(round(v * den), den) for v in cells]
-
-
-def _random_start(rng, count, bits):
-    den = 1 << bits
-    return [Fraction(rng.randrange(-den, den + 1), den) for _ in range(count)]
+def _function(cfg, nums):
+    """The function whose public-order cells are nums / 2^denom_bits."""
+    return DyadicFunction._from_nums(
+        cfg.dim, cfg.depth, 1 << cfg.denom_bits,
+        [nums[p] for p in _morton_order(cfg.dim, cfg.depth)])
 
 
 def _run_restart(cfg, restart_index):
@@ -161,21 +166,15 @@ def _run_restart(cfg, restart_index):
     count = 1 << (cfg.dim * cfg.depth)
     den = 1 << cfg.denom_bits
 
-    def build(cells):
-        return DyadicFunction(cfg.dim, cfg.depth, cells)
-
-    cells = _quantize(_canonicalize(_random_start(rng, count, cfg.denom_bits)),
-                      cfg.denom_bits)
-    score, exact, cert = _score(build(cells), cfg)
-    retries = 0
-    while score is None and retries < 64:
-        cells = _quantize(_canonicalize(_random_start(rng, count, cfg.denom_bits)),
-                          cfg.denom_bits)
-        score, exact, cert = _score(build(cells), cfg)
-        retries += 1
-    if score is None:
+    for _ in range(65):  # a start and up to 64 retries past constant ones
+        cells = _normalize([rng.randrange(-den, den + 1) for _ in range(count)],
+                           cfg.denom_bits)
+        score, exact, cert = _score(_function(cfg, cells), cfg)
+        if score is not None:
+            break
+    else:
         return None
-    best_cells, best_score, best_exact, best_cert = list(cells), score, exact, cert
+    best_cells, best_score, best_exact, best_cert = cells, score, exact, cert
     trace = [(restart_index, 0, best_score)]
 
     cooling = (cfg.temp_final / cfg.temp_initial) ** (1.0 / max(cfg.iterations - 1, 1))
@@ -186,16 +185,15 @@ def _run_restart(cfg, restart_index):
         for _ in range(1 + rng.randrange(2)):
             c = rng.randrange(count)
             mag = max(1, int(step_num * temp / cfg.temp_initial))
-            trial[c] += Fraction(rng.choice((-1, 1)) * rng.randrange(1, mag + 1), den)
-        trial = _quantize(_canonicalize(trial), cfg.denom_bits)
-        new_score, new_exact, new_cert = _score(build(trial), cfg)
+            trial[c] += rng.choice((-1, 1)) * rng.randrange(1, mag + 1)
+        trial = _normalize(trial, cfg.denom_bits)
+        new_score, new_exact, new_cert = _score(_function(cfg, trial), cfg)
         if new_score is not None:
             delta = new_score - score
             if delta >= 0 or rng.random() < math.exp(delta / temp):
                 cells, score, exact, cert = trial, new_score, new_exact, new_cert
             if score > best_score:
-                best_cells, best_score, best_exact, best_cert = (
-                    list(cells), score, exact, cert)
+                best_cells, best_score, best_exact, best_cert = cells, score, exact, cert
                 trace.append((restart_index, it, best_score))
         temp *= cooling
     return best_cells, best_score, best_exact, best_cert, trace
@@ -225,7 +223,7 @@ def search(cfg):
         raise PreconditionError("no valid (non-constant) candidate was found")
 
     best_cells, score, exact, cert, _ = best
-    f = DyadicFunction(cfg.dim, cfg.depth, best_cells)
+    f = _function(cfg, best_cells)
     cap = float(1 << cfg.dim)
     if cfg.objective == "jn_B_probe":
         # implied <= e at every lambda is the certified distribution bound

@@ -122,7 +122,7 @@ def verify_stopping(d, f):
     bad_fathers = [q for q, (z, _) in zip(stopping, blocks)
                    if q.level == 0 or cube_crosses(q.level - 1, z >> n)]
     bad_parents = [p for p in d.parent_cover if cube_crosses(p.level, f._block(p)[0])]
-    outside = bytearray(b"\1") * len(f.cells)  # by Morton address
+    outside = bytearray(b"\1") * len(f._nums)  # by Morton address
     for z, cnt in blocks:
         outside[z * cnt:(z + 1) * cnt] = bytes(cnt)
     order = _morton_order(n, L)

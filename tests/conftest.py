@@ -62,6 +62,25 @@ def float_just_below(x):
     return r
 
 
+def normalize_oracle(nums, bits):
+    """One search lattice step in Fractions: cells nums / 2^bits shifted to
+    exact zero mean, scaled by a power of two so max |v| is in (1/2, 1],
+    rounded to multiples of 2^-bits (round(), ties to even); the new
+    numerators over 2^bits."""
+    den = 1 << bits
+    cells = [Fraction(k, den) for k in nums]
+    mean = sum(cells, Fraction(0)) / len(cells)
+    out = [v - mean for v in cells]
+    top = max(abs(v) for v in out)
+    scale = Fraction(1)
+    if top:
+        while top * scale > 1:
+            scale /= 2
+        while top * scale <= Fraction(1, 2):
+            scale *= 2
+    return [round(v * scale * den) for v in out]
+
+
 def random_cube(rng, f):
     level = rng.randrange(f.depth + 1)
     index = tuple(rng.randrange(1 << level) for _ in range(f.dim))

@@ -169,6 +169,11 @@ class TestCommands:
     def test_p_root_out_of_range(self, capsys):
         assert main(["p-root", "--n", "1", "--eps", "3"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_p_root_rejects_dimension(self, n, capsys):
+        assert main(["p-root", "--n", n, "--eps", "1/4"]) == 2
+        assert "dimension must be >= 1" in capsys.readouterr().err
+
     def test_check_pass(self, spike_file, capsys):
         assert main(["check", "--input", spike_file,
                      "--suite", "lemma21,thm1,thm2,cz"]) == 0
@@ -235,3 +240,22 @@ class TestCommands:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         assert main(["norm", "--input", str(path)]) == 2
+
+
+class TestUnwritableOutput:
+    """Every writer turns an OSError into an input error: exit code 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--output", "{bad}"],
+        ["jn", "--output", "{bad}"],
+        ["rearrange", "--samples", "2", "--samples-output", "{bad}"],
+        ["search", "--n", "1", "--level", "1", "--restarts", "1",
+         "--iters", "2", "--function-output", "{bad}"],
+    ])
+    def test_exit_code_2(self, argv, spike_file, tmp_path, capsys):
+        bad = str(tmp_path / "missing" / "out")
+        argv = [a.format(bad=bad) for a in argv]
+        if argv[0] != "search":
+            argv += ["--input", spike_file]
+        assert main(argv) == 2
+        assert f"cannot write {bad}" in capsys.readouterr().err

@@ -279,3 +279,32 @@ class TestAbs:
         # the |f| suites all read one modulus profile
         verify_all(f, ["remark31", "thm3", "thm4"])
         assert h._cache["gr_profile"] is gr_profile(f.abs())
+
+
+class TestFromNums:
+    """Functions built from Morton numerators equal (and hash as) the same
+    function built from public-order Fractions."""
+
+    @staticmethod
+    def assert_same(f, cells):
+        g = DyadicFunction(f.dim, f.depth, cells)
+        assert f == g and hash(f) == hash(g)
+        assert (f._den, f._nums) == (g._den, g._nums)
+        assert f.cells == tuple(cells)
+
+    def test_non_reduced_numerators(self):
+        # n=2, L=1: Morton addresses 0, 1, 2, 3 are public cells 0, 2, 1, 3
+        f = DyadicFunction._from_nums(2, 1, 12, [6, -4, 0, 18])
+        assert f._den == 6 and f._nums == (3, -2, 0, 9)
+        self.assert_same(f, [Fraction(1, 2), 0, Fraction(-1, 3), Fraction(3, 2)])
+        self.assert_same(DyadicFunction._from_nums(1, 1, 4, [0, 0]), [0, 0])
+
+    def test_derived_functions(self, rng):
+        for _ in range(60):
+            f = random_function(rng, rng.choice([1, 2, 3]), rng.randrange(3))
+            c = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+            self.assert_same(f.abs(), [abs(v) for v in f.cells])
+            self.assert_same(f.shifted(c), [v + c for v in f.cells])
+            self.assert_same(f.scaled(c), [c * v for v in f.cells])
+            self.assert_same(f.scaled(0), [0] * len(f.cells))
+            self.assert_same(dyadic_maximal_function(f), maximal_oracle(f))

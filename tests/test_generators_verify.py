@@ -64,6 +64,8 @@ class TestGenerators:
             GeneratorSpec(kind="bogus", dim=1, depth=1)
         with pytest.raises(InputError):
             GeneratorSpec(kind="uniform-cells", dim=3, depth=7)  # 2^21 cells
+        with pytest.raises(InputError):
+            GeneratorSpec(kind="uniform-cells", dim=1, depth=2, denom_bits=-1)
 
 
 class TestVerifyAll:

@@ -1,14 +1,68 @@
 """Extremal search: determinism, caps, the exhaustive binary case."""
 
+import hashlib
 import sys
 from concurrent.futures import Future
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
                        SearchConfig, bmo_dyadic_norm, ratio_objective, search)
+from dyadicbmo.cli import main
+from dyadicbmo.search import _normalize
+from conftest import normalize_oracle
+
+# 2^m cells of numerators over 2^bits, as the search holds them
+lattices = st.integers(0, 6).flatmap(lambda m: st.lists(
+    st.integers(-(1 << 14), 1 << 14), min_size=1 << m, max_size=1 << m))
+
+
+class TestNormalize:
+    @given(nums=lattices, bits=st.integers(0, 12))
+    @example(nums=[-5, 0], bits=2)       # cells +-5/2 after scaling: ties
+    @example(nums=[1, -2], bits=1)       # a tie at -3/2
+    @example(nums=[3, -1, 0, 2], bits=0)
+    @example(nums=[7], bits=3)           # one cell
+    @example(nums=[4, 4, 4, 4], bits=5)  # constant cells
+    @example(nums=[1, 0], bits=0)
+    def test_matches_fraction_oracle(self, nums, bits):
+        assert _normalize(nums, bits) == normalize_oracle(nums, bits)
+
+    def test_ties_round_to_even(self):
+        # -5/4, 0 -> -5/8, 5/8 -> +-5/2 on the 2^-2 lattice -> +-2
+        assert _normalize([-5, 0], 2) == [-2, 2]
+
+
+# sha256 of stdout and of the best-function file, both search-anneal grids
+# and one jnB run: any change of the annealing trajectory shows here
+PINNED_SEARCHES = [
+    (["--n", "1", "--level", "4", "--iters", "150", "--seed", "7"],
+     "316d519ca3eaa6cc248838e18afbc4c832cd737c66eaf82b23b05d7ba87c329f",
+     "af2e65a647124827dc76d7bbf098cd2e96573bda747ac7cb4875bc3ade83cf65"),
+    (["--n", "2", "--level", "2", "--iters", "150", "--seed", "7"],
+     "9a80a41916fc628ae056d888c66b781712e4bfcb0e3f18cff262fcbda0c08c2a",
+     "63251790e93c43af13f5efa4492c87c51a5aeef8072cd6f05bc7df84d1817cb8"),
+    (["--n", "1", "--level", "3", "--iters", "100", "--seed", "3",
+      "--objective", "jnB"],
+     "6c3b20039a8250f1d677acb0e7a3b1d6a28c08bd6efea37e0fe306fd65f07860",
+     "90f86e3e38cf3afba061270258291cfd4ccdab77f238817961f290d84d408e50"),
+]
+
+
+@pytest.mark.parametrize("argv,stdout_sha,best_sha", PINNED_SEARCHES)
+def test_search_outputs_pinned(argv, stdout_sha, best_sha, tmp_path,
+                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", *argv, "--restarts", "2",
+                 "--function-output", "best.json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    best = (tmp_path / "best.json").read_bytes()
+    assert hashlib.sha256(best).hexdigest() == best_sha
 
 
 class TestRatioObjective:
@@ -115,6 +169,10 @@ class TestSearch:
             SearchConfig(objective="nope")
         with pytest.raises(InputError):
             SearchConfig(dim=3, depth=7)  # over the 2^20-cell cap
+        for bad in (dict(temp_final=0), dict(temp_initial=0),
+                    dict(temp_initial=-0.5), dict(denom_bits=-1)):
+            with pytest.raises(InputError):
+                SearchConfig(**bad)
 
     def test_pool_clamped(self, monkeypatch):
         # a pool that runs inline and records its size: no process starts

@@ -108,6 +108,15 @@ class DyadicCubeId:
                     f"cube index {self.index} out of range for level {self.level}")
         object.__setattr__(self, "index", tuple(self.index))
 
+    @classmethod
+    def _exact(cls, level, index):
+        """Unchecked: the cube at level and index tuple, for cubes derived
+        from a function's grid, whose range the kernel guarantees."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "level", level)
+        object.__setattr__(q, "index", index)
+        return q
+
     @property
     def dim(self):
         return len(self.index)
@@ -312,7 +321,7 @@ class DyadicFunction:
         built once, from its first cell."""
         n, L = self.dim, self.depth
         order = _morton_order(n, L)
-        return tuple(DyadicCubeId(k, tuple(i >> (L - k) for i in _decode(first, L, n)))
+        return tuple(DyadicCubeId._exact(k, tuple(i >> (L - k) for i in _decode(first, L, n)))
                      for k, first in sorted((k, order[z << n * (L - k)])
                                             for k, z in pairs))
 
@@ -355,11 +364,15 @@ class DyadicFunction:
 
     @property
     def is_nonnegative(self):
-        return min(self._nums) >= 0
+        if "nonneg" not in self._cache:
+            self._cache["nonneg"] = min(self._nums) >= 0
+        return self._cache["nonneg"]
 
     @property
     def is_constant(self):
-        return min(self._nums) == max(self._nums)
+        if "constant" not in self._cache:
+            self._cache["constant"] = min(self._nums) == max(self._nums)
+        return self._cache["constant"]
 
 
 def cube_average(f, q):
@@ -410,19 +423,23 @@ def bmo_argmax(f):
     """Maximal mean oscillation over all dyadic cubes, with its witness cube.
 
     Cubes strictly below cell resolution carry zero oscillation and are
-    excluded; ties resolve to the lowest (level, flat index).
+    excluded; ties resolve to the lowest (level, flat index).  Level k's
+    best oscillation is max(osc[k]) / (den * 4^(n(L-k))), so the levels
+    compare on the integers max(osc[k]) << 2nk; the norm and its witness
+    are built once, for the first level that attains the largest.
     """
     if "bmo" in f._cache:
         return f._cache["bmo"]
     n, L = f.dim, f.depth
-    best, best_cube = Fraction(0), DyadicCubeId.root(n)
-    for k, osc in enumerate(f._osc()):
-        top = max(osc)
-        cnt = 1 << (n * (L - k))
-        val = Fraction(top, f._den * cnt * cnt)
-        if val > best:
-            best = val
-            best_cube = f._cubes((k, z) for z, o in enumerate(osc) if o == top)[0]
+    osc = f._osc()
+    keys = [max(level) << 2 * n * k for k, level in enumerate(osc)]
+    if not any(keys):
+        best, best_cube = Fraction(0), DyadicCubeId.root(n)
+    else:
+        k = keys.index(max(keys))
+        top = max(osc[k])
+        best = Fraction(top, f._den << 2 * n * (L - k))
+        best_cube = f._cubes((k, z) for z, o in enumerate(osc[k]) if o == top)[0]
     report = OscillationReport(cube=best_cube,
                                average=cube_average(f, best_cube),
                                oscillation=best)

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from mpmath.libmp import (from_int, from_rational, fzero, mpf_add, mpf_div,
+                          mpf_exp, mpf_log, mpf_mul, round_floor, to_float)
+
 from .errors import InputError, PreconditionError
-from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow,
-                       lower_float, mp, upper_float)
+from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow, mp,
+                       upper_float)
 from .rearrangement import (hardy_average, interval_mean_oscillation,
                             rearrange_abs)
 
@@ -301,7 +304,7 @@ def lq_tail_bound(f, q):
 
     bound = (p/(p-1))^q * mean^q * p/(p-q), from integrating the power decay
     of the Hardy average; requires 1 <= q < p.  The integral is exact for an
-    integer q and otherwise summed in interval arithmetic and rounded down;
+    integer q and otherwise summed at 160 bits with every step rounded down;
     the bound is rounded up.
     """
     _require_nonneg(f)
@@ -319,11 +322,17 @@ def lq_tail_bound(f, q):
         qi = int(q)
         lq = Fraction(sum(a ** qi for a in f._nums), f._den ** qi * len(f._nums))
     else:
-        acc = iv.mpf(0)
-        for v in f.cells:
-            if v != 0:
-                acc += iv_pow(iv_from_fraction(v), q_iv)
-        lq = lower_float(acc / len(f._nums))
+        # rounded down at every step, each monotone in its input for q > 0
+        # (log, times q, exp, the sum, the division), so a lower bound
+        prec, qm, den = mp.prec, mp.mpf(q)._mpf_, f._den
+        acc = fzero
+        for a in f._nums:
+            if a:
+                x = mpf_log(from_rational(a, den, prec, round_floor), prec, round_floor)
+                x = mpf_exp(mpf_mul(x, qm, prec, round_floor), prec, round_floor)
+                acc = mpf_add(acc, x, prec, round_floor)
+        acc = mpf_div(acc, from_int(len(f._nums)), prec, round_floor)
+        lq = math.nextafter(to_float(acc, rnd=round_floor), -math.inf)
     p = iv.mpf(sol.p)
     factor = iv_pow(p / (p - IV_ONE), q_iv)
     mean = f.mean

@@ -13,8 +13,8 @@ sup exactly:
   Along each family the oscillation is piecewise a ratio (linear * linear)/t^2
   in t, so all stationary points are rational and the finite candidate set
   {piece ends, mean-crossing points, stationary points} attains the sup.
-  The path runs in scaled integers: breakpoints over the lcm TD of their
-  denominators, values over the lcm VD of theirs, each candidate t and its
+  The path runs on the step function's own integers: breakpoints over
+  TD, values over VD, prefix integrals over TD*VD, each candidate t and its
   oscillation an integer (numerator, denominator) pair compared by
   cross-multiplying; only the best value and its witness become Fractions.
 
@@ -121,18 +121,13 @@ def _monotone_norm(g):
     """Exact sup of interval oscillation for monotone g, with witness.
 
     A nondecreasing g is negated first.  Windows [0,t] come from g itself,
-    windows [1-t,1] from its mirror -g(1-t), both built as integer arrays.
-    Ties keep the first candidate: the [0,t] family in order, then [1-t,1].
+    windows [1-t,1] from its mirror -g(1-t), both read from g's integer
+    arrays.  Ties keep the first candidate: the [0,t] family in order, then
+    [1-t,1].
     """
-    bps, vals = g.breakpoints, g.values
-    TD = math.lcm(*(t.denominator for t in bps))
-    VD = math.lcm(*(v.denominator for v in vals))
-    sign = 1 if g.is_nonincreasing else -1
-    B = [t.numerator * (TD // t.denominator) for t in bps]
-    V = [sign * v.numerator * (VD // v.denominator) for v in vals]
-    Q = [0]
-    for v, lo, hi in zip(V, B, B[1:]):
-        Q.append(Q[-1] + v * (hi - lo))
+    TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
+    if not g.is_nonincreasing:
+        V, Q = [-v for v in V], [-q for q in Q]
     mirrored = ([TD - b for b in reversed(B)], [-v for v in reversed(V)],
                 [q - Q[-1] for q in reversed(Q)])
     bn, bd, arg = 0, 1, None
@@ -282,14 +277,7 @@ def _general_norm(g):
     at most d <= m distinct values in a window, with O(1) integer polygon
     work per band; pruning sends few pairs and bands to the polygon work.
     """
-    bps, vals = g.breakpoints, g.values
-    TD = math.lcm(*(t.denominator for t in bps))
-    VD = math.lcm(*(v.denominator for v in vals))
-    B = [t.numerator * (TD // t.denominator) for t in bps]
-    V = [v.numerator * (VD // v.denominator) for v in vals]
-    Q = [0]
-    for v, lo, hi in zip(V, B, B[1:]):
-        Q.append(Q[-1] + v * (hi - lo))
+    TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
     m = len(V)
     jump = max(abs(a - b) for a, b in zip(V, V[1:]))  # 2 * seed * VD
     bn, bd, arg = 0, 1, None
@@ -377,7 +365,7 @@ def interval_bmo_norm(g, tol=1e-9):
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     h = g.merged()
-    if len(h.values) == 1:
+    if len(h._V) == 1:
         return IntervalBMOBound(lower=Fraction(0), upper=0.0,
                                 witness=(Fraction(0), Fraction(1)),
                                 gap=0.0, tol=tol, tol_met=True)

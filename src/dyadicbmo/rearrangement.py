@@ -1,5 +1,11 @@
 """Step functions on (0,1]: rearrangements, Hardy averages, interval oscillations.
 
+A step function is held as integers: breakpoint numerators over one common
+denominator and value numerators over another.  Integrals, window means and
+oscillations are computed on those integers (positions scaled to a common
+denominator, comparisons by cross-multiplying), and each result becomes one
+Fraction.
+
 The nonincreasing rearrangement of a dyadic function sorts its cell values
 (signed variant keeps signs, absolute variant rearranges |f|); both are exact
 and equimeasurable with the input by construction.
@@ -8,8 +14,10 @@ and equimeasurable with the input by construction.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate
+from math import gcd, lcm
 
 from .dyadic import DyadicFunction
 from .errors import InputError, PreconditionError
@@ -19,6 +27,11 @@ class StepFunction1D:
     """Left-continuous step function on (0,1].
 
     breakpoints 0 = t_0 < t_1 < ... < t_m = 1; value v_i on (t_{i-1}, t_i].
+    The state is _B and _V, t_i = _B[i] / _td and v_i = _V[i-1] / _vd, each
+    family reduced by the gcd of its numerators and denominator, so the form
+    is canonical and equality reads it.  breakpoints, values and
+    prefix_integrals are Fraction views built on first read; the kernel is
+    the integer prefix Q[i] = _td * _vd * (integral of g over (0, t_i]).
     """
 
     def __init__(self, breakpoints, values):
@@ -30,119 +43,148 @@ class StepFunction1D:
             raise InputError("breakpoints must start at 0 and end at 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise InputError("breakpoints must be strictly increasing")
-        self.breakpoints = bps
-        self.values = vals
-        self._prefix = None
-        self._nonincreasing = None
+        td = lcm(*(t.denominator for t in bps))
+        vd = lcm(*(v.denominator for v in vals))
+        self._td = td
+        self._B = tuple(t.numerator * (td // t.denominator) for t in bps)
+        self._vd = vd
+        self._V = tuple(v.numerator * (vd // v.denominator) for v in vals)
+        self._cache = {"breakpoints": bps, "values": vals}
 
     @classmethod
-    def _exact(cls, breakpoints, values):
-        """Unchecked build from tuples of Fractions that already form a valid
-        step function, for the package's own derived functions."""
+    def _from_ints(cls, td, B, vd, V):
+        """Unchecked: breakpoints B / td and values V / vd, tuples of
+        integers that already form a valid step function (B strictly
+        increasing from 0 to td, vd > 0), reduced to lowest terms."""
         g = cls.__new__(cls)
-        g.breakpoints = breakpoints
-        g.values = values
-        g._prefix = None
-        g._nonincreasing = None
+        b = gcd(*B)  # B ends at td
+        v = gcd(vd, *V)
+        g._td, g._B = (td, B) if b == 1 else (td // b, tuple(x // b for x in B))
+        g._vd, g._V = (vd, V) if v == 1 else (vd // v, tuple(x // v for x in V))
+        g._cache = {}
         return g
 
     def __eq__(self, other):
         return (isinstance(other, StepFunction1D)
-                and self.breakpoints == other.breakpoints
-                and self.values == other.values)
+                and (self._td, self._B, self._vd, self._V)
+                == (other._td, other._B, other._vd, other._V))
 
     def __repr__(self):
-        return f"StepFunction1D(pieces={len(self.values)})"
+        return f"StepFunction1D(pieces={len(self._V)})"
+
+    # -- integer kernel -----------------------------------------------------
+
+    def _prefix(self):
+        """Q[i] = td * vd * (integral of g over (0, t_i]), integers."""
+        if "Q" not in self._cache:
+            B = self._B
+            self._cache["Q"] = tuple(accumulate(
+                (v * (hi - lo) for v, lo, hi in zip(self._V, B, B[1:])), initial=0))
+        return self._cache["Q"]
+
+    def _piece(self, x, d):
+        """i >= 1 with t_{i-1} < t <= t_i at t = x / (td * d), d > 0; 1 at t = 0."""
+        return bisect_left(self._B, -(-x // d), 1)
+
+    def _integral_at(self, x, d):
+        """td * vd * d times the integral of g over (0, t] at t = x / (td * d),
+        for 0 <= t <= 1."""
+        i = self._piece(x, d)
+        return self._prefix()[i - 1] * d + self._V[i - 1] * (x - self._B[i - 1] * d)
+
+    # -- Fraction views -------------------------------------------------------
+
+    def _view(self, key, nums, den):
+        """The Fractions nums / den, built on first read."""
+        if key not in self._cache:
+            self._cache[key] = tuple(Fraction(a, den) for a in nums)
+        return self._cache[key]
+
+    @property
+    def breakpoints(self):
+        return self._view("breakpoints", self._B, self._td)
+
+    @property
+    def values(self):
+        return self._view("values", self._V, self._vd)
 
     @property
     def prefix_integrals(self):
         """P[i] = integral of g over (0, t_i]."""
-        if self._prefix is None:
-            acc = [Fraction(0)]
-            for (a, b), v in zip(zip(self.breakpoints, self.breakpoints[1:]),
-                                 self.values):
-                acc.append(acc[-1] + v * (b - a))
-            self._prefix = tuple(acc)
-        return self._prefix
+        return self._view("prefix", self._prefix(), self._td * self._vd)
 
     @property
     def integral(self):
-        return self.prefix_integrals[-1]
+        return Fraction(self._prefix()[-1], self._td * self._vd)
 
     @property
     def is_nonincreasing(self):
-        if self._nonincreasing is None:
-            self._nonincreasing = all(
-                a >= b for a, b in zip(self.values, self.values[1:]))
-        return self._nonincreasing
+        if "nonincreasing" not in self._cache:
+            V = self._V
+            self._cache["nonincreasing"] = all(a >= b for a, b in zip(V, V[1:]))
+        return self._cache["nonincreasing"]
 
     @property
     def is_nondecreasing(self):
-        return all(a <= b for a, b in zip(self.values, self.values[1:]))
+        V = self._V
+        return all(a <= b for a, b in zip(V, V[1:]))
 
     def value_at(self, t):
         """g(t) for t in (0,1], honoring left continuity."""
         t = Fraction(t)
         if not 0 < t <= 1:
             raise InputError(f"t must lie in (0,1], got {t}")
-        i = bisect_left(self.breakpoints, t)
-        return self.values[i - 1]
+        i = self._piece(t.numerator * self._td, t.denominator)
+        return Fraction(self._V[i - 1], self._vd)
 
     def integral_to(self, t):
         """Exact integral of g over (0, t]."""
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise InputError(f"t must lie in [0,1], got {t}")
-        if t == 0:
-            return Fraction(0)
-        i = bisect_left(self.breakpoints, t)
-        return self.prefix_integrals[i - 1] + self.values[i - 1] * (t - self.breakpoints[i - 1])
+        return Fraction(self._integral_at(t.numerator * self._td, t.denominator),
+                        self._td * self._vd * t.denominator)
 
     def pieces(self):
         return zip(self.breakpoints, self.breakpoints[1:], self.values)
 
     def merged(self):
         """Equal adjacent values merged into single pieces; self if none are."""
-        if all(a != b for a, b in zip(self.values, self.values[1:])):
+        V = self._V
+        if all(a != b for a, b in zip(V, V[1:])):
             return self
-        bps = [Fraction(0)]
-        vals = []
-        for _, b, v in self.pieces():
+        bps, vals = [0], []
+        for b, v in zip(self._B[1:], V):
             if vals and vals[-1] == v:
                 bps[-1] = b
             else:
                 vals.append(v)
                 bps.append(b)
-        return StepFunction1D._exact(tuple(bps), tuple(vals))
+        return StepFunction1D._from_ints(self._td, tuple(bps), self._vd, tuple(vals))
 
     def negated(self):
-        return StepFunction1D._exact(self.breakpoints,
-                                     tuple(-v for v in self.values))
+        return StepFunction1D._from_ints(self._td, self._B, self._vd,
+                                         tuple(-v for v in self._V))
 
     def reflected(self):
         """g(1 - t) as a step function (piece order and breakpoints mirrored)."""
-        return StepFunction1D._exact(
-            tuple(1 - t for t in reversed(self.breakpoints)),
-            self.values[::-1])
+        td = self._td
+        return StepFunction1D._from_ints(td, tuple(td - b for b in reversed(self._B)),
+                                         self._vd, self._V[::-1])
 
 
 def rearrange_signed(f):
     """Nonincreasing left-continuous step function equimeasurable with f.
 
-    Sorts the integer cell numerators over f's common denominator; each run
-    of equal numerators becomes one piece.
+    Counts the integer cell numerators over f's common denominator; the
+    distinct numerators, largest first, are the piece values, and piece i
+    ends at the count of cells with the first i values over the cell count.
     """
     if "rearr_signed" in f._cache:
         return f._cache["rearr_signed"]
-    den, total = f._den, len(f._nums)
-    bps = [Fraction(0)]
-    vals = []
-    count = 0
-    for num, run in groupby(sorted(f._nums, reverse=True)):
-        count += sum(1 for _ in run)
-        vals.append(Fraction(num, den))
-        bps.append(Fraction(count, total))
-    g = StepFunction1D._exact(tuple(bps), tuple(vals))
+    vals, counts = zip(*sorted(Counter(f._nums).items(), reverse=True))
+    g = StepFunction1D._from_ints(len(f._nums), tuple(accumulate(counts, initial=0)),
+                                  f._den, vals)
     f._cache["rearr_signed"] = g
     return g
 
@@ -174,33 +216,44 @@ def hardy_average(g, t):
     t = Fraction(t)
     if not 0 < t <= 1:
         raise InputError(f"t must lie in (0,1], got {t}")
-    return g.integral_to(t) / t
+    return Fraction(g._integral_at(t.numerator * g._td, t.denominator),
+                    g._td * g._vd * t.numerator)
 
 
 def interval_mean_oscillation(g, a, b):
     """Exact mean oscillation of g over the interval [a,b] of (0,1].
 
-    For nonincreasing g the window mean mu splits [a,b] into a prefix
-    (a, s] where g > mu and a rest where g <= mu; the integral of |g - mu|
-    is twice the excess over (a, s], so one bisection for s and two
-    prefix-integral lookups give the value in O(log pieces).  Other step
-    functions are summed piece by piece, O(pieces).
+    Positions are integers x = t * td * c, c the common denominator of a
+    and b, so the window has length L = xb - xa and the integral of g over
+    it is J / (td * vd * c), its mean mu = J / (vd * L).  For nonincreasing
+    g, mu splits [a,b] into a prefix (a, s] where g > mu and a rest where
+    g <= mu; the integral of |g - mu| is twice the excess over (a, s], so
+    one bisection for s and three prefix lookups give the value in
+    O(log pieces).  Other step functions are summed piece by piece,
+    O(pieces).  Either way the oscillation is an integer over vd * L^2.
     """
     a, b = Fraction(a), Fraction(b)
     if not 0 <= a < b <= 1:
         raise InputError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
-    ia = g.integral_to(a)
-    mu = (g.integral_to(b) - ia) / (b - a)
+    c = lcm(a.denominator, b.denominator)
+    xa = a.numerator * (c // a.denominator) * g._td
+    xb = b.numerator * (c // b.denominator) * g._td
+    L = xb - xa
+    ia = g._integral_at(xa, c)
+    J = g._integral_at(xb, c) - ia
+    V, B = g._V, g._B
     if g.is_nonincreasing:
-        above = bisect_left(g.values, True, key=mu.__ge__)  # pieces > mu
-        s = min(max(g.breakpoints[above], a), b)
-        return 2 * ((g.integral_to(s) - ia) - mu * (s - a)) / (b - a)
-    acc = Fraction(0)
-    for lo, hi, v in g.pieces():
-        olo, ohi = max(lo, a), min(hi, b)
-        if olo < ohi:
-            acc += abs(v - mu) * (ohi - olo)
-    return acc / (b - a)
+        # V[k] > mu iff V[k] > J // L; V descends, so count by bisection
+        above = bisect_left(V, True, key=(J // L).__ge__)
+        s = min(max(B[above] * c, xa), xb)
+        num = 2 * ((g._integral_at(s, c) - ia) * L - J * (s - xa))
+    else:
+        num = 0
+        for lo, hi, v in zip(B, B[1:], V):
+            olo, ohi = max(lo * c, xa), min(hi * c, xb)
+            if olo < ohi:
+                num += abs(v * L - J) * (ohi - olo)
+    return Fraction(num, g._vd * L * L)
 
 
 def hardy_gap_check(g, t, gamma):

@@ -92,8 +92,10 @@ def _suite_lemma21(f):
 
 
 def _mean_defect(g, mu):
-    """D[i] = P_i - mu t_i at each breakpoint t_i of g (P the prefix integral)."""
-    return [p - mu * t for p, t in zip(g.prefix_integrals, g.breakpoints)]
+    """D[i] = P_i - mu t_i at each breakpoint t_i of g (P the prefix
+    integral), as integers in units 1/(td * vd * mu.denominator)."""
+    w = mu.numerator * g._vd
+    return [q * mu.denominator - w * b for q, b in zip(g._prefix(), g._B)]
 
 
 def _matching_mean_endpoint(g, a, mu, defect):
@@ -108,21 +110,25 @@ def _matching_mean_endpoint(g, a, mu, defect):
     below mu, D only falls and no b exists; if above, the first breakpoint
     with D <= D(a) (found by bisection, the predicate being monotone past a)
     closes the piece where D crosses D(a), and that piece's linear equation
-    gives b.  O(log pieces) per anchor.
+    gives b.  O(log pieces) per anchor, in integers: with mu = w / (vd * md),
+    D(a) is X / (td * vd * md * ad) for a = an / ad.
     """
-    bps = g.breakpoints
-    i = bisect_right(bps, a)  # first piece (t_{i-1}, t_i] with t_i > a
-    v = g.values[i - 1]
-    if v == mu:
-        return bps[i]
-    if v < mu:
+    B, V, td = g._B, g._V, g._td
+    md, an, ad = mu.denominator, a.numerator, a.denominator
+    w = mu.numerator * g._vd
+    i = bisect_right(B, an * td // ad)  # first piece (t_{i-1}, t_i] with t_i > a
+    excess = V[i - 1] * md - w  # the sign of v - mu
+    if excess == 0:
+        return Fraction(B[i], td)
+    if excess < 0:
         return None
-    d_a = g.integral_to(a) - mu * a
-    # first k > i with defect[k] <= d_a (defect[i] > d_a)
-    lo = bisect_left(defect, True, i + 1, len(bps), key=d_a.__ge__)
-    if lo == len(bps):
+    X = g._integral_at(an * td, ad) * md - w * an * td
+    # first k > i with defect[k] <= D(a) (defect[i] > D(a))
+    lo = bisect_left(defect, True, i + 1, len(B), key=(X // ad).__ge__)
+    if lo == len(B):
         return None
-    return bps[lo - 1] + (defect[lo - 1] - d_a) / (mu - g.values[lo - 1])
+    W = w - V[lo - 1] * md  # (mu - v) * vd * md > 0
+    return Fraction((B[lo - 1] * W + defect[lo - 1]) * ad - X, td * ad * W)
 
 
 def _suite_lemma22(f):

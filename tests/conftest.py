@@ -7,6 +7,7 @@ flat-index machinery, so agreement is meaningful.
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
@@ -148,6 +149,62 @@ def maximal_oracle(f):
             best = avg if best is None else max(best, avg)
         out.append(best)
     return out
+
+
+# -- the Fraction readers of a step function, on its breakpoints and values --
+
+def prefix_integrals_oracle(g):
+    """P[i] = integral of g over (0, t_i], accumulated in Fractions."""
+    acc = [Fraction(0)]
+    for (a, b), v in zip(zip(g.breakpoints, g.breakpoints[1:]), g.values):
+        acc.append(acc[-1] + v * (b - a))
+    return tuple(acc)
+
+
+def value_at_oracle(g, t):
+    """g(t) for t in (0,1] by bisection on the Fraction breakpoints."""
+    return g.values[bisect_left(g.breakpoints, Fraction(t)) - 1]
+
+
+def integral_to_oracle(g, t):
+    """Integral of g over (0, t] from the Fraction prefix integrals."""
+    t = Fraction(t)
+    if t == 0:
+        return Fraction(0)
+    i = bisect_left(g.breakpoints, t)
+    return (prefix_integrals_oracle(g)[i - 1]
+            + g.values[i - 1] * (t - g.breakpoints[i - 1]))
+
+
+def interval_mean_oscillation_oracle(g, a, b):
+    """Mean oscillation over [a,b] in Fractions: the excess above the mean
+    for nonincreasing g, a piece-by-piece sum otherwise."""
+    a, b = Fraction(a), Fraction(b)
+    ia = integral_to_oracle(g, a)
+    mu = (integral_to_oracle(g, b) - ia) / (b - a)
+    if all(u >= v for u, v in zip(g.values, g.values[1:])):
+        above = bisect_left(g.values, True, key=mu.__ge__)  # pieces > mu
+        s = min(max(g.breakpoints[above], a), b)
+        return 2 * ((integral_to_oracle(g, s) - ia) - mu * (s - a)) / (b - a)
+    acc = Fraction(0)
+    for lo, hi, v in zip(g.breakpoints, g.breakpoints[1:], g.values):
+        olo, ohi = max(lo, a), min(hi, b)
+        if olo < ohi:
+            acc += abs(v - mu) * (ohi - olo)
+    return acc / (b - a)
+
+
+def merged_oracle(g):
+    """(breakpoints, values) with equal adjacent values merged."""
+    bps = [Fraction(0)]
+    vals = []
+    for b, v in zip(g.breakpoints[1:], g.values):
+        if vals and vals[-1] == v:
+            bps[-1] = b
+        else:
+            vals.append(v)
+            bps.append(b)
+    return tuple(bps), tuple(vals)
 
 
 def window_oscillation_oracle(g, a, b):

@@ -1,5 +1,6 @@
 """CLI subcommands, file formats, round trips, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from dyadicbmo.cli import main
 from dyadicbmo.formats import (canonical_json, format_rational,
                                function_from_obj, function_to_obj,
                                parse_rational, step_from_obj, step_to_obj)
+from dyadicbmo.generators import GeneratorSpec, generate
 from conftest import float_just_below
 
 
@@ -259,3 +261,66 @@ class TestUnwritableOutput:
             argv += ["--input", spike_file]
         assert main(argv) == 2
         assert f"cannot write {bad}" in capsys.readouterr().err
+
+
+# -- pinned outputs ------------------------------------------------------------
+
+def _bench_seed(*parts):
+    """The input seed bench/workloads.py derives from (workload, seed, pass, slot)."""
+    return int(hashlib.sha256("/".join(map(str, parts)).encode()).hexdigest()[:8], 16)
+
+
+# sha256 of stdout of `check` on the seven check-mixed inputs of bench seed 1,
+# pass 0: any change to a suite's verdict, check count or note shows here
+PINNED_CHECKS = [
+    ("uniform-cells", 1, 10,
+     "9a6b3c1adb259e009d242e595e6c2145b16bdeb846d8b5fc369d5592382b0f82"),
+    ("uniform-cells", 2, 5,
+     "a2a52e1f1064e3b42e3197332d98bbaecc9c11f3106844793c1e27bcd5551cec"),
+    ("uniform-cells", 3, 4,
+     "105efc89062c9b32bbd6141a10fc82d5168794fd58c007405dc3d07531e8f601"),
+    ("cascade-gr", 1, 8,
+     "f18470df9507d54946ded8bfaef5e48ba33b200952eb5bb02dff0965fc313546"),
+    ("cascade-gr", 2, 4,
+     "9dcaff3121da1b7f581462c271bd8ad24064ca3950f1fee0fcde89e5f89edadf"),
+    ("cascade-gr", 3, 3,
+     "4d5902cfbf6a8a858ca4f1faa225e1874d2c9ea96c437331008c852cbb0ca895"),
+    ("monotone-1d", 1, 10,
+     "060424c3321c40af39c24a092e60ae829a77b0778c3f923d683640c5142a6761"),
+]
+
+
+@pytest.mark.parametrize("slot", range(len(PINNED_CHECKS)))
+def test_check_outputs_pinned(slot, tmp_path, capsys):
+    kind, n, level, stdout_sha = PINNED_CHECKS[slot]
+    f = generate(GeneratorSpec(kind=kind, dim=n, depth=level,
+                               seed=_bench_seed("check-mixed", 1, 0, slot)))
+    path = tmp_path / "f.json"
+    path.write_text(canonical_json(function_to_obj(f)))
+    assert main(["check", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+# sha256 of stdout of `interval-bmo` on a many-band and a few-band input of
+# the interval-general workload (bench seed 1, pass 0, slots 0 and 2)
+PINNED_INTERVALS = [
+    (0, {"depth": 4},
+     "ed8a4918ff42f348cefb245e8d2f49597e632e1e03fae02adb8dfc4c2fa4b93e"),
+    (2, {"depth": 5, "low": 0, "high": 4, "denom_bits": 2},
+     "111d0b683719deca7215f8ac60030efe66f7fb5ccdb21f6dafcf243971d33ea4"),
+]
+
+
+@pytest.mark.parametrize("slot,kw,stdout_sha", PINNED_INTERVALS)
+def test_interval_bmo_outputs_pinned(slot, kw, stdout_sha, tmp_path, capsys):
+    f = generate(GeneratorSpec(kind="uniform-cells", dim=1,
+                               seed=_bench_seed("interval-general", 1, 0, slot),
+                               **kw))
+    count = len(f.cells)
+    g = StepFunction1D([Fraction(k, count) for k in range(count + 1)], f.cells)
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(step_to_obj(g)))
+    assert main(["interval-bmo", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha

@@ -45,6 +45,17 @@ class TestCubeAverage:
         with pytest.raises(InputError):
             cube_average(f, DyadicCubeId(1, (0, 0)))
 
+    def test_unchecked_cube_equals_validated(self):
+        # the kernel's unchecked cubes compare, hash and behave like
+        # validated ones; only the public constructor checks the range
+        q = DyadicCubeId._exact(2, (3, 1))
+        assert q == DyadicCubeId(2, (3, 1))
+        assert hash(q) == hash(DyadicCubeId(2, (3, 1)))
+        assert q.father() == DyadicCubeId(1, (1, 0))
+        assert q.morton() == DyadicCubeId(2, (3, 1)).morton()
+        with pytest.raises(InputError):
+            DyadicCubeId(2, (4, 1))
+
     def test_matches_oracle_randomized(self, rng):
         for _ in range(200):
             f = random_function(rng, rng.choice([1, 2]), rng.randrange(3))
@@ -121,6 +132,18 @@ class TestBMONorm:
         rep = bmo_argmax(f)
         assert rep.oscillation == 2
         assert rep.cube == DyadicCubeId(1, (0,))
+
+    def test_tie_across_levels_keeps_earliest(self):
+        # oscillation 1 on the right half (level 1) and on both of its
+        # children (level 2); the whole interval has 1/2
+        f = DyadicFunction(1, 3, [1, 1, 1, 1, 0, 2, 0, 2])
+        assert [mean_oscillation(f, DyadicCubeId(k, (i,))).oscillation
+                for k, i in ((0, 0), (1, 1), (2, 2), (2, 3))] == [
+                    Fraction(1, 2), 1, 1, 1]
+        rep = bmo_argmax(f)
+        assert rep.oscillation == 1
+        assert rep.cube == DyadicCubeId(1, (1,))
+        assert rep.average == 1
 
     def test_matches_enumeration_oracle(self, rng):
         # 0/1-valued functions tie on many cubes: the witness is the lowest

@@ -2,15 +2,20 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
                        StepFunction1D, hardy_average, hardy_gap_check,
                        interval_mean_oscillation, rearrange_abs,
                        rearrange_signed, supinf_formula,
                        value_mass_distribution)
-from conftest import random_function, random_nonneg, window_oscillation_oracle
+from conftest import (integral_to_oracle, interval_mean_oscillation_oracle,
+                      merged_oracle, prefix_integrals_oracle, random_function,
+                      random_nonneg, value_at_oracle, window_oscillation_oracle)
 
 
 def sort_oracle(f, absolute=False):
@@ -316,3 +321,82 @@ class TestHardyGap:
             lhs, rhs = hardy_gap_check(g, t, gamma)
             assert lhs <= rhs
             checks += 1
+
+
+# -- the integer representation against the Fraction readers ----------------
+
+rationals = st.builds(Fraction, st.integers(-12, 12),
+                      st.sampled_from((1, 2, 3, 4, 7, 16)))
+
+
+@st.composite
+def step_functions(draw):
+    """1-8 pieces, breakpoints with mixed denominators, values from a pool
+    small enough to tie often; sorted down, up or not at all, so both
+    interval-oscillation paths run."""
+    cuts = draw(st.sets(st.builds(Fraction, st.integers(1, 47),
+                                  st.sampled_from((48, 49, 60))),
+                        max_size=7))
+    pool = draw(st.lists(rationals, min_size=1, max_size=4, unique=True))
+    vals = draw(st.lists(st.sampled_from(pool), min_size=len(cuts) + 1,
+                         max_size=len(cuts) + 1))
+    order = draw(st.sampled_from(("down", "up", "none")))
+    if order != "none":
+        vals.sort(reverse=order == "down")
+    return StepFunction1D([Fraction(0), *sorted(cuts), Fraction(1)], vals)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(g=step_functions(), k=st.integers(1, 12), j=st.integers(1, 12))
+def test_integer_form_matches_fraction_readers(g, k, j):
+    bps, vals = g.breakpoints, g.values
+    # _from_ints reduces a scaled-up integer form to the canonical one
+    td = k * lcm(*(t.denominator for t in bps))
+    vd = j * lcm(*(v.denominator for v in vals))
+    h = StepFunction1D._from_ints(td, tuple(int(t * td) for t in bps),
+                                  vd, tuple(int(v * vd) for v in vals))
+    assert h == g
+    assert (h.breakpoints, h.values) == (bps, vals)
+    assert StepFunction1D(h.breakpoints, h.values) == h
+    assert h.prefix_integrals == g.prefix_integrals == prefix_integrals_oracle(g)
+    assert g.integral == prefix_integrals_oracle(g)[-1]
+    m = g.merged()
+    assert (m.breakpoints, m.values) == merged_oracle(g)
+    assert m == StepFunction1D(*merged_oracle(g))
+    assert g.negated() == StepFunction1D(bps, [-v for v in vals])
+    assert g.reflected() == StepFunction1D([1 - t for t in reversed(bps)],
+                                           vals[::-1])
+    assert g.is_nonincreasing == all(u >= v for u, v in zip(vals, vals[1:]))
+    assert g.is_nondecreasing == all(u <= v for u, v in zip(vals, vals[1:]))
+    pts = sorted(set(bps) | {Fraction(i, 10) for i in range(11)}
+                 | {(lo + hi) / 2 for lo, hi in zip(bps, bps[1:])})
+    for t in pts:
+        assert g.integral_to(t) == integral_to_oracle(g, t)
+        if t > 0:
+            assert g.value_at(t) == value_at_oracle(g, t)
+            assert hardy_average(g, t) == integral_to_oracle(g, t) / t
+    for a, b in zip(pts, pts[3:]):
+        assert interval_mean_oscillation(g, a, b) \
+            == interval_mean_oscillation_oracle(g, a, b) \
+            == window_oscillation_oracle(g, a, b)
+
+
+cell_values = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 3, 4, 10)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([(1, 0), (1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
+       .flatmap(lambda nd: st.tuples(st.just(nd), st.lists(
+           cell_values, min_size=1 << (nd[0] * nd[1]),
+           max_size=1 << (nd[0] * nd[1])))))
+def test_rearrangement_is_equimeasurable(case):
+    """At every cell value lam, the sets {f > lam} and {f = lam} have the
+    same measure as {f* > lam} and {f* = lam}, read off the pieces."""
+    (n, depth), cells = case
+    f = DyadicFunction(n, depth, cells)
+    g = rearrange_signed(f)
+    for lam in set(cells):
+        above = sum((hi - lo for lo, hi, v in g.pieces() if v > lam), Fraction(0))
+        level = sum((hi - lo for lo, hi, v in g.pieces() if v == lam), Fraction(0))
+        assert above == Fraction(sum(v > lam for v in cells), len(cells))
+        assert level == Fraction(cells.count(lam), len(cells))

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import (from_int, from_rational, fzero, mpf_add, mpf_div,
-                          mpf_exp, mpf_log, mpf_mul, round_floor, to_float)
+from mpmath.libmp import (from_float, from_int, from_rational, fzero, mpf_add,
+                          mpf_div, mpf_exp, mpf_log, mpf_mul, round_floor,
+                          to_float)
 
 from .errors import InputError, PreconditionError
-from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow, mp,
+from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow,
                        upper_float)
-from .rearrangement import (hardy_average, interval_mean_oscillation,
-                            rearrange_abs)
+from .rearrangement import _window, hardy_average, rearrange_abs
 
 P_CAP = 1.0e6
 
@@ -141,8 +141,8 @@ def theorem3_check(f, t, profile=None):
     the rearrangement f*; rhs = 2^n * F(t) * v(sigma_t).  The caller asserts
     lhs <= rhs.
 
-    lhs is the mean oscillation of f* over (0, t], F(t) being its mean
-    there; f* is nonincreasing, so interval_mean_oscillation takes its
+    F(t) is the mean of f* over (0, t] and lhs its mean oscillation there,
+    both from one window of f*; f* is nonincreasing, so the window takes its
     O(log pieces) path.
     """
     _require_nonneg(f)
@@ -151,9 +151,7 @@ def theorem3_check(f, t, profile=None):
     t = Fraction(t)
     if not 0 < t <= 1:
         raise InputError(f"t must lie in (0,1], got {t}")
-    fstar = rearrange_abs(f)
-    favg = hardy_average(fstar, t)
-    lhs = interval_mean_oscillation(fstar, 0, t)
+    favg, lhs = _window(rearrange_abs(f), Fraction(0), t)
     if profile is None:
         profile = gr_profile(f)
     v_t = profile.value_at_level(sigma_level_for(t, f.dim))
@@ -161,36 +159,17 @@ def theorem3_check(f, t, profile=None):
     return lhs, rhs
 
 
-def _solve_exponent_mp(target_log):
-    """Bracket (lo, hi) of the root of p*ln(p) - (p-1)*ln(p-1) = target_log,
-    by bisection (the left side is increasing); val(lo) < target_log."""
-    lo = mp.mpf(1) + mp.mpf(2) ** (-100)
-    hi = mp.mpf(2)
-
-    def val(p):
-        return p * mp.log(p) - (p - 1) * mp.log(p - 1)
-
-    while val(hi) < target_log:
-        hi *= 2
-        if hi > 4 * P_CAP:
-            return hi, hi  # caller caps
-    for _ in range(400):
-        mid = (lo + hi) / 2
-        if val(mid) < target_log:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def solve_p(epsilon, n):
-    """The unique p > 1 with p^p/(p-1)^(p-1) = 1/(2^(n-1) eps).
+    """The unique p > 1 with p^p/(p-1)^(p-1) = 1/(2^(n-1) eps), from below.
 
-    Requires 0 < eps < 2^(1-n).  For eps so small that p would exceed 1e6 the
-    root is capped there and the (large) residual reported; the downstream
-    bounds only weaken under the cap.  p is a float no larger than the root
-    (the 160-bit lower bisection endpoint rounded down); the residual is that
-    of the 160-bit midpoint.  Solved once per (eps, n).
+    Requires 0 < eps < 2^(1-n).  p is bisected on floats, each step decided
+    on 160-bit intervals: the lower end moves only where val(p) = p ln p -
+    (p-1) ln(p-1) lies certainly below ln(target), so p never exceeds the
+    root (the thm5 and cor1 bounds shrink as p grows).  p is 1.0 when the
+    root lies below 1 + 2^-52, and 1e6 (capped) when it lies above 1e6; the
+    downstream bounds only weaken under the cap.  residual is a certified
+    upper bound of |p^p/(p-1)^(p-1) - target| at the returned p (target - 1
+    at p = 1.0).  Solved once per (eps, n).
     """
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
@@ -202,33 +181,47 @@ def solve_p(epsilon, n):
     return _solve_p_exact(epsilon, n)
 
 
+def _val(p):
+    """p ln p - (p-1) ln(p-1) at a float p > 1, a 160-bit interval; it
+    rises from val(1) = 0."""
+    p = iv.mpf(p)
+    return p * iv.log(p) - (p - IV_ONE) * iv.log(p - IV_ONE)
+
+
 @lru_cache(maxsize=256)
 def _solve_p_exact(epsilon, n):
-    target = Fraction(1, 1) / (Fraction(1 << (n - 1)) * epsilon)
-    target_mp = mp.mpf(target.numerator) / mp.mpf(target.denominator)
-    target_log = mp.log(target_mp)
-    lo, hi = _solve_exponent_mp(target_log)
-    root = (lo + hi) / 2
-    capped = root > P_CAP
-    if capped:
-        lo = root = mp.mpf(P_CAP)
-    value = mp.exp(root * mp.log(root) - (root - 1) * mp.log(root - 1))
-    residual = abs(value - target_mp)
-    # the float p is the lower endpoint rounded down, so p <= the true root:
-    # the thm5 and cor1 bounds shrink as p grows
-    p = float(lo)
-    if p > lo:
-        p = math.nextafter(p, -math.inf)
-    return ExponentSolution(epsilon=epsilon, n=n, p=p,
-                            residual=float(residual), capped=capped)
+    target = iv_from_fraction(1 / (Fraction(1 << (n - 1)) * epsilon))
+    log_target = iv.log(target)
+    # lo moves only where val(mid) < ln(target) is certified, so lo stays
+    # below the root; the loop ends when no float lies between lo and hi
+    capped = _val(P_CAP).b < log_target.a
+    lo, hi = (P_CAP, P_CAP) if capped else (1.0, P_CAP)
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        if _val(mid).b < log_target.a:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    value = IV_ONE if lo == 1.0 else iv.exp(_val(lo))
+    return ExponentSolution(epsilon=epsilon, n=n, p=lo,
+                            residual=upper_float(abs(target - value)),
+                            capped=capped)
 
 
-def _capped_exponent(epsilon, n):
-    """Exponent solution for checks that admit eps = 0 (p at the cap)."""
-    if epsilon == 0:
-        return ExponentSolution(epsilon=Fraction(0), n=n, p=P_CAP,
+def _power_exponent(f):
+    """The exponent of the power bound for f >= 0 whose modulus eps lies
+    below 2^(1-n): solve_p(eps, n), and p at the cap for eps = 0."""
+    eps = gr_membership(f)
+    limit = Fraction(1, 1 << (f.dim - 1))
+    if eps >= limit:
+        raise PreconditionError(
+            f"modulus {eps} is not below 2^(1-n) = {limit}; the power bound "
+            f"does not apply")
+    if eps == 0:
+        return ExponentSolution(epsilon=eps, n=f.dim, p=P_CAP,
                                 residual=float("inf"), capped=True)
-    return solve_p(epsilon, n)
+    return solve_p(eps, f.dim)
 
 
 def theorem5_check(f, t):
@@ -237,13 +230,7 @@ def theorem5_check(f, t):
     t = Fraction(t)
     if not 0 < t <= 1:
         raise InputError(f"t must lie in (0,1], got {t}")
-    eps = gr_membership(f)
-    limit = Fraction(1, 1 << (f.dim - 1))
-    if eps >= limit:
-        raise PreconditionError(
-            f"modulus {eps} is not below 2^(1-n) = {limit}; the power bound "
-            f"does not apply")
-    sol = _capped_exponent(eps, f.dim)
+    sol = _power_exponent(f)
     lhs = hardy_average(rearrange_abs(f), t)
     p = iv.mpf(sol.p)
     factor = p / (p - IV_ONE)
@@ -303,17 +290,12 @@ def lq_tail_bound(f, q):
     """The q-th power integral against the decay bound.
 
     bound = (p/(p-1))^q * mean^q * p/(p-q), from integrating the power decay
-    of the Hardy average; requires 1 <= q < p.  The integral is exact for an
-    integer q and otherwise summed at 160 bits with every step rounded down;
-    the bound is rounded up.
+    of the Hardy average; requires 1 <= q < p, with p the certified float
+    below the root from solve_p (1e6 for eps = 0).  The integral is exact
+    for an integer q and otherwise summed at 160 bits from the exact float
+    q, with every step rounded down; the bound is rounded up.
     """
-    _require_nonneg(f)
-    eps = gr_membership(f)
-    limit = Fraction(1, 1 << (f.dim - 1))
-    if eps >= limit:
-        raise PreconditionError(
-            f"modulus {eps} is not below 2^(1-n) = {limit}")
-    sol = _capped_exponent(eps, f.dim)
+    sol = _power_exponent(f)
     if not 1 <= q < sol.p:
         raise PreconditionError(
             f"q must lie in [1, p) with p = {sol.p}, got {q}")
@@ -324,7 +306,7 @@ def lq_tail_bound(f, q):
     else:
         # rounded down at every step, each monotone in its input for q > 0
         # (log, times q, exp, the sum, the division), so a lower bound
-        prec, qm, den = mp.prec, mp.mpf(q)._mpf_, f._den
+        prec, qm, den = iv.prec, from_float(q), f._den
         acc = fzero
         for a in f._nums:
             if a:

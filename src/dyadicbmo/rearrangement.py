@@ -235,6 +235,12 @@ def interval_mean_oscillation(g, a, b):
     a, b = Fraction(a), Fraction(b)
     if not 0 <= a < b <= 1:
         raise InputError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
+    return _window(g, a, b)[1]
+
+
+def _window(g, a, b):
+    """(mean, mean oscillation) of g over [a,b] for Fractions 0 <= a < b <= 1,
+    both exact; see interval_mean_oscillation."""
     c = lcm(a.denominator, b.denominator)
     xa = a.numerator * (c // a.denominator) * g._td
     xb = b.numerator * (c // b.denominator) * g._td
@@ -253,7 +259,7 @@ def interval_mean_oscillation(g, a, b):
             olo, ohi = max(lo * c, xa), min(hi * c, xb)
             if olo < ohi:
                 num += abs(v * L - J) * (ohi - olo)
-    return Fraction(num, g._vd * L * L)
+    return Fraction(J, g._vd * L), Fraction(num, g._vd * L * L)
 
 
 def hardy_gap_check(g, t, gamma):
@@ -271,9 +277,8 @@ def hardy_gap_check(g, t, gamma):
         raise InputError(f"t must lie in (0,1], got {t}")
     if gamma <= 1:
         raise PreconditionError(f"gamma must exceed 1, got {gamma}")
-    lhs = hardy_average(g, t / gamma) - hardy_average(g, t)
-    rhs = gamma / 2 * interval_mean_oscillation(g, 0, t)
-    return lhs, rhs
+    favg, osc = _window(g, Fraction(0), t)
+    return hardy_average(g, t / gamma) - favg, gamma / 2 * osc
 
 
 def value_mass_distribution(obj):

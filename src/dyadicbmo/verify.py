@@ -20,8 +20,8 @@ from fractions import Fraction
 from .dyadic import (DyadicCubeId, bmo_dyadic_norm, mean_oscillation,
                      one_sided_oscillation)
 from .errors import InputError
-from .gurov import (gr_membership, gr_profile, lq_tail_bound, solve_p,
-                    theorem3_check, theorem4_bound, theorem5_check)
+from .gurov import (_solve_p_exact, gr_membership, gr_profile, lq_tail_bound,
+                    solve_p, theorem3_check, theorem4_bound, theorem5_check)
 from .interval_bmo import interval_bmo_norm
 from .johnnirenberg import _lambda_grid, jn_abs_check, jn_check, logbound_check
 from .rearrangement import (hardy_average, hardy_gap_check,
@@ -276,15 +276,25 @@ def _suite_thm4(f):
     return _result("thm4", checks, failures, note=note)
 
 
-def _modulus_in_range(h):
-    return gr_membership(h) < Fraction(1, 1 << (h.dim - 1))
+def _power_skip(name, h):
+    """The skipped thm5 or cor1 result where the power bound does not apply
+    to h: a modulus not below 2^(1-n), or a root so near 1 that p is 1.0,
+    where the factor p/(p-1) is infinite.  None where it applies."""
+    eps = gr_membership(h)
+    if eps >= Fraction(1, 1 << (h.dim - 1)):
+        note = "modulus not below 2^(1-n)"
+    elif eps > 0 and _solve_p_exact(eps, h.dim).p == 1.0:
+        note = "p = 1.0: the exponent root lies below 1 + 2^-52"
+    else:
+        return None
+    return _result(name, 0, [], skipped=True, note=note)
 
 
 def _suite_thm5(f):
     h = f.abs()
-    if not _modulus_in_range(h):
-        return _result("thm5", 0, [], skipped=True,
-                       note="modulus not below 2^(1-n)")
+    skipped = _power_skip("thm5", h)
+    if skipped is not None:
+        return skipped
     failures = []
     checks = 0
     for t in _cell_aligned_grid(h, cap=16):
@@ -297,14 +307,13 @@ def _suite_thm5(f):
 
 def _suite_cor1(f):
     h = f.abs()
-    if not _modulus_in_range(h):
-        return _result("cor1", 0, [], skipped=True,
-                       note="modulus not below 2^(1-n)")
+    skipped = _power_skip("cor1", h)
+    if skipped is not None:
+        return skipped
     eps = gr_membership(h)
-    p = solve_p(eps, h.dim).p if eps > 0 else None
     qs = [1]
-    if p is not None and p > 1:
-        qs.append(1 + (p - 1) / 2)
+    if eps > 0:
+        qs.append(1 + (solve_p(eps, h.dim).p - 1) / 2)
     failures = []
     checks = 0
     for q in qs:

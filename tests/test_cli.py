@@ -324,3 +324,46 @@ def test_interval_bmo_outputs_pinned(slot, kw, stdout_sha, tmp_path, capsys):
     assert main(["interval-bmo", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+# sha256 of stdout and stderr of the exponent commands: p is the certified
+# float below the root and residual bounds |p^p/(p-1)^(p-1) - target| there
+EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PINNED_EXPONENTS = [
+    (["p-root", "--n", "1", "--eps", "1/4"],
+     "9bf5abb7121e639408c83a7d8bbddf6e7f988fbab19f58dde0e644108fdd19f7", EMPTY_SHA),
+    (["p-root", "--n", "2", "--eps", "3/1000"],
+     "5f9e6eb9ce88a30ccbacb5a078f7b7a2e5582a94c3851fb1a2c2a9d5f8acee9b", EMPTY_SHA),
+    (["p-root", "--n", "1", "--eps", "1/1000000000000"],  # capped
+     "081e8be2c3ae996c1ea75fc00d8ed7313ddbe716115f025a0049b98c9b624b80", EMPTY_SHA),
+    (["gr", "--input", "{cascade}"],
+     "0df878fc9096aec28bc7e92928c40d0c5c7bd1022958a24fe89557752f6fce5c",
+     "46f40c0867611b05f2ce3de129f4b8bfddf2cbb0fede7f9c86286b76a0bc65da"),
+]
+
+
+@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", PINNED_EXPONENTS)
+def test_exponent_outputs_pinned(argv, stdout_sha, stderr_sha, tmp_path, capsys):
+    cascade = str(tmp_path / "cascade.json")
+    assert main(["generate", "--kind", "cascade-gr", "--n", "2", "--level", "3",
+                 "--output", cascade]) == 0
+    capsys.readouterr()
+    assert main([a.format(cascade=cascade) for a in argv]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == stderr_sha
+
+
+def test_check_skips_power_bounds_at_p_one(tmp_path, capsys):
+    # eps = (2e16 - 1)/(2e16 + 1) < 1, but its root lies below 1 + 2^-52, so
+    # the float p is 1.0 and p/(p-1) is infinite: thm5 and cor1 do not apply
+    path = tmp_path / "f.json"
+    path.write_text(canonical_json(function_to_obj(
+        DyadicFunction(1, 1, [1, 20000000000000000]))))
+    assert main(["check", "--input", str(path)]) == 0
+    suites = {s["name"]: s for s in json.loads(capsys.readouterr().out)["suites"]}
+    assert len(suites) == 12
+    for name in ("thm5", "cor1"):
+        assert suites[name]["skipped"] and suites[name]["checks"] == 0
+        assert suites[name]["note"].startswith("p = 1.0")
+    assert not any(s["skipped"] for n, s in suites.items() if n not in ("thm5", "cor1"))

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
 from dyadicbmo import (DyadicFunction, GeneratorSpec,
@@ -15,10 +17,13 @@ from dyadicbmo import (DyadicFunction, GeneratorSpec,
                        gr_profile, hardy_average, lq_tail_bound, rearrange_abs,
                        sigma_level_for, solve_p, theorem3_check,
                        theorem4_bound, theorem5_check)
-from dyadicbmo.highprec import mp
 from conftest import all_cubes_oracle, average_oracle, oscillation_oracle, random_nonneg
 
 SPIKE = DyadicFunction(1, 2, [4, 0, 0, 0])
+
+# an oracle context independent of the package's, at twice its precision
+mp = MPContext()
+mp.prec = 320
 
 
 def modulus_oracle(f, sigma):
@@ -50,6 +55,16 @@ def bisect_oracle_p(target, lo=1.0 + 1e-9, hi=4.0, steps=200):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def _oracle_log_target(eps, n):
+    return -mp.log(mp.mpf(1 << (n - 1)) * eps.numerator / eps.denominator)
+
+
+def _oracle_val(p):
+    """p ln p - (p-1) ln(p-1) in the 320-bit oracle context, for a float p > 1."""
+    p = mp.mpf(p)
+    return p * mp.log(p) - (p - 1) * mp.log(p - 1)
 
 
 class TestModulus:
@@ -196,6 +211,34 @@ class TestSolveP:
             assert val(p) <= target_log
             assert val(math.nextafter(p, math.inf)) >= target_log
 
+    def test_exact_float_roots_give_the_float_below(self):
+        # val(root) meets ln(target) exactly, which no interval certifies as
+        # below, so p is the float just under the root
+        for n, eps, root in ((1, Fraction(1, 4), 2.0), (1, Fraction(4, 27), 3.0),
+                             (2, Fraction(1, 8), 2.0)):
+            sol = solve_p(eps, n)
+            assert sol.p == math.nextafter(root, -math.inf)
+            assert not sol.capped
+
+    def test_root_just_below_the_cap(self):
+        # roots in (2^19, 1e6) are solved, not capped
+        for n, eps in ((1, Fraction(1, 1900000)), (2, Fraction(1, 3000000)),
+                       (3, Fraction(1, 10000000))):
+            sol = solve_p(eps, n)
+            assert 2 ** 19 < sol.p < 1e6
+            assert not sol.capped
+            log_target = _oracle_log_target(eps, n)
+            assert _oracle_val(sol.p) < log_target
+            assert _oracle_val(math.nextafter(sol.p, math.inf)) >= log_target
+
+    def test_capped_and_p_one(self):
+        sol = solve_p(Fraction(1, 10 ** 12), 1)
+        assert sol.p == 1e6 and sol.capped
+        eps = 1 - Fraction(1, 10 ** 16)
+        sol = solve_p(eps, 1)
+        assert sol.p == 1.0 and not sol.capped
+        assert sol.residual >= 1 / eps - 1
+
     def test_monotone_in_eps(self):
         ps = [solve_p(Fraction(1, d), 1).p for d in (3, 5, 9, 17, 33)]
         assert all(a < b for a, b in zip(ps, ps[1:]))
@@ -207,6 +250,35 @@ class TestSolveP:
             solve_p(0, 1)
         with pytest.raises(PreconditionError):
             solve_p(Fraction(2), 1)
+
+
+def _fractions_below_one():
+    """x in (0, 1): random ones, and ones near 0 and near 1."""
+    return st.one_of(
+        st.fractions(0, 1, max_denominator=10 ** 9).filter(lambda x: 0 < x < 1),
+        st.integers(1, 40).map(lambda k: Fraction(1, 10 ** k)),
+        st.integers(1, 40).map(lambda k: 1 - Fraction(1, 10 ** k)),
+        st.tuples(st.integers(1, 10 ** 6), st.integers(0, 12)).map(
+            lambda ab: Fraction(ab[0], 10 ** 6 * 10 ** ab[1])))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), x=_fractions_below_one())
+def test_p_certified_against_oracle(n, x):
+    eps = x / (1 << (n - 1))
+    sol = solve_p(eps, n)
+    log_target = _oracle_log_target(eps, n)
+    target = mp.exp(log_target)
+    # p lies below the root and the next float up does not, but for the
+    # oracle's own rounding (under 2^-290 here) where it meets the root
+    if sol.p != 1.0:
+        assert _oracle_val(sol.p) < log_target
+    if not sol.capped:
+        assert 1 <= sol.p < 1e6
+        assert _oracle_val(math.nextafter(sol.p, math.inf)) >= log_target - mp.mpf(2) ** -200
+    value = 1 if sol.p == 1.0 else mp.exp(_oracle_val(sol.p))
+    assert sol.residual >= abs(value - target)
+    assert sol.capped == (_oracle_val(1e6) < log_target)
 
 
 class TestTheorem5:

@@ -15,6 +15,7 @@ DyadicCubeId.children()).  A cube is then the contiguous slice
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -334,6 +335,12 @@ class DyadicFunction:
             self._cache["mean"] = Fraction(sum(self._nums), self._den * len(self._nums))
         return self._cache["mean"]
 
+    def _sorted_nums(self):
+        """The numerators in increasing order, sorted once per function."""
+        if "sorted" not in self._cache:
+            self._cache["sorted"] = sorted(self._nums)
+        return self._cache["sorted"]
+
     def cell_indices(self, q):
         """Flat indices of the level-L cells inside cube q, in Morton order."""
         z, cnt = self._block(q)
@@ -468,9 +475,12 @@ def dyadic_maximal_function(f):
 
 
 def distribution_above(f, lam, center):
-    """Exact measure of the set where f(x) - center > lam."""
+    """Exact measure of the set where f(x) - center > lam.
+
+    The numerators a > thr * den are those above its floor, counted by
+    bisection of the sorted numerators.
+    """
     thr = Fraction(center) + Fraction(lam)
-    den = f._den
-    p, q = thr.numerator, thr.denominator
-    count = sum(1 for a in f._nums if a * q > p * den)
-    return Fraction(count, len(f._nums))
+    nums = f._sorted_nums()
+    count = len(nums) - bisect_right(nums, thr.numerator * f._den // thr.denominator)
+    return Fraction(count, len(nums))

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import (from_float, from_int, from_rational, fzero, mpf_add,
-                          mpf_div, mpf_exp, mpf_log, mpf_mul, round_floor,
-                          to_float)
+from mpmath.libmp import (from_int, from_rational, fone, fzero, mpf_add,
+                          mpf_div, mpf_exp, mpf_ge, mpf_log, mpf_lt, mpf_mul,
+                          mpi_abs, mpi_add, mpi_div, mpi_exp, mpi_log,
+                          mpi_mul, mpi_neg, mpi_sub, round_floor, to_float)
 
 from .errors import InputError, PreconditionError
-from .highprec import (IV_E, IV_ONE, iv, iv_from_fraction, iv_max, iv_pow,
-                       upper_float)
+from .highprec import (IV_E, IV_ONE, IV_ZERO, PREC, iv_float, iv_from_fraction,
+                       iv_int, iv_max, iv_pow, upper_float)
 from .rearrangement import _window, hardy_average, rearrange_abs
 
 P_CAP = 1.0e6
@@ -184,29 +185,31 @@ def solve_p(epsilon, n):
 def _val(p):
     """p ln p - (p-1) ln(p-1) at a float p > 1, a 160-bit interval; it
     rises from val(1) = 0."""
-    p = iv.mpf(p)
-    return p * iv.log(p) - (p - IV_ONE) * iv.log(p - IV_ONE)
+    p = iv_float(p)
+    q = mpi_sub(p, IV_ONE, PREC)
+    return mpi_sub(mpi_mul(p, mpi_log(p, PREC), PREC),
+                   mpi_mul(q, mpi_log(q, PREC), PREC), PREC)
 
 
 @lru_cache(maxsize=256)
 def _solve_p_exact(epsilon, n):
     target = iv_from_fraction(1 / (Fraction(1 << (n - 1)) * epsilon))
-    log_target = iv.log(target)
+    log_target_lo = mpi_log(target, PREC)[0]
     # lo moves only where val(mid) < ln(target) is certified, so lo stays
     # below the root; the loop ends when no float lies between lo and hi
-    capped = _val(P_CAP).b < log_target.a
+    capped = mpf_lt(_val(P_CAP)[1], log_target_lo)
     lo, hi = (P_CAP, P_CAP) if capped else (1.0, P_CAP)
     mid = (lo + hi) / 2
     while lo < mid < hi:
-        if _val(mid).b < log_target.a:
+        if mpf_lt(_val(mid)[1], log_target_lo):
             lo = mid
         else:
             hi = mid
         mid = (lo + hi) / 2
-    value = IV_ONE if lo == 1.0 else iv.exp(_val(lo))
+    value = IV_ONE if lo == 1.0 else mpi_exp(_val(lo), PREC)
+    residual = mpi_abs(mpi_sub(target, value, PREC), PREC)
     return ExponentSolution(epsilon=epsilon, n=n, p=lo,
-                            residual=upper_float(abs(target - value)),
-                            capped=capped)
+                            residual=upper_float(residual), capped=capped)
 
 
 def _power_exponent(f):
@@ -232,11 +235,33 @@ def theorem5_check(f, t):
         raise InputError(f"t must lie in (0,1], got {t}")
     sol = _power_exponent(f)
     lhs = hardy_average(rearrange_abs(f), t)
-    p = iv.mpf(sol.p)
-    factor = p / (p - IV_ONE)
-    rhs = factor * iv_from_fraction(f.mean) * iv_pow(iv_from_fraction(t),
-                                                     -IV_ONE / p)
+    p = iv_float(sol.p)
+    factor = mpi_div(p, mpi_sub(p, IV_ONE, PREC), PREC)
+    rhs = mpi_mul(mpi_mul(factor, iv_from_fraction(f.mean), PREC),
+                  iv_pow(iv_from_fraction(t), mpi_div(mpi_neg(IV_ONE, PREC), p, PREC)),
+                  PREC)
     return lhs, upper_float(rhs)
+
+
+@lru_cache(maxsize=None)
+def _theorem4_constants(n):
+    """c1..c4 of theorem4_bound and 1/n as intervals, once per dimension."""
+    two_n = iv_int(1 << n)
+    inv_n = mpi_div(IV_ONE, iv_int(n), PREC)
+    c1 = mpi_mul(two_n, mpi_exp(mpi_add(mpi_mul(two_n, IV_E, PREC), IV_ONE, PREC),
+                                PREC), PREC)
+    c2 = mpi_mul(mpi_mul(iv_int(1 << (n - 1)), IV_E, PREC), iv_int(n), PREC)
+    c3 = mpi_mul(iv_int(2), mpi_exp(inv_n, PREC), PREC)
+    c4 = mpi_mul(mpi_mul(two_n, IV_E, PREC), IV_E, PREC)
+    return c1, c2, c3, c4, inv_n
+
+
+@lru_cache(maxsize=None)
+def _segment(k):
+    """The level-k side range [2^-k, 2^-(k-1)] and the log of both ends."""
+    lo = iv_from_fraction(Fraction(1, 1 << k))
+    hi = iv_from_fraction(Fraction(1, 1 << (k - 1)))
+    return lo, hi, mpi_log(lo, PREC), mpi_log(hi, PREC)
 
 
 def theorem4_bound(f, t, profile=None):
@@ -253,33 +278,29 @@ def theorem4_bound(f, t, profile=None):
     t = Fraction(t)
     if not 0 < t <= 1:
         raise InputError(f"t must lie in (0,1], got {t}")
-    n = f.dim
-    two_n = iv.mpf(1 << n)
-    c1 = two_n * iv.exp(two_n * IV_E + IV_ONE)
-    c2 = iv.mpf(1 << (n - 1)) * IV_E * iv.mpf(n)
-    c3 = iv.mpf(2) * iv.exp(IV_ONE / iv.mpf(n))
-    c4 = two_n * IV_E * IV_E
+    c1, c2, c3, c4, inv_n = _theorem4_constants(f.dim)
     t_iv = iv_from_fraction(t)
-    if t_iv.a * c4.a > 1:
+    if mpf_lt(fone, mpf_mul(t_iv[0], c4[0], PREC, round_floor)):
         raise PreconditionError(
             f"t = {t} exceeds the validity threshold 1/(2^n e^2)")
     if profile is None:
         profile = gr_profile(f)
-    lower_limit = c3 * iv_pow(t_iv, IV_ONE / iv.mpf(n))
-    integral = iv.mpf(0)
+    lower_limit = mpi_mul(c3, iv_pow(t_iv, inv_n), PREC)
+    integral = IV_ZERO
     for k in range(1, f.depth + 1):
-        seg_lo = iv_from_fraction(Fraction(1, 1 << k))
-        seg_hi = iv_from_fraction(Fraction(1, 1 << (k - 1)))
         v_k = profile.value_at_level(k)
         if v_k == 0:
             continue
+        seg_lo, seg_hi, log_lo, log_hi = _segment(k)
         eff_lo = iv_max(seg_lo, lower_limit)
-        if eff_lo.a >= seg_hi.b:
+        if mpf_ge(eff_lo[0], seg_hi[1]):
             continue
-        contrib = iv.log(seg_hi) - iv.log(eff_lo)
-        contrib = iv_max(contrib, iv.mpf(0))
-        integral += iv_from_fraction(v_k) * contrib
-    rhs = c1 * iv_from_fraction(f.mean) * iv.exp(c2 * integral)
+        log_eff = log_lo if eff_lo == seg_lo else mpi_log(eff_lo, PREC)
+        contrib = iv_max(mpi_sub(log_hi, log_eff, PREC), IV_ZERO)
+        integral = mpi_add(integral, mpi_mul(iv_from_fraction(v_k), contrib, PREC),
+                           PREC)
+    rhs = mpi_mul(mpi_mul(c1, iv_from_fraction(f.mean), PREC),
+                  mpi_exp(mpi_mul(c2, integral, PREC), PREC), PREC)
     lhs = hardy_average(rearrange_abs(f), t)
     return Theorem4Result(lhs=lhs, rhs=upper_float(rhs),
                           c1=upper_float(c1), c2=upper_float(c2),
@@ -291,35 +312,40 @@ def lq_tail_bound(f, q):
 
     bound = (p/(p-1))^q * mean^q * p/(p-q), from integrating the power decay
     of the Hardy average; requires 1 <= q < p, with p the certified float
-    below the root from solve_p (1e6 for eps = 0).  The integral is exact
-    for an integer q and otherwise summed at 160 bits from the exact float
-    q, with every step rounded down; the bound is rounded up.
+    below the root from solve_p (1e6 for eps = 0).  q is taken exactly (a
+    float as its exact rational).  The integral is exact for an integer q
+    and otherwise summed at 160 bits, with every step rounded down; the
+    bound is rounded up.
     """
     sol = _power_exponent(f)
     if not 1 <= q < sol.p:
         raise PreconditionError(
             f"q must lie in [1, p) with p = {sol.p}, got {q}")
-    q_iv = iv.mpf(q)
-    if float(q).is_integer():
-        qi = int(q)
+    q = Fraction(q)
+    if q.denominator == 1:
+        qi = q.numerator
         lq = Fraction(sum(a ** qi for a in f._nums), f._den ** qi * len(f._nums))
     else:
         # rounded down at every step, each monotone in its input for q > 0
-        # (log, times q, exp, the sum, the division), so a lower bound
-        prec, qm, den = iv.prec, from_float(q), f._den
+        # (log, times q's numerator, over its denominator, exp, the sum, the
+        # division), so a lower bound; for a float q the denominator is a
+        # power of two and the division exact
+        qn, qd, den = from_int(q.numerator), from_int(q.denominator), f._den
         acc = fzero
         for a in f._nums:
             if a:
-                x = mpf_log(from_rational(a, den, prec, round_floor), prec, round_floor)
-                x = mpf_exp(mpf_mul(x, qm, prec, round_floor), prec, round_floor)
-                acc = mpf_add(acc, x, prec, round_floor)
-        acc = mpf_div(acc, from_int(len(f._nums)), prec, round_floor)
+                x = mpf_log(from_rational(a, den, PREC, round_floor), PREC, round_floor)
+                x = mpf_div(mpf_mul(x, qn, PREC, round_floor), qd, PREC, round_floor)
+                x = mpf_exp(x, PREC, round_floor)
+                acc = mpf_add(acc, x, PREC, round_floor)
+        acc = mpf_div(acc, from_int(len(f._nums)), PREC, round_floor)
         lq = math.nextafter(to_float(acc, rnd=round_floor), -math.inf)
-    p = iv.mpf(sol.p)
-    factor = iv_pow(p / (p - IV_ONE), q_iv)
     mean = f.mean
     if mean == 0:
-        bound = iv.mpf(0)
-    else:
-        bound = factor * iv_pow(iv_from_fraction(mean), q_iv) * p / (p - q_iv)
-    return lq, upper_float(bound)
+        return lq, upper_float(IV_ZERO)
+    q_iv = iv_from_fraction(q)
+    p = iv_float(sol.p)
+    factor = iv_pow(mpi_div(p, mpi_sub(p, IV_ONE, PREC), PREC), q_iv)
+    bound = mpi_mul(mpi_mul(factor, iv_pow(iv_from_fraction(mean), q_iv), PREC), p,
+                    PREC)
+    return lq, upper_float(mpi_div(bound, mpi_sub(p, q_iv, PREC), PREC))

@@ -9,12 +9,16 @@ side.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath.libmp import (mpi_div, mpi_exp, mpi_log, mpi_mid, mpi_mul, mpi_neg,
+                          mpi_sub, to_float)
+
 from .dyadic import bmo_dyadic_norm, distribution_above
 from .errors import InputError, PreconditionError
-from .highprec import IV_E, iv, iv_from_fraction, upper_float
+from .highprec import IV_E, IV_ONE, PREC, iv_from_fraction, iv_int, upper_float
 from .rearrangement import rearrange_signed
 
 
@@ -30,19 +34,27 @@ class JNConstants:
 
     @property
     def b(self):
-        return float((iv_from_fraction(self.b_scale) / IV_E).mid)
+        return to_float(mpi_mid(mpi_div(iv_from_fraction(self.b_scale), IV_E, PREC),
+                                PREC))
 
     @property
     def B(self):
-        return float(IV_E.mid)
+        return to_float(mpi_mid(IV_E, PREC))
 
 
-def _exp_bound(n, lam, norm):
-    """Upper endpoint of e * exp(-lam / (2^(n-1) e norm))."""
-    lam_iv = iv_from_fraction(lam)
-    norm_iv = iv_from_fraction(norm)
-    expo = -lam_iv / (iv.mpf(1 << (n - 1)) * IV_E * norm_iv)
-    return upper_float(IV_E * iv.exp(expo))
+def _scale(f, norm):
+    """2^(n-1) e norm for norm = ||f|| as an interval, cached per function:
+    the divisor of the jn exponent and the factor of the log bound."""
+    if "jn_scale" not in f._cache:
+        f._cache["jn_scale"] = mpi_mul(mpi_mul(iv_int(1 << (f.dim - 1)), IV_E, PREC),
+                                       iv_from_fraction(norm), PREC)
+    return f._cache["jn_scale"]
+
+
+def _exp_bound(f, lam, norm):
+    """Upper endpoint of e * exp(-lam / (2^(n-1) e norm)), norm = ||f||."""
+    expo = mpi_div(mpi_neg(iv_from_fraction(lam), PREC), _scale(f, norm), PREC)
+    return upper_float(mpi_mul(IV_E, mpi_exp(expo, PREC), PREC))
 
 
 def logbound_check(f, t):
@@ -61,8 +73,8 @@ def logbound_check(f, t):
     norm = bmo_dyadic_norm(f)
     if norm == 0:
         return lhs, 0.0
-    scale = iv.mpf(1 << (f.dim - 1)) * IV_E * iv_from_fraction(norm)
-    rhs = scale * (iv.mpf(1) - iv.log(iv_from_fraction(t)))
+    log_e_over_t = mpi_sub(IV_ONE, mpi_log(iv_from_fraction(t), PREC), PREC)
+    rhs = mpi_mul(_scale(f, norm), log_e_over_t, PREC)
     return lhs, upper_float(rhs)
 
 
@@ -87,7 +99,7 @@ def jn_check(f, lam):
     measure = distribution_above(f, lam, f.mean)
     if norm == 0:
         return measure, 0.0
-    return measure, _exp_bound(f.dim, lam, norm)
+    return measure, _exp_bound(f, lam, norm)
 
 
 def jn_abs_check(f, lam):
@@ -100,11 +112,12 @@ def jn_abs_check(f, lam):
     norm = bmo_dyadic_norm(f)
     center = f.mean
     upper = distribution_above(f, lam, center)
-    # {f < center - lam}, counted on the numerators over f's denominator
+    # {f < center - lam}: the numerators a < (center - lam) den, that is below
+    # its ceiling, counted by bisection
     thr = center - lam
-    p, q, den = thr.numerator, thr.denominator, f._den
-    lower = Fraction(sum(1 for a in f._nums if a * q < p * den), len(f._nums))
+    ceil = -(-thr.numerator * f._den // thr.denominator)
+    lower = Fraction(bisect_left(f._sorted_nums(), ceil), len(f._nums))
     measure = upper + lower
     if norm == 0:
         return measure, 0.0
-    return measure, _exp_bound(f.dim, lam, norm)
+    return measure, _exp_bound(f, lam, norm)

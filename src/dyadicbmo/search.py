@@ -25,7 +25,7 @@ from .dyadic import (DyadicFunction, _morton_order, bmo_dyadic_norm,
 from .errors import InputError, PreconditionError
 from .highprec import IV_E, upper_float
 from .interval_bmo import interval_bmo_norm
-from .johnnirenberg import _lambda_grid, jn_check
+from .johnnirenberg import JNConstants, _lambda_grid, jn_check
 from .rearrangement import rearrange_signed
 
 OBJECTIVES = ("ratio_thm1", "jn_B_probe")
@@ -110,7 +110,7 @@ def _jn_probe_score(f):
         return None
     norm = bmo_dyadic_norm(f)
     best = 0.0
-    b = float(Fraction(1, 1 << (f.dim - 1))) / float(IV_E.mid)
+    b = float(Fraction(1, 1 << (f.dim - 1))) / JNConstants(f.dim).B
     for lam in grid:
         measure, _ = jn_check(f, lam)
         if measure == 0:

@@ -12,8 +12,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import (from_float, from_int, from_rational, fzero, mpf_add,
+                          mpf_div, mpf_exp, mpf_log, mpf_mul, round_floor,
+                          to_float)
 
-from dyadicbmo import DyadicCubeId, DyadicFunction
+from dyadicbmo import DyadicCubeId, DyadicFunction, gr_profile
 
 # (dim, depth) palettes for random corpora; weights favor small grids with a
 # deterministic sprinkle of the large desk-scale sizes.
@@ -499,6 +503,123 @@ def parent_cover_oracle(stopping):
     fathers = {q.father() for q in stopping}
     return [p for p in fathers
             if not any(o != p and o.contains(p) for o in fathers)]
+
+
+# -- interval bounds ----------------------------------------------------------
+# The bounds evaluated operation for operation on mpmath's interval context,
+# a test-local one at the package's 160 bits: the package's raw-tuple
+# evaluation must give the same floats, bit for bit.  Exact inputs (norm,
+# modulus profile, mean, p) come from the package; only the interval
+# evaluation is under test.
+
+iv = MPIntervalContext()
+iv.prec = 160
+IV_ONE = iv.mpf(1)
+IV_E = iv.exp(IV_ONE)
+
+
+def iv_fraction_oracle(x):
+    x = Fraction(x)
+    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+
+
+def upper_oracle(x):
+    return math.nextafter(float(x.b), math.inf)
+
+
+def exp_bound_oracle(n, lam, norm):
+    """Upper endpoint of e * exp(-lam / (2^(n-1) e norm))."""
+    expo = -iv_fraction_oracle(lam) / (iv.mpf(1 << (n - 1)) * IV_E
+                                       * iv_fraction_oracle(norm))
+    return upper_oracle(IV_E * iv.exp(expo))
+
+
+def logbound_oracle(n, norm, t):
+    """Upper endpoint of 2^(n-1) e norm ln(e/t)."""
+    scale = iv.mpf(1 << (n - 1)) * IV_E * iv_fraction_oracle(norm)
+    return upper_oracle(scale * (iv.mpf(1) - iv.log(iv_fraction_oracle(t))))
+
+
+def _iv_max_oracle(a, b):
+    lo = a.a if a.a > b.a else b.a
+    hi = a.b if a.b > b.b else b.b
+    return iv.mpf([lo, hi])
+
+
+def _iv_pow_oracle(base, expo):
+    return iv.exp(iv.log(base) * expo)
+
+
+def theorem4_oracle(f, t):
+    """(rhs, c1, c2, c3, c4) upper floats, or None past the validity threshold."""
+    n = f.dim
+    two_n = iv.mpf(1 << n)
+    c1 = two_n * iv.exp(two_n * IV_E + IV_ONE)
+    c2 = iv.mpf(1 << (n - 1)) * IV_E * iv.mpf(n)
+    c3 = iv.mpf(2) * iv.exp(IV_ONE / iv.mpf(n))
+    c4 = two_n * IV_E * IV_E
+    t_iv = iv_fraction_oracle(t)
+    if t_iv.a * c4.a > 1:
+        return None
+    profile = gr_profile(f)
+    lower_limit = c3 * _iv_pow_oracle(t_iv, IV_ONE / iv.mpf(n))
+    integral = iv.mpf(0)
+    for k in range(1, f.depth + 1):
+        seg_lo = iv_fraction_oracle(Fraction(1, 1 << k))
+        seg_hi = iv_fraction_oracle(Fraction(1, 1 << (k - 1)))
+        v_k = profile.value_at_level(k)
+        if v_k == 0:
+            continue
+        eff_lo = _iv_max_oracle(seg_lo, lower_limit)
+        if eff_lo.a >= seg_hi.b:
+            continue
+        contrib = iv.log(seg_hi) - iv.log(eff_lo)
+        contrib = _iv_max_oracle(contrib, iv.mpf(0))
+        integral += iv_fraction_oracle(v_k) * contrib
+    rhs = c1 * iv_fraction_oracle(f.mean) * iv.exp(c2 * integral)
+    return tuple(map(upper_oracle, (rhs, c1, c2, c3, c4)))
+
+
+def theorem5_oracle(p, mean, t):
+    """Upper endpoint of (p/(p-1)) mean t^(-1/p) at a float p."""
+    p = iv.mpf(p)
+    factor = p / (p - IV_ONE)
+    return upper_oracle(factor * iv_fraction_oracle(mean)
+                        * _iv_pow_oracle(iv_fraction_oracle(t), -IV_ONE / p))
+
+
+def lq_oracle(f, q, p):
+    """(integral, bound) of lq_tail_bound at a float or integer q < p: the
+    integral exact for an integral q, else summed rounded down from the float
+    q over the package's Morton-order numerators (a rounded sum depends on
+    its order); the bound (p/(p-1))^q mean^q p/(p-q) rounded up."""
+    q_iv = iv.mpf(q)
+    if float(q).is_integer():
+        qi = int(q)
+        lq = Fraction(sum(v ** qi for v in f.cells), len(f.cells))
+    else:
+        prec, qm, den = iv.prec, from_float(q), f._den
+        acc = fzero
+        for a in f._nums:
+            if a:
+                x = mpf_log(from_rational(a, den, prec, round_floor), prec, round_floor)
+                x = mpf_exp(mpf_mul(x, qm, prec, round_floor), prec, round_floor)
+                acc = mpf_add(acc, x, prec, round_floor)
+        acc = mpf_div(acc, from_int(len(f.cells)), prec, round_floor)
+        lq = math.nextafter(to_float(acc, rnd=round_floor), -math.inf)
+    p = iv.mpf(p)
+    factor = _iv_pow_oracle(p / (p - IV_ONE), q_iv)
+    if f.mean == 0:
+        bound = iv.mpf(0)
+    else:
+        mean_q = _iv_pow_oracle(iv_fraction_oracle(f.mean), q_iv)
+        bound = factor * mean_q * p / (p - q_iv)
+    return lq, upper_oracle(bound)
+
+
+def count_above_oracle(f, thr):
+    """Measure of {f > thr}, one comparison per public cell."""
+    return Fraction(sum(1 for v in f.cells if v > thr), len(f.cells))
 
 
 @pytest.fixture

@@ -302,6 +302,26 @@ def test_check_outputs_pinned(slot, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
 
 
+# sha256 of stdout of `jn` (the 32-lambda grid, its measures and the
+# exponential bounds as floats) on check-mixed inputs of bench seed 1, pass 0
+PINNED_JN = [
+    (0, "41fa0181e4e30d32cbad74f75cfb471779aaec4a35b5a5dce54fb2c8356474c5"),
+    (4, "b49fda858806386afc346652e2169cd489b3d03dffaa2e3365f023f7753eec54"),
+]
+
+
+@pytest.mark.parametrize("slot,stdout_sha", PINNED_JN)
+def test_jn_outputs_pinned(slot, stdout_sha, tmp_path, capsys):
+    kind, n, level, _ = PINNED_CHECKS[slot]
+    f = generate(GeneratorSpec(kind=kind, dim=n, depth=level,
+                               seed=_bench_seed("check-mixed", 1, 0, slot)))
+    path = tmp_path / "f.json"
+    path.write_text(canonical_json(function_to_obj(f)))
+    assert main(["jn", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
 # sha256 of stdout of `interval-bmo` on a many-band and a few-band input of
 # the interval-general workload (bench seed 1, pass 0, slots 0 and 2)
 PINNED_INTERVALS = [

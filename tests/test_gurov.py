@@ -375,6 +375,31 @@ class TestLqTail:
                 kinds.add(type(lq))
         assert kinds == {float}
 
+    def test_exact_rational_q(self):
+        # a Fraction q is taken exactly: the same values as the float or int
+        f = DyadicFunction(1, 2, [3, 3, 3, 4])
+        assert lq_tail_bound(f, Fraction(3, 2)) == lq_tail_bound(f, 1.5) == (
+            5.897114317029972, 20.454351986826286)
+        assert lq_tail_bound(f, Fraction(2)) == lq_tail_bound(f, 2)
+        g = generate(GeneratorSpec(kind="cascade-gr", dim=2, depth=2, seed=1,
+                                   target_eps=Fraction(1, 8)))
+        for q in (1.0625, 2.75, 1 + (solve_p(gr_membership(g), 2).p - 1) / 2):
+            assert lq_tail_bound(g, Fraction(q)) == lq_tail_bound(g, q)
+
+    def test_non_dyadic_rational_q_is_a_lower_bound(self):
+        ctx = MPContext()
+        ctx.prec = 300
+        f = generate(GeneratorSpec(kind="cascade-gr", dim=1, depth=4, seed=5,
+                                   target_eps=Fraction(1, 8)))
+        for q in (Fraction(4, 3), Fraction(7, 5), Fraction(22, 7)):
+            lq, bound = lq_tail_bound(f, q)
+            exact = ctx.fsum(ctx.power(ctx.mpf(v.numerator) / v.denominator,
+                                       ctx.mpf(q.numerator) / q.denominator)
+                             for v in f.cells) / len(f.cells)
+            assert ctx.mpf(lq) <= exact
+            assert exact - ctx.mpf(lq) <= exact * 1e-15
+            assert lq <= bound
+
     def test_rejects_q_at_p(self):
         f = generate(GeneratorSpec(kind="cascade-gr", dim=2, depth=2, seed=3,
                                    target_eps=Fraction(1, 8)))

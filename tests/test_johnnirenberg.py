@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadicbmo import (DyadicFunction, InputError, JNConstants,
                        PreconditionError, bmo_dyadic_norm, distribution_above,
                        jn_abs_check, jn_check, logbound_check)
-from conftest import random_function, random_nonneg
+from conftest import count_above_oracle, random_function, random_nonneg
 
 
 class TestConstants:
@@ -184,3 +186,30 @@ class TestJNAbs:
                 lam = 2 * spread * Fraction(i, 32)
                 measure, bound = jn_abs_check(f, lam)
                 assert Fraction(measure) <= Fraction(bound) + tol
+
+
+# -- counts by bisection against one comparison per cell -----------------------
+
+@st.composite
+def mixed_functions(draw):
+    """Signed cells over mixed denominators, few distinct values (ties)."""
+    n = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, {1: 4, 2: 2, 3: 1}[n]))
+    pool = draw(st.lists(st.builds(Fraction, st.integers(-40, 40),
+                                   st.sampled_from((1, 2, 3, 5, 8, 12))),
+                         min_size=1, max_size=6))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=1 << (n * depth),
+                          max_size=1 << (n * depth)))
+    return DyadicFunction(n, depth, cells)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(f=mixed_functions(), data=st.data())
+def test_distribution_above_matches_count(f, data):
+    # thresholds at cell values exactly, just beside them, and anywhere
+    at = st.sampled_from(sorted(set(f.cells)))
+    beside = st.tuples(at, st.sampled_from((-1, 1))).map(
+        lambda vs: vs[0] + Fraction(vs[1], 10 ** 9))
+    thr = data.draw(st.one_of(at, beside, st.fractions(-50, 50, max_denominator=30)))
+    center = data.draw(st.sampled_from([f.mean, Fraction(0), f.cells[0]]))
+    assert distribution_above(f, thr - center, center) == count_above_oracle(f, thr)

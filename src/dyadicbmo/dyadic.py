@@ -42,10 +42,9 @@ def _decode(flat, level, dim):
 
 @lru_cache(maxsize=16)
 def _morton_order(dim, depth):
-    """Public flat index of the level-`depth` cell at each Morton address.
-
-    The one map from Morton addresses to the public layout.  The level-k
-    digit of an address holds bit depth-k of every coordinate index.
+    """Public flat index of the level-`depth` cell at each Morton address,
+    the map between a grid's cell layouts.  The level-k digit of an address
+    holds bit depth-k of every coordinate index.
     """
     order = [0]
     for k in range(1, depth + 1):
@@ -53,6 +52,36 @@ def _morton_order(dim, depth):
                    for delta in product((0, 1), repeat=dim)]
         order = [p + o for p in order for o in offsets]
     return tuple(order)
+
+
+@lru_cache(maxsize=8)
+def _spread(dim):
+    """Each byte b < 256 with its bit j moved to bit j * dim: the places
+    one coordinate's bits take in a Morton address of dimension dim."""
+    return tuple(sum(((b >> j) & 1) << (j * dim) for j in range(8)) for b in range(256))
+
+
+@lru_cache(maxsize=8)
+def _gather(dim):
+    """The inverse of _spread(dim), from spread byte to byte."""
+    return {s: b for b, s in enumerate(_spread(dim))}
+
+
+def _unmorton(z, dim):
+    """The index tuple of the cube at Morton address z, coordinate dim-1
+    first: the coordinate whose bits sit at places o, o + dim, ... of z,
+    for o = 0..dim-1, gathered a spread byte at a time."""
+    gather, step = _gather(dim), 8 * dim
+    mask = _spread(dim)[255]
+    out = []
+    for o in range(dim):
+        x, i, shift = z >> o, 0, 0
+        while x:
+            i |= gather[x & mask] << shift
+            x >>= step
+            shift += 8
+        out.append(i)
+    return tuple(out)
 
 
 def check_grid_size(dim, depth):
@@ -139,11 +168,19 @@ class DyadicCubeId:
 
     def morton(self):
         """Morton address: one n-bit digit per level from the root, the bit
-        of coordinate 0 highest in each digit."""
+        of coordinate 0 highest in each digit.  Each coordinate is spread a
+        byte at a time by table, then shifted to its place in the digits."""
+        spread, step = _spread(len(self.index)), 8 * len(self.index)
         z = 0
-        for b in range(self.level - 1, -1, -1):
-            for i in self.index:
-                z = (z << 1) | ((i >> b) & 1)
+        for i in self.index:
+            s = spread[i & 255]
+            shift = step
+            i >>= 8
+            while i:
+                s |= spread[i & 255] << shift
+                i >>= 8
+                shift += step
+            z = (z << 1) | s
         return z
 
     @classmethod
@@ -298,12 +335,15 @@ class DyadicFunction:
         pairs: with a = floor(alpha den 2^(nL)), above is A > a and below is
         -A > -a - 1; a cube stops iff R[father] <= a < R[cube] and is in the
         cover iff S[father] <= a < S[cube]."""
-        n = self.dim
-        a = (alpha.numerator * self._den << n * self.depth) // alpha.denominator
+        a = self._scaled_floor(alpha)
         if not above:
             a = -a - 1
         R, S = (self._running_maxima(1 if above else -1, c) for c in (False, True))
-        return _first_crossings(R, a, n), _first_crossings(S, a, n)
+        return _first_crossings(R, a, self.dim), _first_crossings(S, a, self.dim)
+
+    def _scaled_floor(self, alpha):
+        """floor(alpha den 2^(nL)), alpha on the integer scale of A, R and S."""
+        return (alpha.numerator * self._den << self.dim * self.depth) // alpha.denominator
 
     def _block(self, q):
         """(z, cnt): q's Morton address and cell count; its cells are the
@@ -317,14 +357,14 @@ class DyadicFunction:
 
     def _cubes(self, pairs):
         """The cubes at (level, Morton address) pairs, sorted by (level, flat
-        index).  Within a level, cubes sort as their first cells do, so the
-        pairs are sorted on the first cells' public indices and each cube is
-        built once, from its first cell."""
-        n, L = self.dim, self.depth
-        order = _morton_order(n, L)
-        return tuple(DyadicCubeId._exact(k, tuple(i >> (L - k) for i in _decode(first, L, n)))
-                     for k, first in sorted((k, order[z << n * (L - k)])
-                                            for k, z in pairs))
+        index), the order of their first cells' public indices.  A flat
+        index orders the coordinates last one first, as _unmorton returns
+        them; for n = 1 the address is the index."""
+        n = self.dim
+        if n == 1:
+            return tuple(DyadicCubeId._exact(k, (z,)) for k, z in sorted(pairs))
+        return tuple(DyadicCubeId._exact(k, high_first[::-1]) for k, high_first
+                     in sorted((k, _unmorton(z, n)) for k, z in pairs))
 
     # -- basic quantities ---------------------------------------------------
 

@@ -8,11 +8,27 @@ re-parses to a bit-identical object.  CSV output is locale-independent:
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .dyadic import DyadicFunction
 from .errors import InputError
 from .rearrangement import StepFunction1D
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
+
+def _exponent_too_large(text):
+    """True if text ends in a decimal exponent e that, with the mantissa's
+    digits, could make an integer past the interpreter's int-string digit
+    limit (4300 where it has none).  Fraction builds 10**|e| first, which
+    takes seconds to minutes for e in the millions."""
+    exp = _EXPONENT.search(text)
+    if exp is None:
+        return False
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    return abs(int(exp[1])) + sum(c.isdigit() for c in text[:exp.start()]) > limit
 
 
 def parse_rational(obj):
@@ -21,8 +37,12 @@ def parse_rational(obj):
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
+        text = obj.strip()
         try:
-            return Fraction(obj.strip())
+            if _exponent_too_large(text):
+                raise ValueError("the exponent makes an integer past the "
+                                 "int-string digit limit")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {obj!r}: {exc}") from None
     raise InputError(f"expected an integer or 'p/q' string, got {obj!r}")
@@ -81,6 +101,8 @@ def load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past the digit limit, or bad UTF-8
+        raise InputError(f"cannot parse {path}: {exc}") from None
 
 
 def dump_json(obj, path=None, stream=None):

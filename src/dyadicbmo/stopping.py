@@ -11,13 +11,19 @@ crosses the integer threshold while its father's does not.  Each threshold
 costs one O(cubes) scan, whose (level, Morton address) pairs become public
 cubes once, already in order; the maximal function is the leaf level of the
 same pyramid for |f|.
+
+Where only |E| is read, no cube is built: E is the set of cells whose leaf of
+the running max exceeds the threshold (_stopping_measure), and, without the
+running max, the cells under some cube whose sum crosses it
+(_crossing_measure).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import gt, le
 
 from .dyadic import _morton_order, distribution_above, dyadic_maximal_function
@@ -50,6 +56,23 @@ class StoppingReport:
                 and self.cover_measure_ok)
 
 
+def _checked_alpha(f, alpha, direction):
+    """alpha as a Fraction, once it meets the direction's precondition."""
+    if direction not in ("above", "below"):
+        raise InputError(f"direction must be 'above' or 'below', got {direction!r}")
+    alpha = Fraction(alpha)
+    mean = f.mean
+    if direction == "above" and alpha < mean:
+        raise PreconditionError(
+            f"above-direction stopping requires alpha >= the global average "
+            f"({mean}), got {alpha}")
+    if direction == "below" and alpha >= mean:
+        raise PreconditionError(
+            f"below-direction stopping requires alpha < the global average "
+            f"({mean}), got {alpha}")
+    return alpha
+
+
 def stopping_family(f, alpha, direction):
     """Maximal dyadic cubes whose average crosses alpha, plus the parent cover.
 
@@ -65,18 +88,7 @@ def stopping_family(f, alpha, direction):
     built once per function and direction; each call is then one O(cubes)
     integer scan.  Both families are sorted by (level, flat index).
     """
-    if direction not in ("above", "below"):
-        raise InputError(f"direction must be 'above' or 'below', got {direction!r}")
-    alpha = Fraction(alpha)
-    mean = f.mean
-    if direction == "above" and alpha < mean:
-        raise PreconditionError(
-            f"above-direction stopping requires alpha >= the global average "
-            f"({mean}), got {alpha}")
-    if direction == "below" and alpha >= mean:
-        raise PreconditionError(
-            f"below-direction stopping requires alpha < the global average "
-            f"({mean}), got {alpha}")
+    alpha = _checked_alpha(f, alpha, direction)
     stopping, cover = f._stopping(alpha, direction == "above")
     if stopping[:1] == [(0, 0)]:
         raise PreconditionError(
@@ -90,6 +102,33 @@ def stopping_family(f, alpha, direction):
                            parent_cover=f._cubes(cover),
                            measure_E=measure_e,
                            measure_E_star=measure_e_star)
+
+
+def _stopping_measure(f, alpha):
+    """stopping_family(f, alpha, "above").measure_E with no cube built: E is
+    the set of cells whose leaf of the running max R exceeds floor(alpha den
+    2^(nL)), counted by bisection of R's leaf, sorted once per function."""
+    alpha = _checked_alpha(f, alpha, "above")
+    if "sorted R leaf" not in f._cache:
+        f._cache["sorted R leaf"] = sorted(f._running_maxima(1, False)[-1])
+    leaf = f._cache["sorted R leaf"]
+    return Fraction(len(leaf) - bisect_right(leaf, f._scaled_floor(alpha)), len(leaf))
+
+
+def _crossing_measure(f, alpha):
+    """The same |E| from the sum pyramid alone, reading no running max: the
+    share of cells under some cube whose average exceeds alpha.  Level by
+    level, a cube is marked iff its father is or sums[k][z] * alpha_den >
+    num * den << n(L-k), the integer rule of verify_stopping."""
+    alpha = _checked_alpha(f, alpha, "above")
+    n, L, alpha_den = f.dim, f.depth, alpha.denominator
+    bar = alpha.numerator * f._den
+    marked = [False]  # the root's father
+    for k, sums in enumerate(f._sums()):
+        fathers = chain.from_iterable(zip(*[marked] * (1 << n)))
+        t = bar << n * (L - k)
+        marked = [m or s * alpha_den > t for m, s in zip(fathers, sums)]
+    return Fraction(sum(marked), len(marked))
 
 
 def verify_stopping(d, f):

@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadicbmo import DyadicFunction, InputError, StepFunction1D
 from dyadicbmo.cli import main
@@ -62,6 +64,83 @@ class TestRoundTrip:
             function_from_obj({"n": 1, "level": 1, "values": [1]})
         with pytest.raises(InputError):
             step_from_obj({"breakpoints": [0, 1]})
+
+
+# -- round trips over random exact rationals and grids ------------------------
+
+rationals = st.one_of(
+    st.fractions(max_denominator=10 ** 6),
+    st.builds(Fraction, st.integers(-(10 ** 40), 10 ** 40), st.integers(1, 3 ** 60)))
+
+
+@st.composite
+def dyadic_functions(draw):
+    n = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, {1: 5, 2: 2, 3: 1}[n]))
+    cells = draw(st.lists(rationals, min_size=1 << (n * depth),
+                          max_size=1 << (n * depth)))
+    return DyadicFunction(n, depth, cells)
+
+
+@st.composite
+def step_functions(draw):
+    cuts = draw(st.sets(st.fractions(0, 1, max_denominator=1000)
+                        .filter(lambda t: 0 < t < 1), max_size=8))
+    values = draw(st.lists(rationals, min_size=len(cuts) + 1,
+                           max_size=len(cuts) + 1))
+    return StepFunction1D([Fraction(0), *sorted(cuts), Fraction(1)], values)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rationals)
+def test_rational_round_trip(x):
+    assert parse_rational(format_rational(x)) == x
+    assert parse_rational(json.loads(json.dumps(format_rational(x)))) == x
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dyadic_functions())
+def test_function_round_trip(f):
+    obj = json.loads(canonical_json(function_to_obj(f)))
+    assert function_from_obj(obj) == f
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(step_functions())
+def test_step_round_trip(g):
+    obj = json.loads(canonical_json(step_to_obj(g)))
+    assert step_from_obj(obj) == g
+
+
+class TestOversizedNumbers:
+    """Numbers past the interpreter's int-string digit limit fail fast as
+    input errors (exit 2, one line), not as tracebacks or minutes of work."""
+
+    @staticmethod
+    def run(tmp_path, capsys, text):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code = main(["norm", "--input", str(path)])
+        err = capsys.readouterr().err
+        return code, err
+
+    def test_json_integer_past_digit_limit(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys,
+                             '{"n": 1, "level": 0, "values": [' + "7" * 5000 + "]}")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1e10000000", "-3.5E+30000000", "2e-30000000",
+                                       "11e4299", "1e" + "9" * 5000])
+    def test_exponent_past_digit_limit(self, value, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys,
+                             '{"n": 1, "level": 0, "values": ["%s"]}' % value)
+        assert code == 2
+        assert err.startswith("error: cannot parse rational") and err.count("\n") == 1
+
+    def test_exponent_at_digit_limit_parses(self):
+        assert parse_rational("1e4299") == 10 ** 4299
+        assert parse_rational("-25e-4298") == Fraction(-25, 10 ** 4298)
 
 
 class TestCommands:

@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadicbmo import (DyadicCubeId, DyadicFunction, InputError, bmo_argmax,
                        bmo_dyadic_norm, cube_average, distribution_above,
                        dyadic_maximal_function, every_cube, mean_oscillation,
                        one_sided_oscillation)
+from dyadicbmo.dyadic import MAX_GRID_BITS, _unmorton
 from conftest import (all_cubes_oracle, average_oracle, bmo_norm_oracle,
                       cube_cells_oracle, maximal_oracle, oscillation_oracle,
                       random_cube, random_function)
@@ -331,3 +335,68 @@ class TestFromNums:
             self.assert_same(f.scaled(c), [c * v for v in f.cells])
             self.assert_same(f.scaled(0), [0] * len(f.cells))
             self.assert_same(dyadic_maximal_function(f), maximal_oracle(f))
+
+
+# -- Morton addresses by table ---------------------------------------------------
+
+def morton_loop_oracle(q):
+    """One bit at a time: level digits from the root, coordinate 0 highest."""
+    z = 0
+    for b in range(q.level - 1, -1, -1):
+        for i in q.index:
+            z = (z << 1) | ((i >> b) & 1)
+    return z
+
+
+@st.composite
+def grid_cubes(draw):
+    """A cube of dimension 1..4 at any level a grid may have, its indices
+    often at the ends of their range (all-zero, all-one bits)."""
+    n = draw(st.integers(1, 4))
+    level = draw(st.integers(0, MAX_GRID_BITS // n))
+    top = (1 << level) - 1
+    coord = st.one_of(st.integers(0, top), st.sampled_from((0, top, top >> 1)))
+    return DyadicCubeId(level, tuple(draw(coord) for _ in range(n)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(grid_cubes())
+def test_morton_table_matches_bit_loop(q):
+    z = q.morton()
+    assert z == morton_loop_oracle(q)
+    assert 0 <= z < 1 << (q.dim * q.level)
+    assert _unmorton(z, q.dim)[::-1] == q.index
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_unmorton_round_trips_addresses(data):
+    n = data.draw(st.integers(1, 4))
+    level = data.draw(st.integers(0, MAX_GRID_BITS // n))
+    z = data.draw(st.integers(0, (1 << (n * level)) - 1))
+    q = DyadicCubeId(level, _unmorton(z, n)[::-1])
+    assert q.morton() == z
+
+
+@lru_cache(maxsize=None)
+def cubes_by_address(n, depth):
+    """Every cube of the grid, built from its flat index, keyed by (level,
+    bit-loop Morton address)."""
+    return {(k, morton_loop_oracle(q)): q for k in range(depth + 1)
+            for q in (DyadicCubeId.from_flat(k, j, n) for j in range(1 << (n * k)))}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_cubes_match_from_flat_ordering(data):
+    n = data.draw(st.integers(1, 4))
+    depth = data.draw(st.integers(0, {1: 8, 2: 4, 3: 3, 4: 2}[n]))
+    f = DyadicFunction(n, depth, [0] * (1 << (n * depth)))
+    levels = st.integers(0, depth)
+    pairs = data.draw(st.lists(levels.flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, (1 << (n * k)) - 1))),
+        unique=True, max_size=12))
+    by_address = cubes_by_address(n, depth)
+    expected = sorted((by_address[p] for p in pairs), key=lambda q: (q.level, q.flat()))
+    assert f._cubes(pairs) == tuple(expected)
+    assert f._cubes(iter(pairs)) == tuple(expected)

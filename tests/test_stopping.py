@@ -5,10 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadicbmo import (CZDecomposition, DyadicCubeId, DyadicFunction,
                        PreconditionError, hardy_average, maximal_level_set,
                        rearrange_signed, stopping_family, verify_stopping)
+from dyadicbmo.stopping import _crossing_measure, _stopping_measure
+from dyadicbmo.verify import verify_all
 from conftest import (all_cubes_oracle, average_oracle, cube_cells_oracle,
                       maximal_oracle, parent_cover_oracle, random_function,
                       random_nonneg, stopping_oracle)
@@ -359,3 +363,75 @@ class TestVerifyIntegerRule:
                         assert [m for m in rep.failures if m.startswith("cell")] \
                             == [f"cell {c} outside E crosses {alpha}"
                                 for c in expect[5]]
+
+
+# -- measures with no cube built ------------------------------------------------
+
+@st.composite
+def signed_functions(draw):
+    """Signed cells over mixed denominators from a small pool (ties, and
+    cube averages shared across levels)."""
+    n = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, {1: 5, 2: 3, 3: 2}[n]))
+    pool = draw(st.lists(st.builds(Fraction, st.integers(-20, 20),
+                                   st.sampled_from((1, 2, 3, 4, 7))),
+                         min_size=1, max_size=5))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=1 << (n * depth),
+                          max_size=1 << (n * depth)))
+    return DyadicFunction(n, depth, cells)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(f=signed_functions(), data=st.data())
+def test_measure_helpers_match_stopping_family(f, data):
+    # alpha at a cube average (the cube does not cross), one unit of the
+    # scaled grid 1/(den 2^(nL)) above it (the floor moves by one), or
+    # anywhere above the mean
+    unit = Fraction(1, f._den << (f.dim * f.depth))
+    averages = {average_oracle(f, q) for q in all_cubes_oracle(f)}
+    at = st.sampled_from(sorted(a for a in averages if a >= f.mean))
+    alpha = data.draw(st.one_of(
+        at, at.map(lambda a: a + unit),
+        st.fractions(0, 30, max_denominator=12).map(lambda x: f.mean + x)))
+    for g in (f, f.abs()):
+        if alpha < g.mean:
+            continue
+        expected = stopping_family(g, alpha, "above").measure_E
+        assert _stopping_measure(g, alpha) == expected
+        assert _crossing_measure(g, alpha) == expected
+    if alpha >= f.abs().mean:  # M f = M |f|
+        assert maximal_level_set(f, alpha) == stopping_family(
+            f.abs(), alpha, "above").measure_E
+
+
+def test_measure_helpers_keep_preconditions():
+    for helper in (_stopping_measure, _crossing_measure):
+        with pytest.raises(PreconditionError):
+            helper(SPIKE, Fraction(1, 2))  # alpha < mean
+    assert _stopping_measure(SPIKE, 1) == _crossing_measure(SPIKE, 1) == Fraction(1, 2)
+
+
+class TestMaximalCheckReadsTwoSides:
+    """The cz suite compares {M|f| > alpha} (from the running max R of |f|)
+    with the cells under cubes whose sum crosses alpha (no R): a fault in R
+    must show as a failed check."""
+
+    def test_corrupted_running_max_is_reported(self):
+        assert verify_all(DyadicFunction(1, 2, [-4, 0, 0, 0]), ["cz"]).passed
+        f = DyadicFunction(1, 2, [-4, 0, 0, 0])  # fresh caches
+        h = f.abs()  # [4, 0, 0, 0]: M h = (4, 2, 1, 1), {M h > 1} = 1/2
+        h._running_maxima(1, False)[-1][3] = 10 ** 6  # M h at cell 3 far above
+        result = verify_all(f, ["cz"]).results[0]
+        assert not result.passed
+        assert "maximal-function level set disagrees at alpha=1" in result.failures
+
+    def test_corrupted_maximal_function_is_reported(self):
+        cells = [Fraction(-1, 3), 2, 0, 1]
+        good = verify_all(DyadicFunction(2, 1, cells), ["cz"]).results[0]
+        assert good.passed
+        f = DyadicFunction(2, 1, cells)
+        f.abs()._cache["maximal"] = DyadicFunction(2, 1, [0, 0, 0, 0])
+        result = verify_all(f, ["cz"]).results[0]
+        assert result.checks == good.checks
+        assert [m for m in result.failures
+                if m.startswith("maximal-function level set disagrees")]

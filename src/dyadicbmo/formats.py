@@ -49,10 +49,15 @@ def parse_rational(obj):
 
 
 def format_rational(x):
+    """x as an int or a "p/q" string; InputError where exact arithmetic made
+    a result past the int-string digit limit from inputs within it."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        text = str(x)
+    except ValueError:
+        raise InputError("a result has a numerator or denominator past the "
+                         "int-string digit limit") from None
+    return int(x) if x.denominator == 1 else text
 
 
 def function_to_obj(f):

@@ -18,21 +18,22 @@ sup exactly:
   oscillation an integer (numerator, denominator) pair compared by
   cross-multiplying; only the best value and its witness become Fractions.
 
-* general input: endpoints (a,b) range over a piece pair (i,j); inside the
-  polygon where additionally the window mean stays between two consecutive
-  distinct window values, the oscillation is 2*F(x,y)/T(x,y)^2 with F a
-  bilinear polynomial (no x^2 or y^2 terms) in the partial piece lengths
-  x = t_i - a, y = b - t_{j-1} and T = b - a affine.  Maxima over each closed
-  polygon sit at vertices, at stationary points of edge restrictions (always
-  a linear equation), or on the interior critical line (again linear after
-  substitution), so every candidate is an exact rational point.  This path
-  runs in the same scaled integers: F, T and the clipping lines have integer
-  coefficients, polygon vertices and candidates are homogeneous integer
-  triples (X, Y, W) with W > 0 reduced by their gcd (so equal points are
-  equal tuples), and 2F/T^2 is homogeneous of degree 0, so W cancels and
-  candidates compare by cross-multiplying.  Piece pairs and mean bands whose
-  bound 2(H-mu)(mu-Lo)/(H-Lo) cannot beat max|jump|/2 or the best so far
-  are skipped before any polygon is built.
+* general input: endpoints (a,b) range over a piece pair (i,j), the box
+  [0, L_i] x [0, L_j] of partial piece lengths x = t_i - a, y = b - t_{j-1}.
+  As int |g - mu| = 2 max over S of int_S (g - mu), attained on S = {g > mu}
+  (Korenovskii 2007), the band between consecutive distinct window values
+  w_lo < w_hi gives with S = {g >= w_hi} a form 2F/T^2 (F bilinear in x, y
+  with no x^2 or y^2 terms, T = b - a) that is at most the oscillation on
+  the whole box and equal to it where the window mean lies in the band.
+  The mean is linear-fractional, so the corner means span its range over
+  the box (Boyd & Vandenberghe, Convex Optimization, 3.4), and the sup over
+  the box is the largest box max of the bands that range meets.  A box max
+  sits at a corner, an edge stationary point or the interior critical
+  point, each a linear equation's root, so every candidate is rational.
+  The path runs in the same scaled integers: candidates are homogeneous
+  integer triples (X, Y, W), W > 0, reduced by their gcd (equal points are
+  equal tuples), and 2F/T^2 is homogeneous of degree 0, so candidates
+  compare by cross-multiplying.
 
 The reported lower bound is attained at the rational witness; the upper bound
 is the same exact value rounded one float ulp upward.  tol changes no
@@ -144,50 +145,13 @@ def _monotone_norm(g):
 
 
 # ---------------------------------------------------------------------------
-# general path: piece-pair x mean-band polygons in homogeneous integer points
+# general path: piece-pair boxes, one bilinear form per mean band
 # ---------------------------------------------------------------------------
 
 def _reduced(X, Y, W):
     """The homogeneous point (X, Y, W), W > 0, divided by its gcd."""
     d = math.gcd(X, Y, W)
     return (X, Y, W) if d == 1 else (X // d, Y // d, W // d)
-
-
-def _clip_polygon(poly, aff):
-    """Sutherland-Hodgman clip of a convex polygon by {aff . (X, Y, W) <= 0}.
-
-    Vertices are reduced homogeneous triples, so equal points are equal
-    tuples and the dedup matches the one over exact Fraction points.
-    """
-    if not poly:
-        return []
-    a, b, c = aff
-    side = [a * X + b * Y + c * W for X, Y, W in poly]
-    if max(side) <= 0:
-        return poly
-    out = []
-    k = len(poly)
-    for idx in range(k):
-        cur, s0 = poly[idx], side[idx]
-        nidx = (idx + 1) % k
-        s1 = side[nidx]
-        if s0 <= 0:
-            out.append(cur)
-        if (s0 < 0 < s1) or (s1 < 0 < s0):
-            # the zero of aff on the segment is s1*cur - s0*nxt, up to sign
-            if s0 > 0:
-                s0, s1 = -s0, -s1
-            nxt = poly[nidx]
-            out.append(_reduced(s1 * cur[0] - s0 * nxt[0],
-                                s1 * cur[1] - s0 * nxt[1],
-                                s1 * cur[2] - s0 * nxt[2]))
-    dedup = []
-    for pt in out:
-        if not dedup or dedup[-1] != pt:
-            dedup.append(pt)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
 
 
 def _interior_candidate(fq, M):
@@ -197,9 +161,9 @@ def _interior_candidate(fq, M):
     G = F_x*T - 2F is linear in Y (the Y^2 terms cancel).  Where the
     critical points fill a line instead (F11 != 0 with G vanishing on it,
     or F11 = 0 with F10 = F01 != 0), the gradient vanishes along it, so
-    2F/T^2 is constant on its feasible segment.  The segment ends on the
-    polygon's boundary, at a vertex or an edge stationary point (or on an
-    edge where 2F/T^2 is constant), candidates that come earlier and that a
+    2F/T^2 is constant on its segment in the box.  The segment ends on the
+    box's boundary, at a corner or an edge stationary point (or on an edge
+    where 2F/T^2 is constant), candidates that come earlier and that a
     point of equal value never displaces; so there is no interior candidate.
     """
     F11, F10, F01, F00 = fq
@@ -216,39 +180,32 @@ def _interior_candidate(fq, M):
     return _reduced((F10 - F01) * B - C, -C, W)
 
 
-def _region_candidates(fq, M, constraints, poly):
-    """Reduced triples where the max of 2F/T^2 over a clipped polygon can sit.
+def _box_candidates(fq, M, Li, Lj):
+    """Reduced triples where the max of 2F/T^2 over [0,Li] x [0,Lj] can sit.
 
     F = F11 XY + F10 XW + F01 YW + F00 W^2 and T = X + Y + M*W.  The
-    candidates are the vertices, then the stationary point of each edge,
-    then the interior critical point if it satisfies the constraints; the
-    first two lie in the polygon by construction.
+    candidates are the corners, then the stationary point strictly inside
+    each edge, then the interior critical point if it lies in the box.  On
+    an edge one coordinate is fixed at c and F = p*s + q in the other one,
+    so (F/T^2)' = 0 is p*(s + c + M) = 2F, at s = (p*(c + M) - 2q)/p.
     """
     F11, F10, F01, F00 = fq
-    pts = list(poly)
-    # edge stationary points: along P0 + u*(P1 - P0) the critical equation
-    # F'(u)T(u) - 2F(u)T'(u) = 0 is linear in u
-    k = len(poly)
-    for idx in range(k if k > 2 else k - 1 if k == 2 else 0):
-        (X0, Y0, W0), (X1, Y1, W1) = poly[idx], poly[(idx + 1) % k]
-        dX, dY, dW = X1 - X0, Y1 - Y0, W1 - W0
-        a2 = F11 * dX * dY + (F10 * dX + F01 * dY + F00 * dW) * dW
-        a1 = (F11 * (X0 * dY + Y0 * dX) + F10 * (X0 * dW + W0 * dX)
-              + F01 * (Y0 * dW + W0 * dY) + 2 * F00 * W0 * dW)
-        a0 = F11 * X0 * Y0 + (F10 * X0 + F01 * Y0 + F00 * W0) * W0
-        t0 = X0 + Y0 + M * W0
-        t1 = dX + dY + M * dW
-        lin = 2 * a2 * t0 - a1 * t1
-        u = 2 * a0 * t1 - a1 * t0  # the root is u / lin
-        if lin < 0:
-            lin, u = -lin, -u
-        if 0 < u < lin:
-            pts.append(_reduced(lin * X0 + u * dX, lin * Y0 + u * dY,
-                                lin * W0 + u * dW))
+    pts = [(0, 0, 1), (Li, 0, 1), (Li, Lj, 1), (0, Lj, 1)]
+    # the edges in corner order: y = 0, x = Li, y = Lj, x = 0
+    for c, L, p, q, x_fixed in ((0, Li, F10, F00, False),
+                                (Li, Lj, F11 * Li + F01, F10 * Li + F00, True),
+                                (Lj, Li, F11 * Lj + F10, F01 * Lj + F00, False),
+                                (0, Lj, F01, F00, True)):
+        s = p * (c + M) - 2 * q  # the root is s / p
+        if p < 0:
+            p, s = -p, -s
+        if 0 < s < L * p:
+            pts.append(_reduced(c * p, s, p) if x_fixed
+                       else _reduced(s, c * p, p))
     inner = _interior_candidate(fq, M)
     if inner is not None:
         X, Y, W = inner
-        if all(cx * X + cy * Y + c0 * W <= 0 for cx, cy, c0 in constraints):
+        if 0 <= X <= Li * W and 0 <= Y <= Lj * W:
             pts.append(inner)
     return pts
 
@@ -256,26 +213,26 @@ def _region_candidates(fq, M, constraints, poly):
 def _general_norm(g):
     """Exact sup of interval oscillation for an arbitrary step function.
 
-    Scaled integers as in the monotone path: breakpoints over TD, values
-    over VD.  Pair (i, j) holds the windows (a, b) with a in piece i and b
-    in piece j, x = t_i - a and y = b - t_{j-1} in units 1/TD; band r holds
-    those whose mean lies between the r-th and (r+1)-th distinct window
-    values.  There 2F/T^2 (F bilinear in x, y, T = x + y + mid_len) is the
-    oscillation times VD, and its candidates (polygon vertices, edge and
-    interior stationary points) are reduced homogeneous triples (X, Y, W),
-    W > 0, compared by cross-multiplying; only the best value and its
-    witness become Fractions.
+    Breakpoints over TD and values over VD, as in the monotone path.  Pair
+    (i, j) holds the windows with a in piece i and b in piece j, the box of
+    x = t_i - a and y = b - t_{j-1} in units 1/TD.  Each band's 2F/T^2 is VD
+    times a lower bound of the oscillation on the whole box, exact where the
+    window mean lies in the band, and every window mean lies in some band
+    between the extreme corner means (for adjacent pieces, the min and max
+    of v_i, v_j).  So skipping the bands wholly above or below that range
+    keeps the sup; and a candidate's value is at most the oscillation at
+    its point, itself at most the sup, so the first candidate to reach the
+    sup is a witness.
 
-    Pruning keeps the sup and the witness: the balanced window around the
-    largest jump attains seed = max|jump|/2, so the sup is at least seed.
-    With H and Lo the max and min over pieces i..j, a window whose mean mu
-    lies in [w_lo, w_hi] oscillates at most max 2(H-mu)(mu-Lo)/(H-Lo) over
-    that band.  A pair with (H-Lo)/2 < seed or <= best, and a band whose
-    bound is < seed or <= best, holds no candidate that is the first to
-    attain the final sup, so it is skipped.  The band sums accumulate once
-    down the distinct values of each pair.  Cost: O(m^2 d) for m pieces and
-    at most d <= m distinct values in a window, with O(1) integer polygon
-    work per band; pruning sends few pairs and bands to the polygon work.
+    Pruning by value keeps the sup and the witness too: the balanced window
+    around the largest jump attains seed = max|jump|/2, and with H and Lo
+    the max and min over pieces i..j, a window whose mean mu lies in
+    [w_lo, w_hi] oscillates at most max 2(H-mu)(mu-Lo)/(H-Lo) over that
+    band.  A pair with (H-Lo)/2 < seed or <= best, and a band whose bound
+    is < seed or <= best, holds no candidate that is the first to attain
+    the final sup.  The band sums accumulate once down the distinct values
+    of each pair.  Cost: O(m^2 d) for m pieces and at most d <= m distinct
+    values in a window, with O(1) integer work per kept band.
     """
     TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
     m = len(V)
@@ -306,13 +263,28 @@ def _general_norm(g):
             Lj = B[j] - B[j - 1]
             M = B[j - 1] - B[i]
             MI = Q[j - 1] - Q[i]
-            box = [(0, 0, 1), (Li, 0, 1), (Li, Lj, 1), (0, Lj, 1)]
+            # the window means of the box span [ln/ld, hn/hd]
+            if M:
+                hn, hd = ln, ld = MI, M
+                for n, d in ((MI + vi * Li, M + Li), (MI + vj * Lj, M + Lj),
+                             (MI + vi * Li + vj * Lj, M + Li + Lj)):
+                    if n * hd > hn * d:
+                        hn, hd = n, d
+                    elif n * ld < ln * d:
+                        ln, ld = n, d
+            else:  # adjacent pieces: the means fill [min, max] of vi, vj
+                ln, hn = sorted((vi, vj))
+                ld = hd = 1
             HL = HI = 0  # length and integral of the middle pieces >= w_hi
             for r in range(len(asc) - 1, 0, -1):
                 w_hi, w_lo = asc[r], asc[r - 1]
                 hl, hs = mid.get(w_hi, (0, 0))
                 HL += hl
                 HI += hs
+                if w_lo * hd > hn:
+                    continue  # above every window mean of the box
+                if w_hi * ld < ln:
+                    break  # below them, as is every later band
                 # 2 * VD * band bound = num / span, at 2*mu clamped to the band
                 mu2 = min(max(top + low, 2 * w_lo), 2 * w_hi)
                 num = (2 * top - mu2) * (mu2 - 2 * low)
@@ -325,15 +297,8 @@ def _general_norm(g):
                       HI - vi * HL + ib * (vi * M - MI),
                       HI - vj * HL + jb * (vj * M - MI),
                       HI * M - MI * HL)
-                band_hi = (vi - w_hi, vj - w_hi, MI - w_hi * M)
-                band_lo = (w_lo - vi, w_lo - vj, w_lo * M - MI)
-                poly = _clip_polygon(_clip_polygon(box, band_hi), band_lo)
-                if not poly:
-                    continue
-                constraints = ((-1, 0, 0), (1, 0, -Li), (0, -1, 0), (0, 1, -Lj),
-                               band_hi, band_lo)
                 F11, F10, F01, F00 = fq
-                for X, Y, W in _region_candidates(fq, M, constraints, poly):
+                for X, Y, W in _box_candidates(fq, M, Li, Lj):
                     T = X + Y + M * W
                     if T <= 0:
                         continue
@@ -362,8 +327,8 @@ def interval_bmo_norm(g, tol=1e-9):
     """
     if not isinstance(g, StepFunction1D):
         raise InputError("interval_bmo_norm expects a StepFunction1D")
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
     h = g.merged()
     if len(h._V) == 1:
         return IntervalBMOBound(lower=Fraction(0), upper=0.0,

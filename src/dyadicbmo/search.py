@@ -57,6 +57,9 @@ class SearchConfig:
         check_grid_size(self.dim, self.depth)
         if not (self.temp_initial > 0 and self.temp_final > 0):
             raise InputError("temp_initial and temp_final must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise InputError("tolerance must be positive and finite, "
+                             f"got {self.tol}")
 
 
 @dataclass(frozen=True)

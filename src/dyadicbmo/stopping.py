@@ -56,6 +56,14 @@ class StoppingReport:
                 and self.cover_measure_ok)
 
 
+def _shown(x):
+    """str(x), or a note where x has more digits than str converts."""
+    try:
+        return str(x)
+    except ValueError:
+        return "a rational past the int-string digit limit"
+
+
 def _checked_alpha(f, alpha, direction):
     """alpha as a Fraction, once it meets the direction's precondition."""
     if direction not in ("above", "below"):
@@ -65,11 +73,11 @@ def _checked_alpha(f, alpha, direction):
     if direction == "above" and alpha < mean:
         raise PreconditionError(
             f"above-direction stopping requires alpha >= the global average "
-            f"({mean}), got {alpha}")
+            f"({_shown(mean)}), got {alpha}")
     if direction == "below" and alpha >= mean:
         raise PreconditionError(
             f"below-direction stopping requires alpha < the global average "
-            f"({mean}), got {alpha}")
+            f"({_shown(mean)}), got {alpha}")
     return alpha
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,20 @@ class TestOversizedNumbers:
         assert parse_rational("1e4299") == 10 ** 4299
         assert parse_rational("-25e-4298") == Fraction(-25, 10 ** 4298)
 
+    @pytest.mark.parametrize("argv", [["norm"], ["maximal"],
+                                      ["cz", "--alpha", "0"]])
+    def test_result_past_digit_limit(self, argv, tmp_path, capsys):
+        # each denominator has 4002 digits, within the limit, but the
+        # mean's denominator is about their product
+        big = 10 ** 4001
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 1, "level": 1, "values": ["1/%d", "1/%d"]}'
+                        % (big + 1, 3 * big + 7))
+        code = main([*argv, "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCommands:
     def test_norm(self, spike_file, capsys):
@@ -179,6 +194,16 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["lower"] == 150000000
         assert out["tol_met"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_interval_bmo_rejects_non_finite_tol(self, tol, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"breakpoints":[0,"1/4","1/2","3/4",1],'
+                        '"values":[0,2,1,3]}')
+        code = main(["interval-bmo", "--input", str(path), "--tol", tol])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: tolerance must be positive and finite, got {tol}\n"
 
     def test_interval_bmo_rejects_bad_breakpoints(self, tmp_path):
         # parsing validates: unordered breakpoints exit 2 (InputError)
@@ -418,6 +443,44 @@ def test_interval_bmo_outputs_pinned(slot, kw, stdout_sha, tmp_path, capsys):
                                **kw))
     count = len(f.cells)
     g = StepFunction1D([Fraction(k, count) for k in range(count + 1)], f.cells)
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(step_to_obj(g)))
+    assert main(["interval-bmo", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+def _walk(pieces, seed, many_values):
+    """A step function on unequal pieces k/(4 pieces): a random walk of
+    steps +-1, +-2, or else values p/q with |p| < 10^4 and q in 1, 3, 7."""
+    rng = random.Random(seed)
+    cuts = sorted(rng.sample(range(1, 4 * pieces), pieces - 1))
+    values, v = [], 0
+    for _ in range(pieces):
+        if many_values:
+            v = Fraction(rng.randrange(-10 ** 4, 10 ** 4), rng.choice((1, 3, 7)))
+        else:
+            v += rng.choice((-2, -1, 1, 2))
+        values.append(v)
+    return StepFunction1D([Fraction(c, 4 * pieces) for c in (0, *cuts, 4 * pieces)],
+                          values)
+
+
+# sha256 of stdout of `interval-bmo` on larger general inputs: a 48-piece
+# random walk and 96 pieces with nearly all values distinct
+PINNED_GENERAL = [
+    (48, 0, False,
+     "3a2f3f6ba79caf104770d2564df497fd046e11e59f905287ad4cd033fcc6d73c"),
+    (96, 1, True,
+     "fd77056e93511fe65a5b24f363982ade3e79035767dbe825947d399dd1f45910"),
+]
+
+
+@pytest.mark.parametrize("pieces,seed,many_values,stdout_sha", PINNED_GENERAL)
+def test_interval_bmo_general_pinned(pieces, seed, many_values, stdout_sha,
+                                     tmp_path, capsys):
+    g = _walk(pieces, seed, many_values)
+    assert not (g.merged().is_nonincreasing or g.merged().is_nondecreasing)
     path = tmp_path / "g.json"
     path.write_text(canonical_json(step_to_obj(g)))
     assert main(["interval-bmo", "--input", str(path)]) == 0

@@ -225,9 +225,99 @@ class TestIntegerGeneralPath:
             assert _general_norm(g) == general_norm_oracle(g)
 
 
+def corner_means(g, i, j):
+    """Window means at the corners of the box of pieces i < j (1-based):
+    the window is pieces i..j with piece i and piece j each empty or whole.
+    Adjacent pieces have no window at the (0, 0) corner."""
+    bps, vals, P = g.breakpoints, g.values, g.prefix_integrals
+    mid_len, mid_int = bps[j - 1] - bps[i], P[j - 1] - P[i]
+    len_i, len_j = bps[i] - bps[i - 1], bps[j] - bps[j - 1]
+    means = []
+    for x, y in ((0, 0), (len_i, 0), (len_i, len_j), (0, len_j)):
+        if mid_len + x + y:
+            means.append((mid_int + vals[i - 1] * x + vals[j - 1] * y)
+                         / (mid_len + x + y))
+    return means
+
+
+def witness_pieces(g, witness):
+    """The pieces (i, j), 1-based, that hold the ends of a witness window."""
+    a, b = witness
+    bps = g.breakpoints
+    return (next(k for k in range(1, len(bps)) if a < bps[k]),
+            next(k for k in range(1, len(bps)) if b <= bps[k]))
+
+
+class TestBoxPath:
+    """The general path maximizes each band's 2F/T^2 over the whole piece-pair
+    box and keeps the bands that the corner means reach; the polygon-clipping
+    oracle decides the same sup and witness."""
+
+    def test_corner_mean_on_a_window_value(self):
+        # a corner mean equal to a distinct window value puts a band edge
+        # exactly at an end of the mean range: the band must stay
+        g = StepFunction1D([0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1],
+                           [4, 0, 2, 1])
+        assert corner_means(g, 1, 4)[0] == 1 == g.values[3]
+        assert _general_norm(g) == general_norm_oracle(g)
+        rng = random.Random(55)
+        hits = 0
+        for _ in range(120):
+            m = rng.randrange(3, 8)
+            cuts = sorted(rng.sample(range(1, 12), m - 1))
+            pool = [Fraction(k, 2) for k in rng.sample(range(-6, 7), 4)]
+            g = StepFunction1D([Fraction(c, 12) for c in (0, *cuts, 12)],
+                               [rng.choice(pool) for _ in range(m)]).merged()
+            if len(g.values) < 2:
+                continue
+            m = len(g.values)
+            for i in range(1, m):
+                for j in range(i + 2, m + 1):
+                    window = set(g.values[i - 1:j])
+                    hits += any(mu in window and mu not in (min(window), max(window))
+                                for mu in corner_means(g, i, j))
+            assert _general_norm(g) == general_norm_oracle(g)
+        assert hits >= 90
+
+    def test_adjacent_pairs(self):
+        # one jump much larger than the rest: the sup and its witness sit
+        # in an adjacent pair, whose box has no middle pieces (M = 0)
+        rng = random.Random(56)
+        adjacent = 0
+        for _ in range(60):
+            m = rng.randrange(3, 9)
+            cuts = sorted(rng.sample(range(1, 24), m - 1))
+            vals = [Fraction(rng.randrange(0, 7), rng.choice((1, 3)))
+                    for _ in range(m)]
+            k = rng.randrange(1, m)
+            vals[k:] = [v + 40 for v in vals[k:]]
+            g = StepFunction1D([Fraction(c, 24) for c in (0, *cuts, 24)],
+                               vals).merged()
+            got = _general_norm(g)
+            assert got == general_norm_oracle(g)
+            i, j = witness_pieces(g, got[1])
+            adjacent += j == i + 1
+        assert adjacent >= 30
+
+    def test_two_and_three_valued_unequal_pieces(self):
+        rng = random.Random(57)
+        seen = 0
+        while seen < 80:
+            m = rng.randrange(3, 10)
+            cuts = sorted(rng.sample(range(1, 36), m - 1))
+            pool = rng.sample([Fraction(k, 3) for k in range(-6, 7)],
+                              rng.choice((2, 3)))
+            g = StepFunction1D([Fraction(c, 36) for c in (0, *cuts, 36)],
+                               [rng.choice(pool) for _ in range(m)]).merged()
+            if g.is_nonincreasing or g.is_nondecreasing:
+                continue
+            seen += 1
+            assert _general_norm(g) == general_norm_oracle(g)
+
+
 class TestPathAgreement:
     def test_monotone_matches_general_path(self, rng):
-        # run monotone inputs through the generic polygon machinery too
+        # run monotone inputs through the general piece-pair box path too
         cases = []
         for _ in range(60):
             g = random_step(rng, rng.randrange(2, 6))
@@ -274,6 +364,12 @@ class TestBoundsContract:
         g = StepFunction1D([0, 1], [1])
         with pytest.raises(InputError):
             interval_bmo_norm(g, tol=0)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_rejects_non_finite_or_negative_tol(self, tol):
+        g = StepFunction1D([0, 1], [1])
+        with pytest.raises(InputError):
+            interval_bmo_norm(g, tol=tol)
 
     def test_rejects_non_step(self):
         with pytest.raises(InputError):

@@ -174,6 +174,21 @@ class TestSearch:
             with pytest.raises(InputError):
                 SearchConfig(**bad)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_config_rejects_bad_tol(self, tol):
+        with pytest.raises(InputError):
+            SearchConfig(tol=tol)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_cli_rejects_non_finite_tol(self, tol, tmp_path, capsys):
+        code = main(["search", "--n", "1", "--level", "2", "--restarts", "1",
+                     "--iters", "2", "--tol", tol, "--function-output",
+                     str(tmp_path / "best.json")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: tolerance must be positive and finite, got {tol}\n"
+        assert not (tmp_path / "best.json").exists()
+
     def test_pool_clamped(self, monkeypatch):
         # a pool that runs inline and records its size: no process starts
         search_mod = sys.modules["dyadicbmo.search"]

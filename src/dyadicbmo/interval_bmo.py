@@ -10,9 +10,10 @@ sup exactly:
   [0,t] or [1-t,1] with the same mean (running means of a monotone function
   are monotone, so the matching window exists; enlarging an interval of a
   monotone function while keeping the mean cannot decrease the oscillation).
-  Along each family the oscillation is piecewise a ratio (linear * linear)/t^2
-  in t, so all stationary points are rational and the finite candidate set
-  {piece ends, mean-crossing points, stationary points} attains the sup.
+  Along each family, on each sub-segment where t stays in one piece and the
+  pieces above the window mean stay fixed, the oscillation 2*(a*t - C)/t^2
+  (C > 0) is strictly unimodal, so one rational argmax per sub-segment
+  (the stationary point 2C/a, or an end) attains the sup.
   The path runs on the step function's own integers: breakpoints over
   TD, values over VD, prefix integrals over TD*VD, each candidate t and its
   oscillation an integer (numerator, denominator) pair compared by
@@ -45,12 +46,16 @@ with the value.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .rearrangement import StepFunction1D
+
+# Most pieces the general path accepts after merging: it costs O(m^2 d) for
+# m pieces and d distinct window values.  The monotone path has no cap.
+MAX_GENERAL_PIECES = 1024
 
 
 @dataclass(frozen=True)
@@ -67,64 +72,18 @@ class IntervalBMOBound:
 # monotone path: end-anchored windows, rational candidates in scaled integers
 # ---------------------------------------------------------------------------
 
-def _left_anchored_candidates(B, V, Q):
-    """(wn, wd, tn, td) candidates for the sup over windows [0,t], V nonincreasing.
-
-    Scaled integers: breakpoints B in units 1/TD, values V in units 1/VD and
-    prefix integrals Q in units 1/(TD*VD).  A candidate is t = tn/td in TD
-    units with oscillation wn/(wd*VD); VD is common to all candidates, so
-    they compare by cross-multiplying wn/wd.
-
-    On the segment where t ends in piece j and the window mean mu(t) sits
-    between consecutive distinct values (kappa pieces strictly above mu):
-    oscillation(t) = 2*(a*t - c*t_k)/(VD*t^2), a and c constants, so the one
-    stationary point t* = 2*c*t_k/a is rational.
-    """
-    # the negated values ascend, so counting the values above a threshold is
-    # a bisection; an integer V[k] exceeds x/y (y > 0) iff it exceeds x // y
-    neg = [-v for v in V]
-    for j in range(2, len(V) + 1):
-        t0, t1 = B[j - 1], B[j]
-        vj = V[j - 1]
-        c = Q[j - 1] - vj * t0  # integral of (g - vj) over the prefix, >= 0
-        if c == 0:
-            continue  # prefix constant at vj: oscillation 0 throughout
-        kappa = bisect_left(neg, -(Q[j - 1] // t0), 0, j - 1)
-        cn, cd = t0, 1  # segment start
-        while True:
-            if kappa < j - 1 and V[kappa] > vj:
-                # mean crosses the next distinct value at t_x = c / (V - vj)
-                hn, hd = c, V[kappa] - vj
-                if hn > t1 * hd:
-                    hn, hd = t1, 1
-            else:
-                hn, hd = t1, 1
-            ahead = hn * cd > cn * hd
-            if ahead and kappa >= 1:
-                t_k = B[kappa]
-                a = Q[kappa] - vj * t_k
-                ct = c * t_k
-                yield 2 * (a * cn - ct * cd) * cd, cn * cn, cn, cd
-                yield 2 * (a * hn - ct * hd) * hd, hn * hn, hn, hd
-                if a > 0:
-                    sn = 2 * ct  # t* = sn / a
-                    if cn * a < sn * cd and sn * hd < hn * a:
-                        yield 2 * (a * sn - ct * a) * a, sn * sn, sn, a
-            if hn >= t1 * hd:
-                break
-            if ahead:
-                cn, cd = hn, hd
-            # V[0..kappa] >= V[kappa], so this count exceeds kappa
-            kappa = bisect_right(neg, neg[kappa], 0, j - 1)
-
-
 def _monotone_norm(g):
     """Exact sup of interval oscillation for monotone g, with witness.
 
     A nondecreasing g is negated first.  Windows [0,t] come from g itself,
     windows [1-t,1] from its mirror -g(1-t), both read from g's integer
-    arrays.  Ties keep the first candidate: the [0,t] family in order, then
-    [1-t,1].
+    arrays (B over TD, V over VD, Q over TD*VD).  The window mean only
+    falls, so kappa, the count of pieces above it, is carried forward.
+    Each sub-segment (t in piece j, kappa fixed) gives the argmax of
+    2*(a*t - C)/(VD*t^2), C = c*t_kappa: t* = 2C/a if strictly inside,
+    else the end it rises towards.  Ties keep the first argmax (the [0,t]
+    family in order, then [1-t,1]); a sub-segment's other points are
+    strictly smaller, so the witness is that of the full candidate set.
     """
     TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
     if not g.is_nonincreasing:
@@ -132,10 +91,44 @@ def _monotone_norm(g):
     mirrored = ([TD - b for b in reversed(B)], [-v for v in reversed(V)],
                 [q - Q[-1] for q in reversed(Q)])
     bn, bd, arg = 0, 1, None
-    for side, family in enumerate(((B, V, Q), mirrored)):
-        for wn, wd, tn, td in _left_anchored_candidates(*family):
-            if wn * bd > bn * wd:
-                bn, bd, arg = wn, wd, (side, tn, td)
+    for side, (B, V, Q) in enumerate(((B, V, Q), mirrored)):
+        kappa = 0
+        for j in range(2, len(V) + 1):
+            t0, t1 = B[j - 1], B[j]
+            vj, P = V[j - 1], Q[j - 1]
+            c = P - vj * t0  # integral of (g - vj) over the prefix, >= 0
+            if c == 0:
+                continue  # prefix constant at vj: oscillation 0 throughout
+            while kappa < j - 1 and V[kappa] * t0 > P:
+                kappa += 1
+            cn, cd = t0, 1  # sub-segment start
+            while True:
+                if kappa < j - 1 and V[kappa] > vj:
+                    # mean crosses V[kappa] at t_x = c / (V[kappa] - vj)
+                    hn, hd = c, V[kappa] - vj
+                    if hn > t1 * hd:
+                        hn, hd = t1, 1
+                else:
+                    hn, hd = t1, 1
+                if hn * cd > cn * hd:  # a non-empty sub-segment
+                    t_k = B[kappa]
+                    a = Q[kappa] - vj * t_k
+                    ct = c * t_k
+                    sn = 2 * ct  # t* = sn / a
+                    if a <= 0 or sn * hd >= hn * a:
+                        tn, td = hn, hd  # rising throughout
+                    elif sn * cd <= cn * a:
+                        tn, td = cn, cd  # falling throughout
+                    else:
+                        tn, td = sn, a
+                    wn, wd = 2 * (a * tn - ct * td) * td, tn * tn
+                    if wn * bd > bn * wd:
+                        bn, bd, arg = wn, wd, (side, tn, td)
+                if hn >= t1 * hd:
+                    break
+                # the pieces at V[kappa] are now strictly above the mean
+                cn, cd = hn, hd
+                kappa += 1
     if arg is None:
         return Fraction(0), (Fraction(0), Fraction(1))
     side, tn, td = arg
@@ -323,7 +316,8 @@ def interval_bmo_norm(g, tol=1e-9):
     The lower bound is exact and attained at the returned witness; the upper
     bound is the same value rounded one float ulp up.  tol only labels the
     result: tol_met reports gap <= tol * max(1, |lower|), absolute for small
-    values, relative for large ones.
+    values, relative for large ones.  A non-monotone g with more than
+    MAX_GENERAL_PIECES pieces after merging raises InputError.
     """
     if not isinstance(g, StepFunction1D):
         raise InputError("interval_bmo_norm expects a StepFunction1D")
@@ -336,6 +330,10 @@ def interval_bmo_norm(g, tol=1e-9):
                                 gap=0.0, tol=tol, tol_met=True)
     if h.is_nonincreasing or h.is_nondecreasing:
         best, witness = _monotone_norm(h)
+    elif len(h._V) > MAX_GENERAL_PIECES:
+        raise InputError(
+            f"non-monotone step function has {len(h._V)} pieces after "
+            f"merging; at most {MAX_GENERAL_PIECES} are supported")
     else:
         best, witness = _general_norm(h)
     lo_float = float(best)

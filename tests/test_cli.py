@@ -15,6 +15,7 @@ from dyadicbmo.formats import (canonical_json, format_rational,
                                function_from_obj, function_to_obj,
                                parse_rational, step_from_obj, step_to_obj)
 from dyadicbmo.generators import GeneratorSpec, generate
+from dyadicbmo.interval_bmo import MAX_GENERAL_PIECES
 from conftest import float_just_below
 
 
@@ -210,6 +211,20 @@ class TestCommands:
         path = tmp_path / "g.json"
         path.write_text('{"breakpoints":[0,"1/2","1/3",1],"values":[1,0,2]}')
         assert main(["interval-bmo", "--input", str(path)]) == 2
+
+    def test_interval_bmo_rejects_too_many_general_pieces(self, tmp_path,
+                                                          capsys):
+        # one piece over the cap of the non-monotone path: exit 2 at once
+        m = MAX_GENERAL_PIECES + 1
+        path = tmp_path / "g.json"
+        path.write_text(canonical_json(step_to_obj(StepFunction1D(
+            [Fraction(k, m) for k in range(m + 1)], [k % 2 for k in range(m)]))))
+        assert main(["interval-bmo", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: non-monotone step function has {m} pieces "
+                       f"after merging; at most {MAX_GENERAL_PIECES} are "
+                       "supported\n")
 
     def test_cz(self, spike_file, capsys):
         assert main(["cz", "--input", spike_file, "--alpha", "2",

@@ -9,7 +9,9 @@ from dyadicbmo import (DyadicFunction, InputError, StepFunction1D,
                        bmo_dyadic_norm, interval_bmo_norm,
                        interval_mean_oscillation, rearrange_signed)
 from dyadicbmo.generators import GeneratorSpec, generate
-from dyadicbmo.interval_bmo import _general_norm, _monotone_norm
+from dyadicbmo import interval_bmo
+from dyadicbmo.interval_bmo import (MAX_GENERAL_PIECES, _general_norm,
+                                    _monotone_norm)
 from conftest import (general_norm_oracle, grid_bmo_lower_oracle,
                       monotone_norm_oracle, random_function)
 
@@ -116,6 +118,72 @@ class TestIntegerMonotonePath:
             b = interval_bmo_norm(g)
             dec = h if h.is_nonincreasing else h.negated()
             assert (b.lower, b.witness) == monotone_norm_oracle(dec)
+
+
+def step(bps, vals):
+    return StepFunction1D([Fraction(b) for b in bps], [Fraction(v) for v in vals])
+
+
+class TestMonotoneSubSegments:
+    """Edge cases of the one-argmax-per-sub-segment scan: the sup and the
+    witness, tie-break included, against the Fraction enumeration of every
+    candidate {piece ends, mean crossings, stationary points}."""
+
+    @staticmethod
+    def norm(g):
+        result = _monotone_norm(g)
+        assert result == monotone_norm_oracle(
+            g if g.is_nonincreasing else g.negated())
+        return result
+
+    def test_stationary_point_at_sub_segment_end(self):
+        # on piece 3 of the [0,t] family, t* = 2C/a = 1 ends the sub-segment;
+        # the mirror family also reaches 9/8 at t = 1, so [0,1] wins
+        g = step([0, "1/8", "1/2", 1], [3, 2, 0])
+        assert self.norm(g) == (Fraction(9, 8), (Fraction(0), Fraction(1)))
+
+    def test_stationary_point_at_sub_segment_start(self):
+        # the mirror family's sub-segment from its t = 3/4 has t* = 3/4
+        for g in (step([0, "5/8", "3/4", 1], [3, 1, -2]),
+                  step([0, "3/8", "5/8", "3/4", "7/8", 1], [3, 3, 1, -2, -2])):
+            assert self.norm(g) == (Fraction(25, 12),
+                                    (Fraction(2, 5), Fraction(1)))
+
+    def test_mean_crosses_a_value_at_a_breakpoint(self):
+        # the mean of [0,t] reaches the value 0 exactly at the breakpoint
+        # 7/8 (hn == t1), after the winning stationary point t* = 7/12
+        g = step([0, "1/4", "3/8", "7/8", 1], [3, 1, 0, -1])
+        assert self.norm(g) == (Fraction(9, 7), (Fraction(0), Fraction(7, 12)))
+        # here the mean of [0,3/4] is the value 1, and the next segment
+        # starts on that crossing: an empty sub-segment, then kappa steps on
+        g = step([0, "1/4", "1/2", "3/4", 1], [2, 1, 0, -1])
+        assert self.norm(g) == (Fraction(1), (Fraction(0), Fraction(1)))
+
+    def test_equal_maxima_keep_the_first(self):
+        # [0,1/2] and [0,1] both oscillate 1/2, and so do the mirrored
+        # windows [1/2,1] and [0,1]: the first [0,t] argmax wins
+        g = step([0, "1/4", "3/4", 1], [1, 0, -1])
+        assert self.norm(g) == (Fraction(1, 2), (Fraction(0), Fraction(1, 2)))
+        # an interior t* = 3/4 on piece 2 and the end t = 1 of piece 3
+        g = step([0, "3/8", "7/8", 1], [2, -1, -2])
+        assert self.norm(g) == (Fraction(3, 2), (Fraction(0), Fraction(3, 4)))
+
+    def test_unmerged_runs(self):
+        # runs of equal values before and at v_j: the equal crossings give
+        # empty sub-segments, and the runs change neither sup nor witness
+        for bps, vals in (([0, "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", 1],
+                           [3, 3, 1, 1, 1, 0, 0]),
+                          ([0, "1/6", "1/3", "1/2", "2/3", 1], [2, 2, 2, 2, -1]),
+                          ([0, "1/5", "2/5", "3/5", "4/5", 1], [4, 1, 1, 1, 1])):
+            g = step(bps, vals)
+            assert self.norm(g) == self.norm(g.merged())
+
+    def test_nondecreasing(self):
+        # read through the negation; the [0,t] family of -g wins the tie
+        g = step([0, "1/3", "1/2", 1], [0, 1, 3])
+        assert self.norm(g) == (Fraction(4, 3), (Fraction(0), Fraction(1)))
+        g = step([0, "1/4", "3/4", 1], [-1, 0, 1])
+        assert self.norm(g) == (Fraction(1, 2), (Fraction(0), Fraction(1, 2)))
 
 
 def random_general(rng, pieces):
@@ -374,6 +442,41 @@ class TestBoundsContract:
     def test_rejects_non_step(self):
         with pytest.raises(InputError):
             interval_bmo_norm([0, 1])
+
+
+def equal_pieces(vals):
+    m = len(vals)
+    return StepFunction1D([Fraction(k, m) for k in range(m + 1)], vals)
+
+
+class TestGeneralPieceCap:
+    def test_over_cap_fails_before_any_pair(self, monkeypatch):
+        def unreachable(g):
+            raise AssertionError("the general path ran")
+        monkeypatch.setattr(interval_bmo, "_general_norm", unreachable)
+        m = MAX_GENERAL_PIECES + 1
+        with pytest.raises(InputError, match=f"has {m} pieces after merging"):
+            interval_bmo_norm(equal_pieces([k % 2 for k in range(m)]))
+
+    def test_cap_counts_merged_pieces(self, monkeypatch):
+        monkeypatch.setattr(interval_bmo, "MAX_GENERAL_PIECES", 4)
+        # six pieces that merge to four are accepted, five distinct are not
+        g = equal_pieces([0, 0, 1, 1, 0, 1])
+        assert interval_bmo_norm(g).lower == _general_norm(g.merged())[0]
+        with pytest.raises(InputError):
+            interval_bmo_norm(equal_pieces([0, 1, 0, 1, 0]))
+
+    @pytest.mark.parametrize("increasing", [False, True])
+    def test_monotone_inputs_are_uncapped(self, increasing):
+        rng = random.Random(46)
+        m = 4096
+        vals = sorted((Fraction(rng.randrange(-500, 501), rng.choice((1, 3, 8)))
+                       for _ in range(m)), reverse=not increasing)
+        g = equal_pieces(vals)
+        assert len(g.merged().values) > MAX_GENERAL_PIECES
+        b = interval_bmo_norm(g)
+        assert b.lower > 0
+        assert interval_mean_oscillation(g, *b.witness) == b.lower
 
 
 class TestTheoremOnePropertySmall:

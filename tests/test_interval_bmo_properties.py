@@ -1,4 +1,4 @@
-"""Property test: the integer general interval-BMO path against its oracle.
+"""Property tests: the integer interval-BMO paths against their oracles.
 
 Derandomized, so the examples are the same on every run.
 """
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadicbmo import StepFunction1D
-from dyadicbmo.interval_bmo import _general_norm
-from conftest import general_norm_oracle
+from dyadicbmo.interval_bmo import _general_norm, _monotone_norm
+from conftest import general_norm_oracle, monotone_norm_oracle
 
 rationals = st.builds(Fraction, st.integers(-12, 12),
                       st.sampled_from((1, 2, 3, 4, 16)))
@@ -36,3 +36,28 @@ def test_general_path_matches_oracle(g):
     if len(g.values) < 2:
         return
     assert _general_norm(g) == general_norm_oracle(g)
+
+
+cut_points = st.sampled_from((2, 3, 5, 7, 8, 12, 64)).flatmap(
+    lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d)))
+
+
+@st.composite
+def monotone_step_functions(draw):
+    """Monotone step functions of 2-24 unequal pieces, breakpoints over mixed
+    denominators, values from a pool small enough to leave unmerged runs of
+    ties, in either direction."""
+    cuts = draw(st.sets(cut_points, min_size=1, max_size=23))
+    pool = draw(st.lists(rationals, min_size=1, max_size=len(cuts) + 1))
+    vals = draw(st.lists(st.sampled_from(pool), min_size=len(cuts) + 1,
+                         max_size=len(cuts) + 1))
+    vals.sort(reverse=draw(st.booleans()))
+    return StepFunction1D([Fraction(0), *sorted(cuts), Fraction(1)], vals)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(monotone_step_functions())
+def test_monotone_path_matches_oracle(g):
+    for h in (g, g.merged()):
+        dec = h if h.is_nonincreasing else h.negated()
+        assert _monotone_norm(h) == monotone_norm_oracle(dec)

@@ -92,21 +92,6 @@ def check_grid_size(dim, depth):
             f"at most 2^{MAX_GRID_BITS} are supported")
 
 
-def _running_max(levels, n):
-    """Running max down the tree of per-level values in Morton order:
-    out[k][z] is the largest levels[j][z >> n(k-j)] over j <= k, the value
-    of cube z and of each of its ancestors.  `levels` may be lazy."""
-    out = []
-    for level in levels:
-        if out:
-            fathers = chain.from_iterable(zip(*[out[-1]] * (1 << n)))
-            level = [v if v > p else p for p, v in zip(fathers, level)]
-        else:
-            level = list(level)
-        out.append(level)
-    return out
-
-
 def _first_crossings(pyramid, a, n):
     """(level, Morton address), in that order, of every cube of a running-max
     pyramid whose value exceeds a while its father's does not (the root
@@ -223,7 +208,8 @@ class DyadicFunction:
     and _den (their least common denominator, so the pair is canonical and
     equality reads it).  cells[flat], flat = i_1 + i_2*2^L + ... +
     i_n*2^((n-1)L), is a view built on first read.  Cached: the pyramids of
-    cube sums and oscillation numerators and the running-max pyramids.
+    cube sums and oscillation numerators, and one running-max pyramid per
+    sign, which stopping families and the maximal function read.
     """
 
     def __init__(self, dim, depth, cells):
@@ -310,40 +296,33 @@ class DyadicFunction:
             self._cache["osc"] = pyramid
         return self._cache["osc"]
 
-    def _running_maxima(self, sign, children):
-        """R (children false): the running max from the root of the scaled
-        averages A[k][z] = sign * sums[k][z] << n*k (cube average times
-        sign * den * 2^(nL)); S (children true), levels 0..L-1: that of
-        C[k][z], the max of A over z's children.  Cached per sign and kind,
-        so the maximal function builds R alone."""
-        key = ("running max", sign, children)
+    def _running_maxima(self, sign):
+        """R, the running max down the tree of the scaled averages A[k][z] =
+        sign * sums[k][z] << n*k (cube average times sign * den * 2^(nL)):
+        R[k][z] is the largest A over cube z and its ancestors.  Each level
+        of A is fed lazily from the sum pyramid; cached per sign."""
+        key = ("running max", sign)
         if key not in self._cache:
-            n, block, sums = self.dim, 1 << self.dim, self._sums()
-            if children:
-                top = max if sign > 0 else min
-                levels = ([sign * c << n * k
-                           for c in map(top, *(level[d::block] for d in range(block)))]
-                          for k, level in enumerate(sums[1:], 1))
-            else:
-                levels = ((sign * s << n * k for s in level)
-                          for k, level in enumerate(sums))
-            self._cache[key] = _running_max(levels, n)
+            n, pyramid = self.dim, []
+            for k, sums in enumerate(self._sums()):
+                level = (sign * s << n * k for s in sums)
+                if pyramid:
+                    fathers = chain.from_iterable(zip(*[pyramid[-1]] * (1 << n)))
+                    level = [v if v > p else p for p, v in zip(fathers, level)]
+                else:
+                    level = list(level)
+                pyramid.append(level)
+            self._cache[key] = pyramid
         return self._cache[key]
 
     def _stopping(self, alpha, above):
-        """(stopping cubes, parent cover) at alpha as (level, Morton address)
-        pairs: with a = floor(alpha den 2^(nL)), above is A > a and below is
-        -A > -a - 1; a cube stops iff R[father] <= a < R[cube] and is in the
-        cover iff S[father] <= a < S[cube]."""
-        a = self._scaled_floor(alpha)
+        """The stopping cubes at alpha as (level, Morton address) pairs: with
+        a = floor(alpha den 2^(nL)), above is A > a and below is -A > -a - 1,
+        and a cube stops iff R[father] <= a < R[cube]."""
+        a = (alpha.numerator * self._den << self.dim * self.depth) // alpha.denominator
         if not above:
             a = -a - 1
-        R, S = (self._running_maxima(1 if above else -1, c) for c in (False, True))
-        return _first_crossings(R, a, self.dim), _first_crossings(S, a, self.dim)
-
-    def _scaled_floor(self, alpha):
-        """floor(alpha den 2^(nL)), alpha on the integer scale of A, R and S."""
-        return (alpha.numerator * self._den << self.dim * self.depth) // alpha.denominator
+        return _first_crossings(self._running_maxima(1 if above else -1), a, self.dim)
 
     def _block(self, q):
         """(z, cnt): q's Morton address and cell count; its cells are the
@@ -510,7 +489,7 @@ def dyadic_maximal_function(f):
     if "maximal" not in h._cache:
         n, L = h.dim, h.depth
         h._cache["maximal"] = DyadicFunction._from_nums(
-            n, L, h._den << (n * L), h._running_maxima(1, False)[L])
+            n, L, h._den << (n * L), h._running_maxima(1)[L])
     return h._cache["maximal"]
 
 

@@ -71,7 +71,8 @@ def function_from_obj(obj):
     missing = {"n", "level", "values"} - set(obj)
     if missing:
         raise InputError(f"missing keys in function object: {sorted(missing)}")
-    if not isinstance(obj["n"], int) or not isinstance(obj["level"], int):
+    if any(isinstance(obj[k], bool) or not isinstance(obj[k], int)
+           for k in ("n", "level")):
         raise InputError("'n' and 'level' must be integers")
     if not isinstance(obj["values"], list):
         raise InputError("'values' must be a list")
@@ -90,6 +91,8 @@ def step_from_obj(obj):
     missing = {"breakpoints", "values"} - set(obj)
     if missing:
         raise InputError(f"missing keys in step-function object: {sorted(missing)}")
+    if not isinstance(obj["breakpoints"], list) or not isinstance(obj["values"], list):
+        raise InputError("'breakpoints' and 'values' must be lists")
     return StepFunction1D([parse_rational(t) for t in obj["breakpoints"]],
                           [parse_rational(v) for v in obj["values"]])
 

@@ -5,22 +5,22 @@ threshold (strictly above it, or weakly below it); the parent cover takes
 each stopping cube's father and keeps the maximal ones.  All measures are
 exact, and the cover obeys |E*| <= 2^n |E| by construction.
 
-Both families come from two running-max pyramids of the integer kernel,
-cached per function and direction: a cube is in a family iff its running max
-crosses the integer threshold while its father's does not.  Each threshold
-costs one O(cubes) scan, whose (level, Morton address) pairs become public
-cubes once, already in order; the maximal function is the leaf level of the
-same pyramid for |f|.
+The stopping cubes come from one running-max pyramid of the integer kernel,
+cached per function and direction: a cube stops iff its running max crosses
+the integer threshold while its father's does not, one O(cubes) scan per
+threshold.  The cover sweeps the distinct fathers in the order of their
+first cells: cubes are nested or disjoint, so a father is kept iff it starts
+at or after the end of the last one kept.  The (level, Morton address) pairs
+become public cubes once, already in order; the maximal function is the
+leaf level of the same pyramid for |f|.
 
-Where only |E| is read, no cube is built: E is the set of cells whose leaf of
-the running max exceeds the threshold (_stopping_measure), and, without the
-running max, the cells under some cube whose sum crosses it
-(_crossing_measure).
+Where only |E| is read, no cube is built: E is measured from the stopping
+pairs (_stopping_measure), and, without the running max, as the cells under
+some cube whose sum crosses the threshold (_crossing_measure).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -91,36 +91,43 @@ def stopping_family(f, alpha, direction):
 
     With A the cube averages times den * 2^(nL) and a = floor(alpha den
     2^(nL)), a cube stops iff the running max of A from the root first
-    exceeds a there, and joins the cover iff the running max of its
-    children's A first does ('below' tests -A > -a - 1).  The pyramids are
-    built once per function and direction; each call is then one O(cubes)
-    integer scan.  Both families are sorted by (level, flat index).
+    exceeds a there ('below' tests -A > -a - 1).  The pyramid is built once
+    per function and direction; each call is then one O(cubes) integer scan
+    and a sort of the stopping cubes' fathers.  Both families are sorted by
+    (level, flat index).
     """
     alpha = _checked_alpha(f, alpha, direction)
-    stopping, cover = f._stopping(alpha, direction == "above")
+    stopping = f._stopping(alpha, direction == "above")
     if stopping[:1] == [(0, 0)]:
         raise PreconditionError(
             "the root cube itself crosses the threshold; its father is undefined")
     n, depth = f.dim, f.depth
-    cells = 1 << (n * depth)
-    measure_e = Fraction(sum(1 << (n * (depth - k)) for k, _ in stopping), cells)
-    measure_e_star = Fraction(sum(1 << (n * (depth - k)) for k, _ in cover), cells)
+    # the distinct fathers by first cell; of two that share it, the larger
+    # (lower level) sorts first and is the one kept
+    cover, end = [], 0
+    for first, k, z in sorted({(z >> n << n * (depth - k + 1), k - 1, z >> n)
+                               for k, z in stopping}):
+        if first >= end:  # not inside the last father kept
+            cover.append((k, z))
+            end = first + (1 << n * (depth - k))
     return CZDecomposition(threshold=alpha, direction=direction,
                            stopping_cubes=f._cubes(stopping),
                            parent_cover=f._cubes(cover),
-                           measure_E=measure_e,
-                           measure_E_star=measure_e_star)
+                           measure_E=_measure(f, stopping),
+                           measure_E_star=_measure(f, cover))
+
+
+def _measure(f, pairs):
+    """The measure of the union of the disjoint cubes at (level, Morton
+    address) pairs."""
+    n, depth = f.dim, f.depth
+    return Fraction(sum(1 << n * (depth - k) for k, _ in pairs), 1 << n * depth)
 
 
 def _stopping_measure(f, alpha):
-    """stopping_family(f, alpha, "above").measure_E with no cube built: E is
-    the set of cells whose leaf of the running max R exceeds floor(alpha den
-    2^(nL)), counted by bisection of R's leaf, sorted once per function."""
-    alpha = _checked_alpha(f, alpha, "above")
-    if "sorted R leaf" not in f._cache:
-        f._cache["sorted R leaf"] = sorted(f._running_maxima(1, False)[-1])
-    leaf = f._cache["sorted R leaf"]
-    return Fraction(len(leaf) - bisect_right(leaf, f._scaled_floor(alpha)), len(leaf))
+    """stopping_family(f, alpha, "above").measure_E with no cube built: the
+    measure of the stopping pairs of one scan of R."""
+    return _measure(f, f._stopping(_checked_alpha(f, alpha, "above"), True))
 
 
 def _crossing_measure(f, alpha):

@@ -226,6 +226,21 @@ class TestCommands:
                        f"after merging; at most {MAX_GENERAL_PIECES} are "
                        "supported\n")
 
+    @pytest.mark.parametrize("command,text", [
+        ("interval-bmo", '{"breakpoints": 5, "values": [1]}'),
+        ("interval-bmo", '{"breakpoints": [0, 1], "values": 7}'),
+        ("interval-bmo", '{"breakpoints": "01", "values": [5]}'),
+        ("norm", '{"n": true, "level": 1, "values": [1, 2]}'),
+        ("norm", '{"n": 1, "level": true, "values": [1, 2]}'),
+    ])
+    def test_malformed_object_exits_2(self, command, text, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert main([command, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cz(self, spike_file, capsys):
         assert main(["cz", "--input", spike_file, "--alpha", "2",
                      "--direction", "above"]) == 0
@@ -409,16 +424,25 @@ PINNED_CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("slot", range(len(PINNED_CHECKS)))
-def test_check_outputs_pinned(slot, tmp_path, capsys):
-    kind, n, level, stdout_sha = PINNED_CHECKS[slot]
-    f = generate(GeneratorSpec(kind=kind, dim=n, depth=level,
-                               seed=_bench_seed("check-mixed", 1, 0, slot)))
+def _check_mixed(slot):
+    """The check-mixed input of bench seed 1, pass 0, at slot."""
+    kind, n, level, _ = PINNED_CHECKS[slot]
+    return generate(GeneratorSpec(kind=kind, dim=n, depth=level,
+                                  seed=_bench_seed("check-mixed", 1, 0, slot)))
+
+
+def _function_file(f, tmp_path):
     path = tmp_path / "f.json"
     path.write_text(canonical_json(function_to_obj(f)))
-    assert main(["check", "--input", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("slot", range(len(PINNED_CHECKS)))
+def test_check_outputs_pinned(slot, tmp_path, capsys):
+    path = _function_file(_check_mixed(slot), tmp_path)
+    assert main(["check", "--input", path]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHECKS[slot][3]
 
 
 # sha256 of stdout of `jn` (the 32-lambda grid, its measures and the
@@ -431,12 +455,56 @@ PINNED_JN = [
 
 @pytest.mark.parametrize("slot,stdout_sha", PINNED_JN)
 def test_jn_outputs_pinned(slot, stdout_sha, tmp_path, capsys):
-    kind, n, level, _ = PINNED_CHECKS[slot]
-    f = generate(GeneratorSpec(kind=kind, dim=n, depth=level,
-                               seed=_bench_seed("check-mixed", 1, 0, slot)))
-    path = tmp_path / "f.json"
-    path.write_text(canonical_json(function_to_obj(f)))
-    assert main(["jn", "--input", str(path)]) == 0
+    assert main(["jn", "--input", _function_file(_check_mixed(slot), tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+# sha256 of stdout of `cz` and `maximal` on check-mixed inputs of bench seed
+# 1, pass 0 (slot 0: n = 1; slot 1: n = 2), and on NESTED (slot None), whose
+# parent cover keeps the father (1, 0) of the stopping cube (2, 0) and drops
+# the father (2, 1) of the stopping cell (3, 3), which lies inside it
+NESTED = DyadicFunction(1, 3, [5, 0, 0, 3, 0, 0, 0, 0])
+PINNED_CZ = [
+    (0, "1/2", "above",
+     "7a2d7c2134dc2d32607f257a3838c5be31bd4c5aeea830cfd872fb22c75c4ac4"),
+    (0, "7/3", "above",
+     "c36e5e78e6fbb5abfddf07fb8fb271ac6d9b0a6cafbfc95d0f480b79dbda2b7c"),
+    (0, "-8", "below",
+     "b5639d59c4fb5e39e702dadbf884a1cbcfea9c7c4f0b4f58e13d8462b89b48ba"),
+    (0, "-29/4", "below",
+     "27e0b750d9d2e2482843c49451c3cc7851a111c9e97b02be32ca2bb1ce41c940"),
+    (1, "1", "above",
+     "eb684e7da49c48800189d340f3f8171ded6a9afc0d0239ab677884cf5a904c91"),
+    (1, "4", "above",
+     "2d004f94d3ec15cdd6863dcfefff476d6ee85aab3cdb84c4b9ae4d3418d2d99a"),
+    (1, "-31/4", "below",
+     "cdc37b263b56804c3d0071060036f891c53d4f9b79e03ff5894eb1b4774423ee"),
+    (1, "-29/4", "below",
+     "c832f99bbd8d6fc46866506d30c2cb45016162c625ab8d7197e9dedc2f6230bc"),
+    (None, "2", "above",
+     "b41c846a01f5bec9da6c11b3fe98a1e8a7a6d249c517fd2fc75ff13ae0513749"),
+]
+PINNED_MAXIMAL = [
+    (0, "8131dd87e4d3e61f6d1d98e3d67b8cf6f84bc3a26e29bb384efe7ebf3f03fbd2"),
+    (1, "02bf82ba370f398d4b2f24f7b52b0477a22e25c2988559d16f587405844be235"),
+    (None, "5073d94a6f048d1ab2f894640f582f3ff9a543efb0fe2f23e42b5f1324e0942f"),
+]
+
+
+@pytest.mark.parametrize("slot,alpha,direction,stdout_sha", PINNED_CZ)
+def test_cz_outputs_pinned(slot, alpha, direction, stdout_sha, tmp_path, capsys):
+    f = NESTED if slot is None else _check_mixed(slot)
+    assert main(["cz", "--input", _function_file(f, tmp_path), f"--alpha={alpha}",
+                 "--direction", direction]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+@pytest.mark.parametrize("slot,stdout_sha", PINNED_MAXIMAL)
+def test_maximal_outputs_pinned(slot, stdout_sha, tmp_path, capsys):
+    f = NESTED if slot is None else _check_mixed(slot)
+    assert main(["maximal", "--input", _function_file(f, tmp_path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
 

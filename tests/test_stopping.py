@@ -420,7 +420,7 @@ class TestMaximalCheckReadsTwoSides:
         assert verify_all(DyadicFunction(1, 2, [-4, 0, 0, 0]), ["cz"]).passed
         f = DyadicFunction(1, 2, [-4, 0, 0, 0])  # fresh caches
         h = f.abs()  # [4, 0, 0, 0]: M h = (4, 2, 1, 1), {M h > 1} = 1/2
-        h._running_maxima(1, False)[-1][3] = 10 ** 6  # M h at cell 3 far above
+        h._running_maxima(1)[-1][3] = 10 ** 6  # M h at cell 3 far above
         result = verify_all(f, ["cz"]).results[0]
         assert not result.passed
         assert "maximal-function level set disagrees at alpha=1" in result.failures

@@ -372,11 +372,18 @@ class DyadicFunction:
                                          [a * c.numerator for a in self._nums])
 
     def shifted(self, c):
+        """f + c.  A BMO argmax already found carries over, its average moved
+        by c: a constant changes no oscillation."""
         c = Fraction(c)
         b = c.numerator * self._den
-        return DyadicFunction._from_nums(self.dim, self.depth,
-                                         self._den * c.denominator,
-                                         [a * c.denominator + b for a in self._nums])
+        g = DyadicFunction._from_nums(self.dim, self.depth,
+                                      self._den * c.denominator,
+                                      [a * c.denominator + b for a in self._nums])
+        if "bmo" in self._cache:
+            r = self._cache["bmo"]
+            g._cache["bmo"] = OscillationReport(cube=r.cube, average=r.average + c,
+                                                oscillation=r.oscillation)
+        return g
 
     def abs(self):
         """|f|: f itself when f >= 0, else built once per function, so the

@@ -10,8 +10,9 @@ rational as the outward-rounded quotient of its two integers, and endpoints
 are compared with `mpf_lt`, `mpf_gt` and `mpf_ge`, never with tuple order.
 A bound reported as a float is the upper endpoint nudged one ulp upward
 (`upper_float`), so a violation `lhs > rhs` against an exact or rounded-down
-lhs is never an artifact of rounding.  Interval widths here are ~1e-45, far
-below a float ulp.
+lhs is never an artifact of rounding; `lower_float` nudges the lower
+endpoint one ulp down, a float below the whole interval.  Interval widths
+here are ~1e-45, far below a float ulp.
 """
 
 from __future__ import annotations
@@ -62,17 +63,18 @@ def upper_float(x):
     return math.nextafter(to_float(x[1]), math.inf)
 
 
-# iv_min, lower_float and midpoint_float have no caller in the package; they
-# stay because bench/tracer.py patches them by name, and go once the tracer
-# reads its counts from the package (ROADMAP item 1).
+def lower_float(x):
+    """Float lower bound of an interval: its lower end, one ulp down."""
+    return math.nextafter(to_float(x[0]), -math.inf)
+
+
+# iv_min and midpoint_float have no caller in the package; they stay because
+# bench/tracer.py patches them by name, and go once the tracer reads its
+# counts from the package (ROADMAP item 1).
 
 def iv_min(a, b):
     return (a[0] if mpf_lt(a[0], b[0]) else b[0],
             a[1] if mpf_lt(a[1], b[1]) else b[1])
-
-
-def lower_float(x):
-    return math.nextafter(to_float(x[0]), -math.inf)
 
 
 def midpoint_float(x):

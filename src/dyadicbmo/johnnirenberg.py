@@ -73,9 +73,14 @@ def logbound_check(f, t):
     norm = bmo_dyadic_norm(f)
     if norm == 0:
         return lhs, 0.0
+    return lhs, upper_float(_log_bound(f, norm, t))
+
+
+def _log_bound(f, norm, t):
+    """2^(n-1) e norm ln(e/t) as an interval, for norm = ||f|| > 0 and a
+    Fraction t in (0,1]: the rhs of logbound_check, decreasing in t."""
     log_e_over_t = mpi_sub(IV_ONE, mpi_log(iv_from_fraction(t), PREC), PREC)
-    rhs = mpi_mul(_scale(f, norm), log_e_over_t, PREC)
-    return lhs, upper_float(rhs)
+    return mpi_mul(_scale(f, norm), log_e_over_t, PREC)
 
 
 def _lambda_grid(f, points=32):

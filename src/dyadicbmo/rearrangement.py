@@ -228,9 +228,10 @@ def interval_mean_oscillation(g, a, b):
     it is J / (td * vd * c), its mean mu = J / (vd * L).  For nonincreasing
     g, mu splits [a,b] into a prefix (a, s] where g > mu and a rest where
     g <= mu; the integral of |g - mu| is twice the excess over (a, s], so
-    one bisection for s and three prefix lookups give the value in
-    O(log pieces).  Other step functions are summed piece by piece,
-    O(pieces).  Either way the oscillation is an integer over vd * L^2.
+    one bisection for s, two prefix-integral lookups and the prefix at the
+    breakpoint s give the value in O(log pieces).  Other step functions
+    are summed piece by piece, O(pieces).  Either way the oscillation is an
+    integer over vd * L^2.
     """
     a, b = Fraction(a), Fraction(b)
     if not 0 <= a < b <= 1:
@@ -242,24 +243,35 @@ def _window(g, a, b):
     """(mean, mean oscillation) of g over [a,b] for Fractions 0 <= a < b <= 1,
     both exact; see interval_mean_oscillation."""
     c = lcm(a.denominator, b.denominator)
-    xa = a.numerator * (c // a.denominator) * g._td
-    xb = b.numerator * (c // b.denominator) * g._td
+    J, L, num = _window_ints(g, a.numerator * (c // a.denominator) * g._td,
+                             b.numerator * (c // b.denominator) * g._td, c)
+    return Fraction(J, g._vd * L), Fraction(num, g._vd * L * L)
+
+
+def _window_ints(g, xa, xb, c):
+    """(J, L, num) for the window (xa, xb] of positions over td * c: its
+    length L = xb - xa, the integral J of g over it (td * vd * c times the
+    integral), and num, with mean J / (vd * L) and mean oscillation
+    num / (vd * L^2)."""
     L = xb - xa
     ia = g._integral_at(xa, c)
     J = g._integral_at(xb, c) - ia
     V, B = g._V, g._B
     if g.is_nonincreasing:
-        # V[k] > mu iff V[k] > J // L; V descends, so count by bisection
+        # V[k] > mu iff V[k] > J // L; V descends, so count by bisection.
+        # g > mu on (xa, s] and g <= mu after; s outside the window leaves
+        # g constant on it
         above = bisect_left(V, True, key=(J // L).__ge__)
-        s = min(max(B[above] * c, xa), xb)
-        num = 2 * ((g._integral_at(s, c) - ia) * L - J * (s - xa))
+        s = B[above] * c
+        num = (2 * ((g._prefix()[above] * c - ia) * L - J * (s - xa))
+               if xa < s < xb else 0)
     else:
         num = 0
         for lo, hi, v in zip(B, B[1:], V):
             olo, ohi = max(lo * c, xa), min(hi * c, xb)
             if olo < ohi:
                 num += abs(v * L - J) * (ohi - olo)
-    return Fraction(J, g._vd * L), Fraction(num, g._vd * L * L)
+    return J, L, num
 
 
 def hardy_gap_check(g, t, gamma):

@@ -102,13 +102,15 @@ def stopping_family(f, alpha, direction):
         raise PreconditionError(
             "the root cube itself crosses the threshold; its father is undefined")
     n, depth = f.dim, f.depth
-    # the distinct fathers by first cell; of two that share it, the larger
-    # (lower level) sorts first and is the one kept
+    # the distinct fathers by first cell, packed as first * (depth + 1) +
+    # level; of two that share it, the larger (lower level) sorts first and
+    # is the one kept
     cover, end = [], 0
-    for first, k, z in sorted({(z >> n << n * (depth - k + 1), k - 1, z >> n)
-                               for k, z in stopping}):
+    for key in sorted({(z >> n << n * (depth - k + 1)) * (depth + 1) + k - 1
+                       for k, z in stopping}):
+        first, k = divmod(key, depth + 1)
         if first >= end:  # not inside the last father kept
-            cover.append((k, z))
+            cover.append((k, first >> n * (depth - k)))
             end = first + (1 << n * (depth - k))
     return CZDecomposition(threshold=alpha, direction=direction,
                            stopping_cubes=f._cubes(stopping),

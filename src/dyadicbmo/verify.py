@@ -16,15 +16,18 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .dyadic import (DyadicCubeId, bmo_dyadic_norm, mean_oscillation,
                      one_sided_oscillation)
 from .errors import InputError
 from .gurov import (_solve_p_exact, gr_membership, gr_profile, lq_tail_bound,
                     solve_p, theorem3_check, theorem4_bound, theorem5_check)
+from .highprec import lower_float
 from .interval_bmo import interval_bmo_norm
-from .johnnirenberg import _lambda_grid, jn_abs_check, jn_check, logbound_check
-from .rearrangement import (hardy_average, hardy_gap_check,
+from .johnnirenberg import (_lambda_grid, _log_bound, jn_abs_check, jn_check,
+                            logbound_check)
+from .rearrangement import (_window_ints, hardy_average, hardy_gap_check,
                             interval_mean_oscillation, rearrange_abs,
                             rearrange_signed)
 from .stopping import (_crossing_measure, _stopping_measure, maximal_level_set,
@@ -99,61 +102,80 @@ def _mean_defect(g, mu):
     return [q * mu.denominator - w * b for q, b in zip(g._prefix(), g._B)]
 
 
-def _matching_mean_endpoint(g, a, mu, defect):
+def _matching_mean_endpoint(g, x, d, mu, defect):
     """Least b > a with the mean of g over (a,b] equal to mu, or None.
 
-    g must be nonincreasing and merged (no two adjacent pieces share a
-    value), as rearrange_signed returns it, so that a flat stretch at the
-    mean is one piece; defect is _mean_defect(g, mu).  The defect
-    D(t) = int_0^t g - mu t is concave, so the window mean equals mu exactly
-    where D returns to D(a).  From the first piece ending after a: if its
-    value is mu, the flat stretch at the mean extends to its right end; if
-    below mu, D only falls and no b exists; if above, the first breakpoint
-    with D <= D(a) (found by bisection, the predicate being monotone past a)
-    closes the piece where D crosses D(a), and that piece's linear equation
-    gives b.  O(log pieces) per anchor, in integers: with mu = w / (vd * md),
-    D(a) is X / (td * vd * md * ad) for a = an / ad.
+    Positions are integers over td times a positive integer: the anchor is
+    a = x / (td * d), and the endpoint is returned as (y, e) with
+    b = y / (td * e), e a multiple of d.  g must be nonincreasing and merged
+    (no two adjacent pieces share a value), as rearrange_signed returns it,
+    so that a flat stretch at the mean is one piece; defect is
+    _mean_defect(g, mu).  The defect D(t) = int_0^t g - mu t is concave, so
+    the window mean equals mu exactly where D returns to D(a).  From the
+    first piece ending after a: if its value is mu, the flat stretch at the
+    mean extends to its right end; if below mu, D only falls and no b
+    exists; if above, the first breakpoint with D <= D(a) (found by
+    bisection, the predicate being monotone past a) closes the piece where
+    D crosses D(a), and that piece's linear equation gives b.  O(log pieces)
+    per anchor, in integers: with mu = w / (vd * md), D(a) is
+    X / (td * vd * md * d), linear in a on its piece.
     """
-    B, V, td = g._B, g._V, g._td
-    md, an, ad = mu.denominator, a.numerator, a.denominator
+    B, V = g._B, g._V
+    md = mu.denominator
     w = mu.numerator * g._vd
-    i = bisect_right(B, an * td // ad)  # first piece (t_{i-1}, t_i] with t_i > a
+    i = bisect_right(B, x // d)  # first piece (t_{i-1}, t_i] with t_i > a
     excess = V[i - 1] * md - w  # the sign of v - mu
     if excess == 0:
-        return Fraction(B[i], td)
+        return B[i] * d, d
     if excess < 0:
         return None
-    X = g._integral_at(an * td, ad) * md - w * an * td
+    X = defect[i - 1] * d + excess * (x - B[i - 1] * d)
     # first k > i with defect[k] <= D(a) (defect[i] > D(a))
-    lo = bisect_left(defect, True, i + 1, len(B), key=(X // ad).__ge__)
+    lo = bisect_left(defect, True, i + 1, len(B), key=(X // d).__ge__)
     if lo == len(B):
         return None
     W = w - V[lo - 1] * md  # (mu - v) * vd * md > 0
-    return Fraction((B[lo - 1] * W + defect[lo - 1]) * ad - X, td * ad * W)
+    return (B[lo - 1] * W + defect[lo - 1]) * d - X, d * W
 
 
 def _suite_lemma22(f):
+    """Each anchor a (the eighths and the breakpoints of g, as positions over
+    D = lcm(td, 8)) with a matched-mean endpoint b: the window mean, read
+    from the integral of g apart from the defect the endpoint was solved
+    on, must be mu, and the window's oscillation at most the full one."""
     g = rearrange_signed(f)
     mu = g.integral
     defect = _mean_defect(g, mu)
     base = interval_mean_oscillation(g, 0, 1)
+    B, V, td, vd = g._B, g._V, g._td, g._vd
+    md, w = mu.denominator, mu.numerator * vd
+    d = 8 // gcd(td, 8)  # D = td * d
+    # an anchor in a piece below the mean has no endpoint: stop at the first
+    k = bisect_left(V, True, key=lambda v: v * md < w)
+    anchors = [t * d for t in B[:k]]
+    for x in range(0, B[k] * d, td * d // 8):  # merge in the eighths
+        j = bisect_left(anchors, x)
+        if j == len(anchors) or anchors[j] != x:
+            anchors.insert(j, x)
     failures = []
     checks = 0
-    anchors = sorted({Fraction(i, 8) for i in range(8)}
-                     | set(g.breakpoints[:-1]))
-    for a in anchors:
-        if a >= 1:
+    for x in anchors:
+        end = _matching_mean_endpoint(g, x, d, mu, defect)
+        if end is None:
             continue
-        b = _matching_mean_endpoint(g, a, mu, defect)
-        if b is None or not a < b <= 1:
+        y, e = end
+        xa = x * (e // d)
+        if not xa < y <= td * e:
             continue
-        inner_mean = (g.integral_to(b) - g.integral_to(a)) / (b - a)
-        if inner_mean != mu:
-            failures.append(f"endpoint solve failed at a={a}: mean {inner_mean} != {mu}")
+        J, L, num = _window_ints(g, xa, y, e)
+        if J * md != w * L:
+            failures.append(f"endpoint solve failed at a={Fraction(x, td * d)}: "
+                            f"mean {Fraction(J, vd * L)} != {mu}")
             continue
         checks += 1
-        if interval_mean_oscillation(g, a, b) > base:
-            failures.append(f"oscillation on [{a},{b}] exceeds the full interval's")
+        if num * base.denominator > base.numerator * vd * L * L:
+            failures.append(f"oscillation on [{Fraction(x, td * d)},"
+                            f"{Fraction(y, td * e)}] exceeds the full interval's")
     if checks == 0:
         return _result("lemma22", 0, failures, skipped=True,
                        note="no matched-mean subinterval available")
@@ -207,16 +229,32 @@ def _suite_thm2(f):
 
 
 def _suite_thm31(f):
+    """logbound_check at every breakpoint t of the rearrangement gd of
+    g = f - mean, decided a run of breakpoints at a time.  gd(t) is
+    nonincreasing and the rhs is decreasing, so a run t_a < ... < t_b whose
+    first value gd(t_a) is at most the lower end of the rhs at t_b passes
+    the per-t rule everywhere (lower <= rhs <= upper).  A run failing that
+    test is halved, down to single breakpoints, which logbound_check
+    decides; an accepted run's right end goes through it as well."""
+    norm = bmo_dyadic_norm(f)  # before the shift, so g reads it too
     g = f.shifted(-f.mean)
     gd = rearrange_signed(g)
+    B, V, td, vd = gd._B, gd._V, gd._td, gd._vd
     failures = []
-    checks = 0
-    for t in gd.breakpoints[1:]:
+    runs = [(1, len(B) - 1)]  # breakpoint indices, the leftmost run on top
+    while runs:
+        a, b = runs.pop()
+        # a < b needs two pieces, so g is not constant and norm > 0
+        if a < b and Fraction(V[a - 1], vd) > lower_float(
+                _log_bound(g, norm, Fraction(B[b], td))):
+            mid = (a + b) // 2
+            runs += [(mid + 1, b), (a, mid)]
+            continue
+        t = Fraction(B[b], td)
         lhs, rhs = logbound_check(g, t)
-        checks += 1
         if lhs > rhs:
             failures.append(f"log bound fails at t={t}: {lhs} > {rhs}")
-    return _result("thm31", checks, failures)
+    return _result("thm31", len(B) - 1, failures)
 
 
 def _suite_remark31(f):

@@ -174,6 +174,15 @@ class TestBMONorm:
             s = Fraction(rng.randrange(1, 12), 5)
             assert bmo_dyadic_norm(f.scaled(s)) == s * bmo_dyadic_norm(f)
 
+    def test_shift_carries_the_argmax(self, rng):
+        for _ in range(60):
+            f = random_function(rng, rng.choice([1, 2, 3]), rng.randrange(3))
+            c = Fraction(rng.randrange(-20, 20), rng.choice([1, 3, 7]))
+            bmo_argmax(f)
+            carried = bmo_argmax(f.shifted(c))
+            fresh = bmo_argmax(DyadicFunction(f.dim, f.depth, [v + c for v in f.cells]))
+            assert carried == fresh
+
     def test_bounded_by_twice_max(self, rng):
         for _ in range(60):
             f = random_function(rng, 1, 3)

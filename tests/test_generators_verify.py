@@ -4,11 +4,15 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dyadicbmo.johnnirenberg as jn_mod
 import dyadicbmo.verify as verify_mod
 from dyadicbmo import (DyadicFunction, GenerationError, GeneratorSpec,
-                       InputError, StepFunction1D, every_cube, generate,
-                       gr_membership, rearrange_signed, verify_all)
+                       InputError, StepFunction1D, bmo_dyadic_norm, every_cube,
+                       generate, gr_membership, rearrange_signed, verify_all)
+from dyadicbmo.highprec import lower_float, upper_float
 from conftest import float_just_below, matched_mean_b_oracle, random_function
 
 
@@ -187,9 +191,11 @@ class TestExactDecisions:
 
 
 def _endpoint(g, a):
-    mu = g.integral
-    return verify_mod._matching_mean_endpoint(
-        g, a, mu, verify_mod._mean_defect(g, mu))
+    """The matched-mean endpoint from the anchor a, as a Fraction."""
+    a, mu = Fraction(a), g.integral
+    end = verify_mod._matching_mean_endpoint(
+        g, a.numerator * g._td, a.denominator, mu, verify_mod._mean_defect(g, mu))
+    return None if end is None else Fraction(end[0], g._td * end[1])
 
 
 class TestMatchedMeanEndpoint:
@@ -224,3 +230,137 @@ class TestMatchedMeanEndpoint:
                 assert _endpoint(g, a) == matched_mean_b_oracle(g, a, mu)
                 anchors_checked += 1
         assert with_flat >= 80 and anchors_checked > 2000
+
+
+def _thm31_per_t(f):
+    """(checks, passed, failures) of thm31 by one logbound_check per
+    breakpoint of the rearrangement of f - mean, the rule the block path
+    must reproduce."""
+    g = f.shifted(-f.mean)
+    ts = verify_mod.rearrange_signed(g).breakpoints[1:]
+    failures = []
+    for t in ts:
+        lhs, rhs = verify_mod.logbound_check(g, t)
+        if lhs > rhs:
+            failures.append(f"log bound fails at t={t}: {lhs} > {rhs}")
+    return len(ts), not failures, tuple(failures[:8])
+
+
+def _thm31_blocks(f):
+    result = verify_all(f, ["thm31"]).results[0]
+    return result.checks, result.passed, result.failures
+
+
+def _plant(monkeypatch, f, i, j=None):
+    """Raise the rearrangement of g = f - mean on its first i pieces to a c
+    strictly between the rhs at t_j and at t_(j-1), for 1 <= j <= i (j = i
+    by default).  It stays nonincreasing, and the bound fails at
+    t_j, ..., t_i alone; return those t."""
+    j = i if j is None else j
+    g = f.shifted(-f.mean)
+    real = rearrange_signed(g)
+    ts, norm = real.breakpoints, bmo_dyadic_norm(g)
+    above = Fraction(upper_float(jn_mod._log_bound(g, norm, ts[j])))
+    below = (Fraction(lower_float(jn_mod._log_bound(g, norm, ts[j - 1])))
+             if j > 1 else above + 1)
+    assert above < below
+    c = (above + below) / 2
+    planted = StepFunction1D(ts, [max(v, c) if k < i else v
+                                  for k, v in enumerate(real.values)])
+
+    def rearranged(h):
+        return planted if h == g else rearrange_signed(h)
+    monkeypatch.setattr(verify_mod, "rearrange_signed", rearranged)
+    monkeypatch.setattr(jn_mod, "rearrange_signed", rearranged)
+    return ts[j:i + 1]
+
+
+_THM31_GRIDS = st.one_of(
+    st.tuples(st.just("uniform-cells"), st.integers(1, 3), st.integers(0, 7)),
+    st.tuples(st.just("cascade-gr"), st.integers(1, 3), st.integers(1, 7)),
+    st.tuples(st.just("monotone-1d"), st.just(1), st.integers(0, 7)))
+
+
+def _grid(kind, n, level, seed):
+    return generate(GeneratorSpec(kind=kind, dim=n, depth=min(level, 8 // n),
+                                  seed=seed))
+
+
+class TestThm31Blocks:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_THM31_GRIDS, st.integers(0, 2 ** 16))
+    def test_matches_per_t_rule(self, grid, seed):
+        f = _grid(*grid, seed)
+        assert _thm31_blocks(f) == _thm31_per_t(f)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(_THM31_GRIDS, st.integers(0, 2 ** 16), st.data())
+    def test_planted_violations_match_per_t_rule(self, grid, seed, data):
+        f = _grid(*grid, seed)
+        pieces = len(rearrange_signed(f.shifted(-f.mean)).values)
+        i = data.draw(st.integers(1, pieces))
+        j = data.draw(st.integers(1, i))
+        with pytest.MonkeyPatch.context() as mp:
+            ts = _plant(mp, f, i, j)
+            blocks = _thm31_blocks(f)
+            assert blocks == _thm31_per_t(f)
+        # in increasing t, the first 8 kept
+        assert not blocks[1] and len(blocks[2]) == min(len(ts), 8)
+        for t, failure in zip(ts, blocks[2]):
+            assert failure.startswith(f"log bound fails at t={t}: ")
+
+    def test_planted_violation_inside_a_long_run(self, monkeypatch):
+        f = DyadicFunction(1, 7, [(37 * k) % 128 - 64 for k in range(128)])
+        calls = []
+        real = verify_mod.logbound_check
+
+        def counted(g, t):
+            calls.append(t)
+            return real(g, t)
+        monkeypatch.setattr(verify_mod, "logbound_check", counted)
+        assert _thm31_blocks(f) == (128, True, ())
+        # decided in runs, each run's right end through the per-t rule
+        assert len(calls) < 16 and calls == sorted(calls) and calls[-1] == 1
+        t, = _plant(monkeypatch, f, 77)
+        calls.clear()
+        checks, passed, failures = _thm31_blocks(f)
+        assert (checks, passed) == (128, False) and t in calls
+        assert failures == _thm31_per_t(f)[2]
+        assert len(failures) == 1 and failures[0].startswith(
+            f"log bound fails at t={t}: ")
+
+
+class TestLemma22Integers:
+    def test_endpoint_one_unit_off_is_reported(self, monkeypatch):
+        # distinct values around a mean no cell takes: no flat piece at the
+        # mean, so moving b changes the window mean
+        f = DyadicFunction(1, 3, [7, 3, 5, 0, 1, 6, 2, 4])
+        assert verify_all(f, ["lemma22"]).passed
+        real = verify_mod._matching_mean_endpoint
+
+        def one_unit_early(g, x, d, mu, defect):
+            end = real(g, x, d, mu, defect)
+            return None if end is None else (end[0] - 1, end[1])
+        monkeypatch.setattr(verify_mod, "_matching_mean_endpoint", one_unit_early)
+        result = verify_all(f, ["lemma22"]).results[0]
+        assert not result.passed and result.failures
+        assert all(m.startswith("endpoint solve failed at a=")
+                   for m in result.failures)
+
+    def test_anchors_are_eighths_and_breakpoints(self, monkeypatch):
+        f = DyadicFunction(1, 2, [Fraction(1, 3), 5, 0, 2])
+        g = rearrange_signed(f)
+        seen = []
+        real = verify_mod._matching_mean_endpoint
+
+        def recorded(g, x, d, mu, defect):
+            seen.append(Fraction(x, g._td * d))
+            return real(g, x, d, mu, defect)
+        monkeypatch.setattr(verify_mod, "_matching_mean_endpoint", recorded)
+        verify_all(f, ["lemma22"])
+        # the anchors that have an endpoint: those in a piece at or above
+        # the mean, here the first half
+        anchors = sorted({Fraction(k, 8) for k in range(8)} | set(g.breakpoints[:-1]))
+        assert seen == [a for a in anchors
+                        if matched_mean_b_oracle(g, a, g.integral) is not None]
+        assert seen == [0, Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]

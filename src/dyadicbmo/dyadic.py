@@ -229,7 +229,7 @@ class DyadicFunction:
         self._den = den
         self._nums = tuple(v.numerator * (den // v.denominator)
                            for v in map(cells.__getitem__, _morton_order(dim, depth)))
-        self._cache = {"cells": cells}
+        self._cache = {}
 
     @classmethod
     def _from_nums(cls, dim, depth, den, nums):
@@ -249,8 +249,12 @@ class DyadicFunction:
         """Cell values in public order (first coordinate fastest)."""
         if "cells" not in self._cache:
             cells = [None] * len(self._nums)
+            values = {}  # one Fraction per distinct numerator
             for p, a in zip(_morton_order(self.dim, self.depth), self._nums):
-                cells[p] = Fraction(a, self._den)
+                v = values.get(a)
+                if v is None:
+                    v = values[a] = Fraction(a, self._den)
+                cells[p] = v
             self._cache["cells"] = tuple(cells)
         return self._cache["cells"]
 

@@ -31,6 +31,14 @@ sup exactly:
   the box is the largest box max of the bands that range meets.  A box max
   sits at a corner, an edge stationary point or the interior critical
   point, each a linear equation's root, so every candidate is rational.
+  Two exact upper bounds skip work without changing the result: a pair's
+  windows have values in [Lo, H] and means in the corner-mean range, so
+  they oscillate at most 2(H-mu)(mu-Lo)/(H-Lo) at mu = (H+Lo)/2 clamped to
+  that range; and F's coefficients of x, y and xy are >= 0, so with M the
+  middle length each band's 2F/T^2 is at most 2F(L_i, L_j)/M^2.  A pair
+  or band whose bound is below max|jump|/2 (which a balanced window
+  attains) or no more than the best value so far holds no candidate that
+  is the first to reach the sup, so the value and its witness stay.
   The path runs in the same scaled integers: candidates are homogeneous
   integer triples (X, Y, W), W > 0, reduced by their gcd (equal points are
   equal tuples), and 2F/T^2 is homogeneous of degree 0, so candidates
@@ -203,6 +211,27 @@ def _box_candidates(fq, M, Li, Lj):
     return pts
 
 
+def _mean_range(M, MI, vi, Li, vj, Lj):
+    """The window means of a piece-pair box span [ln/ld, hn/hd].
+
+    A window with x of piece i, y of piece j and the M-long middle of
+    integral MI has mean (MI + vi x + vj y)/(M + x + y), linear-fractional
+    with a positive denominator, so its extremes over the box sit at the
+    corners.  Adjacent pieces (M = 0) have no window at (0, 0); their
+    means fill [min, max] of vi, vj.  Returns (ln, ld, hn, hd), ld, hd > 0.
+    """
+    if not M:
+        return (vi, 1, vj, 1) if vi <= vj else (vj, 1, vi, 1)
+    hn, hd = ln, ld = MI, M
+    for n, d in ((MI + vi * Li, M + Li), (MI + vj * Lj, M + Lj),
+                 (MI + vi * Li + vj * Lj, M + Li + Lj)):
+        if n * hd > hn * d:
+            hn, hd = n, d
+        elif n * ld < ln * d:
+            ln, ld = n, d
+    return ln, ld, hn, hd
+
+
 def _general_norm(g):
     """Exact sup of interval oscillation for an arbitrary step function.
 
@@ -211,21 +240,32 @@ def _general_norm(g):
     x = t_i - a and y = b - t_{j-1} in units 1/TD.  Each band's 2F/T^2 is VD
     times a lower bound of the oscillation on the whole box, exact where the
     window mean lies in the band, and every window mean lies in some band
-    between the extreme corner means (for adjacent pieces, the min and max
-    of v_i, v_j).  So skipping the bands wholly above or below that range
-    keeps the sup; and a candidate's value is at most the oscillation at
-    its point, itself at most the sup, so the first candidate to reach the
-    sup is a witness.
+    between the extreme corner means (_mean_range).  So skipping the bands
+    wholly above or below that range keeps the sup; and a candidate's value
+    is at most the oscillation at its point, itself at most the sup, so the
+    first candidate to reach the sup is a witness.
 
-    Pruning by value keeps the sup and the witness too: the balanced window
-    around the largest jump attains seed = max|jump|/2, and with H and Lo
-    the max and min over pieces i..j, a window whose mean mu lies in
-    [w_lo, w_hi] oscillates at most max 2(H-mu)(mu-Lo)/(H-Lo) over that
-    band.  A pair with (H-Lo)/2 < seed or <= best, and a band whose bound
-    is < seed or <= best, holds no candidate that is the first to attain
-    the final sup.  The band sums accumulate once down the distinct values
-    of each pair.  Cost: O(m^2 d) for m pieces and at most d <= m distinct
-    values in a window, with O(1) integer work per kept band.
+    Pruning by an upper bound keeps the sup and the witness too: the
+    balanced window around the largest jump attains seed = max|jump|/2, so
+    a pair or band whose bound is < seed, or <= best (ties keep the first
+    candidate), holds no candidate that is the first to attain the final
+    sup.  Three bounds are used, all exact integer comparisons:
+
+    * values in [Lo, H] with mean mu oscillate at most
+      2(H-mu)(mu-Lo)/(H-Lo), concave in mu; with H and Lo the max and min
+      over pieces i..j, its max over a mean range is at (H+Lo)/2 clamped
+      to it.  Over all means that is (H-Lo)/2, the first pair test; over
+      the box's mean range, the second; over [w_lo, w_hi], the band test.
+    * F is bilinear, so its max over the box sits at a corner, and that
+      corner is (L_i, L_j): F10 = int over the middle of (g - vi) on S if
+      vi < w_hi, of (vi - g) off S if not, so F10 >= 0, as are F01 and
+      F11 = (vi - vj)(ib - jb), and F00 >= 0.  T >= M > 0 on the box when
+      the pieces are not adjacent, so each band's 2F/T^2 is at most
+      2F(L_i, L_j)/M^2, checked before its candidates are built.
+
+    The band sums accumulate once down the distinct values of each pair.
+    Cost: O(m^2 d) for m pieces and at most d <= m distinct values in a
+    window, with O(1) integer work per kept band.
     """
     TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
     m = len(V)
@@ -256,18 +296,21 @@ def _general_norm(g):
             Lj = B[j] - B[j - 1]
             M = B[j - 1] - B[i]
             MI = Q[j - 1] - Q[i]
-            # the window means of the box span [ln/ld, hn/hd]
-            if M:
-                hn, hd = ln, ld = MI, M
-                for n, d in ((MI + vi * Li, M + Li), (MI + vj * Lj, M + Lj),
-                             (MI + vi * Li + vj * Lj, M + Li + Lj)):
-                    if n * hd > hn * d:
-                        hn, hd = n, d
-                    elif n * ld < ln * d:
-                        ln, ld = n, d
-            else:  # adjacent pieces: the means fill [min, max] of vi, vj
-                ln, hn = sorted((vi, vj))
-                ld = hd = 1
+            ln, ld, hn, hd = _mean_range(M, MI, vi, Li, vj, Lj)
+            # the pair bound at mu = pn/pd, (top+low)/2 clamped to the range;
+            # unclamped it is span/2, tested above
+            if (top + low) * ld < 2 * ln:
+                pn, pd = ln, ld
+            elif (top + low) * hd > 2 * hn:
+                pn, pd = hn, hd
+            else:
+                pd = 0
+            if pd:
+                # 2 * VD * pair bound = 4ab / (span * pd^2)
+                ab = (top * pd - pn) * (pn - low * pd)
+                if 4 * ab < jump * span * pd * pd \
+                        or 2 * ab * bd <= span * bn * pd * pd:
+                    continue
             HL = HI = 0  # length and integral of the middle pieces >= w_hi
             for r in range(len(asc) - 1, 0, -1):
                 w_hi, w_lo = asc[r], asc[r - 1]
@@ -286,12 +329,16 @@ def _general_norm(g):
                 ib = 1 if vi >= w_hi else 0
                 jb = 1 if vj >= w_hi else 0
                 # F = S1*T - N*L1 expanded in (x, y): bilinear, no x^2 or y^2
-                fq = ((vi - vj) * (ib - jb),
-                      HI - vi * HL + ib * (vi * M - MI),
-                      HI - vj * HL + jb * (vj * M - MI),
-                      HI * M - MI * HL)
-                F11, F10, F01, F00 = fq
-                for X, Y, W in _box_candidates(fq, M, Li, Lj):
+                F11 = (vi - vj) * (ib - jb)
+                F10 = HI - vi * HL + ib * (vi * M - MI)
+                F01 = HI - vj * HL + jb * (vj * M - MI)
+                F00 = HI * M - MI * HL
+                if M:
+                    # F at (Li, Lj) over min T = M bounds 2F/T^2 on the box
+                    fmax = F00 + F10 * Li + F01 * Lj + F11 * Li * Lj
+                    if 4 * fmax < jump * M * M or 2 * fmax * bd <= bn * M * M:
+                        continue
+                for X, Y, W in _box_candidates((F11, F10, F01, F00), M, Li, Lj):
                     T = X + Y + M * W
                     if T <= 0:
                         continue

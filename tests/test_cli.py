@@ -509,13 +509,15 @@ def test_maximal_outputs_pinned(slot, stdout_sha, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
 
 
-# sha256 of stdout of `interval-bmo` on a many-band and a few-band input of
-# the interval-general workload (bench seed 1, pass 0, slots 0 and 2)
+# sha256 of stdout of `interval-bmo` on inputs of the interval-general
+# workload (bench seed 1, pass 0): many-band L=4, few-band, many-band L=5
 PINNED_INTERVALS = [
     (0, {"depth": 4},
      "ed8a4918ff42f348cefb245e8d2f49597e632e1e03fae02adb8dfc4c2fa4b93e"),
     (2, {"depth": 5, "low": 0, "high": 4, "denom_bits": 2},
      "111d0b683719deca7215f8ac60030efe66f7fb5ccdb21f6dafcf243971d33ea4"),
+    (1, {"depth": 5},
+     "e8cad50e86c996d8cfff86a3d67fda3620cc8624d9514dcdeebd61f2b38b1430"),
 ]
 
 
@@ -550,12 +552,14 @@ def _walk(pieces, seed, many_values):
 
 
 # sha256 of stdout of `interval-bmo` on larger general inputs: a 48-piece
-# random walk and 96 pieces with nearly all values distinct
+# random walk, 96 pieces with nearly all values distinct and a 200-piece walk
 PINNED_GENERAL = [
     (48, 0, False,
      "3a2f3f6ba79caf104770d2564df497fd046e11e59f905287ad4cd033fcc6d73c"),
     (96, 1, True,
      "fd77056e93511fe65a5b24f363982ade3e79035767dbe825947d399dd1f45910"),
+    (200, 2, False,
+     "373be2f351f62bb29a267876b1a1b219fc933306b21befb52ffb1344d2c23a9b"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Certified interval BMO norm: closed forms, oracles, path cross-checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -381,6 +382,99 @@ class TestBoxPath:
                 continue
             seen += 1
             assert _general_norm(g) == general_norm_oracle(g)
+
+
+def skip_input(rng):
+    """A general input of 3-10 pieces, equal or not, on which the two bound
+    skips of the general path fire: a walk of +-1 steps, a few-valued
+    function whose sup often equals the seed max|jump|/2 and ties between
+    bands, or values near 0 with one plateau raised far above them, so
+    that pairs on either side of the plateau have a middle (M > 0)."""
+    m = rng.randrange(3, 11)
+    den = rng.choice((m, 2 * m, 24))
+    cuts = sorted(rng.sample(range(1, den), m - 1))
+    bps = [Fraction(c, den) for c in (0, *cuts, den)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        vals, v = [], 0
+        for _ in range(m):
+            v += rng.choice((-1, 1))
+            vals.append(Fraction(v))
+    elif kind == 1:
+        pool = rng.sample([Fraction(k, 2) for k in range(-4, 5)],
+                          rng.choice((2, 3)))
+        vals = [rng.choice(pool) for _ in range(m)]
+    else:
+        vals = [Fraction(rng.randrange(-3, 4), rng.choice((1, 2)))
+                for _ in range(m)]
+        a = rng.randrange(1, m - 1)
+        b = rng.randrange(a + 1, m)
+        vals[a:b] = [v + 40 for v in vals[a:b]]
+    return StepFunction1D(bps, vals).merged()
+
+
+class TestUpperBoundSkips:
+    """A pair is skipped by the bound 2(H-mu)(mu-Lo)/(H-Lo) at the centre
+    clamped to its mean range, and a band with a middle (M > 0) by
+    2F(L_i, L_j)/M^2; neither may change the sup or its witness."""
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(58)
+        seen = at_seed = 0
+        while seen < 50:
+            g = skip_input(rng)
+            if len(g.values) < 2 or g.is_nonincreasing or g.is_nondecreasing:
+                continue
+            seen += 1
+            got = _general_norm(g)
+            assert got == general_norm_oracle(g)
+            at_seed += got[0] == max_half_jump(g)
+        assert at_seed >= 10
+
+    def test_bench_many_band_box_evaluations(self, monkeypatch):
+        # the many-band L=5 interval-general input of bench seed 1, pass 0,
+        # slot 1 (32 pieces): 103 box evaluations without the two skips
+        seed = hashlib.sha256(b"interval-general/1/0/1").hexdigest()
+        f = generate(GeneratorSpec(kind="uniform-cells", dim=1, depth=5,
+                                   seed=int(seed[:8], 16)))
+        g = equal_pieces(f.cells).merged()
+        calls = []
+        box_candidates = interval_bmo._box_candidates
+
+        def counted(*args):
+            calls.append(args)
+            return box_candidates(*args)
+
+        monkeypatch.setattr(interval_bmo, "_box_candidates", counted)
+        got = _general_norm(g)
+        assert 0 < len(calls) <= 103 // 2
+        assert interval_mean_oscillation(g, *got[1]) == got[0]
+
+
+class TestMeanRange:
+    """_mean_range is read by the band skip and the pair bound: it must hold
+    every window mean of the box, and its ends must be window means."""
+
+    def test_dense_grid(self):
+        rng = random.Random(59)
+        steps = 10
+        for case in range(100):
+            M = 0 if case % 5 == 0 else rng.randrange(1, 30)
+            MI = rng.randrange(-20 * M, 20 * M + 1)
+            vi, vj = rng.randrange(-25, 26), rng.randrange(-25, 26)
+            if case % 3 == 0:
+                # both ends on one side of the middle mean: the (Li, Lj)
+                # corner is an extreme
+                vi = vj = (MI // M if M else 0) + rng.choice((-20, 20))
+            Li, Lj = rng.randrange(1, 30), rng.randrange(1, 30)
+            ln, ld, hn, hd = interval_bmo._mean_range(M, MI, vi, Li, vj, Lj)
+            assert ld > 0 and hd > 0
+            lo, hi = Fraction(ln, ld), Fraction(hn, hd)
+            means = {(MI + vi * x + vj * y) / (M + x + y)
+                     for x in (Fraction(k * Li, steps) for k in range(steps + 1))
+                     for y in (Fraction(k * Lj, steps) for k in range(steps + 1))
+                     if M + x + y}
+            assert min(means) == lo and max(means) == hi
 
 
 class TestPathAgreement:

@@ -213,22 +213,46 @@ class DyadicFunction:
     """
 
     def __init__(self, dim, depth, cells):
+        self._build(dim, depth, cells)
+
+    @classmethod
+    def _from_ratios(cls, dim, depth, nums, dens):
+        """The function whose cell flat has value nums[flat] / dens[flat],
+        each ratio in lowest terms with a positive denominator; checked as
+        DyadicFunction(dim, depth, cells) is."""
+        f = cls.__new__(cls)
+        f._build(dim, depth, nums, dens)
+        return f
+
+    def _build(self, dim, depth, nums, dens=None):
+        """Check the shape, then store the cells nums[flat] / dens[flat] as
+        Morton-order numerators over their least common denominator.  With
+        dens None, nums are cell values of any type Fraction takes, read
+        after the shape checks."""
         if dim < 1:
             raise InputError(f"dimension must be >= 1, got {dim}")
         if depth < 0:
             raise InputError(f"depth must be >= 0, got {depth}")
         check_grid_size(dim, depth)
-        cells = tuple(Fraction(v) for v in cells)
-        if len(cells) != 1 << (dim * depth):
+        if dens is None:
+            cells = [Fraction(v) for v in nums]
+            nums = [v.numerator for v in cells]
+            dens = [v.denominator for v in cells]
+        if len(nums) != 1 << (dim * depth):
             raise InputError(
                 f"expected {1 << (dim * depth)} cells for n={dim}, L={depth}, "
-                f"got {len(cells)}")
-        den = lcm(*(v.denominator for v in cells))
+                f"got {len(nums)}")
+        distinct = set(dens)
+        den = lcm(*distinct)
+        order = _morton_order(dim, depth)
+        if den == 1:
+            self._nums = tuple(map(nums.__getitem__, order))
+        else:
+            scale = {q: den // q for q in distinct}
+            self._nums = tuple(nums[i] * scale[dens[i]] for i in order)
         self.dim = dim
         self.depth = depth
         self._den = den
-        self._nums = tuple(v.numerator * (den // v.denominator)
-                           for v in map(cells.__getitem__, _morton_order(dim, depth)))
         self._cache = {}
 
     @classmethod

@@ -11,12 +11,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .dyadic import DyadicFunction
 from .errors import InputError
 from .rearrangement import StepFunction1D
 
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _exponent_too_large(text):
@@ -65,6 +67,38 @@ def function_to_obj(f):
             "values": [format_rational(v) for v in f.cells]}
 
 
+def _ratio(obj):
+    """parse_rational(obj) as (numerator, denominator) in lowest terms.
+    JSON integers and strings of ASCII digits "p" or "p/q" (after strip)
+    are read as ints; every other form, a zero denominator and a number
+    int() rejects (past the digit limit) take parse_rational, with its
+    message."""
+    if type(obj) is int:
+        return obj, 1
+    m = _PLAIN.fullmatch(obj.strip()) if type(obj) is str else None
+    if m is not None:
+        try:
+            p, q = int(m[1]), int(m[2] or 1)
+        except ValueError:  # past the int-string digit limit
+            q = 0
+        if q == 1:
+            return p, 1
+        if q:
+            g = gcd(p, q)
+            return p // g, q // g
+    x = parse_rational(obj)
+    return x.numerator, x.denominator
+
+
+def _ratios(values):
+    """Numerators and denominators of the parsed values, as two lists."""
+    nums, dens = [], []
+    for p, q in map(_ratio, values):
+        nums.append(p)
+        dens.append(q)
+    return nums, dens
+
+
 def function_from_obj(obj):
     if not isinstance(obj, dict):
         raise InputError("a dyadic function must be a JSON object")
@@ -76,8 +110,8 @@ def function_from_obj(obj):
         raise InputError("'n' and 'level' must be integers")
     if not isinstance(obj["values"], list):
         raise InputError("'values' must be a list")
-    return DyadicFunction(obj["n"], obj["level"],
-                          [parse_rational(v) for v in obj["values"]])
+    return DyadicFunction._from_ratios(obj["n"], obj["level"],
+                                      *_ratios(obj["values"]))
 
 
 def step_to_obj(g):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .dyadic import DyadicFunction, check_grid_size
+from .dyadic import DyadicFunction, _morton_order, check_grid_size
 from .errors import GenerationError, InputError
 from .gurov import gr_membership
 
@@ -56,11 +56,15 @@ class GeneratorSpec:
                 raise InputError("cascade multipliers must be positive")
 
 
-def _uniform_values(rng, count, low, high, bits):
+def _uniform_nums(rng, count, low, high, bits):
+    """count values low + (high - low) k / 2^bits, k uniform in 0..2^bits,
+    as integer numerators a + b k over one denominator: (nums, den)."""
     steps = 1 << bits
     span = high - low
-    return [low + span * Fraction(rng.randrange(steps + 1), steps)
-            for _ in range(count)]
+    den = low.denominator * span.denominator * steps
+    a = low.numerator * span.denominator * steps
+    b = span.numerator * low.denominator
+    return [a + b * rng.randrange(steps + 1) for _ in range(count)], den
 
 
 def _cascade(rng, dim, depth, spread_bits, spread, multipliers):
@@ -89,12 +93,13 @@ def generate(spec):
     rng = random.Random(spec.seed)
     count = 1 << (spec.dim * spec.depth)
     if spec.kind == "uniform-cells":
-        return DyadicFunction(spec.dim, spec.depth,
-                              _uniform_values(rng, count, spec.low, spec.high,
-                                              spec.denom_bits))
+        nums, den = _uniform_nums(rng, count, spec.low, spec.high, spec.denom_bits)
+        order = _morton_order(spec.dim, spec.depth)
+        return DyadicFunction._from_nums(spec.dim, spec.depth, den,
+                                         list(map(nums.__getitem__, order)))
     if spec.kind == "monotone-1d":
-        vals = _uniform_values(rng, count, spec.low, spec.high, spec.denom_bits)
-        return DyadicFunction(1, spec.depth, sorted(vals, reverse=True))
+        nums, den = _uniform_nums(rng, count, spec.low, spec.high, spec.denom_bits)
+        return DyadicFunction._from_nums(1, spec.depth, den, sorted(nums, reverse=True))
     # cascade-gr
     spread = min(Fraction(1, 8), spec.target_eps / 4)
     for _ in range(spec.cascade_retries):

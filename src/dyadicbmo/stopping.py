@@ -10,13 +10,14 @@ cached per function and direction: a cube stops iff its running max crosses
 the integer threshold while its father's does not, one O(cubes) scan per
 threshold.  The cover sweeps the distinct fathers in the order of their
 first cells: cubes are nested or disjoint, so a father is kept iff it starts
-at or after the end of the last one kept.  The (level, Morton address) pairs
-become public cubes once, already in order; the maximal function is the
-leaf level of the same pyramid for |f|.
+at or after the end of the last one kept.  A decomposition keeps both
+families as (level, Morton address) pairs, and builds a tuple of public
+cubes only when it is first read; verify_stopping checks the pairs.  The
+maximal function is the leaf level of the same pyramid for |f|.
 
-Where only |E| is read, no cube is built: E is measured from the stopping
-pairs (_stopping_measure), and, without the running max, as the cells under
-some cube whose sum crosses the threshold (_crossing_measure).
+Where only |E| is read, no decomposition is made: E is measured from the
+stopping pairs (_stopping_measure), and, without the running max, as the
+cells under some cube whose sum crosses the threshold (_crossing_measure).
 """
 
 from __future__ import annotations
@@ -38,6 +39,26 @@ class CZDecomposition:
     parent_cover: tuple
     measure_E: Fraction
     measure_E_star: Fraction
+
+    @classmethod
+    def _of_pairs(cls, f, stopping, cover, **fields):
+        """The decomposition with both families given as (level, Morton
+        address) pairs of f's grid; each cube tuple is built on first read."""
+        d = object.__new__(cls)
+        d.__dict__.update(fields, _pairs=(f, stopping, cover))
+        return d
+
+    def __getattr__(self, name):  # reached only for a field not yet built
+        pairs = self.__dict__.get("_pairs")
+        if pairs is None or name not in _FAMILIES:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        cubes = pairs[0]._cubes(pairs[_FAMILIES[name]])
+        object.__setattr__(self, name, cubes)
+        return cubes
+
+
+_FAMILIES = {"stopping_cubes": 1, "parent_cover": 2}  # their places in _pairs
 
 
 @dataclass(frozen=True)
@@ -94,7 +115,7 @@ def stopping_family(f, alpha, direction):
     exceeds a there ('below' tests -A > -a - 1).  The pyramid is built once
     per function and direction; each call is then one O(cubes) integer scan
     and a sort of the stopping cubes' fathers.  Both families are sorted by
-    (level, flat index).
+    (level, flat index), and built as cubes on first read.
     """
     alpha = _checked_alpha(f, alpha, direction)
     stopping = f._stopping(alpha, direction == "above")
@@ -112,11 +133,10 @@ def stopping_family(f, alpha, direction):
         if first >= end:  # not inside the last father kept
             cover.append((k, first >> n * (depth - k)))
             end = first + (1 << n * (depth - k))
-    return CZDecomposition(threshold=alpha, direction=direction,
-                           stopping_cubes=f._cubes(stopping),
-                           parent_cover=f._cubes(cover),
-                           measure_E=_measure(f, stopping),
-                           measure_E_star=_measure(f, cover))
+    return CZDecomposition._of_pairs(f, stopping, cover, threshold=alpha,
+                                     direction=direction,
+                                     measure_E=_measure(f, stopping),
+                                     measure_E_star=_measure(f, cover))
 
 
 def _measure(f, pairs):
@@ -157,38 +177,58 @@ def verify_stopping(d, f):
     measure is at most 2^n times the stopping measure.
 
     Each fact is an integer comparison on the sum pyramid: the level-k cube
-    at Morton address z (Q.morton() for a cube Q; its father is at z >> n)
-    is above alpha = num/alpha_den iff sums[k][z] * alpha_den > num * den <<
-    n(L-k), below iff <=.  The running-max pyramids and the cube ordering
-    stopping_family decides with are not read, so a fault in them shows here
-    as a failed fact.
+    at Morton address z (its father is at z >> n) is above alpha =
+    num/alpha_den iff sums[k][z] * alpha_den > num * den << n(L-k), below
+    iff <=.  A decomposition stopping_family made from f is read as its
+    (level, Morton address) pairs; any other has its cubes mapped to them by
+    Q.morton().  The running-max pyramids stopping_family decides with are
+    not read, so a fault in them shows here as a failed fact.  Fact (iv)
+    reads the largest (above) or smallest (below) cell outside E, and lists
+    the cells only when that one crosses.
     """
     alpha, n, L, sums = d.threshold, f.dim, f.depth, f._sums()
     crosses = gt if d.direction == "above" else le
     num, alpha_den = alpha.numerator, alpha.denominator
     bar = num * f._den  # alpha * den * alpha_den, a level-L cell's threshold
+    bars = [bar << n * (L - k) for k in range(L + 1)]  # by cube level
 
-    def cube_crosses(k, z):
-        return crosses(sums[k][z] * alpha_den, bar << n * (L - k))
+    own = d.__dict__.get("_pairs")
+    if own is not None and own[0] is f:
+        _, stopping, cover = own
 
-    stopping = d.stopping_cubes
-    blocks = [f._block(q) for q in stopping]
-    not_crossing = [q for q, (z, _) in zip(stopping, blocks)
-                    if not cube_crosses(q.level, z)]
-    bad_fathers = [q for q, (z, _) in zip(stopping, blocks)
-                   if q.level == 0 or cube_crosses(q.level - 1, z >> n)]
-    bad_parents = [p for p in d.parent_cover if cube_crosses(p.level, f._block(p)[0])]
+        def named(bad):  # sorted, as d's tuples are
+            return f._cubes(bad) if bad else ()
+    else:
+        cubes = [*d.stopping_cubes, *d.parent_cover]
+        pairs = [(q.level, f._block(q)[0]) for q in cubes]
+        stopping, cover = pairs[:len(d.stopping_cubes)], pairs[len(d.stopping_cubes):]
+        cube_at = dict(zip(pairs, cubes))
+
+        def named(bad):
+            return [cube_at[p] for p in bad]
+
+    not_crossing = [(k, z) for k, z in stopping
+                    if not crosses(sums[k][z] * alpha_den, bars[k])]
+    bad_fathers = [(k, z) for k, z in stopping
+                   if k == 0 or crosses(sums[k - 1][z >> n] * alpha_den, bars[k - 1])]
+    bad_parents = [(k, z) for k, z in cover if crosses(sums[k][z] * alpha_den, bars[k])]
     outside = bytearray(b"\1") * len(f._nums)  # by Morton address
-    for z, cnt in blocks:
+    for k, z in stopping:
+        cnt = 1 << n * (L - k)
         outside[z * cnt:(z + 1) * cnt] = bytes(cnt)
-    order = _morton_order(n, L)
-    bad_cells = sorted(order[z] for z in compress(range(len(outside)), outside)
-                       if crosses(sums[L][z] * alpha_den, bar))
+    cells = sums[L]
+    extreme = (max if d.direction == "above" else min)(
+        compress(cells, outside), default=None)
+    bad_cells = []
+    if extreme is not None and crosses(extreme * alpha_den, bar):
+        order = _morton_order(n, L)
+        bad_cells = sorted(order[z] for z in compress(range(len(outside)), outside)
+                           if crosses(cells[z] * alpha_den, bar))
     failures = (
-        [f"stopping cube {q} does not cross {alpha}" for q in not_crossing]
+        [f"stopping cube {q} does not cross {alpha}" for q in named(not_crossing)]
         + ["root listed as a stopping cube" if q.level == 0
-           else f"father of {q} also crosses {alpha}" for q in bad_fathers]
-        + [f"parent {p} crosses {alpha}" for p in bad_parents]
+           else f"father of {q} also crosses {alpha}" for q in named(bad_fathers)]
+        + [f"parent {p} crosses {alpha}" for p in named(bad_parents)]
         + [f"cell {c} outside E crosses {alpha}" for c in bad_cells])
     ok_measure = d.measure_E_star <= (1 << f.dim) * d.measure_E
     if not ok_measure:

@@ -68,6 +68,105 @@ class TestRoundTrip:
             step_from_obj({"breakpoints": [0, 1]})
 
 
+# -- the integer parse ---------------------------------------------------------
+
+# values of every syntax function_from_obj takes: JSON integers and ASCII
+# "p" / "p/q" strings, read as ints (unreduced, "-0", leading zeros,
+# padding), and the forms only Fraction reads: a sign, decimals, exponents,
+# underscores and non-ASCII digits
+SYNTAXES = (7, -3, 0, 10 ** 30, "2/4", "-0", "007/3", " 5/6 ", "-12/8", "9/1",
+            "+3", "1.5", "1e3", "1_000", "\u0663", "-2.5e-1", "\u0661/\u0664",
+            "\t-6/4\n", "+0/5", "12345678901234567890/30")
+
+
+@st.composite
+def mixed_syntax_objects(draw):
+    n = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, {1: 4, 2: 2, 3: 1}[n]))
+    value = st.one_of(
+        st.sampled_from(SYNTAXES),
+        st.integers(-10 ** 6, 10 ** 6),
+        st.builds(lambda p, q, k: f"{p * k}/{q * k}", st.integers(-99, 99),
+                  st.integers(1, 12), st.integers(1, 4)))
+    values = draw(st.lists(value, min_size=1 << (n * depth),
+                           max_size=1 << (n * depth)))
+    return {"n": n, "level": depth, "values": values}
+
+
+def _fraction_or_none(v):
+    """Fraction(v), or None for a form this Python's Fraction does not read
+    (underscores before 3.11)."""
+    try:
+        return Fraction(v)
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mixed_syntax_objects())
+def test_integer_parse_equals_fraction_parse(obj):
+    expected = [_fraction_or_none(v) for v in obj["values"]]
+    if any(v is None for v in expected):
+        with pytest.raises(InputError):
+            function_from_obj(obj)
+        return
+    f = function_from_obj(obj)
+    g = DyadicFunction(obj["n"], obj["level"], expected)
+    assert f == g
+    assert (f._den, f._nums) == (g._den, g._nums)
+    assert f.cells == g.cells
+
+
+def test_integer_parse_reads_every_syntax():
+    values = [v for v in SYNTAXES if _fraction_or_none(v) is not None]
+    values += [0] * (32 - len(values))
+    f = function_from_obj({"n": 1, "level": 5, "values": values})
+    assert f.cells == tuple(Fraction(v) for v in values)
+
+
+# each message as `check` printed it before the integer parse; a bad value
+# is reported before the grid's size, as every value is parsed first
+PARSE_ERRORS = [
+    ({"n": 1, "level": 1, "values": ["1/0", 1]},
+     "cannot parse rational '1/0': Fraction(1, 0)"),
+    ({"n": 1, "level": 1, "values": [1, "1/-2"]},
+     "cannot parse rational '1/-2': Invalid literal for Fraction: '1/-2'"),
+    ({"n": 1, "level": 1, "values": ["", 1]},
+     "cannot parse rational '': Invalid literal for Fraction: ''"),
+    ({"n": 1, "level": 1, "values": [True, 1]}, "expected a rational, got True"),
+    ({"n": 1, "level": 1, "values": [1.5, 1]},
+     "expected an integer or 'p/q' string, got 1.5"),
+    ({"n": 1, "level": 1, "values": [None, 1]},
+     "expected an integer or 'p/q' string, got None"),
+    ({"n": 1, "level": 2, "values": [1, "2/3", 3]},
+     "expected 4 cells for n=1, L=2, got 3"),
+    ({"n": 3, "level": 7, "values": [1, "1/0"]},
+     "cannot parse rational '1/0': Fraction(1, 0)"),
+    ({"n": 3, "level": 7, "values": [1, 2]},
+     "grid of n=3, L=7 has 2^21 cells; at most 2^20 are supported"),
+]
+
+
+@pytest.mark.parametrize("obj,message", PARSE_ERRORS)
+def test_parse_error_messages(obj, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "-" + "2" * 4301, "1/" + "3" * 4301])
+def test_parse_past_digit_limit_message(text, tmp_path, capsys):
+    # the ASCII form int() rejects takes Fraction's path and its message
+    with pytest.raises(ValueError) as exc:
+        Fraction(text)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 1, "level": 1, "values": [1, text]}))
+    assert main(["check", "--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot parse rational {text!r}: {exc.value}\n")
+
+
 # -- round trips over random exact rationals and grids ------------------------
 
 rationals = st.one_of(
@@ -573,6 +672,37 @@ def test_interval_bmo_general_pinned(pieces, seed, many_values, stdout_sha,
     assert main(["interval-bmo", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+# sha256 over the stdout of `generate` for each kind at seeds 0, 3 and 11,
+# several sizes and four value ranges, and of the functions the generator
+# makes at 0, 3 and 9 denominator bits
+GENERATE_SIZES = {"uniform-cells": [(1, 0), (1, 6), (2, 3), (3, 2)],
+                  "monotone-1d": [(1, 0), (1, 7)],
+                  "cascade-gr": [(1, 4), (2, 2), (3, 1)]}
+PINNED_GENERATE = [
+    ("uniform-cells", "f41f8b4380c14060600aff9370b4bfa03338513eac9d8436bd2cfb2bb80e15f9"),
+    ("monotone-1d", "046aa2aa5f3e17ce9064f10fc3a689c3aa607b9548ddde3335b4532af8fb9555"),
+    ("cascade-gr", "de1a005bc5a5a2f66da89b0f425dab8442c1b7976a00cb08c6c56eb258586c22"),
+]
+
+
+@pytest.mark.parametrize("kind,sha", PINNED_GENERATE)
+def test_generate_outputs_pinned(kind, sha, capsys):
+    digest = hashlib.sha256()
+    for seed in (0, 3, 11):
+        for n, level in GENERATE_SIZES[kind]:
+            for low, high in (("-8", "8"), ("-1/3", "5/7"), ("2", "2"), ("0", "1/6")):
+                code = main(["generate", "--kind", kind, "--n", str(n),
+                             "--level", str(level), "--seed", str(seed),
+                             f"--low={low}", f"--high={high}"])
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+            for bits in (0, 3, 9):
+                f = generate(GeneratorSpec(kind=kind, dim=n, depth=level, seed=seed,
+                                           denom_bits=bits, low=Fraction(-5, 2),
+                                           high=Fraction(7, 3)))
+                digest.update(canonical_json(function_to_obj(f)).encode())
+    assert digest.hexdigest() == sha
 
 
 # sha256 of stdout and stderr of the exponent commands: p is the certified

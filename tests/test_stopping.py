@@ -1,7 +1,9 @@
 """Stopping families: examples from 7-cube enumeration, invariants, mutation."""
 
+import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from dyadicbmo import (CZDecomposition, DyadicCubeId, DyadicFunction,
                        PreconditionError, hardy_average, maximal_level_set,
                        rearrange_signed, stopping_family, verify_stopping)
-from dyadicbmo.stopping import _crossing_measure, _stopping_measure
+from dyadicbmo.stopping import _crossing_measure, _measure, _stopping_measure
 from dyadicbmo.verify import verify_all
 from conftest import (all_cubes_oracle, average_oracle, cube_cells_oracle,
                       maximal_oracle, parent_cover_oracle, random_function,
@@ -435,3 +437,148 @@ class TestMaximalCheckReadsTwoSides:
         assert result.checks == good.checks
         assert [m for m in result.failures
                 if m.startswith("maximal-function level set disagrees")]
+
+
+# -- families held as (level, Morton address) pairs ---------------------------
+
+def _alphas(f):
+    """A few thresholds of each direction: the mean, cube averages either
+    side of it and a point between two of them."""
+    mean = f.mean
+    averages = sorted({average_oracle(f, q) for q in all_cubes_oracle(f)})
+    above = [mean] + [a for a in averages if a > mean][:3]
+    below = [a for a in averages if a < mean][-3:]
+    if len(averages) > 1:
+        mid = (averages[0] + averages[1]) / 2
+        above += [mid] if mid >= mean else []
+        below += [mid] if mid < mean else []
+    return [(a, "above") for a in above] + [(a, "below") for a in below]
+
+
+def _eager(d, stopping, cover):
+    return CZDecomposition(threshold=d.threshold, direction=d.direction,
+                           stopping_cubes=tuple(stopping), parent_cover=tuple(cover),
+                           measure_E=d.measure_E, measure_E_star=d.measure_E_star)
+
+
+class TestPairFamilies:
+    """stopping_family keeps its families as (level, Morton address) pairs
+    and builds the cube tuples on first read; verify_stopping reads the
+    pairs of a decomposition made from the same function."""
+
+    def test_lazy_equals_eager(self, rng):
+        order = lambda q: (q.level, q.flat())  # noqa: E731
+        for i in range(45):
+            dim = (1, 2, 3)[i % 3]
+            f = random_function(rng, dim, rng.randrange(5 - dim))
+            for alpha, direction in _alphas(f):
+                stopping = sorted(stopping_oracle(f, alpha, direction), key=order)
+                cover = sorted(parent_cover_oracle(stopping), key=order)
+                e = CZDecomposition(
+                    threshold=Fraction(alpha), direction=direction,
+                    stopping_cubes=tuple(stopping), parent_cover=tuple(cover),
+                    measure_E=sum((q.measure for q in stopping), Fraction(0)),
+                    measure_E_star=sum((q.measure for q in cover), Fraction(0)))
+                # each comparison on a fresh decomposition, no field read before
+                assert stopping_family(f, alpha, direction) == e
+                assert e == stopping_family(f, alpha, direction)
+                assert repr(stopping_family(f, alpha, direction)) == repr(e)
+                assert hash(stopping_family(f, alpha, direction)) == hash(e)
+                d = stopping_family(f, alpha, direction)
+                assert dataclasses.replace(d) == e and dataclasses.asdict(d) == \
+                    dataclasses.asdict(e)
+
+    def test_unknown_attribute_still_raises(self):
+        d = stopping_family(SPIKE, 2, "above")
+        with pytest.raises(AttributeError, match="no attribute 'cubes'"):
+            d.cubes  # noqa: B018
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.stopping_cubes = ()
+
+    def test_pair_path_matches_cube_path(self, rng):
+        # the same families, once as pairs of f and once as cubes, corrupted
+        # at random: both paths give one report, failures and their order
+        listed = Counter()
+        for i in range(150):
+            dim = (1, 2, 3)[i % 3]
+            f = random_function(rng, dim, 1 + rng.randrange(4 - dim))
+            n, L = f.dim, f.depth
+            alpha, direction = rng.choice(_alphas(f))
+            stopping, cover = stopping_family(f, alpha, direction)._pairs[1:]
+            stopping, cover = list(stopping), list(cover)
+
+            def any_cube():
+                k = rng.randrange(L + 1)
+                return k, rng.randrange(1 << n * k)
+
+            for _ in range(rng.randrange(4)):
+                family = rng.choice((stopping, cover))
+                move = rng.randrange(4)
+                if move == 0 and family:  # drop one
+                    family.pop(rng.randrange(len(family)))
+                elif move == 1:  # add any cube
+                    family.append(any_cube())
+                elif move == 2 and family:  # a child in place of a cube
+                    k, z = family.pop(rng.randrange(len(family)))
+                    if k < L:
+                        family.append((k + 1, (z << n) + rng.randrange(1 << n)))
+                elif move == 3 and family:  # the father in place of a cube
+                    k, z = family.pop(rng.randrange(len(family)))
+                    family.append((k - 1, z >> n) if k else (k, z))
+            fields = dict(threshold=Fraction(alpha), direction=direction,
+                          measure_E=_measure(f, stopping),
+                          measure_E_star=_measure(f, cover))
+            pairs = CZDecomposition._of_pairs(f, stopping, cover, **fields)
+            cubes = CZDecomposition(stopping_cubes=f._cubes(stopping),
+                                    parent_cover=f._cubes(cover), **fields)
+            rep = verify_stopping(pairs, f)
+            assert rep == verify_stopping(cubes, f)
+            listed.update(m.split()[0] for m in rep.failures)
+        # every kind of failure shows, cells outside E among them
+        assert {"stopping", "father", "parent", "cell"} <= set(listed)
+
+    def test_pair_path_lists_cubes_in_public_order(self):
+        # Morton addresses 1 and 2 are the cubes (0, 1) and (1, 0), which
+        # sort the other way by flat index
+        f = DyadicFunction(2, 1, [0, 0, 0, 0])
+        d = CZDecomposition._of_pairs(
+            f, [(1, z) for z in range(4)], [], threshold=Fraction(1),
+            direction="above", measure_E=Fraction(1), measure_E_star=Fraction(0))
+        cubes = [DyadicCubeId(1, index) for index in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        assert verify_stopping(d, f).failures == tuple(
+            f"stopping cube {q} does not cross 1" for q in cubes)
+
+    def test_cz_suite_builds_no_cube(self, rng, monkeypatch):
+        counts = Counter()
+        for cls, name in ((DyadicFunction, "_cubes"), (DyadicCubeId, "morton")):
+            original = getattr(cls, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(cls, name, counted)
+        for i in range(12):
+            dim = (1, 2, 3)[i % 3]
+            f = random_function(rng, dim, 1 + rng.randrange(4 - dim))
+            assert verify_all(f, ["cz"]).passed
+        assert counts == Counter()
+        # the counters count: reading a family builds its cubes
+        f = random_function(rng, 2, 2)
+        stopping_family(f, f.mean, "above").stopping_cubes  # noqa: B018
+        verify_stopping(_eager(stopping_family(f, f.mean, "above"),
+                               [DyadicCubeId(1, (0, 1))], []), f)
+        assert counts == Counter({"_cubes": 1, "morton": 1})
+
+    def test_other_functions_decomposition_takes_cube_path(self, monkeypatch):
+        # g's family read as cubes of f: pairs of g's grid are not used for f
+        f = DyadicFunction(2, 2, [Fraction(k % 5, 3) for k in range(16)])
+        g = DyadicFunction(2, 2, [Fraction(k % 7, 2) for k in range(16)])
+        d = stopping_family(g, g.mean, "above")
+        expected = verify_stopping(_eager(d, d.stopping_cubes, d.parent_cover), f)
+        assert not expected.passed
+        calls = Counter()
+        original = DyadicCubeId.morton
+        monkeypatch.setattr(DyadicCubeId, "morton",
+                            lambda q: calls.update(["morton"]) or original(q))
+        assert verify_stopping(stopping_family(g, g.mean, "above"), f) == expected
+        assert calls["morton"] == len(d.stopping_cubes) + len(d.parent_cover) > 0

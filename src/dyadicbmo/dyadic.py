@@ -272,15 +272,21 @@ class DyadicFunction:
     def cells(self):
         """Cell values in public order (first coordinate fastest)."""
         if "cells" not in self._cache:
-            cells = [None] * len(self._nums)
-            values = {}  # one Fraction per distinct numerator
-            for p, a in zip(_morton_order(self.dim, self.depth), self._nums):
-                v = values.get(a)
-                if v is None:
-                    v = values[a] = Fraction(a, self._den)
-                cells[p] = v
-            self._cache["cells"] = tuple(cells)
+            den = self._den
+            self._cache["cells"] = tuple(self._public(lambda a: Fraction(a, den)))
         return self._cache["cells"]
+
+    def _public(self, convert):
+        """[convert(a) for each cell numerator a] in public order, convert
+        called once per distinct numerator."""
+        out = [None] * len(self._nums)
+        memo = {}
+        for p, a in zip(_morton_order(self.dim, self.depth), self._nums):
+            v = memo.get(a)
+            if v is None:
+                v = memo[a] = convert(a)
+            out[p] = v
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, DyadicFunction)

@@ -1,7 +1,10 @@
 """JSON and CSV serialization with exact rationals.
 
 Rationals travel as integers or lowest-term "p/q" strings, so a round trip
-re-parses to a bit-identical object.  CSV output is locale-independent:
+re-parses to a bit-identical object.  Function and step files are read
+straight into integer (numerator, denominator) pairs, handed to the same
+checked constructors that DyadicFunction(...) and StepFunction1D(...) use,
+and written from the objects' integers.  CSV output is locale-independent:
 '.' decimal point, LF line endings.
 """
 
@@ -54,17 +57,28 @@ def format_rational(x):
     """x as an int or a "p/q" string; InputError where exact arithmetic made
     a result past the int-string digit limit from inputs within it."""
     x = Fraction(x)
-    try:
-        text = str(x)
+    return _format_ratio(x.numerator, x.denominator)
+
+
+def _format_ratio(p, q):
+    """format_rational(Fraction(p, q)) for integers p and q > 0."""
+    g = gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
+    try:  # str raises past the int-string digit limit, q == 1 included
+        text = str(p) if q == 1 else f"{p}/{q}"
     except ValueError:
         raise InputError("a result has a numerator or denominator past the "
                          "int-string digit limit") from None
-    return int(x) if x.denominator == 1 else text
+    return p if q == 1 else text
 
 
 def function_to_obj(f):
+    """The function file of f, written from its integers: one formatted
+    value per distinct cell numerator."""
+    den = f._den
     return {"n": f.dim, "level": f.depth,
-            "values": [format_rational(v) for v in f.cells]}
+            "values": f._public(lambda a: _format_ratio(a, den))}
 
 
 def _ratio(obj):
@@ -115,8 +129,9 @@ def function_from_obj(obj):
 
 
 def step_to_obj(g):
-    return {"breakpoints": [format_rational(t) for t in g.breakpoints],
-            "values": [format_rational(v) for v in g.values]}
+    """The step-function file of g, written from its integers."""
+    return {"breakpoints": [_format_ratio(b, g._td) for b in g._B],
+            "values": [_format_ratio(v, g._vd) for v in g._V]}
 
 
 def step_from_obj(obj):
@@ -127,8 +142,8 @@ def step_from_obj(obj):
         raise InputError(f"missing keys in step-function object: {sorted(missing)}")
     if not isinstance(obj["breakpoints"], list) or not isinstance(obj["values"], list):
         raise InputError("'breakpoints' and 'values' must be lists")
-    return StepFunction1D([parse_rational(t) for t in obj["breakpoints"]],
-                          [parse_rational(v) for v in obj["values"]])
+    return StepFunction1D._from_ratios(*_ratios(obj["breakpoints"]),
+                                       *_ratios(obj["values"]))
 
 
 def canonical_json(obj):

@@ -92,12 +92,15 @@ def gr_profile(f):
     if "gr_profile" in f._cache:
         return f._cache["gr_profile"]
     # oscillation / average of a level-k cube is osc / (s * cnt), s its sum;
-    # s = 0 means f vanishes on the cube (ratio 0), level-L cubes give 0
+    # s = 0 means f vanishes on the cube (o = 0 too, ratio 0), level-L cubes
+    # give 0.  Each level keeps its largest o / s by cross-multiplying.
     per_level = [Fraction(0)] * (f.depth + 1)
     for k, (osc, sums) in enumerate(zip(f._osc(), f._sums())):
-        cnt = 1 << (f.dim * (f.depth - k))
-        per_level[k] = max((Fraction(o, s * cnt) for o, s in zip(osc, sums) if s),
-                           default=Fraction(0))
+        bo, bs = 0, 1
+        for o, s in zip(osc, sums):
+            if o * bs > bo * s:
+                bo, bs = o, s
+        per_level[k] = Fraction(bo, bs << (f.dim * (f.depth - k)))
     suffix = [Fraction(0)] * (f.depth + 1)
     running = Fraction(0)
     for k in range(f.depth, -1, -1):

@@ -38,7 +38,10 @@ sup exactly:
   middle length each band's 2F/T^2 is at most 2F(L_i, L_j)/M^2.  A pair
   or band whose bound is below max|jump|/2 (which a balanced window
   attains) or no more than the best value so far holds no candidate that
-  is the first to reach the sup, so the value and its witness stay.
+  is the first to reach the sup, so the value and its witness stay.  The
+  pair bound is at most half the range of the pieces from i on, which
+  shrinks as i grows, so the pair loop stops at the first row whose range
+  fails the test.
   The path runs in the same scaled integers: candidates are homogeneous
   integer triples (X, Y, W), W > 0, reduced by their gcd (equal points are
   equal tuples), and 2F/T^2 is homogeneous of degree 0, so candidates
@@ -57,6 +60,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import InputError
 from .rearrangement import StepFunction1D
@@ -256,6 +260,9 @@ def _general_norm(g):
       over pieces i..j, its max over a mean range is at (H+Lo)/2 clamped
       to it.  Over all means that is (H-Lo)/2, the first pair test; over
       the box's mean range, the second; over [w_lo, w_hi], the band test.
+      Pieces i..j lie among pieces i..m, whose range only shrinks as i
+      grows while best only grows, so the row whose range fails the first
+      pair test, and every later row, holds no pair that passes it.
     * F is bilinear, so its max over the box sits at a corner, and that
       corner is (L_i, L_j): F10 = int over the middle of (g - vi) on S if
       vi < w_hi, of (vi - g) off S if not, so F10 >= 0, as are F01 and
@@ -270,8 +277,14 @@ def _general_norm(g):
     TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
     m = len(V)
     jump = max(abs(a - b) for a, b in zip(V, V[1:]))  # 2 * seed * VD
+    # the largest and smallest value of pieces i..m, at index i - 1
+    highs = list(accumulate(reversed(V), max))[::-1]
+    lows = list(accumulate(reversed(V), min))[::-1]
     bn, bd, arg = 0, 1, None
     for i in range(1, m + 1):
+        span = highs[i - 1] - lows[i - 1]
+        if span < jump or span * bd <= 2 * bn:
+            break  # the pair test below holds for every later pair
         vi = V[i - 1]
         Li = B[i] - B[i - 1]
         top = low = vi

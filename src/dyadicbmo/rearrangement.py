@@ -1,10 +1,12 @@
 """Step functions on (0,1]: rearrangements, Hardy averages, interval oscillations.
 
 A step function is held as integers: breakpoint numerators over one common
-denominator and value numerators over another.  Integrals, window means and
-oscillations are computed on those integers (positions scaled to a common
-denominator, comparisons by cross-multiplying), and each result becomes one
-Fraction.
+denominator and value numerators over another.  StepFunction1D(breakpoints,
+values) and the file reader's integer pairs (StepFunction1D._from_ratios)
+share one checked build, whose Fraction views are built on first read.
+Integrals, window means and oscillations are computed on those integers
+(positions scaled to a common denominator, comparisons by
+cross-multiplying), and each result becomes one Fraction.
 
 The nonincreasing rearrangement of a dyadic function sorts its cell values
 (signed variant keeps signs, absolute variant rearranges |f|); both are exact
@@ -35,21 +37,38 @@ class StepFunction1D:
     """
 
     def __init__(self, breakpoints, values):
-        bps = tuple(Fraction(t) for t in breakpoints)
-        vals = tuple(Fraction(v) for v in values)
-        if len(bps) < 2 or len(vals) != len(bps) - 1:
+        bps = [Fraction(t) for t in breakpoints]
+        vals = [Fraction(v) for v in values]
+        self._build([t.numerator for t in bps], [t.denominator for t in bps],
+                    [v.numerator for v in vals], [v.denominator for v in vals])
+
+    @classmethod
+    def _from_ratios(cls, bnums, bdens, vnums, vdens):
+        """The step function with breakpoints bnums[i] / bdens[i] and values
+        vnums[i] / vdens[i], each ratio in lowest terms with a positive
+        denominator; checked as StepFunction1D(breakpoints, values) is."""
+        g = cls.__new__(cls)
+        g._build(bnums, bdens, vnums, vdens)
+        return g
+
+    def _build(self, bnums, bdens, vnums, vdens):
+        """Check the shape, then store the breakpoints as numerators over
+        their least common denominator and the values likewise.  With every
+        ratio in lowest terms, each family is then reduced by its gcd."""
+        if len(bnums) < 2 or len(vnums) != len(bnums) - 1:
             raise InputError("need m+1 breakpoints for m piece values")
-        if bps[0] != 0 or bps[-1] != 1:
+        td = lcm(*set(bdens))
+        B = tuple(p * (td // q) for p, q in zip(bnums, bdens))
+        if B[0] != 0 or B[-1] != td:
             raise InputError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        if any(a >= b for a, b in zip(B, B[1:])):
             raise InputError("breakpoints must be strictly increasing")
-        td = lcm(*(t.denominator for t in bps))
-        vd = lcm(*(v.denominator for v in vals))
+        vd = lcm(*set(vdens))
         self._td = td
-        self._B = tuple(t.numerator * (td // t.denominator) for t in bps)
+        self._B = B
         self._vd = vd
-        self._V = tuple(v.numerator * (vd // v.denominator) for v in vals)
-        self._cache = {"breakpoints": bps, "values": vals}
+        self._V = tuple(p * (vd // q) for p, q in zip(vnums, vdens))
+        self._cache = {}
 
     @classmethod
     def _from_ints(cls, td, B, vd, V):

@@ -155,6 +155,138 @@ def test_parse_error_messages(obj, message, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+# -- the integer parse of step files ---------------------------------------------
+
+def _spellings(x):
+    """Spellings of a Fraction x >= 0 that parse_rational reads as x: the
+    ASCII forms read as ints and forms only Fraction reads."""
+    p, q = x.numerator, x.denominator
+    forms = [f"{p}/{q}", f" {3 * p}/{3 * q} ", f"+{p}/{q}", f"{p}/{q}\n",
+             f"{p}_0/{q}_0", "".join(chr(0x660 + int(c)) if c.isdigit() else c
+                                     for c in f"{p}/{q}")]
+    if q == 1:
+        forms += [p, f"{p}e0", f"{p}.0"]
+    elif 10 ** 6 % q == 0:
+        forms += [str(p / q), f"{p * 10 ** 6 // q}e-6"]
+    return forms
+
+
+def _step_by_fractions(obj):
+    """step_from_obj as it read a file before the integer parse."""
+    return StepFunction1D([parse_rational(t) for t in obj["breakpoints"]],
+                          [parse_rational(v) for v in obj["values"]])
+
+
+def _outcome(read, obj):
+    """The step function read, or the message of its InputError."""
+    try:
+        return read(obj)
+    except InputError as exc:
+        return str(exc)
+
+
+@st.composite
+def step_objects(draw):
+    """Step files whose breakpoints and values take every syntax: mostly
+    valid breakpoints in mixed spellings, sometimes one replaced by an
+    entry of SYNTAXES (out of order, past 1 or a bad form)."""
+    cuts = sorted(draw(st.sets(st.builds(Fraction, st.integers(1, 39),
+                                         st.sampled_from((2, 5, 8, 40))),
+                               max_size=6).map(lambda s: {t for t in s if t < 1})))
+    bps = [draw(st.sampled_from(_spellings(t)))
+           for t in (Fraction(0), *cuts, Fraction(1))]
+    if draw(st.integers(0, 3)) == 0:
+        bps[draw(st.integers(0, len(bps) - 1))] = draw(st.sampled_from(SYNTAXES))
+    value = st.one_of(st.sampled_from(SYNTAXES), st.integers(-10 ** 6, 10 ** 6),
+                      st.builds(lambda p, q, k: f"{p * k}/{q * k}",
+                                st.integers(-99, 99), st.integers(1, 12),
+                                st.integers(1, 4)))
+    count = len(bps) - 1 + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
+    return {"breakpoints": bps,
+            "values": draw(st.lists(value, min_size=count, max_size=count))}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(step_objects())
+def test_step_integer_parse_equals_fraction_parse(obj):
+    got = _outcome(step_from_obj, obj)
+    expected = _outcome(_step_by_fractions, obj)
+    assert got == expected
+    if isinstance(expected, StepFunction1D):
+        assert (got._td, got._B, got._vd, got._V) == (
+            expected._td, expected._B, expected._vd, expected._V)
+        assert got.breakpoints == tuple(map(parse_rational, obj["breakpoints"]))
+        assert got.values == tuple(map(parse_rational, obj["values"]))
+        assert got.prefix_integrals == expected.prefix_integrals
+
+
+def test_step_integer_parse_reads_every_syntax():
+    # every entry of SYNTAXES as a value and as a breakpoint (where most
+    # are out of range or out of order), and every spelling of a cut
+    for syntax in SYNTAXES:
+        obj = {"breakpoints": [0, syntax, 1], "values": [1, 2]}
+        assert _outcome(step_from_obj, obj) == _outcome(_step_by_fractions, obj)
+        x = _fraction_or_none(syntax)
+        if x is None:
+            continue
+        obj = {"breakpoints": [0, "1/2", 1], "values": [syntax, "1/3"]}
+        assert step_from_obj(obj).values == (x, Fraction(1, 3))
+        if x == 0:
+            obj = {"breakpoints": [syntax, "1/2", 1], "values": [1, 2]}
+            assert step_from_obj(obj).breakpoints == (0, Fraction(1, 2), 1)
+    for t, place in ((Fraction(0), lambda form: [form, "1/2", 1]),
+                     (Fraction(3, 8), lambda form: [0, "1/8", form, "7/8", 1]),
+                     (Fraction(1), lambda form: [0, "1/2", form])):
+        for form in _spellings(t):
+            if _fraction_or_none(form) is None:
+                continue
+            obj = {"breakpoints": place(form), "values": [1, -1] * 2}
+            obj["values"] = obj["values"][:len(obj["breakpoints"]) - 1]
+            g = step_from_obj(obj)
+            assert g == _step_by_fractions(obj)
+            assert t in g.breakpoints
+
+
+# each message as interval-bmo printed it before the integer parse: the
+# breakpoints are parsed first, then the values, then the shape is checked
+STEP_ERRORS = [
+    ({"breakpoints": [0, "1/2", 1], "values": [True, 1]},
+     "expected a rational, got True"),
+    ({"breakpoints": [False, "1/2", 1], "values": [1, 2]},
+     "expected a rational, got False"),
+    ({"breakpoints": [0, "1/0", 1], "values": [1, 2]},
+     "cannot parse rational '1/0': Fraction(1, 0)"),
+    ({"breakpoints": [0, "1/2", 1], "values": ["x", True]},
+     "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+    ({"breakpoints": [0, 1.5, 1], "values": [1, 2]},
+     "expected an integer or 'p/q' string, got 1.5"),
+    ({"breakpoints": [0, "1/2", "1/2", 1], "values": [1, 2, 3]},
+     "breakpoints must be strictly increasing"),
+    ({"breakpoints": [0, "3/4", "1/2", 1], "values": [1, 2, 3]},
+     "breakpoints must be strictly increasing"),
+    ({"breakpoints": [0, "-1/2", 1], "values": [1, 2]},
+     "breakpoints must be strictly increasing"),
+    ({"breakpoints": ["1/8", "1/2", 1], "values": [1, 2]},
+     "breakpoints must start at 0 and end at 1"),
+    ({"breakpoints": [0, "1/2", "3/2"], "values": [1, 2]},
+     "breakpoints must start at 0 and end at 1"),
+    ({"breakpoints": [0, "1/2", 1], "values": [1, 2, 3]},
+     "need m+1 breakpoints for m piece values"),
+    ({"breakpoints": [0, "2/1", "1/2", 1], "values": [1, 2]},
+     "need m+1 breakpoints for m piece values"),
+    ({"breakpoints": [0], "values": []},
+     "need m+1 breakpoints for m piece values"),
+]
+
+
+@pytest.mark.parametrize("obj,message", STEP_ERRORS)
+def test_step_parse_error_messages(obj, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["interval-bmo", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("text", ["1" * 4301, "-" + "2" * 4301, "1/" + "3" * 4301])
 def test_parse_past_digit_limit_message(text, tmp_path, capsys):
     # the ASCII form int() rejects takes Fraction's path and its message

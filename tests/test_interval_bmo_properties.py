@@ -3,12 +3,14 @@
 Derandomized, so the examples are the same on every run.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicbmo import StepFunction1D
+from dyadicbmo import StepFunction1D, interval_bmo
 from dyadicbmo.interval_bmo import _general_norm, _monotone_norm
 from conftest import general_norm_oracle, monotone_norm_oracle
 
@@ -61,3 +63,67 @@ def test_monotone_path_matches_oracle(g):
     for h in (g, g.merged()):
         dec = h if h.is_nonincreasing else h.negated()
         assert _monotone_norm(h) == monotone_norm_oracle(dec)
+
+
+# -- the row break of the general path -----------------------------------------
+
+@st.composite
+def early_sup_step_functions(draw):
+    """A head of 1-3 pieces, then a tail of 5-10 pieces whose values span
+    little: either a narrow range under a wide head, or the same two
+    values as the head, so that the tail's range is exactly twice the
+    sup and the break fires on equality.  Breakpoints k/96."""
+    head = draw(st.integers(1, 3))
+    m = head + draw(st.integers(5, 10))
+    cuts = draw(st.sets(st.integers(1, 95), min_size=m - 1, max_size=m - 1))
+    if draw(st.booleans()):
+        wide = st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2)))
+        low = draw(st.integers(-2, 2))
+        narrow = st.builds(Fraction, st.integers(low, low + 2),
+                           st.sampled_from((1, 3)))
+        vals = draw(st.lists(wide, min_size=head, max_size=head))
+        vals += draw(st.lists(narrow, min_size=m - head, max_size=m - head))
+    else:
+        pool = draw(st.lists(rationals, min_size=2, max_size=2, unique=True))
+        vals = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    return StepFunction1D([Fraction(c, 96) for c in (0, *sorted(cuts), 96)],
+                          vals).merged()
+
+
+def rows_before_break(g, sup, witness):
+    """The rows (i, 1-based) the general path visits: it stops at the first
+    row after the witness's whose pieces i..m span less than the largest
+    jump or at most twice the sup.  The witness's row is the first whose
+    box holds it, x = t_i - a from 0 to the length of piece i."""
+    vals, bps = g.values, g.breakpoints
+    m = len(vals)
+    row = next(k for k in range(1, m + 1) if witness[0] <= bps[k])
+    jump = max(abs(a - b) for a, b in zip(vals, vals[1:]))
+    for i in range(row + 1, m + 1):
+        span = max(vals[i - 1:]) - min(vals[i - 1:])
+        if span < jump or span <= 2 * sup:
+            return i - 1
+    return m
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(early_sup_step_functions())
+def test_general_path_stops_at_the_first_row_that_cannot_win(g):
+    # bisect_left runs once per pair (i, j) the general path enters, so
+    # the count shows where the row loop stopped
+    if len(g.values) < 2 or g.is_nonincreasing or g.is_nondecreasing:
+        return
+    pairs = []
+
+    def counted(*args, **kwargs):
+        pairs.append(None)
+        return bisect_left(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interval_bmo, "bisect_left", counted)
+        got = _general_norm(g)
+    assert got == general_norm_oracle(g)
+    m = len(g.values)
+    rows = rows_before_break(g, *got)
+    assert len(pairs) == sum(m - i for i in range(1, rows + 1))
+    assert rows < m

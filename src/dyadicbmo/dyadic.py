@@ -15,12 +15,13 @@ DyadicCubeId.children()).  A cube is then the contiguous slice
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, compress, count, product
 from math import gcd, lcm
+from operator import gt
 
 from .errors import InputError
 
@@ -85,23 +86,15 @@ def _unmorton(z, dim):
 
 
 def check_grid_size(dim, depth):
-    """InputError unless an n=dim, L=depth grid has at most 2^MAX_GRID_BITS cells."""
+    """InputError unless an n=dim, L=depth grid has at most 2^MAX_GRID_BITS
+    cells and n <= MAX_GRID_BITS (a cube has 2^n children)."""
+    if dim > MAX_GRID_BITS:
+        raise InputError(
+            f"dimension n={dim} is not supported; at most n={MAX_GRID_BITS} is")
     if dim * depth > MAX_GRID_BITS:
         raise InputError(
             f"grid of n={dim}, L={depth} has 2^{dim * depth} cells; "
             f"at most 2^{MAX_GRID_BITS} are supported")
-
-
-def _first_crossings(pyramid, a, n):
-    """(level, Morton address), in that order, of every cube of a running-max
-    pyramid whose value exceeds a while its father's does not (the root
-    counts as having a father at a)."""
-    out = []
-    fathers = [a]
-    for k, level in enumerate(pyramid):
-        out.extend((k, z) for z, v in enumerate(level) if v > a >= fathers[z >> n])
-        fathers = level
-    return out
 
 
 @dataclass(frozen=True)
@@ -208,8 +201,8 @@ class DyadicFunction:
     and _den (their least common denominator, so the pair is canonical and
     equality reads it).  cells[flat], flat = i_1 + i_2*2^L + ... +
     i_n*2^((n-1)L), is a view built on first read.  Cached: the pyramids of
-    cube sums and oscillation numerators, and one running-max pyramid per
-    sign, which stopping families and the maximal function read.
+    cube sums and oscillation numerators, and the stopping pairs of each
+    threshold met, per direction.
     """
 
     def __init__(self, dim, depth, cells):
@@ -330,33 +323,46 @@ class DyadicFunction:
             self._cache["osc"] = pyramid
         return self._cache["osc"]
 
-    def _running_maxima(self, sign):
-        """R, the running max down the tree of the scaled averages A[k][z] =
-        sign * sums[k][z] << n*k (cube average times sign * den * 2^(nL)):
-        R[k][z] is the largest A over cube z and its ancestors.  Each level
-        of A is fed lazily from the sum pyramid; cached per sign."""
-        key = ("running max", sign)
-        if key not in self._cache:
-            n, pyramid = self.dim, []
-            for k, sums in enumerate(self._sums()):
-                level = (sign * s << n * k for s in sums)
-                if pyramid:
-                    fathers = chain.from_iterable(zip(*[pyramid[-1]] * (1 << n)))
-                    level = [v if v > p else p for p, v in zip(fathers, level)]
-                else:
-                    level = list(level)
-                pyramid.append(level)
-            self._cache[key] = pyramid
-        return self._cache[key]
+    def _running_max(self, sign):
+        """Yield (fathers, R[k]) for k = 0..L, one level at a time; no level
+        outlives the pass.  R[k][z] is the largest scaled average A =
+        sign * sums[j][z >> n(k-j)] << nj (cube average times
+        sign * den * 2^(nL)) over cube z and its ancestors, and fathers[z]
+        is R[k-1][z >> n]; the root is its own father.  Each level of A is
+        fed lazily from the sum pyramid."""
+        n, up = self.dim, None
+        for k, sums in enumerate(self._sums()):
+            level = (sign * s << n * k for s in sums)
+            if up is None:
+                level = fathers = list(level)
+            else:
+                fathers = list(chain.from_iterable(zip(*[up] * (1 << n))))
+                level = [v if v > p else p for p, v in zip(fathers, level)]
+            yield fathers, level
+            up = level
 
-    def _stopping(self, alpha, above):
-        """The stopping cubes at alpha as (level, Morton address) pairs: with
-        a = floor(alpha den 2^(nL)), above is A > a and below is -A > -a - 1,
-        and a cube stops iff R[father] <= a < R[cube]."""
-        a = (alpha.numerator * self._den << self.dim * self.depth) // alpha.denominator
+    def _stopping(self, alphas, above):
+        """The stopping cubes at each alpha as (level, Morton address) pairs
+        in that order: with a = floor(alpha den 2^(nL)), above is A > a and
+        below is -A > -a - 1, and a cube stops iff R[father] <= a < R[cube].
+        One pass of R serves every threshold not yet memoized: each cube
+        where R rises goes to the thresholds in [R[father], R[cube]), found
+        by two bisections.  Memoized per direction by scaled threshold."""
+        shift = self.dim * self.depth
+        scaled = [(x.numerator * self._den << shift) // x.denominator for x in alphas]
         if not above:
-            a = -a - 1
-        return _first_crossings(self._running_maxima(1 if above else -1), a, self.dim)
+            scaled = [-a - 1 for a in scaled]
+        memo = self._cache.setdefault(("stopping", above), {})
+        todo = sorted(set(scaled).difference(memo))
+        if todo:
+            found = [[] for _ in todo]
+            for k, (fathers, level) in enumerate(self._running_max(1 if above else -1)):
+                for z in compress(count(), map(gt, level, fathers)):
+                    for i in range(bisect_left(todo, fathers[z]),
+                                   bisect_left(todo, level[z])):
+                        found[i].append((k, z))
+            memo.update(zip(todo, found))
+        return [memo[a] for a in scaled]
 
     def _block(self, q):
         """(z, cnt): q's Morton address and cell count; its cells are the
@@ -522,15 +528,16 @@ def bmo_dyadic_norm(f):
 def dyadic_maximal_function(f):
     """Pointwise max over dyadic cubes containing x of the average of |f|.
 
-    The leaf level of the running-max pyramid R of |f| (the one stopping
-    families of |f| above a threshold read) over den * 2^(nL).  Cached per
-    function.
+    The leaf level of the running max R of |f| (the one stopping families
+    of |f| above a threshold read) over den * 2^(nL); no other level is
+    kept.  Cached per function.
     """
     h = f.abs()  # M f = M |f|, cached on |f|
     if "maximal" not in h._cache:
+        for _, leaf in h._running_max(1):
+            pass
         n, L = h.dim, h.depth
-        h._cache["maximal"] = DyadicFunction._from_nums(
-            n, L, h._den << (n * L), h._running_maxima(1)[L])
+        h._cache["maximal"] = DyadicFunction._from_nums(n, L, h._den << (n * L), leaf)
     return h._cache["maximal"]
 
 

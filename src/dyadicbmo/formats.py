@@ -178,7 +178,11 @@ def _write(text, path, stream):
 
 
 def format_float(x):
-    return repr(float(x))
+    """repr(float(x)); InputError where x is past the largest float."""
+    try:
+        return repr(float(x))
+    except OverflowError:
+        raise InputError("a result is past the largest float") from None
 
 
 def write_csv(rows, header, path=None, stream=None):

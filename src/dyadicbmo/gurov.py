@@ -178,11 +178,25 @@ def solve_p(epsilon, n):
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
     epsilon = Fraction(epsilon)
-    limit = Fraction(1, 1 << (n - 1))
-    if not 0 < epsilon < limit:
+    # epsilon < 2^(1-n) needs a denominator above 2^(n-1), of n bits or
+    # more, so a shorter one decides it before any power of two is built
+    if not (epsilon > 0 and epsilon.denominator.bit_length() >= n
+            and epsilon.numerator << (n - 1) < epsilon.denominator):
         raise PreconditionError(
-            f"epsilon must lie in (0, {limit}) for dimension {n}, got {epsilon}")
+            f"epsilon must lie in (0, {_limit_text(n)}) for dimension {n}, "
+            f"got {epsilon}")
     return _solve_p_exact(epsilon, n)
+
+
+def _limit_text(n):
+    """2^(1-n) as a Fraction prints it, or as "2^(1-n)" where the power
+    has more digits than str converts (or more than 2^16 bits)."""
+    if n <= 1 << 16:
+        try:
+            return str(Fraction(1, 1 << (n - 1)))
+        except ValueError:
+            pass
+    return f"2^(1-{n})"
 
 
 def _val(p):

@@ -396,7 +396,11 @@ def interval_bmo_norm(g, tol=1e-9):
             f"merging; at most {MAX_GENERAL_PIECES} are supported")
     else:
         best, witness = _general_norm(h)
-    lo_float = float(best)
+    try:
+        lo_float = float(best)
+    except OverflowError:
+        raise InputError("the interval-BMO lower bound is past the largest "
+                         "float") from None
     upper = math.nextafter(lo_float, math.inf)
     gap = upper - lo_float
     return IntervalBMOBound(lower=best, upper=upper, witness=witness,

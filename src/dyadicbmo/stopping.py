@@ -5,15 +5,17 @@ threshold (strictly above it, or weakly below it); the parent cover takes
 each stopping cube's father and keeps the maximal ones.  All measures are
 exact, and the cover obeys |E*| <= 2^n |E| by construction.
 
-The stopping cubes come from one running-max pyramid of the integer kernel,
-cached per function and direction: a cube stops iff its running max crosses
-the integer threshold while its father's does not, one O(cubes) scan per
-threshold.  The cover sweeps the distinct fathers in the order of their
-first cells: cubes are nested or disjoint, so a father is kept iff it starts
-at or after the end of the last one kept.  A decomposition keeps both
-families as (level, Morton address) pairs, and builds a tuple of public
-cubes only when it is first read; verify_stopping checks the pairs.  The
-maximal function is the leaf level of the same pyramid for |f|.
+The stopping cubes come from one pass of the running max R of the integer
+kernel per function and direction, which decides every threshold asked for
+at once: a cube stops iff its running max crosses the integer threshold
+while its father's does not.  The pairs are memoized per threshold, and no
+level of R is kept.  The cover sweeps the distinct fathers in the order of
+their first cells: cubes are nested or disjoint, so a father is kept iff it
+starts at or after the end of the last one kept.  A decomposition keeps
+both families as (level, Morton address) pairs, and builds a tuple of
+public cubes only when it is first read; verify_stopping checks the pairs
+on the sum pyramid.  The maximal function is the leaf level of the same
+running max for |f|.
 
 Where only |E| is read, no decomposition is made: E is measured from the
 stopping pairs (_stopping_measure), and, without the running max, as the
@@ -112,16 +114,15 @@ def stopping_family(f, alpha, direction):
 
     With A the cube averages times den * 2^(nL) and a = floor(alpha den
     2^(nL)), a cube stops iff the running max of A from the root first
-    exceeds a there ('below' tests -A > -a - 1).  The pyramid is built once
-    per function and direction; each call is then one O(cubes) integer scan
-    and a sort of the stopping cubes' fathers.  Both families are sorted by
-    (level, flat index), and built as cubes on first read.
+    exceeds a there ('below' tests -A > -a - 1); the precondition keeps the
+    root from crossing.  The stopping pairs come from one O(cubes) pass per
+    function and direction, shared by the thresholds asked for together
+    (f._stopping) and memoized; each call then sorts the stopping cubes'
+    fathers.  Both families are sorted by (level, flat index), and built as
+    cubes on first read.
     """
     alpha = _checked_alpha(f, alpha, direction)
-    stopping = f._stopping(alpha, direction == "above")
-    if stopping[:1] == [(0, 0)]:
-        raise PreconditionError(
-            "the root cube itself crosses the threshold; its father is undefined")
+    [stopping] = f._stopping([alpha], direction == "above")
     n, depth = f.dim, f.depth
     # the distinct fathers by first cell, packed as first * (depth + 1) +
     # level; of two that share it, the larger (lower level) sorts first and
@@ -148,8 +149,9 @@ def _measure(f, pairs):
 
 def _stopping_measure(f, alpha):
     """stopping_family(f, alpha, "above").measure_E with no cube built: the
-    measure of the stopping pairs of one scan of R."""
-    return _measure(f, f._stopping(_checked_alpha(f, alpha, "above"), True))
+    measure of the stopping pairs that the pass of R finds."""
+    [stopping] = f._stopping([_checked_alpha(f, alpha, "above")], True)
+    return _measure(f, stopping)
 
 
 def _crossing_measure(f, alpha):
@@ -181,10 +183,10 @@ def verify_stopping(d, f):
     num/alpha_den iff sums[k][z] * alpha_den > num * den << n(L-k), below
     iff <=.  A decomposition stopping_family made from f is read as its
     (level, Morton address) pairs; any other has its cubes mapped to them by
-    Q.morton().  The running-max pyramids stopping_family decides with are
-    not read, so a fault in them shows here as a failed fact.  Fact (iv)
-    reads the largest (above) or smallest (below) cell outside E, and lists
-    the cells only when that one crosses.
+    Q.morton().  The running max stopping_family decides with is not read,
+    so a fault in it shows here as a failed fact.  Fact (iv) reads the
+    largest (above) or smallest (below) cell outside E, and lists the cells
+    only when that one crosses.
     """
     alpha, n, L, sums = d.threshold, f.dim, f.depth, f._sums()
     crosses = gt if d.direction == "above" else le

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from .dyadic import (DyadicCubeId, bmo_dyadic_norm, mean_oscillation,
@@ -368,7 +369,7 @@ def _cz_alphas(f):
     consecutive ones, above and below the mean (at most 8 each, smallest
     first), compared as integer numerators over 2 den."""
     cells, total = len(f._nums), 2 * sum(f._nums)  # mean = total / (2 den cells)
-    values = sorted(set(f._nums))
+    values = [v for v, _ in groupby(f._sorted_nums())]
     points = sorted([2 * v for v in values] + [a + b for a, b in zip(values, values[1:])])
     above = [p for p in points if p * cells > total][:7]
     below = [p for p in points if p * cells < total][:8]
@@ -381,6 +382,13 @@ def _suite_cz(f):
     failures = []
     checks = 0
     above, below = _cz_alphas(f)
+    gd = rearrange_signed(f)
+    matched = [(t, hardy_average(gd, t))
+               for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))]
+    # one pass of the running max per direction decides all of this
+    # suite's thresholds of f; the calls that follow read its memo
+    f._stopping(above + [alpha for _, alpha in matched], True)
+    f._stopping(below, False)
     prev = None
     for alpha in above:
         d = stopping_family(f, alpha, "above")
@@ -407,9 +415,7 @@ def _suite_cz(f):
         if not rep.passed:
             failures.append(f"below-direction checks fail at alpha={alpha}: "
                             f"{rep.failures[:2]}")
-    gd = rearrange_signed(f)
-    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-        alpha = hardy_average(gd, t)
+    for t, alpha in matched:
         measure = _stopping_measure(f, alpha)
         checks += 1
         if measure > t:

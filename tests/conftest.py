@@ -498,6 +498,35 @@ def stopping_oracle(f, alpha, direction):
             if not any(o != q and o.contains(q) for o in crossing)]
 
 
+def running_max_oracle(f, sign):
+    """The whole running-max pyramid, every level kept: R[k][z] is the
+    largest of sign * (cube sum << nk) over the level-k cube at Morton
+    address z and its ancestors, each cube sum added from f's Morton-order
+    numerators."""
+    n, L, nums = f.dim, f.depth, f._nums
+    pyramid = []
+    for k in range(L + 1):
+        cnt = 1 << n * (L - k)
+        level = [sign * sum(nums[z * cnt:(z + 1) * cnt]) << n * k
+                 for z in range(1 << n * k)]
+        if pyramid:
+            level = [max(v, pyramid[-1][z >> n]) for z, v in enumerate(level)]
+        pyramid.append(level)
+    return pyramid
+
+
+def first_crossings_oracle(pyramid, a, n):
+    """(level, Morton address), in that order, of every cube of a running-max
+    pyramid whose value exceeds a while its father's does not (the root
+    counts as having a father at a): one scan of the whole pyramid."""
+    out = []
+    fathers = [a]
+    for k, level in enumerate(pyramid):
+        out.extend((k, z) for z, v in enumerate(level) if v > a >= fathers[z >> n])
+        fathers = level
+    return out
+
+
 def parent_cover_oracle(stopping):
     """Fathers of the stopping cubes that no other father contains."""
     fathers = {q.father() for q in stopping}

@@ -346,8 +346,9 @@ def test_step_round_trip(g):
 
 
 class TestOversizedNumbers:
-    """Numbers past the interpreter's int-string digit limit fail fast as
-    input errors (exit 2, one line), not as tracebacks or minutes of work."""
+    """Numbers past the interpreter's int-string digit limit or past the
+    float range, and grids past the size caps, fail fast as input errors
+    (exit 2, one line), not as tracebacks or minutes of work."""
 
     @staticmethod
     def run(tmp_path, capsys, text):
@@ -388,6 +389,42 @@ class TestOversizedNumbers:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # 10^400 has 401 digits, within the digit limit, but is past the
+    # largest float
+    @pytest.mark.parametrize("argv, text", [
+        (["interval-bmo"], '{"breakpoints": [0, "1/2", 1], "values": ["1e400", 0]}'),
+        (["check"], '{"n": 1, "level": 1, "values": ["1e400", 0]}'),
+        (["check", "--suite", "thm1"], '{"n": 1, "level": 1, "values": ["1e400", 0]}'),
+        (["jn"], '{"n": 1, "level": 1, "values": ["1e400", 0]}'),
+        (["rearrange", "--samples", "2"], '{"n": 1, "level": 1, "values": ["1e400", 0]}'),
+    ])
+    def test_value_past_float_range(self, argv, text, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code = main([argv[0], "--input", str(path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "past the largest float" in err
+
+    # without the cap n = 64 fails on a 2^64-element list (exit 1), and
+    # n = 21 builds 2^21-element lists, which stay small
+    @pytest.mark.parametrize("dim", [21, 64])
+    def test_dimension_past_cap(self, dim, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text('{"n": %d, "level": 0, "values": [3]}' % dim)
+        assert main(["check", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: dimension n={dim} is not supported; at most n=20 is\n"
+
+    @pytest.mark.parametrize("n, limit", [("20", "1/524288"),
+                                          ("20000", "2^(1-20000)")])
+    def test_p_root_dimension_past_eps(self, n, limit, capsys):
+        # 2^(1-n) for n = 20000 has more digits than str converts
+        assert main(["p-root", "--n", n, "--eps", "1/8"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: epsilon must lie in (0, {limit}) for dimension {n}, got 1/8\n")
 
 
 class TestCommands:

@@ -11,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadicbmo import (CZDecomposition, DyadicCubeId, DyadicFunction,
-                       PreconditionError, hardy_average, maximal_level_set,
+                       PreconditionError, dyadic_maximal_function,
+                       hardy_average, maximal_level_set,
                        rearrange_signed, stopping_family, verify_stopping)
 from dyadicbmo.stopping import _crossing_measure, _measure, _stopping_measure
 from dyadicbmo.verify import verify_all
 from conftest import (all_cubes_oracle, average_oracle, cube_cells_oracle,
-                      maximal_oracle, parent_cover_oracle, random_function,
-                      random_nonneg, stopping_oracle)
+                      first_crossings_oracle, maximal_oracle, parent_cover_oracle,
+                      random_function, random_nonneg, running_max_oracle,
+                      stopping_oracle)
 
 SPIKE = DyadicFunction(1, 2, [4, 0, 0, 0])
 
@@ -242,6 +244,53 @@ class TestIntegerThresholdRule:
                         sum(v > alpha for v in m), len(m))
 
 
+@st.composite
+def _small_grids(draw):
+    """(dim, depth, cells) with dim 1-3 and at most 16 cells."""
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 4 // dim))
+    den = draw(st.sampled_from((1, 3, 4)))
+    cells = draw(st.lists(st.integers(-6, 6), min_size=1 << dim * depth,
+                          max_size=1 << dim * depth))
+    return dim, depth, [Fraction(c, den) for c in cells]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_small_grids())
+def test_batch_pass_equals_first_crossings(grid):
+    """The one-pass batch gives, per threshold, the pairs a full scan of the
+    kept running-max pyramid gives, however the thresholds are grouped.
+    Thresholds: the cube averages and one scaled unit either side, the
+    mean, the largest admissible below it (scaled a = sum - 1, twice) and
+    repeats."""
+    dim, depth, cells = grid
+
+    def fresh():
+        return DyadicFunction(dim, depth, cells)
+
+    f = fresh()
+    mean, scale = f.mean, math.lcm(*(v.denominator for v in cells)) << dim * depth
+    unit = Fraction(1, scale)
+    averages = {average_oracle(f, q) for q in all_cubes_oracle(f)}
+    alphas = sorted({a + d for a in averages for d in (-unit, 0, unit)})
+    alphas += [mean, mean - unit, mean - unit / 2, alphas[0], alphas[-1]]
+    for above in (True, False):
+        chosen = [a for a in alphas if (a >= mean) == above]
+        pyramid = running_max_oracle(f, 1 if above else -1)
+        expected = []
+        for alpha in chosen:
+            a = alpha.numerator * scale // alpha.denominator
+            expected.append(first_crossings_oracle(
+                pyramid, a if above else -a - 1, dim))
+        assert all((0, 0) not in pairs for pairs in expected)  # root never stops
+        g = fresh()
+        assert [g._stopping([alpha], above)[0] for alpha in chosen] == expected
+        assert fresh()._stopping(chosen, above) == expected
+        g, third = fresh(), len(chosen) // 3
+        assert g._stopping(chosen[:2 * third + 1], above) == expected[:2 * third + 1]
+        assert g._stopping(chosen[third:], above) == expected[third:]
+
+
 def decomposition(alpha, direction, stopping, cover):
     return CZDecomposition(
         threshold=Fraction(alpha), direction=direction,
@@ -414,15 +463,16 @@ def test_measure_helpers_keep_preconditions():
 
 
 class TestMaximalCheckReadsTwoSides:
-    """The cz suite compares {M|f| > alpha} (from the running max R of |f|)
-    with the cells under cubes whose sum crosses alpha (no R): a fault in R
-    must show as a failed check."""
+    """The cz suite compares {M|f| > alpha} (from the leaf of the running
+    max R of |f|) with the cells under cubes whose sum crosses alpha (no R):
+    a fault in that leaf must show as a failed check."""
 
     def test_corrupted_running_max_is_reported(self):
         assert verify_all(DyadicFunction(1, 2, [-4, 0, 0, 0]), ["cz"]).passed
         f = DyadicFunction(1, 2, [-4, 0, 0, 0])  # fresh caches
         h = f.abs()  # [4, 0, 0, 0]: M h = (4, 2, 1, 1), {M h > 1} = 1/2
-        h._running_maxima(1)[-1][3] = 10 ** 6  # M h at cell 3 far above
+        m = dyadic_maximal_function(h)  # the leaf of R, the only level kept
+        m._nums = m._nums[:3] + (10 ** 6 * m._den,)  # M h at cell 3 far above
         result = verify_all(f, ["cz"]).results[0]
         assert not result.passed
         assert "maximal-function level set disagrees at alpha=1" in result.failures

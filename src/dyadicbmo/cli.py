@@ -125,7 +125,7 @@ def _build_parser():
 
 
 def _emit_json(obj, args):
-    dump_json(obj, path=args.output, stream=sys.stdout)
+    dump_json(obj, path=args.output)
 
 
 def _load_function(args):
@@ -148,19 +148,20 @@ def _cmd_norm(args):
 
 
 def _cmd_rearrange(args):
+    if args.samples < 0:
+        raise InputError("--samples must be at least 0")
     f = _load_function(args)
     g = rearrange_abs(f) if args.abs else rearrange_signed(f)
+    rows = []  # built first, so that a failing sample leaves stdout empty
+    for k in range(1, args.samples + 1):
+        t = Fraction(k, args.samples)
+        h = hardy_average(g, t)
+        rows.append((format_float(t), format_float(h),
+                     str(format_rational(t)), str(format_rational(h))))
     _emit_json(step_to_obj(g), args)
-    if args.samples > 0:
-        rows = []
-        for k in range(1, args.samples + 1):
-            t = Fraction(k, args.samples)
-            rows.append((format_float(t), format_float(hardy_average(g, t)),
-                         str(format_rational(t)),
-                         str(format_rational(hardy_average(g, t)))))
+    if rows:
         write_csv(rows, ("t", "hardy_average", "t_exact", "hardy_average_exact"),
-                  path=args.samples_output,
-                  stream=sys.stdout if args.samples_output is None else None)
+                  path=args.samples_output)
     return EXIT_OK
 
 
@@ -209,6 +210,8 @@ def _cmd_maximal(args):
 
 
 def _cmd_jn(args):
+    if args.lambda_grid < 1:
+        raise InputError("--lambda-grid must be at least 1")
     f = _load_function(args)
     rows = []
     all_pass = True
@@ -218,9 +221,7 @@ def _cmd_jn(args):
         all_pass = all_pass and ok
         rows.append((format_float(lam), format_float(measure),
                      format_float(bound), "1" if ok else "0"))
-    write_csv(rows, ("lambda", "measure", "bound", "pass"),
-              path=args.output,
-              stream=sys.stdout if args.output is None else None)
+    write_csv(rows, ("lambda", "measure", "bound", "pass"), path=args.output)
     return EXIT_OK if all_pass else EXIT_VIOLATION
 
 
@@ -229,9 +230,7 @@ def _cmd_gr(args):
     profile = gr_profile(f)
     rows = [(format_float(s), str(format_rational(s)), str(format_rational(v)))
             for s, v in zip(profile.sigma_breaks, profile.values)]
-    write_csv(rows, ("sigma", "sigma_exact", "v"),
-              path=args.output,
-              stream=sys.stdout if args.output is None else None)
+    write_csv(rows, ("sigma", "sigma_exact", "v"), path=args.output)
     eps = profile.epsilon_global
     limit = Fraction(1, 1 << (f.dim - 1))
     summary = [f"epsilon = {format_rational(eps)}"]

@@ -162,13 +162,14 @@ def load_json(path):
         raise InputError(f"cannot parse {path}: {exc}") from None
 
 
-def dump_json(obj, path=None, stream=None):
-    _write(canonical_json(obj), path, stream)
+def dump_json(obj, path=None):
+    _write(canonical_json(obj), path)
 
 
-def _write(text, path, stream):
+def _write(text, path):
+    """text to the file at path, or to stdout where path is None."""
     if path is None:
-        stream.write(text)
+        sys.stdout.write(text)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -185,8 +186,8 @@ def format_float(x):
         raise InputError("a result is past the largest float") from None
 
 
-def write_csv(rows, header, path=None, stream=None):
+def write_csv(rows, header, path=None):
     """Rows of already-formatted strings; LF endings regardless of platform."""
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    _write("\n".join(lines) + "\n", path, stream)
+    _write("\n".join(lines) + "\n", path)

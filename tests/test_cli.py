@@ -1,8 +1,6 @@
 """CLI subcommands, file formats, round trips, exit codes."""
 
-import hashlib
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +12,6 @@ from dyadicbmo.cli import main
 from dyadicbmo.formats import (canonical_json, format_rational,
                                function_from_obj, function_to_obj,
                                parse_rational, step_from_obj, step_to_obj)
-from dyadicbmo.generators import GeneratorSpec, generate
 from dyadicbmo.interval_bmo import MAX_GENERAL_PIECES
 from conftest import float_just_below
 
@@ -663,243 +660,6 @@ class TestUnwritableOutput:
             argv += ["--input", spike_file]
         assert main(argv) == 2
         assert f"cannot write {bad}" in capsys.readouterr().err
-
-
-# -- pinned outputs ------------------------------------------------------------
-
-def _bench_seed(*parts):
-    """The input seed bench/workloads.py derives from (workload, seed, pass, slot)."""
-    return int(hashlib.sha256("/".join(map(str, parts)).encode()).hexdigest()[:8], 16)
-
-
-# sha256 of stdout of `check` on the seven check-mixed inputs of bench seed 1,
-# pass 0: any change to a suite's verdict, check count or note shows here
-PINNED_CHECKS = [
-    ("uniform-cells", 1, 10,
-     "9a6b3c1adb259e009d242e595e6c2145b16bdeb846d8b5fc369d5592382b0f82"),
-    ("uniform-cells", 2, 5,
-     "a2a52e1f1064e3b42e3197332d98bbaecc9c11f3106844793c1e27bcd5551cec"),
-    ("uniform-cells", 3, 4,
-     "105efc89062c9b32bbd6141a10fc82d5168794fd58c007405dc3d07531e8f601"),
-    ("cascade-gr", 1, 8,
-     "f18470df9507d54946ded8bfaef5e48ba33b200952eb5bb02dff0965fc313546"),
-    ("cascade-gr", 2, 4,
-     "9dcaff3121da1b7f581462c271bd8ad24064ca3950f1fee0fcde89e5f89edadf"),
-    ("cascade-gr", 3, 3,
-     "4d5902cfbf6a8a858ca4f1faa225e1874d2c9ea96c437331008c852cbb0ca895"),
-    ("monotone-1d", 1, 10,
-     "060424c3321c40af39c24a092e60ae829a77b0778c3f923d683640c5142a6761"),
-]
-
-
-def _check_mixed(slot):
-    """The check-mixed input of bench seed 1, pass 0, at slot."""
-    kind, n, level, _ = PINNED_CHECKS[slot]
-    return generate(GeneratorSpec(kind=kind, dim=n, depth=level,
-                                  seed=_bench_seed("check-mixed", 1, 0, slot)))
-
-
-def _function_file(f, tmp_path):
-    path = tmp_path / "f.json"
-    path.write_text(canonical_json(function_to_obj(f)))
-    return str(path)
-
-
-@pytest.mark.parametrize("slot", range(len(PINNED_CHECKS)))
-def test_check_outputs_pinned(slot, tmp_path, capsys):
-    path = _function_file(_check_mixed(slot), tmp_path)
-    assert main(["check", "--input", path]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHECKS[slot][3]
-
-
-# sha256 of stdout of `jn` (the 32-lambda grid, its measures and the
-# exponential bounds as floats) on check-mixed inputs of bench seed 1, pass 0
-PINNED_JN = [
-    (0, "41fa0181e4e30d32cbad74f75cfb471779aaec4a35b5a5dce54fb2c8356474c5"),
-    (4, "b49fda858806386afc346652e2169cd489b3d03dffaa2e3365f023f7753eec54"),
-]
-
-
-@pytest.mark.parametrize("slot,stdout_sha", PINNED_JN)
-def test_jn_outputs_pinned(slot, stdout_sha, tmp_path, capsys):
-    assert main(["jn", "--input", _function_file(_check_mixed(slot), tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
-
-
-# sha256 of stdout of `cz` and `maximal` on check-mixed inputs of bench seed
-# 1, pass 0 (slot 0: n = 1; slot 1: n = 2), and on NESTED (slot None), whose
-# parent cover keeps the father (1, 0) of the stopping cube (2, 0) and drops
-# the father (2, 1) of the stopping cell (3, 3), which lies inside it
-NESTED = DyadicFunction(1, 3, [5, 0, 0, 3, 0, 0, 0, 0])
-PINNED_CZ = [
-    (0, "1/2", "above",
-     "7a2d7c2134dc2d32607f257a3838c5be31bd4c5aeea830cfd872fb22c75c4ac4"),
-    (0, "7/3", "above",
-     "c36e5e78e6fbb5abfddf07fb8fb271ac6d9b0a6cafbfc95d0f480b79dbda2b7c"),
-    (0, "-8", "below",
-     "b5639d59c4fb5e39e702dadbf884a1cbcfea9c7c4f0b4f58e13d8462b89b48ba"),
-    (0, "-29/4", "below",
-     "27e0b750d9d2e2482843c49451c3cc7851a111c9e97b02be32ca2bb1ce41c940"),
-    (1, "1", "above",
-     "eb684e7da49c48800189d340f3f8171ded6a9afc0d0239ab677884cf5a904c91"),
-    (1, "4", "above",
-     "2d004f94d3ec15cdd6863dcfefff476d6ee85aab3cdb84c4b9ae4d3418d2d99a"),
-    (1, "-31/4", "below",
-     "cdc37b263b56804c3d0071060036f891c53d4f9b79e03ff5894eb1b4774423ee"),
-    (1, "-29/4", "below",
-     "c832f99bbd8d6fc46866506d30c2cb45016162c625ab8d7197e9dedc2f6230bc"),
-    (None, "2", "above",
-     "b41c846a01f5bec9da6c11b3fe98a1e8a7a6d249c517fd2fc75ff13ae0513749"),
-]
-PINNED_MAXIMAL = [
-    (0, "8131dd87e4d3e61f6d1d98e3d67b8cf6f84bc3a26e29bb384efe7ebf3f03fbd2"),
-    (1, "02bf82ba370f398d4b2f24f7b52b0477a22e25c2988559d16f587405844be235"),
-    (None, "5073d94a6f048d1ab2f894640f582f3ff9a543efb0fe2f23e42b5f1324e0942f"),
-]
-
-
-@pytest.mark.parametrize("slot,alpha,direction,stdout_sha", PINNED_CZ)
-def test_cz_outputs_pinned(slot, alpha, direction, stdout_sha, tmp_path, capsys):
-    f = NESTED if slot is None else _check_mixed(slot)
-    assert main(["cz", "--input", _function_file(f, tmp_path), f"--alpha={alpha}",
-                 "--direction", direction]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
-
-
-@pytest.mark.parametrize("slot,stdout_sha", PINNED_MAXIMAL)
-def test_maximal_outputs_pinned(slot, stdout_sha, tmp_path, capsys):
-    f = NESTED if slot is None else _check_mixed(slot)
-    assert main(["maximal", "--input", _function_file(f, tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
-
-
-# sha256 of stdout of `interval-bmo` on inputs of the interval-general
-# workload (bench seed 1, pass 0): many-band L=4, few-band, many-band L=5
-PINNED_INTERVALS = [
-    (0, {"depth": 4},
-     "ed8a4918ff42f348cefb245e8d2f49597e632e1e03fae02adb8dfc4c2fa4b93e"),
-    (2, {"depth": 5, "low": 0, "high": 4, "denom_bits": 2},
-     "111d0b683719deca7215f8ac60030efe66f7fb5ccdb21f6dafcf243971d33ea4"),
-    (1, {"depth": 5},
-     "e8cad50e86c996d8cfff86a3d67fda3620cc8624d9514dcdeebd61f2b38b1430"),
-]
-
-
-@pytest.mark.parametrize("slot,kw,stdout_sha", PINNED_INTERVALS)
-def test_interval_bmo_outputs_pinned(slot, kw, stdout_sha, tmp_path, capsys):
-    f = generate(GeneratorSpec(kind="uniform-cells", dim=1,
-                               seed=_bench_seed("interval-general", 1, 0, slot),
-                               **kw))
-    count = len(f.cells)
-    g = StepFunction1D([Fraction(k, count) for k in range(count + 1)], f.cells)
-    path = tmp_path / "g.json"
-    path.write_text(canonical_json(step_to_obj(g)))
-    assert main(["interval-bmo", "--input", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
-
-
-def _walk(pieces, seed, many_values):
-    """A step function on unequal pieces k/(4 pieces): a random walk of
-    steps +-1, +-2, or else values p/q with |p| < 10^4 and q in 1, 3, 7."""
-    rng = random.Random(seed)
-    cuts = sorted(rng.sample(range(1, 4 * pieces), pieces - 1))
-    values, v = [], 0
-    for _ in range(pieces):
-        if many_values:
-            v = Fraction(rng.randrange(-10 ** 4, 10 ** 4), rng.choice((1, 3, 7)))
-        else:
-            v += rng.choice((-2, -1, 1, 2))
-        values.append(v)
-    return StepFunction1D([Fraction(c, 4 * pieces) for c in (0, *cuts, 4 * pieces)],
-                          values)
-
-
-# sha256 of stdout of `interval-bmo` on larger general inputs: a 48-piece
-# random walk, 96 pieces with nearly all values distinct and a 200-piece walk
-PINNED_GENERAL = [
-    (48, 0, False,
-     "3a2f3f6ba79caf104770d2564df497fd046e11e59f905287ad4cd033fcc6d73c"),
-    (96, 1, True,
-     "fd77056e93511fe65a5b24f363982ade3e79035767dbe825947d399dd1f45910"),
-    (200, 2, False,
-     "373be2f351f62bb29a267876b1a1b219fc933306b21befb52ffb1344d2c23a9b"),
-]
-
-
-@pytest.mark.parametrize("pieces,seed,many_values,stdout_sha", PINNED_GENERAL)
-def test_interval_bmo_general_pinned(pieces, seed, many_values, stdout_sha,
-                                     tmp_path, capsys):
-    g = _walk(pieces, seed, many_values)
-    assert not (g.merged().is_nonincreasing or g.merged().is_nondecreasing)
-    path = tmp_path / "g.json"
-    path.write_text(canonical_json(step_to_obj(g)))
-    assert main(["interval-bmo", "--input", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
-
-
-# sha256 over the stdout of `generate` for each kind at seeds 0, 3 and 11,
-# several sizes and four value ranges, and of the functions the generator
-# makes at 0, 3 and 9 denominator bits
-GENERATE_SIZES = {"uniform-cells": [(1, 0), (1, 6), (2, 3), (3, 2)],
-                  "monotone-1d": [(1, 0), (1, 7)],
-                  "cascade-gr": [(1, 4), (2, 2), (3, 1)]}
-PINNED_GENERATE = [
-    ("uniform-cells", "f41f8b4380c14060600aff9370b4bfa03338513eac9d8436bd2cfb2bb80e15f9"),
-    ("monotone-1d", "046aa2aa5f3e17ce9064f10fc3a689c3aa607b9548ddde3335b4532af8fb9555"),
-    ("cascade-gr", "de1a005bc5a5a2f66da89b0f425dab8442c1b7976a00cb08c6c56eb258586c22"),
-]
-
-
-@pytest.mark.parametrize("kind,sha", PINNED_GENERATE)
-def test_generate_outputs_pinned(kind, sha, capsys):
-    digest = hashlib.sha256()
-    for seed in (0, 3, 11):
-        for n, level in GENERATE_SIZES[kind]:
-            for low, high in (("-8", "8"), ("-1/3", "5/7"), ("2", "2"), ("0", "1/6")):
-                code = main(["generate", "--kind", kind, "--n", str(n),
-                             "--level", str(level), "--seed", str(seed),
-                             f"--low={low}", f"--high={high}"])
-                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
-            for bits in (0, 3, 9):
-                f = generate(GeneratorSpec(kind=kind, dim=n, depth=level, seed=seed,
-                                           denom_bits=bits, low=Fraction(-5, 2),
-                                           high=Fraction(7, 3)))
-                digest.update(canonical_json(function_to_obj(f)).encode())
-    assert digest.hexdigest() == sha
-
-
-# sha256 of stdout and stderr of the exponent commands: p is the certified
-# float below the root and residual bounds |p^p/(p-1)^(p-1) - target| there
-EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-PINNED_EXPONENTS = [
-    (["p-root", "--n", "1", "--eps", "1/4"],
-     "9bf5abb7121e639408c83a7d8bbddf6e7f988fbab19f58dde0e644108fdd19f7", EMPTY_SHA),
-    (["p-root", "--n", "2", "--eps", "3/1000"],
-     "5f9e6eb9ce88a30ccbacb5a078f7b7a2e5582a94c3851fb1a2c2a9d5f8acee9b", EMPTY_SHA),
-    (["p-root", "--n", "1", "--eps", "1/1000000000000"],  # capped
-     "081e8be2c3ae996c1ea75fc00d8ed7313ddbe716115f025a0049b98c9b624b80", EMPTY_SHA),
-    (["gr", "--input", "{cascade}"],
-     "0df878fc9096aec28bc7e92928c40d0c5c7bd1022958a24fe89557752f6fce5c",
-     "46f40c0867611b05f2ce3de129f4b8bfddf2cbb0fede7f9c86286b76a0bc65da"),
-]
-
-
-@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", PINNED_EXPONENTS)
-def test_exponent_outputs_pinned(argv, stdout_sha, stderr_sha, tmp_path, capsys):
-    cascade = str(tmp_path / "cascade.json")
-    assert main(["generate", "--kind", "cascade-gr", "--n", "2", "--level", "3",
-                 "--output", cascade]) == 0
-    capsys.readouterr()
-    assert main([a.format(cascade=cascade) for a in argv]) == 0
-    out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
-    assert hashlib.sha256(err.encode()).hexdigest() == stderr_sha
 
 
 def test_check_skips_power_bounds_at_p_one(tmp_path, capsys):

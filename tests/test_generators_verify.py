@@ -1,7 +1,9 @@
 """Generators, the aggregated verification suites, and fault injection."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ import dyadicbmo.verify as verify_mod
 from dyadicbmo import (DyadicFunction, GenerationError, GeneratorSpec,
                        InputError, StepFunction1D, bmo_dyadic_norm, every_cube,
                        generate, gr_membership, rearrange_signed, verify_all)
+from dyadicbmo.formats import canonical_json, function_to_obj
 from dyadicbmo.highprec import lower_float, upper_float
 from conftest import float_just_below, matched_mean_b_oracle, random_function
 
@@ -70,6 +73,26 @@ class TestGenerators:
             GeneratorSpec(kind="uniform-cells", dim=3, depth=7)  # 2^21 cells
         with pytest.raises(InputError):
             GeneratorSpec(kind="uniform-cells", dim=1, depth=2, denom_bits=-1)
+
+    # sha256 over the function files made for each kind at seeds 0, 3 and
+    # 11, several sizes and 0, 3 and 9 denominator bits (the command line
+    # cannot set denom_bits; tests/test_outputs.py pins its generate runs)
+    @pytest.mark.parametrize("kind,sha", [
+        ("uniform-cells", "7d4a378039931aa57c2920677c5fae3475b65bb3518a1895003d9988e34e4a4e"),
+        ("monotone-1d", "9a6525819a096b4dd8bdd1835ba141054334c63a9f48c1812c67642be7892b16"),
+        ("cascade-gr", "cfa7c07c55716fdd4564952d19fc33b6f7c74534808981103f3ea016aa845c41"),
+    ])
+    def test_denom_bits_outputs_pinned(self, kind, sha):
+        sizes = {"uniform-cells": [(1, 0), (1, 6), (2, 3), (3, 2)],
+                 "monotone-1d": [(1, 0), (1, 7)],
+                 "cascade-gr": [(1, 4), (2, 2), (3, 1)]}[kind]
+        digest = hashlib.sha256()
+        for seed, (n, level), bits in product((0, 3, 11), sizes, (0, 3, 9)):
+            f = generate(GeneratorSpec(kind=kind, dim=n, depth=level, seed=seed,
+                                       denom_bits=bits, low=Fraction(-5, 2),
+                                       high=Fraction(7, 3)))
+            digest.update(canonical_json(function_to_obj(f)).encode())
+        assert digest.hexdigest() == sha
 
 
 class TestVerifyAll:

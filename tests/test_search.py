@@ -1,6 +1,5 @@
 """Extremal search: determinism, caps, the exhaustive binary case."""
 
-import hashlib
 import sys
 from concurrent.futures import Future
 from fractions import Fraction
@@ -35,34 +34,6 @@ class TestNormalize:
     def test_ties_round_to_even(self):
         # -5/4, 0 -> -5/8, 5/8 -> +-5/2 on the 2^-2 lattice -> +-2
         assert _normalize([-5, 0], 2) == [-2, 2]
-
-
-# sha256 of stdout and of the best-function file, both search-anneal grids
-# and one jnB run: any change of the annealing trajectory shows here
-PINNED_SEARCHES = [
-    (["--n", "1", "--level", "4", "--iters", "150", "--seed", "7"],
-     "316d519ca3eaa6cc248838e18afbc4c832cd737c66eaf82b23b05d7ba87c329f",
-     "af2e65a647124827dc76d7bbf098cd2e96573bda747ac7cb4875bc3ade83cf65"),
-    (["--n", "2", "--level", "2", "--iters", "150", "--seed", "7"],
-     "9a80a41916fc628ae056d888c66b781712e4bfcb0e3f18cff262fcbda0c08c2a",
-     "63251790e93c43af13f5efa4492c87c51a5aeef8072cd6f05bc7df84d1817cb8"),
-    (["--n", "1", "--level", "3", "--iters", "100", "--seed", "3",
-      "--objective", "jnB"],
-     "6c3b20039a8250f1d677acb0e7a3b1d6a28c08bd6efea37e0fe306fd65f07860",
-     "90f86e3e38cf3afba061270258291cfd4ccdab77f238817961f290d84d408e50"),
-]
-
-
-@pytest.mark.parametrize("argv,stdout_sha,best_sha", PINNED_SEARCHES)
-def test_search_outputs_pinned(argv, stdout_sha, best_sha, tmp_path,
-                               monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["search", *argv, "--restarts", "2",
-                 "--function-output", "best.json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
-    best = (tmp_path / "best.json").read_bytes()
-    assert hashlib.sha256(best).hexdigest() == best_sha
 
 
 class TestRatioObjective:

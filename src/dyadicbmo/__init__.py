@@ -6,9 +6,19 @@ nonincreasing rearrangements with certified interval-BMO bounds,
 Calderon-Zygmund stopping families, exponential distribution bounds, the
 oscillation-to-mean modulus with its integrability consequences, and a
 derivative-free search probing the sharp rearrangement constant.
+
+Importing the package loads only the mpmath-free core: dyadic, rearrangement,
+interval_bmo, stopping, generators, search, formats and errors.  The names
+of gurov (the modulus profile and its exponent bounds), johnnirenberg (the
+exponential distribution bounds) and verify (the suites) are resolved on
+first access (PEP 562), which imports that module and mpmath with it; each
+is the same object as ``dyadicbmo.<module>.<name>``, and ``dir()`` and
+``from dyadicbmo import *`` list them.
 """
 
 __version__ = "0.1.0"
+
+from importlib import import_module as _import_module
 
 from .dyadic import (DyadicCubeId, DyadicFunction, OscillationReport, Rational,
                      bmo_argmax, bmo_dyadic_norm, cube_average,
@@ -16,11 +26,7 @@ from .dyadic import (DyadicCubeId, DyadicFunction, OscillationReport, Rational,
                      mean_oscillation, one_sided_oscillation)
 from .errors import GenerationError, InputError, PreconditionError
 from .generators import KINDS, GeneratorSpec, generate
-from .gurov import (ExponentSolution, GRProfile, Theorem4Result, gr_membership,
-                    gr_modulus, gr_profile, lq_tail_bound, sigma_level_for,
-                    solve_p, theorem3_check, theorem4_bound, theorem5_check)
 from .interval_bmo import IntervalBMOBound, interval_bmo_norm
-from .johnnirenberg import JNConstants, jn_abs_check, jn_check, logbound_check
 from .rearrangement import (StepFunction1D, hardy_average, hardy_gap_check,
                             interval_mean_oscillation, rearrange_abs,
                             rearrange_signed, supinf_formula,
@@ -29,7 +35,28 @@ from .search import (OBJECTIVES, SearchConfig, SearchResult, ratio_objective,
                      search)
 from .stopping import (CZDecomposition, StoppingReport, maximal_level_set,
                        stopping_family, verify_stopping)
-from .verify import SUITES, SuiteResult, VerificationReport, verify_all
+
+# names of the mpmath-backed modules, bound on first access
+_LAZY = {name: module for module, names in (
+    ("gurov", ("ExponentSolution", "GRProfile", "Theorem4Result", "gr_membership",
+               "gr_modulus", "gr_profile", "lq_tail_bound", "sigma_level_for",
+               "solve_p", "theorem3_check", "theorem4_bound", "theorem5_check")),
+    ("johnnirenberg", ("JNConstants", "jn_abs_check", "jn_check", "logbound_check")),
+    ("verify", ("SUITES", "SuiteResult", "VerificationReport", "verify_all")),
+) for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "CZDecomposition", "DyadicCubeId", "DyadicFunction", "ExponentSolution",

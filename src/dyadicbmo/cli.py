@@ -19,17 +19,28 @@ from .formats import (dump_json, format_float, format_rational,
                       function_from_obj, function_to_obj, load_json,
                       parse_rational, step_from_obj, step_to_obj, write_csv)
 from .generators import GeneratorSpec, generate
-from .gurov import gr_profile, solve_p
 from .interval_bmo import interval_bmo_norm
-from .johnnirenberg import _lambda_grid, jn_check
 from .rearrangement import hardy_average, rearrange_abs, rearrange_signed
 from .search import SearchConfig, search
 from .stopping import stopping_family, verify_stopping
-from .verify import SUITES, verify_all
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+
+# largest K of `rearrange --samples K` and `jn --lambda-grid K`, whose time
+# and memory grow linearly in K: at 2^18 both stay within what `check` takes
+# on a 2^20-cell grid
+MAX_POINTS = 1 << 18
+
+
+class _SuiteHelp(str):
+    """The --suite help, which reads the suite names from verify only when
+    argparse expands it (``help % params``) to print it."""
+
+    def __mod__(self, params):
+        from .verify import SUITES
+        return f"comma-separated subset of: {','.join(SUITES)}"
 
 
 def _common_flags(sub):
@@ -97,7 +108,7 @@ def _build_parser():
     p = subs.add_parser("check", help="run verification suites on a function")
     _common_flags(p)
     p.add_argument("--suite", default=None,
-                   help=f"comma-separated subset of: {','.join(SUITES)}")
+                   help=_SuiteHelp("comma-separated subset of the suites"))
 
     p = subs.add_parser("search", help="search for a large rearrangement-norm "
                                        "ratio")
@@ -147,9 +158,16 @@ def _cmd_norm(args):
     return EXIT_OK
 
 
+def _check_points(flag, k, least):
+    """Refuse a K of --samples or --lambda-grid outside [least, MAX_POINTS]."""
+    if k < least:
+        raise InputError(f"{flag} must be at least {least}")
+    if k > MAX_POINTS:
+        raise InputError(f"{flag} must be at most {MAX_POINTS}, got {k}")
+
+
 def _cmd_rearrange(args):
-    if args.samples < 0:
-        raise InputError("--samples must be at least 0")
+    _check_points("--samples", args.samples, 0)
     f = _load_function(args)
     g = rearrange_abs(f) if args.abs else rearrange_signed(f)
     rows = []  # built first, so that a failing sample leaves stdout empty
@@ -210,8 +228,8 @@ def _cmd_maximal(args):
 
 
 def _cmd_jn(args):
-    if args.lambda_grid < 1:
-        raise InputError("--lambda-grid must be at least 1")
+    from .johnnirenberg import _lambda_grid, jn_check
+    _check_points("--lambda-grid", args.lambda_grid, 1)
     f = _load_function(args)
     rows = []
     all_pass = True
@@ -226,6 +244,7 @@ def _cmd_jn(args):
 
 
 def _cmd_gr(args):
+    from .gurov import gr_profile, solve_p
     f = _load_function(args)
     profile = gr_profile(f)
     rows = [(format_float(s), str(format_rational(s)), str(format_rational(v)))
@@ -244,6 +263,7 @@ def _cmd_gr(args):
 
 
 def _cmd_p_root(args):
+    from .gurov import solve_p
     sol = solve_p(parse_rational(args.eps), args.n)
     _emit_json({"n": sol.n, "epsilon": format_rational(sol.epsilon),
                 "p": sol.p, "residual": sol.residual,
@@ -252,6 +272,7 @@ def _cmd_p_root(args):
 
 
 def _cmd_check(args):
+    from .verify import verify_all
     f = _load_function(args)
     suites = None
     if args.suite:

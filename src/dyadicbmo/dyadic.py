@@ -347,7 +347,9 @@ class DyadicFunction:
         below is -A > -a - 1, and a cube stops iff R[father] <= a < R[cube].
         One pass of R serves every threshold not yet memoized: each cube
         where R rises goes to the thresholds in [R[father], R[cube]), found
-        by two bisections.  Memoized per direction by scaled threshold."""
+        by two bisections.  Memoized per direction by scaled threshold.  For
+        f >= 0, f is |f|, so the leaf of a pass above is kept as the
+        maximal function's, and dyadic_maximal_function walks R no more."""
         shift = self.dim * self.depth
         scaled = [(x.numerator * self._den << shift) // x.denominator for x in alphas]
         if not above:
@@ -362,6 +364,8 @@ class DyadicFunction:
                                    bisect_left(todo, level[z])):
                         found[i].append((k, z))
             memo.update(zip(todo, found))
+            if above and self.is_nonnegative and "maximal" not in self._cache:
+                self._cache["maximal_leaf"] = level
         return [memo[a] for a in scaled]
 
     def _block(self, q):
@@ -534,8 +538,10 @@ def dyadic_maximal_function(f):
     """
     h = f.abs()  # M f = M |f|, cached on |f|
     if "maximal" not in h._cache:
-        for _, leaf in h._running_max(1):
-            pass
+        leaf = h._cache.pop("maximal_leaf", None)  # kept by a pass of _stopping
+        if leaf is None:
+            for _, leaf in h._running_max(1):
+                pass
         n, L = h.dim, h.depth
         h._cache["maximal"] = DyadicFunction._from_nums(n, L, h._den << (n * L), leaf)
     return h._cache["maximal"]

@@ -15,7 +15,6 @@ from math import lcm
 
 from .dyadic import DyadicFunction, _morton_order, check_grid_size
 from .errors import GenerationError, InputError
-from .gurov import gr_membership
 
 KINDS = ("uniform-cells", "monotone-1d", "cascade-gr")
 
@@ -101,6 +100,7 @@ def generate(spec):
         nums, den = _uniform_nums(rng, count, spec.low, spec.high, spec.denom_bits)
         return DyadicFunction._from_nums(1, spec.depth, den, sorted(nums, reverse=True))
     # cascade-gr
+    from .gurov import gr_membership
     spread = min(Fraction(1, 8), spec.target_eps / 4)
     for _ in range(spec.cascade_retries):
         f = _cascade(rng, spec.dim, spec.depth, spec.denom_bits, spread,

@@ -16,16 +16,13 @@ from __future__ import annotations
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import (DyadicFunction, _morton_order, bmo_dyadic_norm,
                      check_grid_size)
 from .errors import InputError, PreconditionError
-from .highprec import IV_E, upper_float
 from .interval_bmo import interval_bmo_norm
-from .johnnirenberg import JNConstants, _lambda_grid, jn_check
 from .rearrangement import rearrange_signed
 
 OBJECTIVES = ("ratio_thm1", "jn_B_probe")
@@ -108,6 +105,7 @@ def _jn_probe_score(f):
     A lower estimate of the smallest admissible leading constant for this f;
     provably at most e.
     """
+    from .johnnirenberg import JNConstants, _lambda_grid, jn_check
     grid = _lambda_grid(f)
     if not grid:
         return None
@@ -207,6 +205,7 @@ def search(cfg):
     certificate it was scored with."""
     workers = min(cfg.threads, cfg.restarts, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_restart, cfg, r)
                        for r in range(cfg.restarts)]
@@ -227,8 +226,12 @@ def search(cfg):
 
     best_cells, score, exact, cert, _ = best
     f = _function(cfg, best_cells)
-    cap = float(1 << cfg.dim)
-    if cfg.objective == "jn_B_probe":
+    if cfg.objective == "ratio_thm1":
+        cap = float(1 << cfg.dim)
+    else:
+        from .highprec import IV_E, upper_float
+        from .johnnirenberg import _lambda_grid, jn_check
+        cap = upper_float(IV_E)
         # implied <= e at every lambda is the certified distribution bound
         for lam in _lambda_grid(f):
             measure, bound = jn_check(f, lam)
@@ -239,5 +242,4 @@ def search(cfg):
     return SearchResult(best_function=f, best_score=score,
                         best_score_exact=exact, certificate=cert,
                         trace=tuple(trace), objective=cfg.objective,
-                        hard_cap=cap if cfg.objective == "ratio_thm1"
-                        else upper_float(IV_E))
+                        hard_cap=cap)

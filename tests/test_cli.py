@@ -532,14 +532,14 @@ class TestCommands:
     def test_jn_sub_ulp_violation_fails(self, spike_file, tmp_path,
                                         monkeypatch):
         # a bound one float below the measure is a violation, however small
-        import dyadicbmo.cli as cli_mod
-        real = cli_mod.jn_check
+        import dyadicbmo.johnnirenberg as jn_mod
+        real = jn_mod.jn_check
 
         def just_below(fn, lam):
             measure, _ = real(fn, lam)
             return measure, float_just_below(measure)
 
-        monkeypatch.setattr(cli_mod, "jn_check", just_below)
+        monkeypatch.setattr(jn_mod, "jn_check", just_below)
         out_path = tmp_path / "jn.csv"
         assert main(["jn", "--input", spike_file, "--lambda-grid", "8",
                      "--output", str(out_path)]) == 1

@@ -422,7 +422,8 @@ def test_import_leaves_mpmath_precision_alone():
     src = os.path.dirname(os.path.dirname(dyadicbmo.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import mpmath, dyadicbmo; "
+    # verify_all is bound on first access, which imports the 160-bit modules
+    code = ("import mpmath, dyadicbmo; dyadicbmo.verify_all; "
             "print(mpmath.mp.prec, mpmath.iv.prec)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from dyadicbmo import GeneratorSpec, StepFunction1D, generate
-from dyadicbmo.cli import main
+from dyadicbmo.cli import MAX_POINTS, main
 from dyadicbmo.formats import canonical_json, function_to_obj, step_to_obj
 from dyadicbmo.interval_bmo import MAX_GENERAL_PIECES
 
@@ -177,10 +177,13 @@ COMMANDS = [
     "p-root --n 1 --eps 1", "p-root --n 2 --eps 0", "p-root --n 20000 --eps 1/8",
     "generate --kind monotone-1d --n 2 --level 2",
     "generate --kind uniform-cells --n 3 --level 7", "search --n 3 --level 7",
-    # exit 2 here too: a sample past the largest float, grid sizes below 1 and 0
+    # exit 2 here too: a sample past the largest float, grid sizes below 1
+    # and 0, and one past MAX_POINTS
     "rearrange --input past-float.json --samples 2",
     "jn --input cascade.json --lambda-grid 0", "jn --input mixed-1.json --lambda-grid -2",
     "rearrange --input mixed-1.json --samples -1",
+    f"rearrange --input spike.json --samples {MAX_POINTS + 1}",
+    f"jn --input spike.json --lambda-grid {MAX_POINTS + 1}",
 ]
 
 

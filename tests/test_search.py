@@ -1,5 +1,6 @@
 """Extremal search: determinism, caps, the exhaustive binary case."""
 
+import concurrent.futures
 import sys
 from concurrent.futures import Future
 from fractions import Fraction
@@ -180,7 +181,7 @@ class TestSearch:
                 done.set_result(fn(*args))
                 return done
 
-        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 4)
         base = dict(dim=1, depth=2, iterations=5, seed=5)
         serial = search(SearchConfig(restarts=3, **base))
@@ -202,14 +203,14 @@ class TestSearch:
         # the best probe is re-checked against jn_check's upward-rounded
         # bound with no slack: a bound one float below the measure trips it
         from conftest import float_just_below
-        search_mod = sys.modules["dyadicbmo.search"]
-        real = search_mod.jn_check
+        import dyadicbmo.johnnirenberg as jn_mod
+        real = jn_mod.jn_check
 
         def just_below(fn, lam):
             measure, _ = real(fn, lam)
             return measure, float_just_below(measure)
 
-        monkeypatch.setattr(search_mod, "jn_check", just_below)
+        monkeypatch.setattr(jn_mod, "jn_check", just_below)
         cfg = SearchConfig(dim=1, depth=2, restarts=1, iterations=5, seed=3,
                            objective="jn_B_probe")
         with pytest.raises(AssertionError, match="certified bound"):

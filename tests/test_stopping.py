@@ -489,6 +489,29 @@ class TestMaximalCheckReadsTwoSides:
                 if m.startswith("maximal-function level set disagrees")]
 
 
+class TestCzWalksEachRunningMaxOnce:
+    """For f >= 0, f is |f|: the cz suite's pass of R above keeps its leaf
+    as the maximal function, so R of f is walked once per direction."""
+
+    @pytest.mark.parametrize("cells", [[4, 0, 1, 2, 7, 3, 3, 1],
+                                       [4, 0, -1, 2, 7, 3, -3, 1]])
+    def test_running_max_calls(self, cells, monkeypatch):
+        f = DyadicFunction(1, 3, cells)
+        calls = []
+        original = DyadicFunction._running_max
+
+        def counted(g, sign):
+            calls.append((g, sign))
+            return original(g, sign)
+        monkeypatch.setattr(DyadicFunction, "_running_max", counted)
+        assert verify_all(f, ["cz"]).passed
+        walks = [(f, 1), (f, -1)] + ([] if f.is_nonnegative else [(f.abs(), 1)])
+        assert calls == walks
+        assert "maximal_leaf" not in f.abs()._cache  # read once, then dropped
+        assert dyadic_maximal_function(f).cells == tuple(maximal_oracle(f))
+        assert calls == walks
+
+
 # -- families held as (level, Morton address) pairs ---------------------------
 
 def _alphas(f):

@@ -496,27 +496,37 @@ def every_cube(f, max_level=None):
             yield DyadicCubeId.from_flat(k, j, f.dim)
 
 
+def _bmo_level(f):
+    """(k, top): the first level k whose largest mean oscillation is the
+    norm, and that largest osc[k] numerator, so the norm is
+    top / (den * 4^(n(L-k))); (0, 0) for a constant f.  Level k's best
+    oscillation is max(osc[k]) / (den * 4^(n(L-k))), so the levels compare
+    on the integers max(osc[k]) << 2nk."""
+    osc = f._osc()
+    keys = [max(level) << 2 * f.dim * k for k, level in enumerate(osc)]
+    if not any(keys):
+        return 0, 0
+    k = keys.index(max(keys))
+    return k, max(osc[k])
+
+
 def bmo_argmax(f):
     """Maximal mean oscillation over all dyadic cubes, with its witness cube.
 
     Cubes strictly below cell resolution carry zero oscillation and are
-    excluded; ties resolve to the lowest (level, flat index).  Level k's
-    best oscillation is max(osc[k]) / (den * 4^(n(L-k))), so the levels
-    compare on the integers max(osc[k]) << 2nk; the norm and its witness
-    are built once, for the first level that attains the largest.
+    excluded; ties resolve to the lowest (level, flat index).  The norm and
+    its witness are built once, for the first level that attains the
+    largest (_bmo_level).
     """
     if "bmo" in f._cache:
         return f._cache["bmo"]
-    n, L = f.dim, f.depth
-    osc = f._osc()
-    keys = [max(level) << 2 * n * k for k, level in enumerate(osc)]
-    if not any(keys):
-        best, best_cube = Fraction(0), DyadicCubeId.root(n)
+    k, top = _bmo_level(f)
+    if not top:
+        best, best_cube = Fraction(0), DyadicCubeId.root(f.dim)
     else:
-        k = keys.index(max(keys))
-        top = max(osc[k])
-        best = Fraction(top, f._den << 2 * n * (L - k))
-        best_cube = f._cubes((k, z) for z, o in enumerate(osc[k]) if o == top)[0]
+        best = Fraction(top, f._den << 2 * f.dim * (f.depth - k))
+        best_cube = f._cubes((k, z) for z, o in enumerate(f._osc()[k])
+                             if o == top)[0]
     report = OscillationReport(cube=best_cube,
                                average=cube_average(f, best_cube),
                                oscillation=best)

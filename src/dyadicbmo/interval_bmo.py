@@ -13,7 +13,12 @@ sup exactly:
   Along each family, on each sub-segment where t stays in one piece and the
   pieces above the window mean stay fixed, the oscillation 2*(a*t - C)/t^2
   (C > 0) is strictly unimodal, so one rational argmax per sub-segment
-  (the stationary point 2C/a, or an end) attains the sup.
+  (the stationary point 2C/a, or an end) attains the sup.  The oscillation
+  is continuous in t along a family: at a mean crossing the piece the mean
+  passes adds 0, and at a breakpoint both the integral and the mean are
+  continuous.  So the end of a sub-segment that rises throughout is where
+  the next one starts, and the next one's argmax is larger or that same
+  point; such an end is a candidate only at the family's last end, t = 1.
   The path runs on the step function's own integers: breakpoints over
   TD, values over VD, prefix integrals over TD*VD, each candidate t and its
   oscillation an integer (numerator, denominator) pair compared by
@@ -96,6 +101,10 @@ def _monotone_norm(g):
     else the end it rises towards.  Ties keep the first argmax (the [0,t]
     family in order, then [1-t,1]); a sub-segment's other points are
     strictly smaller, so the witness is that of the full candidate set.
+    A rising sub-segment's end short of t = 1 is left out: the next
+    non-empty sub-segment starts there, and its argmax is strictly larger
+    or, falling throughout, the same point with the same value, which
+    takes its place in the order, so the sup and the witness stay.
     """
     TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
     if not g.is_nonincreasing:
@@ -128,14 +137,19 @@ def _monotone_norm(g):
                     ct = c * t_k
                     sn = 2 * ct  # t* = sn / a
                     if a <= 0 or sn * hd >= hn * a:
-                        tn, td = hn, hd  # rising throughout
+                        # rising throughout.  Short of t = 1 the next
+                        # sub-segment starts at this end, and its candidate
+                        # is larger or this same point: none here (tn = 0;
+                        # every candidate has t > 0)
+                        tn, td = (hn, hd) if hn >= TD * hd else (0, 1)
                     elif sn * cd <= cn * a:
                         tn, td = cn, cd  # falling throughout
                     else:
                         tn, td = sn, a
-                    wn, wd = 2 * (a * tn - ct * td) * td, tn * tn
-                    if wn * bd > bn * wd:
-                        bn, bd, arg = wn, wd, (side, tn, td)
+                    if tn:
+                        wn, wd = 2 * (a * tn - ct * td) * td, tn * tn
+                        if wn * bd > bn * wd:
+                            bn, bd, arg = wn, wd, (side, tn, td)
                 if hn >= t1 * hd:
                     break
                 # the pieces at V[kappa] are now strictly above the mean
@@ -144,9 +158,10 @@ def _monotone_norm(g):
     if arg is None:
         return Fraction(0), (Fraction(0), Fraction(1))
     side, tn, td = arg
-    t = Fraction(tn, td * TD)
+    td *= TD
     return (Fraction(bn, bd * VD),
-            (Fraction(0), t) if side == 0 else (1 - t, Fraction(1)))
+            (Fraction(0), Fraction(tn, td)) if side == 0
+            else (Fraction(td - tn, td), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -168,9 +168,12 @@ class StepFunction1D:
         return zip(self.breakpoints, self.breakpoints[1:], self.values)
 
     def merged(self):
-        """Equal adjacent values merged into single pieces; self if none are."""
+        """Equal adjacent values merged into single pieces; self if none are
+        (decided once, or recorded where g is built)."""
         V = self._V
-        if all(a != b for a, b in zip(V, V[1:])):
+        if "merged" not in self._cache:
+            self._cache["merged"] = all(a != b for a, b in zip(V, V[1:]))
+        if self._cache["merged"]:
             return self
         bps, vals = [0], []
         for b, v in zip(self._B[1:], V):
@@ -198,12 +201,16 @@ def rearrange_signed(f):
     Counts the integer cell numerators over f's common denominator; the
     distinct numerators, largest first, are the piece values, and piece i
     ends at the count of cells with the first i values over the cell count.
+    The result is recorded as merged and nonincreasing, so neither is
+    re-derived from its values.
     """
     if "rearr_signed" in f._cache:
         return f._cache["rearr_signed"]
     vals, counts = zip(*sorted(Counter(f._nums).items(), reverse=True))
     g = StepFunction1D._from_ints(len(f._nums), tuple(accumulate(counts, initial=0)),
                                   f._den, vals)
+    # the values are distinct and descending
+    g._cache["merged"] = g._cache["nonincreasing"] = True
     f._cache["rearr_signed"] = g
     return g
 

@@ -9,6 +9,16 @@ simulated annealing on a lattice of integer cell numerators over
 best function's cells become Fractions); fully deterministic for a fixed
 seed, with one RNG stream per restart so restarts may run in any order (or
 in parallel processes) without changing the result.
+
+A trial is scored from integers: the dyadic norm is the level and the
+oscillation numerator _bmo_level picks, with no witness cube or average,
+and the ratio is the integer pair lower.numerator * (den << 2n(L-k)) over
+lower.denominator * top.  Its float num / den is correctly rounded, as
+float(Fraction) is, so every annealing decision is the one the Fraction
+would make, and the 2^n cap test cross-multiplies.  The one Fraction
+ratio, the public bmo_dyadic_norm with its witness cube, and the check
+that the reported ratio is the certificate's lower bound over that norm
+are made once, for the reported best.
 """
 
 from __future__ import annotations
@@ -19,13 +29,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import (DyadicFunction, _morton_order, bmo_dyadic_norm,
-                     check_grid_size)
+from .dyadic import (DyadicFunction, _bmo_level, _morton_order,
+                     bmo_dyadic_norm, check_grid_size)
 from .errors import InputError, PreconditionError
 from .interval_bmo import interval_bmo_norm
 from .rearrangement import rearrange_signed
 
 OBJECTIVES = ("ratio_thm1", "jn_B_probe")
+# Thresholds of the jn_B_probe lambda grid: each trial runs one jn_check per
+# point, about the cost of one ratio trial per cell on the smallest grids.
+PROBE_POINTS = 32
+# Most work a search may ask for, in trial cells: restarts x (iterations + 1)
+# x cells, times PROBE_POINTS for jn_B_probe.  Checked before any trial, so
+# an oversized search is refused instead of running for days; at the bound
+# the slowest search, on the smallest grid, takes about as long as `check`
+# on a 2^20-cell grid (README).
+MAX_SEARCH_WORK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -57,6 +76,15 @@ class SearchConfig:
         if not 0 < self.tol < math.inf:
             raise InputError("tolerance must be positive and finite, "
                              f"got {self.tol}")
+        work = self.restarts * (self.iterations + 1) << self.dim * self.depth
+        if self.objective == "jn_B_probe":
+            work *= PROBE_POINTS
+        if work > MAX_SEARCH_WORK:
+            raise InputError(
+                f"a search of restarts x (iterations + 1) x cells"
+                f"{' x lambdas' if self.objective == 'jn_B_probe' else ''} "
+                f"= {work} trial cells is too large; at most "
+                f"{MAX_SEARCH_WORK} are supported")
 
 
 @dataclass(frozen=True)
@@ -76,19 +104,22 @@ class SearchResult:
 
 
 def _ratio(f, tol):
-    """(certified lower bound of ||f_d||_* / dyadic norm of f, the interval
-    bound it came from), or None for a constant f."""
-    norm = bmo_dyadic_norm(f)
-    if norm == 0:
+    """((num, den), bound): the certified lower bound of ||f_d||_* over the
+    dyadic norm of f, num / den, and the interval bound it came from; None
+    for a constant f.  The norm is top / (den_f * 4^(n(L-k))) from
+    _bmo_level, so no witness cube, average or Fraction is built."""
+    k, top = _bmo_level(f)
+    if not top:
         return None
     bound = interval_bmo_norm(rearrange_signed(f), tol)
-    ratio = bound.lower / norm
-    cap = 1 << f.dim
-    if ratio > cap:
+    lower = bound.lower
+    num = lower.numerator * (f._den << 2 * f.dim * (f.depth - k))
+    den = lower.denominator * top
+    if num > den << f.dim:
         raise AssertionError(
-            f"ratio {ratio} exceeds the proven cap {cap}; "
+            f"ratio {Fraction(num, den)} exceeds the proven cap {1 << f.dim}; "
             f"this indicates a bug in the norm computation")
-    return ratio, bound
+    return (num, den), bound
 
 
 def ratio_objective(f, tol=1e-9):
@@ -96,7 +127,8 @@ def ratio_objective(f, tol=1e-9):
     scored = _ratio(f, tol)
     if scored is None:
         raise PreconditionError("the ratio is undefined for constant functions")
-    return float(scored[0])
+    num, den = scored[0]
+    return num / den
 
 
 def _jn_probe_score(f):
@@ -106,7 +138,7 @@ def _jn_probe_score(f):
     provably at most e.
     """
     from .johnnirenberg import JNConstants, _lambda_grid, jn_check
-    grid = _lambda_grid(f)
+    grid = _lambda_grid(f, PROBE_POINTS)
     if not grid:
         return None
     norm = bmo_dyadic_norm(f)
@@ -124,13 +156,15 @@ def _jn_probe_score(f):
 def _score(f, cfg):
     """(float score, exact score, certificate) of f; all None for a constant f.
 
-    The certificate is the interval bound behind a ratio score (None for the
-    probe objective)."""
+    The exact score is _ratio's integer pair for the ratio, whose
+    certificate is the interval bound behind it, and the float's Fraction
+    for the probe, with no certificate."""
     if cfg.objective == "ratio_thm1":
         scored = _ratio(f, cfg.tol)
         if scored is None:
             return None, None, None
-        return float(scored[0]), scored[0], scored[1]
+        (num, den), bound = scored
+        return num / den, (num, den), bound
     s = _jn_probe_score(f)
     if s is None:
         return None, None, None
@@ -228,12 +262,17 @@ def search(cfg):
     f = _function(cfg, best_cells)
     if cfg.objective == "ratio_thm1":
         cap = float(1 << cfg.dim)
+        exact = Fraction(*exact)
+        if exact != cert.lower / bmo_dyadic_norm(f):
+            raise AssertionError(
+                f"the best score {exact} is not its certificate's lower "
+                f"bound over the dyadic norm")
     else:
         from .highprec import IV_E, upper_float
         from .johnnirenberg import _lambda_grid, jn_check
         cap = upper_float(IV_E)
         # implied <= e at every lambda is the certified distribution bound
-        for lam in _lambda_grid(f):
+        for lam in _lambda_grid(f, PROBE_POINTS):
             measure, bound = jn_check(f, lam)
             if measure > bound:
                 raise AssertionError(

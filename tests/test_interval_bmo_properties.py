@@ -5,12 +5,13 @@ Derandomized, so the examples are the same on every run.
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dyadicbmo import StepFunction1D, interval_bmo
+from dyadicbmo import StepFunction1D, interval_bmo, interval_mean_oscillation
 from dyadicbmo.interval_bmo import _general_norm, _monotone_norm
 from conftest import general_norm_oracle, monotone_norm_oracle
 
@@ -63,6 +64,81 @@ def test_monotone_path_matches_oracle(g):
     for h in (g, g.merged()):
         dec = h if h.is_nonincreasing else h.negated()
         assert _monotone_norm(h) == monotone_norm_oracle(dec)
+
+
+# -- sub-segment ends of the monotone path ---------------------------------------
+
+def split_at(g, x):
+    """g with a breakpoint added at x, the piece there split into two of
+    equal value (the same function, unmerged)."""
+    bps, vals = list(g.breakpoints), list(g.values)
+    i = bisect_left(bps, x)
+    if bps[i] != x:
+        bps.insert(i, x)
+        vals.insert(i - 1, vals[i - 1])
+    return StepFunction1D(bps, vals)
+
+
+@st.composite
+def monotone_sups_at_sub_segment_ends(draw):
+    """(g, window, sup): a monotone g whose sup sits at a sub-segment end,
+    and a window attaining it.  The oscillation's kinks at a breakpoint
+    between distinct values or at a mean crossing are convex, so inside
+    (0,1) a sup sits at a stationary point.  So:
+
+    * join: the sup's interior stationary point is made a breakpoint that
+      splits a piece, so a rising sub-segment ends there and a falling one
+      starts there;
+    * crossing: the mean over the first r pieces is the value of an earlier
+      piece, an empty sub-segment at that breakpoint, with the sup at
+      t = 1; for r = m the mean crosses that value exactly at t = 1;
+    * end: the sup at t = 1.
+
+    The base is nonincreasing with the sup's window in the [0,t] family
+    or the [1-t,1] one; mirrored (g(1-t) negated) it moves to the other
+    family, and negated it is nondecreasing."""
+    m = draw(st.integers(3, 6))
+    vals = sorted(draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m,
+                                unique=True)), reverse=True)
+    weights = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    where = draw(st.sampled_from(("join", "crossing", "end")))
+    if where == "crossing":
+        r = draw(st.integers(3, m))
+        k = draw(st.integers(1, r - 2))
+        # weigh the pieces above vals[k] and those below it to one balance
+        above = sum((v - vals[k]) * w for v, w in zip(vals[:k], weights))
+        below = sum((vals[k] - v) * w
+                    for v, w in zip(vals[k + 1:r], weights[k + 1:r]))
+        weights = ([w * below for w in weights[:k]] + [weights[k]]
+                   + [w * above for w in weights[k + 1:r]] + weights[r:])
+    total = sum(weights)
+    g = StepFunction1D([Fraction(c, total)
+                        for c in accumulate(weights, initial=0)], vals)
+    sup, window = monotone_norm_oracle(g)
+    if where == "join":
+        assume(window != (0, 1))
+        g = split_at(g, window[1] if window[0] == 0 else window[0])
+    else:
+        assume(window == (0, 1))
+    if draw(st.booleans()):
+        g = g.reflected().negated()
+        window = (1 - window[1], 1 - window[0])
+    if draw(st.booleans()):
+        g = g.negated()
+    return g, window, sup
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(monotone_sups_at_sub_segment_ends())
+def test_monotone_path_keeps_sups_at_sub_segment_ends(case):
+    # a rising sub-segment's end is a candidate only at t = 1: short of it
+    # the next sub-segment starts there and holds a candidate at least as
+    # large, so the sup and the first window attaining it stay the same
+    g, window, sup = case
+    assert interval_mean_oscillation(g, *window) == sup
+    dec = g if g.is_nonincreasing else g.negated()
+    assert _monotone_norm(g) == monotone_norm_oracle(dec)
 
 
 # -- the row break of the general path -----------------------------------------

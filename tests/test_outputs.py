@@ -184,6 +184,8 @@ COMMANDS = [
     "rearrange --input mixed-1.json --samples -1",
     f"rearrange --input spike.json --samples {MAX_POINTS + 1}",
     f"jn --input spike.json --lambda-grid {MAX_POINTS + 1}",
+    # exit 2: a search past MAX_SEARCH_WORK, refused before any trial
+    "search --n 1 --level 4 --iters 1000000000",
 ]
 
 

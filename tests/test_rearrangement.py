@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
                        StepFunction1D, hardy_average, hardy_gap_check,
-                       interval_mean_oscillation, rearrange_abs,
+                       interval_bmo_norm, interval_mean_oscillation,
+                       rearrange_abs,
                        rearrange_signed, supinf_formula,
                        value_mass_distribution)
 from conftest import (integral_to_oracle, interval_mean_oscillation_oracle,
@@ -151,6 +152,27 @@ class TestRearrange:
             g = rearrange_signed(f)
             assert g.is_nonincreasing
             assert g.integral == f.mean
+
+    def test_recorded_shape(self):
+        # the rearrangement is recorded as merged and nonincreasing; both
+        # flags agree with the oracle and with the values, and the same
+        # integers without the flags give the same interval-BMO bound
+        rng = random.Random(25)
+        for _ in range(150):
+            n = rng.choice([1, 2, 3])
+            f = random_function(rng, n, rng.randrange(7 // n), lo=-2, hi=2,
+                                denom_bits=rng.choice((0, 1, 3)))
+            g = rearrange_signed(f)
+            V = g._V
+            assert g._cache["merged"] is (merged_oracle(g) == (g.breakpoints,
+                                                               g.values))
+            assert g._cache["merged"] is all(a != b for a, b in zip(V, V[1:]))
+            assert g._cache["nonincreasing"] is all(a >= b for a, b in zip(V, V[1:]))
+            plain = StepFunction1D._from_ints(g._td, g._B, g._vd, V)
+            assert "merged" not in plain._cache
+            assert "nonincreasing" not in plain._cache
+            assert plain == g
+            assert interval_bmo_norm(plain) == interval_bmo_norm(g)
 
 
 class TestSupInf:

@@ -1,6 +1,7 @@
 """Extremal search: determinism, caps, the exhaustive binary case."""
 
 import concurrent.futures
+import random
 import sys
 from concurrent.futures import Future
 from fractions import Fraction
@@ -11,10 +12,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
-                       SearchConfig, bmo_dyadic_norm, ratio_objective, search)
+                       SearchConfig, bmo_dyadic_norm, interval_bmo_norm,
+                       ratio_objective, rearrange_signed, search)
 from dyadicbmo.cli import main
-from dyadicbmo.search import _normalize
-from conftest import normalize_oracle
+from dyadicbmo.search import (MAX_SEARCH_WORK, PROBE_POINTS, _normalize,
+                              _ratio)
+from conftest import normalize_oracle, random_function
 
 # 2^m cells of numerators over 2^bits, as the search holds them
 lattices = st.integers(0, 6).flatmap(lambda m: st.lists(
@@ -66,6 +69,31 @@ class TestRatioObjective:
         base = ratio_objective(f)
         assert ratio_objective(f.shifted(Fraction(7, 3))) == base
         assert ratio_objective(f.scaled(Fraction(5, 2))) == base
+
+
+class TestIntegerScore:
+    def test_pair_is_the_fraction_ratio(self):
+        # the trial score is an integer pair; its float and value are those
+        # of the certified lower bound over the public dyadic norm
+        rng = random.Random(25)
+        fs = [DyadicFunction(2, 1, ["5/3"] * 4)]
+        for _ in range(120):
+            n = rng.choice([1, 2, 3])
+            fs.append(random_function(rng, n, rng.randrange(1, 7 // n),
+                                      denom_bits=rng.choice((0, 2, 4))))
+        for f in fs:
+            scored = _ratio(f, 1e-9)
+            norm = bmo_dyadic_norm(f)
+            if norm == 0:
+                assert scored is None
+                with pytest.raises(PreconditionError):
+                    ratio_objective(f)
+                continue
+            (num, den), bound = scored
+            exact = bound.lower / norm
+            assert bound == interval_bmo_norm(rearrange_signed(f))
+            assert Fraction(num, den) == exact
+            assert num / den == float(exact) == ratio_objective(f)
 
 
 class TestExhaustiveBinaryCase:
@@ -145,6 +173,29 @@ class TestSearch:
                     dict(temp_initial=-0.5), dict(denom_bits=-1)):
             with pytest.raises(InputError):
                 SearchConfig(**bad)
+
+    def test_config_bounds_the_work(self):
+        # restarts x (iterations + 1) x cells, times the probe's lambdas
+        half = MAX_SEARCH_WORK // 2
+        SearchConfig(dim=1, depth=1, restarts=1, iterations=half - 1)
+        SearchConfig(dim=1, depth=1, restarts=half // 2, iterations=1)
+        SearchConfig(dim=1, depth=1, restarts=1, iterations=half // PROBE_POINTS - 1,
+                     objective="jn_B_probe")
+        for big in (dict(iterations=half), dict(restarts=half // 2 + 1, iterations=1),
+                    dict(iterations=half // PROBE_POINTS, objective="jn_B_probe"),
+                    dict(restarts=10 ** 9, iterations=10 ** 9)):
+            with pytest.raises(InputError):
+                SearchConfig(**{"dim": 1, "depth": 1, "restarts": 1, **big})
+
+    def test_cli_refuses_an_oversized_search(self, tmp_path, capsys):
+        code = main(["search", "--n", "1", "--level", "4", "--iters",
+                     "1000000000", "--function-output", str(tmp_path / "best.json")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: a search of restarts x (iterations + 1) x cells "
+                       f"= 256000000256 trial cells is too large; at most "
+                       f"{MAX_SEARCH_WORK} are supported\n")
+        assert not (tmp_path / "best.json").exists()
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_config_rejects_bad_tol(self, tol):

@@ -417,12 +417,16 @@ class DyadicFunction:
 
     def shifted(self, c):
         """f + c.  A BMO argmax already found carries over, its average moved
-        by c: a constant changes no oscillation."""
+        by c: a constant changes no oscillation.  So do the sorted
+        numerators, through the increasing map a -> (a q + b) / k that takes
+        f's numerators to g's, k the gcd _from_nums reduces by."""
         c = Fraction(c)
-        b = c.numerator * self._den
-        g = DyadicFunction._from_nums(self.dim, self.depth,
-                                      self._den * c.denominator,
-                                      [a * c.denominator + b for a in self._nums])
+        q, b = c.denominator, c.numerator * self._den
+        g = DyadicFunction._from_nums(self.dim, self.depth, self._den * q,
+                                      [a * q + b for a in self._nums])
+        if "sorted" in self._cache:
+            k = self._den * q // g._den
+            g._cache["sorted"] = [(a * q + b) // k for a in self._cache["sorted"]]
         if "bmo" in self._cache:
             r = self._cache["bmo"]
             g._cache["bmo"] = OscillationReport(cube=r.cube, average=r.average + c,

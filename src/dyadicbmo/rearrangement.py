@@ -8,18 +8,20 @@ Integrals, window means and oscillations are computed on those integers
 (positions scaled to a common denominator, comparisons by
 cross-multiplying), and each result becomes one Fraction.
 
-The nonincreasing rearrangement of a dyadic function sorts its cell values
-(signed variant keeps signs, absolute variant rearranges |f|); both are exact
-and equimeasurable with the input by construction.
+The nonincreasing rearrangement of a dyadic function is the run-lengths of
+its cell numerators, sorted once per function (DyadicFunction._sorted_nums,
+the list distribution_above bisects too): the signed variant reads f's
+list, the absolute variant that of |f|.  Both are exact and equimeasurable
+with the input by construction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from math import gcd, lcm
+from operator import ne
 
 from .dyadic import DyadicFunction
 from .errors import InputError, PreconditionError
@@ -198,17 +200,18 @@ class StepFunction1D:
 def rearrange_signed(f):
     """Nonincreasing left-continuous step function equimeasurable with f.
 
-    Counts the integer cell numerators over f's common denominator; the
-    distinct numerators, largest first, are the piece values, and piece i
-    ends at the count of cells with the first i values over the cell count.
-    The result is recorded as merged and nonincreasing, so neither is
-    re-derived from its values.
+    Reads f's sorted cell numerators, largest first: a piece ends at each
+    position where the numerator drops, found at C speed, so the distinct
+    numerators are the piece values over f's common denominator, and piece
+    i ends at the count of cells with the first i values over the cell
+    count.  The result is recorded as merged and nonincreasing, so neither
+    is re-derived from its values.
     """
     if "rearr_signed" in f._cache:
         return f._cache["rearr_signed"]
-    vals, counts = zip(*sorted(Counter(f._nums).items(), reverse=True))
-    g = StepFunction1D._from_ints(len(f._nums), tuple(accumulate(counts, initial=0)),
-                                  f._den, vals)
+    d = f._sorted_nums()[::-1]
+    B = (0, *compress(count(1), map(ne, d, d[1:])), len(d))
+    g = StepFunction1D._from_ints(len(d), B, f._den, tuple(map(d.__getitem__, B[:-1])))
     # the values are distinct and descending
     g._cache["merged"] = g._cache["nonincreasing"] = True
     f._cache["rearr_signed"] = g

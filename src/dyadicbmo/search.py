@@ -30,14 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import (DyadicFunction, _bmo_level, _morton_order,
-                     bmo_dyadic_norm, check_grid_size)
+                     bmo_dyadic_norm, check_grid_size, distribution_above)
 from .errors import InputError, PreconditionError
 from .interval_bmo import interval_bmo_norm
 from .rearrangement import rearrange_signed
 
 OBJECTIVES = ("ratio_thm1", "jn_B_probe")
-# Thresholds of the jn_B_probe lambda grid: each trial runs one jn_check per
-# point, about the cost of one ratio trial per cell on the smallest grids.
+# Thresholds of the jn_B_probe lambda grid: each trial reads one measure
+# (distribution_above) per point, and the probe's exponential is a float.
 PROBE_POINTS = 32
 # Most work a search may ask for, in trial cells: restarts x (iterations + 1)
 # x cells, times PROBE_POINTS for jn_B_probe.  Checked before any trial, so
@@ -137,7 +137,7 @@ def _jn_probe_score(f):
     A lower estimate of the smallest admissible leading constant for this f;
     provably at most e.
     """
-    from .johnnirenberg import JNConstants, _lambda_grid, jn_check
+    from .johnnirenberg import JNConstants, _lambda_grid
     grid = _lambda_grid(f, PROBE_POINTS)
     if not grid:
         return None
@@ -145,7 +145,7 @@ def _jn_probe_score(f):
     best = 0.0
     b = float(Fraction(1, 1 << (f.dim - 1))) / JNConstants(f.dim).B
     for lam in grid:
-        measure, _ = jn_check(f, lam)
+        measure = distribution_above(f, lam, f.mean)
         if measure == 0:
             continue
         implied = float(measure) * math.exp(float(lam) / float(norm) * b)

@@ -151,6 +151,21 @@ class TestVerifyAll:
         assert report.results[0].failures
         assert "lambda" in report.results[0].failures[0]
 
+    @pytest.mark.parametrize("cells", [[3, -1, 0, 2], [3, 1, 0, 2]])
+    @pytest.mark.parametrize("values", [[4, 2, 1, 0], [3, 2, 1, -1], [3, 2, 2, 0]])
+    def test_remark31_fails_on_a_corrupted_rearrangement(self, cells, values):
+        # h* with a wrong max, min or integral, planted where remark31 reads it
+        clean = verify_all(DyadicFunction(1, 2, cells), ["remark31"]).results[0]
+        assert clean.passed
+        f = DyadicFunction(1, 2, cells)
+        f.abs()._cache["rearr_signed"] = StepFunction1D(
+            [Fraction(k, 4) for k in range(5)], values)
+        result = verify_all(f, ["remark31"]).results[0]
+        assert not result.passed
+        assert result.checks == clean.checks
+        assert result.failures == ("rearrangement of h misses h's integral, "
+                                   "max or min",)
+
     def test_to_obj_shape(self):
         f = DyadicFunction(1, 1, [1, 0])
         obj = verify_all(f, ["lemma21"]).to_obj()

@@ -1,7 +1,9 @@
 """Rearrangements, Hardy averages, interval oscillations, gap inequality."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -422,3 +424,70 @@ def test_rearrangement_is_equimeasurable(case):
         level = sum((hi - lo for lo, hi, v in g.pieces() if v == lam), Fraction(0))
         assert above == Fraction(sum(v > lam for v in cells), len(cells))
         assert level == Fraction(cells.count(lam), len(cells))
+
+
+def counter_reference(f):
+    """The rearrangement by counting: distinct numerators, largest first,
+    each piece as long as its count."""
+    vals, counts = zip(*sorted(Counter(f._nums).items(), reverse=True))
+    return StepFunction1D._from_ints(len(f._nums), tuple(accumulate(counts, initial=0)),
+                                     f._den, vals)
+
+
+@st.composite
+def grid_functions(draw):
+    """n = 1..3 on small grids, depth 0 included; signed, nonnegative,
+    constant or few-valued cells, with mixed denominators."""
+    n, depth = draw(st.sampled_from([(1, 0), (1, 1), (1, 4), (2, 0), (2, 1),
+                                     (2, 2), (3, 0), (3, 1)]))
+    size = 1 << (n * depth)
+    kind = draw(st.sampled_from(("signed", "nonneg", "constant", "few")))
+    if kind == "constant":
+        cells = [draw(cell_values)] * size
+    else:
+        pool = (st.sampled_from(draw(st.lists(cell_values, min_size=1, max_size=3)))
+                if kind == "few" else cell_values)
+        cells = draw(st.lists(pool, min_size=size, max_size=size))
+        if kind == "nonneg":
+            cells = [abs(v) for v in cells]
+    return DyadicFunction(n, depth, cells)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(grid_functions())
+def test_rearrangement_matches_counting_reference(f):
+    assert rearrange_signed(f) == counter_reference(f)
+    assert rearrange_abs(f) == counter_reference(f.abs())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(f=grid_functions(), data=st.data())
+def test_shift_carries_the_sorted_numerators(f, data):
+    """f + c reads f's sorted numerators moved by c, for c = 0, c < 0, c
+    with a new denominator and c = minus a cell value (a zero numerator);
+    its rearrangement is the one built from scratch."""
+    kind = data.draw(st.sampled_from(("zero", "negative", "new denominator",
+                                      "minus a cell")))
+    c = data.draw({
+        "zero": st.just(Fraction(0)),
+        "negative": st.builds(Fraction, st.integers(-9, -1), st.sampled_from((1, 3, 4))),
+        "new denominator": st.builds(Fraction, st.integers(-9, 9),
+                                     st.sampled_from((7, 11, 35))),
+        "minus a cell": st.sampled_from(f.cells).map(lambda v: -v)}[kind])
+    f._sorted_nums()
+    g = f.shifted(c)
+    assert g._cache["sorted"] == sorted(g._nums)
+    if kind == "minus a cell":
+        assert 0 in g._cache["sorted"]
+    fresh = DyadicFunction(f.dim, f.depth, [v + c for v in f.cells])
+    assert "sorted" not in fresh._cache
+    assert g == fresh
+    assert rearrange_signed(g) == rearrange_signed(fresh) == counter_reference(fresh)
+
+
+def test_shift_without_a_sort_carries_none():
+    f = DyadicFunction(1, 2, [3, -1, Fraction(1, 2), 3])
+    g = f.shifted(Fraction(-2, 3))
+    assert "sorted" not in f._cache and "sorted" not in g._cache
+    assert rearrange_signed(g) == counter_reference(g)
+    assert g._cache["sorted"] == sorted(g._nums)

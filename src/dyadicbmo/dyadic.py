@@ -200,9 +200,10 @@ class DyadicFunction:
     The state is dim, depth, _nums (the cell numerators in Morton order)
     and _den (their least common denominator, so the pair is canonical and
     equality reads it).  cells[flat], flat = i_1 + i_2*2^L + ... +
-    i_n*2^((n-1)L), is a view built on first read.  Cached: the pyramids of
-    cube sums and oscillation numerators, and the stopping pairs of each
-    threshold met, per direction.
+    i_n*2^((n-1)L), is a view built on first read.  Cached: the pyramid of
+    cube sums (the one per-cube structure kept), each level's best
+    oscillation (_level_bests), and the stopping pairs of each threshold
+    met, per direction.
     """
 
     def __init__(self, dim, depth, cells):
@@ -296,32 +297,46 @@ class DyadicFunction:
 
     def _sums(self):
         """Per-level lists of cube numerator sums (over self._den), Morton order:
-        each sum adds a block of 2^n neighbours one level down."""
+        each sum adds a block of 2^n consecutive neighbours one level down."""
         if "sums" not in self._cache:
             block = 1 << self.dim
             level = self._nums
             pyramid = [level]
             for _ in range(self.depth):
-                level = [sum(t) for t in zip(*(level[d::block] for d in range(block)))]
+                level = list(map(sum, zip(*[iter(level)] * block)))
                 pyramid.append(level)
             pyramid.reverse()
             self._cache["sums"] = pyramid
         return self._cache["sums"]
 
-    def _osc(self):
-        """osc[k][z] = sum of |cnt * num - sums[k][z]| over the cells of cube z,
-        cnt = 2^(n(L-k)): its mean oscillation times den * cnt^2.  Levels
-        0..L-1 only; level-L cubes are single cells with oscillation 0.
-        """
-        if "osc" not in self._cache:
-            n, L, nums = self.dim, self.depth, self._nums
-            pyramid = []
-            for k, sums in enumerate(self._sums()[:L]):
-                cnt = 1 << (n * (L - k))
-                pyramid.append([sum(abs(a * cnt - s) for a in nums[z * cnt:(z + 1) * cnt])
-                                for z, s in enumerate(sums)])
-            self._cache["osc"] = pyramid
-        return self._cache["osc"]
+    def _osc(self, k):
+        """Level k < L of the oscillation numerators, built on each call:
+        osc[z] = sum of |cnt * num - sums[k][z]| over the cells of cube z,
+        cnt = 2^(n(L-k)), its mean oscillation times den * cnt^2.  Level-L
+        cubes are single cells with oscillation 0."""
+        cnt, nums = 1 << (self.dim * (self.depth - k)), self._nums
+        return [sum(abs(a * cnt - s) for a in nums[z * cnt:(z + 1) * cnt])
+                for z, s in enumerate(self._sums()[k])]
+
+    def _level_bests(self):
+        """(tops, ratios): per level k < L, tops[k] the largest _osc(k)
+        numerator and, for f >= 0 only, ratios[k] the (o, s) of the largest
+        ratio o / s of a cube's oscillation numerator to its sum (the first
+        of ties; (0, 1) where every o is 0).  One pass builds each level once
+        and keeps none, so the norm and the modulus share it."""
+        if "level_bests" not in self._cache:
+            nonneg, tops, ratios = self.is_nonnegative, [], []
+            for k, sums in enumerate(self._sums()[:self.depth]):
+                osc = self._osc(k)
+                tops.append(max(osc))
+                if nonneg:  # s = 0 means f vanishes on the cube, o = 0
+                    bo, bs = 0, 1
+                    for o, s in zip(osc, sums):
+                        if o * bs > bo * s:
+                            bo, bs = o, s
+                    ratios.append((bo, bs))
+            self._cache["level_bests"] = tops, ratios
+        return self._cache["level_bests"]
 
     def _running_max(self, sign):
         """Yield (fathers, R[k]) for k = 0..L, one level at a time; no level
@@ -417,16 +432,14 @@ class DyadicFunction:
 
     def shifted(self, c):
         """f + c.  A BMO argmax already found carries over, its average moved
-        by c: a constant changes no oscillation.  So do the sorted
-        numerators, through the increasing map a -> (a q + b) / k that takes
-        f's numerators to g's, k the gcd _from_nums reduces by."""
+        by c: a constant changes no oscillation.  So does a signed
+        rearrangement, its piece values moved by c."""
         c = Fraction(c)
         q, b = c.denominator, c.numerator * self._den
         g = DyadicFunction._from_nums(self.dim, self.depth, self._den * q,
                                       [a * q + b for a in self._nums])
-        if "sorted" in self._cache:
-            k = self._den * q // g._den
-            g._cache["sorted"] = [(a * q + b) // k for a in self._cache["sorted"]]
+        if "rearr_signed" in self._cache:
+            g._cache["rearr_signed"] = self._cache["rearr_signed"].shifted(c)
         if "bmo" in self._cache:
             r = self._cache["bmo"]
             g._cache["bmo"] = OscillationReport(cube=r.cube, average=r.average + c,
@@ -506,12 +519,12 @@ def _bmo_level(f):
     top / (den * 4^(n(L-k))); (0, 0) for a constant f.  Level k's best
     oscillation is max(osc[k]) / (den * 4^(n(L-k))), so the levels compare
     on the integers max(osc[k]) << 2nk."""
-    osc = f._osc()
-    keys = [max(level) << 2 * f.dim * k for k, level in enumerate(osc)]
+    tops = f._level_bests()[0]
+    keys = [top << 2 * f.dim * k for k, top in enumerate(tops)]
     if not any(keys):
         return 0, 0
     k = keys.index(max(keys))
-    return k, max(osc[k])
+    return k, tops[k]
 
 
 def bmo_argmax(f):
@@ -520,7 +533,7 @@ def bmo_argmax(f):
     Cubes strictly below cell resolution carry zero oscillation and are
     excluded; ties resolve to the lowest (level, flat index).  The norm and
     its witness are built once, for the first level that attains the
-    largest (_bmo_level).
+    largest (_bmo_level), whose oscillations alone are rebuilt.
     """
     if "bmo" in f._cache:
         return f._cache["bmo"]
@@ -529,7 +542,7 @@ def bmo_argmax(f):
         best, best_cube = Fraction(0), DyadicCubeId.root(f.dim)
     else:
         best = Fraction(top, f._den << 2 * f.dim * (f.depth - k))
-        best_cube = f._cubes((k, z) for z, o in enumerate(f._osc()[k])
+        best_cube = f._cubes((k, z) for z, o in enumerate(f._osc(k))
                              if o == top)[0]
     report = OscillationReport(cube=best_cube,
                                average=cube_average(f, best_cube),

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from mpmath.libmp import (from_int, from_rational, fone, fzero, mpf_add,
                           mpf_div, mpf_exp, mpf_ge, mpf_log, mpf_lt, mpf_mul,
@@ -91,25 +92,15 @@ def gr_profile(f):
     _require_nonneg(f)
     if "gr_profile" in f._cache:
         return f._cache["gr_profile"]
-    # oscillation / average of a level-k cube is osc / (s * cnt), s its sum;
-    # s = 0 means f vanishes on the cube (o = 0 too, ratio 0), level-L cubes
-    # give 0.  Each level keeps its largest o / s by cross-multiplying.
-    per_level = [Fraction(0)] * (f.depth + 1)
-    for k, (osc, sums) in enumerate(zip(f._osc(), f._sums())):
-        bo, bs = 0, 1
-        for o, s in zip(osc, sums):
-            if o * bs > bo * s:
-                bo, bs = o, s
-        per_level[k] = Fraction(bo, bs << (f.dim * (f.depth - k)))
-    suffix = [Fraction(0)] * (f.depth + 1)
-    running = Fraction(0)
-    for k in range(f.depth, -1, -1):
-        running = max(running, per_level[k])
-        suffix[k] = running
+    # oscillation / average of a level-k cube is osc / (s * cnt), s its sum
+    # and cnt its cell count; level-L cubes give 0
+    per_level = [Fraction(o, s << (f.dim * (f.depth - k)))
+                 for k, (o, s) in enumerate(f._level_bests()[1])]
+    # v at sigma = 2^-k is the largest ratio over levels k..L, deepest first
+    values = tuple(accumulate(reversed(per_level), max, initial=Fraction(0)))
     breaks = tuple(Fraction(1, 1 << k) for k in range(f.depth, -1, -1))
-    values = tuple(suffix[k] for k in range(f.depth, -1, -1))
     profile = GRProfile(sigma_breaks=breaks, values=values,
-                        epsilon_global=suffix[0], nonneg=True)
+                        epsilon_global=values[-1], nonneg=True)
     f._cache["gr_profile"] = profile
     return profile
 

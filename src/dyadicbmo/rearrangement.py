@@ -186,6 +186,18 @@ class StepFunction1D:
                 bps.append(b)
         return StepFunction1D._from_ints(self._td, tuple(bps), self._vd, tuple(vals))
 
+    def shifted(self, c):
+        """g + c: each piece value moved by c, one integer per piece.  The
+        records of a merged or nonincreasing g carry over."""
+        c = Fraction(c)
+        q, b = c.denominator, c.numerator * self._vd
+        h = StepFunction1D._from_ints(self._td, self._B, self._vd * q,
+                                      tuple(v * q + b for v in self._V))
+        for key in ("merged", "nonincreasing"):
+            if key in self._cache:
+                h._cache[key] = self._cache[key]
+        return h
+
     def negated(self):
         return StepFunction1D._from_ints(self._td, self._B, self._vd,
                                          tuple(-v for v in self._V))

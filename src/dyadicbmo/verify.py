@@ -70,6 +70,21 @@ def _result(name, checks, failures, skipped=False, note=""):
                        failures=tuple(failures[:8]))
 
 
+class _Tally:
+    """A suite's count of checks and its failures, in order."""
+
+    def __init__(self):
+        self.checks = 0
+        self.failures = []
+
+    def decide(self, lhs, rhs, what, *args):
+        """One check under the rule: it fails iff lhs > rhs.  The failure
+        names its place by what.format(*args), formatted only then."""
+        self.checks += 1
+        if lhs > rhs:
+            self.failures.append(f"{what.format(*args)}: {lhs} > {rhs}")
+
+
 def _sampled_cubes(f, cap=512):
     """every_cube(f)[::step], step 1 up to cap cubes and else one more than
     cubes // cap, picked level by level without listing every cube."""
@@ -185,16 +200,12 @@ def _suite_lemma22(f):
 
 def _suite_lemma23(f):
     g = rearrange_signed(f)
-    failures = []
-    checks = 0
+    tally = _Tally()
     for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         for gamma in (Fraction(3, 2), Fraction(2), Fraction(3)):
-            lhs, rhs = hardy_gap_check(g, t, gamma)
-            checks += 1
-            if lhs > rhs:
-                failures.append(f"gap bound fails at t={t}, gamma={gamma}: "
-                                f"{lhs} > {rhs}")
-    return _result("lemma23", checks, failures)
+            tally.decide(*hardy_gap_check(g, t, gamma),
+                         "gap bound fails at t={}, gamma={}", t, gamma)
+    return _result("lemma23", tally.checks, tally.failures)
 
 
 def _suite_thm1(f):
@@ -211,22 +222,18 @@ def _suite_thm1(f):
 
 
 def _suite_thm2(f):
-    failures = []
-    checks = 0
+    tally = _Tally()
     grid = _lambda_grid(f)
     prev_measure = None
     for lam in grid:
         measure, bnd = jn_check(f, lam)
-        checks += 1
-        if measure > bnd:
-            failures.append(f"distribution bound fails at lambda={lam}: "
-                            f"{measure} > {bnd}")
+        tally.decide(measure, bnd, "distribution bound fails at lambda={}", lam)
         if prev_measure is not None and measure > prev_measure:
-            failures.append(f"measure increased along the lambda grid at {lam}")
+            tally.failures.append(f"measure increased along the lambda grid at {lam}")
         prev_measure = measure
     if not grid:
         return _result("thm2", 0, [], skipped=True, note="constant function")
-    return _result("thm2", checks, failures)
+    return _result("thm2", tally.checks, tally.failures)
 
 
 def _suite_thm31(f):
@@ -241,7 +248,7 @@ def _suite_thm31(f):
     g = f.shifted(-f.mean)
     gd = rearrange_signed(g)
     B, V, td, vd = gd._B, gd._V, gd._td, gd._vd
-    failures = []
+    tally = _Tally()
     runs = [(1, len(B) - 1)]  # breakpoint indices, the leftmost run on top
     while runs:
         a, b = runs.pop()
@@ -252,30 +259,23 @@ def _suite_thm31(f):
             runs += [(mid + 1, b), (a, mid)]
             continue
         t = Fraction(B[b], td)
-        lhs, rhs = logbound_check(g, t)
-        if lhs > rhs:
-            failures.append(f"log bound fails at t={t}: {lhs} > {rhs}")
-    return _result("thm31", len(B) - 1, failures)
+        tally.decide(*logbound_check(g, t), "log bound fails at t={}", t)
+    return _result("thm31", len(B) - 1, tally.failures)
 
 
 def _suite_remark31(f):
     h = f.abs()
     note = "" if f.is_nonnegative else "applied to |f|"
-    failures = []
+    tally = _Tally()
     # h* against h's own numerators, read without the sorted list: the same
     # integral, and h's max and min as its first and last values
     g = rearrange_abs(h)
     if (g.integral != h.mean or g._V[0] * h._den != max(h._nums) * g._vd
             or g._V[-1] * h._den != min(h._nums) * g._vd):
-        failures.append("rearrangement of h misses h's integral, max or min")
-    checks = 1
+        tally.failures.append("rearrangement of h misses h's integral, max or min")
     for lam in _lambda_grid(h, points=8):
-        measure, bnd = jn_abs_check(h, lam)
-        checks += 1
-        if measure > bnd:
-            failures.append(f"two-sided bound fails at lambda={lam}: "
-                            f"{measure} > {bnd}")
-    return _result("remark31", checks, failures, note=note)
+        tally.decide(*jn_abs_check(h, lam), "two-sided bound fails at lambda={}", lam)
+    return _result("remark31", 1 + tally.checks, tally.failures, note=note)
 
 
 def _cell_aligned_grid(f, cap=48):
@@ -290,15 +290,11 @@ def _suite_thm3(f):
     if not any(h._nums):
         return _result("thm3", 0, [], skipped=True, note="identically zero")
     profile = gr_profile(h)
-    failures = []
-    checks = 0
+    tally = _Tally()
     for t in _cell_aligned_grid(h):
-        lhs, rhs = theorem3_check(h, t, profile=profile)
-        checks += 1
-        if lhs > rhs:
-            failures.append(f"rearrangement-modulus bound fails at t={t}: "
-                            f"{lhs} > {rhs}")
-    return _result("thm3", checks, failures, note=note)
+        tally.decide(*theorem3_check(h, t, profile=profile),
+                     "rearrangement-modulus bound fails at t={}", t)
+    return _result("thm3", tally.checks, tally.failures, note=note)
 
 
 def _suite_thm4(f):
@@ -307,17 +303,13 @@ def _suite_thm4(f):
     if not any(h._nums):
         return _result("thm4", 0, [], skipped=True, note="identically zero")
     profile = gr_profile(h)
-    failures = []
-    checks = 0
+    tally = _Tally()
     top = Fraction(1, 8 * (1 << h.dim))  # below the validity threshold 1/(2^n e^2)
     for j in range(1, 9):
         t = top * Fraction(j, 8)
         res = theorem4_bound(h, t, profile=profile)
-        checks += 1
-        if res.lhs > res.rhs:
-            failures.append(f"exponential bound fails at t={t}: "
-                            f"{res.lhs} > {res.rhs}")
-    return _result("thm4", checks, failures, note=note)
+        tally.decide(res.lhs, res.rhs, "exponential bound fails at t={}", t)
+    return _result("thm4", tally.checks, tally.failures, note=note)
 
 
 def _power_skip(name, h):
@@ -339,14 +331,10 @@ def _suite_thm5(f):
     skipped = _power_skip("thm5", h)
     if skipped is not None:
         return skipped
-    failures = []
-    checks = 0
+    tally = _Tally()
     for t in _cell_aligned_grid(h, cap=16):
-        lhs, rhs = theorem5_check(h, t)
-        checks += 1
-        if lhs > rhs:
-            failures.append(f"power bound fails at t={t}: {lhs} > {rhs}")
-    return _result("thm5", checks, failures)
+        tally.decide(*theorem5_check(h, t), "power bound fails at t={}", t)
+    return _result("thm5", tally.checks, tally.failures)
 
 
 def _suite_cor1(f):
@@ -358,14 +346,10 @@ def _suite_cor1(f):
     qs = [1]
     if eps > 0:
         qs.append(1 + (solve_p(eps, h.dim).p - 1) / 2)
-    failures = []
-    checks = 0
+    tally = _Tally()
     for q in qs:
-        lq, bnd = lq_tail_bound(h, q)
-        checks += 1
-        if lq > bnd:
-            failures.append(f"L^q tail bound fails at q={q}: {lq} > {bnd}")
-    return _result("cor1", checks, failures)
+        tally.decide(*lq_tail_bound(h, q), "L^q tail bound fails at q={}", q)
+    return _result("cor1", tally.checks, tally.failures)
 
 
 def _cz_alphas(f):

@@ -409,3 +409,99 @@ def test_cubes_match_from_flat_ordering(data):
     expected = sorted((by_address[p] for p in pairs), key=lambda q: (q.level, q.flat()))
     assert f._cubes(pairs) == tuple(expected)
     assert f._cubes(iter(pairs)) == tuple(expected)
+
+
+# -- the per-level oscillation kernel ------------------------------------------
+
+def level_pyramids(f):
+    """The cache keys of f whose value is a pyramid of per-cube levels: a
+    list whose level-k item holds 2^(nk) entries."""
+    return sorted(key for key, v in f._cache.items()
+                  if isinstance(v, list) and v
+                  and all(isinstance(x, (list, tuple)) and len(x) == 1 << (f.dim * k)
+                          for k, x in enumerate(v)))
+
+
+KERNEL_CASES = [(1, 4, [3, -1, 0, 2, 5, 5, -2, 1, 0, 0, 7, -3, 1, 1, 2, 4]),
+                (2, 2, [Fraction(k % 5, 3) - 1 for k in range(16)]),
+                (3, 2, [(7 * k) % 11 for k in range(64)]),
+                (1, 3, [1, 1, 1, 1, 0, 2, 0, 2])]
+
+
+@pytest.mark.parametrize("n, depth, cells", KERNEL_CASES)
+def test_only_the_sum_pyramid_is_kept(n, depth, cells):
+    from dyadicbmo import gr_profile, verify_all
+    f = DyadicFunction(n, depth, cells)
+    bmo_argmax(f)
+    gr_profile(f.abs())
+    verify_all(f)
+    for g in (f, f.abs()):
+        assert "osc" not in g._cache
+        assert level_pyramids(g) == ["sums"]
+
+
+@pytest.mark.parametrize("n, depth, cells", KERNEL_CASES)
+@pytest.mark.parametrize("profile_first", [False, True])
+def test_norm_and_modulus_share_one_pass(monkeypatch, n, depth, cells, profile_first):
+    """f >= 0 (|f| for a signed f) builds each oscillation level once for
+    the norm and the modulus together, and the witness level once more."""
+    from dyadicbmo import gr_profile
+    from dyadicbmo.dyadic import _bmo_level
+    built = []
+    osc = DyadicFunction._osc
+
+    def counted(self, k):
+        built.append((self, k))
+        return osc(self, k)
+
+    monkeypatch.setattr(DyadicFunction, "_osc", counted)
+    h = DyadicFunction(n, depth, cells).abs()
+    readers = [bmo_argmax, gr_profile]
+    for read in readers[::-1] if profile_first else readers:
+        read(h)
+    witness = _bmo_level(h)[0]
+    assert all(g is h for g, _ in built)
+    assert sorted(k for _, k in built) == sorted([*range(depth), witness])
+
+
+@st.composite
+def kernel_functions(draw):
+    """n = 1..3, depth 0..3: signed, nonnegative, constant or 0/1 cells,
+    the last with many cubes tied for the norm."""
+    n, depth = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    size = 1 << (n * depth)
+    kind = draw(st.sampled_from(("signed", "nonneg", "constant", "tied")))
+    value = st.fractions(-4, 4, max_denominator=6)
+    if kind == "constant":
+        cells = [draw(value)] * size
+    else:
+        pool = st.integers(0, 1) if kind == "tied" else value
+        cells = draw(st.lists(pool, min_size=size, max_size=size))
+        if kind == "nonneg":
+            cells = [abs(v) for v in cells]
+    return DyadicFunction(n, depth, cells)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(kernel_functions(), st.booleans())
+def test_level_kernel_matches_oracles(f, profile_first):
+    from dyadicbmo import gr_profile
+    from dyadicbmo.dyadic import _bmo_level
+    h = f.abs()
+    if profile_first:
+        gr_profile(h)
+    cubes = sorted(all_cubes_oracle(f), key=lambda q: (q.level, q.flat()))
+    norm = bmo_norm_oracle(f)
+    witness = next(q for q in cubes if oscillation_oracle(f, q) == norm)
+    assert bmo_dyadic_norm(f) == norm
+    assert bmo_argmax(f).cube == witness
+    assert bmo_argmax(f).average == average_oracle(f, witness)
+    k = witness.level
+    top = norm * f._den * (1 << 2 * f.dim * (f.depth - k))
+    assert _bmo_level(f) == ((k, top) if norm else (0, 0))
+    ratios = [(q.level, oscillation_oracle(h, q) / average_oracle(h, q))
+              for q in all_cubes_oracle(h) if average_oracle(h, q)]
+    profile = gr_profile(h)
+    for k in range(h.depth + 1):
+        assert profile.value_at_level(k) == max(
+            [r for level, r in ratios if level >= k], default=0)

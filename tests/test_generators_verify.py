@@ -15,6 +15,7 @@ from dyadicbmo import (DyadicFunction, GenerationError, GeneratorSpec,
                        InputError, StepFunction1D, bmo_dyadic_norm, every_cube,
                        generate, gr_membership, rearrange_signed, verify_all)
 from dyadicbmo.formats import canonical_json, function_to_obj
+from dyadicbmo.gurov import Theorem4Result
 from dyadicbmo.highprec import lower_float, upper_float
 from conftest import float_just_below, matched_mean_b_oracle, random_function
 
@@ -211,6 +212,29 @@ class TestExactDecisions:
         result = verify_all(self.CASCADE, [suite]).results[0]
         assert not result.passed and not result.skipped
         assert result.failures
+
+    def test_every_rule_failure_names_its_place_and_both_sides(self, monkeypatch):
+        """Each lhs > rhs check reads "<place>: <lhs> > <rhs>" and counts once."""
+        def failing(*args, **kwargs):
+            return Fraction(3, 2), 1.25
+
+        for binding in ("hardy_gap_check", "jn_check", "logbound_check", "jn_abs_check",
+                        "theorem3_check", "theorem5_check", "lq_tail_bound"):
+            monkeypatch.setattr(verify_mod, binding, failing)
+        monkeypatch.setattr(verify_mod, "theorem4_bound", lambda *args, **kwargs:
+                            Theorem4Result(Fraction(7, 3), 0.5, 1, 1, 1, 1))
+        report = verify_all(DyadicFunction(1, 3, [8, 9, 8, 8, 9, 9, 8, 9]))
+        seen = {r.name: (r.checks, len(r.failures), r.failures[0])
+                for r in report.results if r.failures}
+        assert seen == {
+            "lemma23": (12, 8, "gap bound fails at t=1/4, gamma=3/2: 3/2 > 1.25"),
+            "thm2": (32, 8, "distribution bound fails at lambda=1/16: 3/2 > 1.25"),
+            "thm31": (2, 1, "log bound fails at t=1: 3/2 > 1.25"),
+            "remark31": (9, 8, "two-sided bound fails at lambda=1/4: 3/2 > 1.25"),
+            "thm3": (8, 8, "rearrangement-modulus bound fails at t=1/8: 3/2 > 1.25"),
+            "thm4": (8, 8, "exponential bound fails at t=1/128: 7/3 > 0.5"),
+            "thm5": (8, 8, "power bound fails at t=1/8: 3/2 > 1.25"),
+            "cor1": (2, 2, "L^q tail bound fails at q=1: 3/2 > 1.25")}
 
     def test_thm1_upper_below_lower_fails(self, monkeypatch):
         real = verify_mod.interval_bmo_norm

@@ -462,10 +462,11 @@ def test_rearrangement_matches_counting_reference(f):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(f=grid_functions(), data=st.data())
-def test_shift_carries_the_sorted_numerators(f, data):
-    """f + c reads f's sorted numerators moved by c, for c = 0, c < 0, c
-    with a new denominator and c = minus a cell value (a zero numerator);
-    its rearrangement is the one built from scratch."""
+def test_shift_carries_the_rearrangement(f, data):
+    """f + c carries f's signed rearrangement with its values moved by c,
+    for c = 0, c < 0, c with a new denominator and c = minus a cell value
+    (a zero value): the one built from scratch, recorded merged and
+    nonincreasing, sharing f*'s breakpoints and carrying no sorted list."""
     kind = data.draw(st.sampled_from(("zero", "negative", "new denominator",
                                       "minus a cell")))
     c = data.draw({
@@ -474,20 +475,25 @@ def test_shift_carries_the_sorted_numerators(f, data):
         "new denominator": st.builds(Fraction, st.integers(-9, 9),
                                      st.sampled_from((7, 11, 35))),
         "minus a cell": st.sampled_from(f.cells).map(lambda v: -v)}[kind])
-    f._sorted_nums()
+    base = rearrange_signed(f)
     g = f.shifted(c)
-    assert g._cache["sorted"] == sorted(g._nums)
+    carried = g._cache["rearr_signed"]
+    assert "sorted" not in g._cache
+    assert carried._B is base._B
+    assert carried._cache["merged"] is carried._cache["nonincreasing"] is True
     if kind == "minus a cell":
-        assert 0 in g._cache["sorted"]
+        assert 0 in carried.values
     fresh = DyadicFunction(f.dim, f.depth, [v + c for v in f.cells])
-    assert "sorted" not in fresh._cache
     assert g == fresh
-    assert rearrange_signed(g) == rearrange_signed(fresh) == counter_reference(fresh)
+    assert rearrange_signed(g) is carried
+    assert carried == rearrange_signed(fresh) == counter_reference(fresh)
+    assert carried.values == tuple(v + c for v in base.values)
 
 
-def test_shift_without_a_sort_carries_none():
+def test_shift_without_a_rearrangement_carries_none():
     f = DyadicFunction(1, 2, [3, -1, Fraction(1, 2), 3])
+    f._sorted_nums()
     g = f.shifted(Fraction(-2, 3))
-    assert "sorted" not in f._cache and "sorted" not in g._cache
+    assert "rearr_signed" not in g._cache and "sorted" not in g._cache
     assert rearrange_signed(g) == counter_reference(g)
     assert g._cache["sorted"] == sorted(g._nums)

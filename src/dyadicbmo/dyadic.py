@@ -38,7 +38,7 @@ def _encode(index, level):
 
 def _decode(flat, level, dim):
     mask = (1 << level) - 1
-    return tuple((flat >> (m * level)) & mask for m in range(dim))
+    return tuple([(flat >> (m * level)) & mask for m in range(dim)])
 
 
 @lru_cache(maxsize=16)
@@ -146,8 +146,14 @@ class DyadicCubeId:
 
     def morton(self):
         """Morton address: one n-bit digit per level from the root, the bit
-        of coordinate 0 highest in each digit.  Each coordinate is spread a
-        byte at a time by table, then shifted to its place in the digits."""
+        of coordinate 0 highest in each digit.  For n = 1 it is the index;
+        otherwise each coordinate is spread a byte at a time by table, then
+        shifted to its place in the digits, once per cube."""
+        if len(self.index) == 1:
+            return self.index[0]
+        z = self.__dict__.get("_morton")
+        if z is not None:
+            return z
         spread, step = _spread(len(self.index)), 8 * len(self.index)
         z = 0
         for i in self.index:
@@ -159,6 +165,7 @@ class DyadicCubeId:
                 i >>= 8
                 shift += step
             z = (z << 1) | s
+        object.__setattr__(self, "_morton", z)
         return z
 
     @classmethod
@@ -319,23 +326,29 @@ class DyadicFunction:
                 for z, s in enumerate(self._sums()[k])]
 
     def _level_bests(self):
-        """(tops, ratios): per level k < L, tops[k] the largest _osc(k)
-        numerator and, for f >= 0 only, ratios[k] the (o, s) of the largest
-        ratio o / s of a cube's oscillation numerator to its sum (the first
-        of ties; (0, 1) where every o is 0).  One pass builds each level once
-        and keeps none, so the norm and the modulus share it."""
+        """(tops, ratios, firsts): per level k < L, tops[k] the largest
+        _osc(k) numerator, firsts[k] the Morton address of the first cube
+        attaining it, or None where for n >= 2 another cube ties it, and,
+        for f >= 0 only, ratios[k] the (o, s) of the largest ratio o / s of
+        a cube's oscillation numerator to its sum (the first of ties; (0, 1)
+        where every o is 0).  One pass builds each level once and keeps
+        none, so the norm, its witness and the modulus share it."""
         if "level_bests" not in self._cache:
-            nonneg, tops, ratios = self.is_nonnegative, [], []
+            nonneg, tops, ratios, firsts = self.is_nonnegative, [], [], []
             for k, sums in enumerate(self._sums()[:self.depth]):
                 osc = self._osc(k)
-                tops.append(max(osc))
+                top = max(osc)
+                tops.append(top)
+                # Morton order is flat order for n = 1 only
+                firsts.append(osc.index(top)
+                              if self.dim == 1 or osc.count(top) == 1 else None)
                 if nonneg:  # s = 0 means f vanishes on the cube, o = 0
                     bo, bs = 0, 1
                     for o, s in zip(osc, sums):
                         if o * bs > bo * s:
                             bo, bs = o, s
                     ratios.append((bo, bs))
-            self._cache["level_bests"] = tops, ratios
+            self._cache["level_bests"] = tops, ratios, firsts
         return self._cache["level_bests"]
 
     def _running_max(self, sign):
@@ -386,12 +399,12 @@ class DyadicFunction:
     def _block(self, q):
         """(z, cnt): q's Morton address and cell count; its cells are the
         slice [z * cnt, (z + 1) * cnt) of self._nums."""
-        if q.dim != self.dim:
-            raise InputError(f"cube dimension {q.dim} != function dimension {self.dim}")
-        if q.level > self.depth:
-            raise InputError(
-                f"cube level {q.level} exceeds function depth {self.depth}")
-        return q.morton(), 1 << (self.dim * (self.depth - q.level))
+        n, k = len(q.index), q.level
+        if n != self.dim:
+            raise InputError(f"cube dimension {n} != function dimension {self.dim}")
+        if k > self.depth:
+            raise InputError(f"cube level {k} exceeds function depth {self.depth}")
+        return q.morton(), 1 << (n * (self.depth - k))
 
     def _cubes(self, pairs):
         """The cubes at (level, Morton address) pairs, sorted by (level, flat
@@ -479,12 +492,9 @@ def mean_oscillation(f, q):
     """Average of |f - f_Q| over q, with the average f_Q, all exact."""
     z, cnt = f._block(q)
     s = f._sums()[q.level][z]
-    osc_num = sum(abs(a * cnt - s) for a in f._nums[z * cnt:(z + 1) * cnt])
-    return OscillationReport(
-        cube=q,
-        average=Fraction(s, f._den * cnt),
-        oscillation=Fraction(osc_num, f._den * cnt * cnt),
-    )
+    osc_num = sum([abs(a * cnt - s) for a in f._nums[z * cnt:(z + 1) * cnt]])
+    den = f._den * cnt
+    return OscillationReport(q, Fraction(s, den), Fraction(osc_num, den * cnt))
 
 
 def one_sided_oscillation(f, q, side):
@@ -498,10 +508,16 @@ def one_sided_oscillation(f, q, side):
     z, cnt = f._block(q)
     s = f._sums()[q.level][z]
     block = f._nums[z * cnt:(z + 1) * cnt]
+    # the cells above (below) the mean: a * cnt > s iff a > floor(s / cnt),
+    # a * cnt < s iff a < ceil(s / cnt)
     if side == "above":
-        num = sum(a * cnt - s for a in block if a * cnt > s)
+        t = s // cnt
+        part = [a for a in block if a > t]
+        num = cnt * sum(part) - s * len(part)
     else:
-        num = sum(s - a * cnt for a in block if a * cnt < s)
+        t = -(-s // cnt)
+        part = [a for a in block if a < t]
+        num = s * len(part) - cnt * sum(part)
     return Fraction(2 * num, f._den * cnt * cnt)
 
 
@@ -533,7 +549,9 @@ def bmo_argmax(f):
     Cubes strictly below cell resolution carry zero oscillation and are
     excluded; ties resolve to the lowest (level, flat index).  The norm and
     its witness are built once, for the first level that attains the
-    largest (_bmo_level), whose oscillations alone are rebuilt.
+    largest (_bmo_level).  The pass that found it names the witness, but
+    for n >= 2 the first of tied cubes in Morton order need not be the
+    first by flat index: only then are that level's oscillations rebuilt.
     """
     if "bmo" in f._cache:
         return f._cache["bmo"]
@@ -542,8 +560,12 @@ def bmo_argmax(f):
         best, best_cube = Fraction(0), DyadicCubeId.root(f.dim)
     else:
         best = Fraction(top, f._den << 2 * f.dim * (f.depth - k))
-        best_cube = f._cubes((k, z) for z, o in enumerate(f._osc(k))
-                             if o == top)[0]
+        first = f._level_bests()[2][k]
+        if first is None:  # tied for n >= 2: the first by flat index
+            best_cube = f._cubes((k, z) for z, o in enumerate(f._osc(k))
+                                 if o == top)[0]
+        else:
+            best_cube = f._cubes([(k, first)])[0]
     report = OscillationReport(cube=best_cube,
                                average=cube_average(f, best_cube),
                                oscillation=best)

@@ -105,11 +105,23 @@ def _ratio(obj):
 
 
 def _ratios(values):
-    """Numerators and denominators of the parsed values, as two lists."""
-    nums, dens = [], []
-    for p, q in map(_ratio, values):
-        nums.append(p)
-        dens.append(q)
+    """Numerators and denominators of the parsed values, as two lists.  A
+    string is parsed once and its pair reused wherever it recurs, from a
+    memo of the last 4096 distinct strings met (emptied when full, so a grid
+    of distinct values keeps it small); other values (ints, and the bools,
+    floats and containers that fail) are parsed where they stand."""
+    nums, dens, parsed = [], [], {}
+    for obj in values:
+        if type(obj) is str:
+            pair = parsed.get(obj)
+            if pair is None:
+                if len(parsed) == 4096:
+                    parsed.clear()
+                pair = parsed[obj] = _ratio(obj)
+        else:
+            pair = _ratio(obj)
+        nums.append(pair[0])
+        dens.append(pair[1])
     return nums, dens
 
 

@@ -40,11 +40,13 @@ OBJECTIVES = ("ratio_thm1", "jn_B_probe")
 # (distribution_above) per point, and the probe's exponential is a float.
 PROBE_POINTS = 32
 # Most work a search may ask for, in trial cells: restarts x (iterations + 1)
-# x cells, times PROBE_POINTS for jn_B_probe.  Checked before any trial, so
-# an oversized search is refused instead of running for days; at the bound
-# the slowest search, on the smallest grid, takes about as long as `check`
-# on a 2^20-cell grid (README).
+# x cells, times JN_PROBE_WEIGHT for jn_B_probe, whose trial cell costs
+# about that many ratio_thm1 trial cells (README).  Checked before any
+# trial, so an oversized search is refused instead of running for days; at
+# the bound the slowest search of either objective, on the smallest grid,
+# takes about as long as `check` on a 2^20-cell grid.
 MAX_SEARCH_WORK = 1 << 19
+JN_PROBE_WEIGHT = 8
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,11 @@ class SearchConfig:
                              f"got {self.tol}")
         work = self.restarts * (self.iterations + 1) << self.dim * self.depth
         if self.objective == "jn_B_probe":
-            work *= PROBE_POINTS
+            work *= JN_PROBE_WEIGHT
         if work > MAX_SEARCH_WORK:
             raise InputError(
                 f"a search of restarts x (iterations + 1) x cells"
-                f"{' x lambdas' if self.objective == 'jn_B_probe' else ''} "
+                f"{f' x {JN_PROBE_WEIGHT}' if self.objective == 'jn_B_probe' else ''} "
                 f"= {work} trial cells is too large; at most "
                 f"{MAX_SEARCH_WORK} are supported")
 

@@ -9,9 +9,9 @@ The stopping cubes come from one pass of the running max R of the integer
 kernel per function and direction, which decides every threshold asked for
 at once: a cube stops iff its running max crosses the integer threshold
 while its father's does not.  The pairs are memoized per threshold, and no
-level of R is kept.  The cover sweeps the distinct fathers in the order of
-their first cells: cubes are nested or disjoint, so a father is kept iff it
-starts at or after the end of the last one kept.  A decomposition keeps
+level of R is kept.  The cover takes the fathers level by level, coarsest
+first, and keeps those under no father kept at a coarser level: cubes are
+nested or disjoint, so those are the maximal ones.  A decomposition keeps
 both families as (level, Morton address) pairs, and builds a tuple of
 public cubes only when it is first read; verify_stopping checks the pairs
 on the sum pyramid.  The maximal function is the leaf level of the same
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
-from operator import gt, le
+from itertools import chain, compress, groupby, repeat
+from operator import gt, itemgetter, le
 
 from .dyadic import _morton_order, distribution_above, dyadic_maximal_function
 from .errors import InputError, PreconditionError
@@ -117,27 +117,39 @@ def stopping_family(f, alpha, direction):
     exceeds a there ('below' tests -A > -a - 1); the precondition keeps the
     root from crossing.  The stopping pairs come from one O(cubes) pass per
     function and direction, shared by the thresholds asked for together
-    (f._stopping) and memoized; each call then sorts the stopping cubes'
-    fathers.  Both families are sorted by (level, flat index), and built as
-    cubes on first read.
+    (f._stopping) and memoized; each call then takes the fathers of each
+    level's stopping cubes as one set, less those under a father kept at a
+    coarser level.  Both families are sorted by (level, flat index), and
+    built as cubes on first read.
     """
     alpha = _checked_alpha(f, alpha, direction)
     [stopping] = f._stopping([alpha], direction == "above")
     n, depth = f.dim, f.depth
-    # the distinct fathers by first cell, packed as first * (depth + 1) +
-    # level; of two that share it, the larger (lower level) sorts first and
-    # is the one kept
-    cover, end = [], 0
-    for key in sorted({(z >> n << n * (depth - k + 1)) * (depth + 1) + k - 1
-                       for k, z in stopping}):
-        first, k = divmod(key, depth + 1)
-        if first >= end:  # not inside the last father kept
-            cover.append((k, first >> n * (depth - k)))
-            end = first + (1 << n * (depth - k))
+    cover, kept = [], []  # kept: (level, addresses) of the fathers kept
+    e = e_star = 0  # the cells of E and of E*
+    for k, zs in _by_level(stopping):
+        e += len(zs) << n * (depth - k)
+        fathers = {z >> n for z in zs}  # at level k - 1
+        for j, addresses in kept:  # drop those under a coarser father kept
+            shift = n * (k - 1 - j)
+            fathers = {w for w in fathers if w >> shift not in addresses}
+        if fathers:
+            kept.append((k - 1, fathers))
+            cover.extend(zip(repeat(k - 1), sorted(fathers)))
+            e_star += len(fathers) << n * (depth - k + 1)
+    cells = 1 << n * depth
     return CZDecomposition._of_pairs(f, stopping, cover, threshold=alpha,
                                      direction=direction,
-                                     measure_E=_measure(f, stopping),
-                                     measure_E_star=_measure(f, cover))
+                                     measure_E=Fraction(e, cells),
+                                     measure_E_star=Fraction(e_star, cells))
+
+
+def _by_level(pairs):
+    """[(k, addresses)] for (level, Morton address) pairs: one item per
+    level present, coarsest first, its addresses in the pairs' order."""
+    level = itemgetter(0)
+    return [(k, [z for _, z in group])
+            for k, group in groupby(sorted(pairs, key=level), level)]
 
 
 def _measure(f, pairs):
@@ -184,9 +196,11 @@ def verify_stopping(d, f):
     iff <=.  A decomposition stopping_family made from f is read as its
     (level, Morton address) pairs; any other has its cubes mapped to them by
     Q.morton().  The running max stopping_family decides with is not read,
-    so a fault in it shows here as a failed fact.  Fact (iv) reads the
-    largest (above) or smallest (below) cell outside E, and lists the cells
-    only when that one crosses.
+    so a fault in it shows here as a failed fact.  Facts (i)-(iii) read,
+    level by level, the one sum of the level's cubes least or most likely
+    to cross, and fact (iv) the largest (above) or smallest (below) cell
+    outside E; the offending cubes or cells are listed only when that one
+    fails.
     """
     alpha, n, L, sums = d.threshold, f.dim, f.depth, f._sums()
     crosses = gt if d.direction == "above" else le
@@ -209,18 +223,36 @@ def verify_stopping(d, f):
         def named(bad):
             return [cube_at[p] for p in bad]
 
-    not_crossing = [(k, z) for k, z in stopping
-                    if not crosses(sums[k][z] * alpha_den, bars[k])]
-    bad_fathers = [(k, z) for k, z in stopping
-                   if k == 0 or crosses(sums[k - 1][z >> n] * alpha_den, bars[k - 1])]
-    bad_parents = [(k, z) for k, z in cover if crosses(sums[k][z] * alpha_den, bars[k])]
-    outside = bytearray(b"\1") * len(f._nums)  # by Morton address
-    for k, z in stopping:
+    # per level, the least (worst) and most (best) crossing sum
+    worst, best = (min, max) if d.direction == "above" else (max, min)
+    stop_levels = _by_level(stopping)
+    not_crossing = bad_fathers = bad_parents = ()
+    if any(not crosses(worst(map(sums[k].__getitem__, zs)) * alpha_den, bars[k])
+           for k, zs in stop_levels):
+        not_crossing = [(k, z) for k, z in stopping
+                        if not crosses(sums[k][z] * alpha_den, bars[k])]
+    if any(k == 0 or crosses(best([sums[k - 1][z >> n] for z in zs]) * alpha_den,
+                             bars[k - 1])
+           for k, zs in stop_levels):
+        bad_fathers = [(k, z) for k, z in stopping if k == 0
+                       or crosses(sums[k - 1][z >> n] * alpha_den, bars[k - 1])]
+    if any(crosses(best(map(sums[k].__getitem__, zs)) * alpha_den, bars[k])
+           for k, zs in _by_level(cover)):
+        bad_parents = [(k, z) for k, z in cover
+                       if crosses(sums[k][z] * alpha_den, bars[k])]
+    # fact (iv): outside[z] is 0 on the cells of E, by Morton address
+    outside = bytearray(b"\1") * len(f._nums)
+    for k, zs in stop_levels:
         cnt = 1 << n * (L - k)
-        outside[z * cnt:(z + 1) * cnt] = bytes(cnt)
+        if cnt == 1:
+            for z in zs:
+                outside[z] = 0
+        else:
+            empty = bytes(cnt)
+            for z in zs:
+                outside[z * cnt:(z + 1) * cnt] = empty
     cells = sums[L]
-    extreme = (max if d.direction == "above" else min)(
-        compress(cells, outside), default=None)
+    extreme = best(compress(cells, outside), default=None)
     bad_cells = []
     if extreme is not None and crosses(extreme * alpha_den, bar):
         order = _morton_order(n, L)

@@ -13,14 +13,14 @@ a float exactly, so a reported violation is a real one.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 from math import gcd
 
-from .dyadic import (DyadicCubeId, bmo_dyadic_norm, mean_oscillation,
-                     one_sided_oscillation)
+from .dyadic import (DyadicCubeId, _decode, bmo_dyadic_norm,
+                     mean_oscillation, one_sided_oscillation)
 from .errors import InputError
 from .gurov import (_solve_p_exact, gr_membership, gr_profile, lq_tail_bound,
                     solve_p, theorem3_check, theorem4_bound, theorem5_check)
@@ -87,13 +87,15 @@ class _Tally:
 
 def _sampled_cubes(f, cap=512):
     """every_cube(f)[::step], step 1 up to cap cubes and else one more than
-    cubes // cap, picked level by level without listing every cube."""
+    cubes // cap, picked level by level without listing every cube.  The
+    cubes are in range by construction, so none is re-checked."""
     n, sizes = f.dim, [1 << (f.dim * k) for k in range(f.depth + 1)]
     step = 1 if sum(sizes) <= cap else sum(sizes) // cap + 1
     cubes = []
     for k, size in enumerate(sizes):  # the next pick: cube len(cubes) * step
-        cubes.extend(DyadicCubeId.from_flat(k, j, n)
-                     for j in range(len(cubes) * step - sum(sizes[:k]), size, step))
+        picks = range(len(cubes) * step - sum(sizes[:k]), size, step)
+        cubes.extend(map(DyadicCubeId._exact, repeat(k),
+                         map(_decode, picks, repeat(k), repeat(n))))
     return cubes
 
 
@@ -118,8 +120,10 @@ def _mean_defect(g, mu):
     return [q * mu.denominator - w * b for q, b in zip(g._prefix(), g._B)]
 
 
-def _matching_mean_endpoint(g, x, d, mu, defect):
-    """Least b > a with the mean of g over (a,b] equal to mu, or None.
+def _matched_endpoints(g, anchors, d, mu, defect):
+    """(x, end) for each anchor position x of anchors, in increasing order:
+    end is the least b > a with the mean of g over (a,b] equal to mu, or
+    None.
 
     Positions are integers over td times a positive integer: the anchor is
     a = x / (td * d), and the endpoint is returned as (y, e) with
@@ -130,28 +134,39 @@ def _matching_mean_endpoint(g, x, d, mu, defect):
     the window mean equals mu exactly where D returns to D(a).  From the
     first piece ending after a: if its value is mu, the flat stretch at the
     mean extends to its right end; if below mu, D only falls and no b
-    exists; if above, the first breakpoint with D <= D(a) (found by
-    bisection, the predicate being monotone past a) closes the piece where
-    D crosses D(a), and that piece's linear equation gives b.  O(log pieces)
-    per anchor, in integers: with mu = w / (vd * md), D(a) is
-    X / (td * vd * md * d), linear in a on its piece.
+    exists; if above, the first breakpoint past it with D <= D(a) closes
+    the piece where D crosses D(a), and that piece's linear equation gives
+    b.  In integers: with mu = w / (vd * md), D(a) is X / (td * vd * md * d),
+    linear in a on its piece.  While a rises through the pieces above the
+    mean, D(a) rises, so that breakpoint only moves left: one pointer walks
+    the pieces for a and one walks that breakpoint leftwards, O(pieces +
+    anchors) in all.
     """
     B, V = g._B, g._V
     md = mu.denominator
     w = mu.numerator * g._vd
-    i = bisect_right(B, x // d)  # first piece (t_{i-1}, t_i] with t_i > a
-    excess = V[i - 1] * md - w  # the sign of v - mu
-    if excess == 0:
-        return B[i] * d, d
-    if excess < 0:
-        return None
-    X = defect[i - 1] * d + excess * (x - B[i - 1] * d)
-    # first k > i with defect[k] <= D(a) (defect[i] > D(a))
-    lo = bisect_left(defect, True, i + 1, len(B), key=(X // d).__ge__)
-    if lo == len(B):
-        return None
-    W = w - V[lo - 1] * md  # (mu - v) * vd * md > 0
-    return (B[lo - 1] * W + defect[lo - 1]) * d - X, d * W
+    i, lo, top = 1, len(B), len(B)
+    for x in anchors:
+        while i < top and B[i] * d <= x:  # the piece (t_{i-1}, t_i] with t_i > a
+            i += 1
+        excess = V[i - 1] * md - w  # the sign of v - mu
+        if excess == 0:
+            yield x, (B[i] * d, d)
+            continue
+        if excess < 0:
+            yield x, None
+            continue
+        X = defect[i - 1] * d + excess * (x - B[i - 1] * d)
+        # the first k > i with defect[k] <= D(a): defect[i] > D(a), and past
+        # i the defect rises, then falls below D(a) for good
+        Xd = X // d
+        while lo - 1 > i and defect[lo - 1] <= Xd:
+            lo -= 1
+        if lo == top:
+            yield x, None
+            continue
+        W = w - V[lo - 1] * md  # (mu - v) * vd * md > 0
+        yield x, ((B[lo - 1] * W + defect[lo - 1]) * d - X, d * W)
 
 
 def _suite_lemma22(f):
@@ -164,6 +179,7 @@ def _suite_lemma22(f):
     defect = _mean_defect(g, mu)
     base = interval_mean_oscillation(g, 0, 1)
     B, V, td, vd = g._B, g._V, g._td, g._vd
+    bn, bd = base.numerator * vd, base.denominator
     md, w = mu.denominator, mu.numerator * vd
     d = 8 // gcd(td, 8)  # D = td * d
     # an anchor in a piece below the mean has no endpoint: stop at the first
@@ -175,8 +191,7 @@ def _suite_lemma22(f):
             anchors.insert(j, x)
     failures = []
     checks = 0
-    for x in anchors:
-        end = _matching_mean_endpoint(g, x, d, mu, defect)
+    for x, end in _matched_endpoints(g, anchors, d, mu, defect):
         if end is None:
             continue
         y, e = end
@@ -189,7 +204,7 @@ def _suite_lemma22(f):
                             f"mean {Fraction(J, vd * L)} != {mu}")
             continue
         checks += 1
-        if num * base.denominator > base.numerator * vd * L * L:
+        if num * bd > bn * L * L:
             failures.append(f"oscillation on [{Fraction(x, td * d)},"
                             f"{Fraction(y, td * e)}] exceeds the full interval's")
     if checks == 0:

@@ -152,6 +152,48 @@ def test_parse_error_messages(obj, message, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_each_distinct_string_is_parsed_once(monkeypatch):
+    import dyadicbmo.formats as formats_mod
+    real, parsed = formats_mod._ratio, []
+
+    def counted(obj):
+        parsed.append(obj)
+        return real(obj)
+    monkeypatch.setattr(formats_mod, "_ratio", counted)
+    values = ["1/2", " 1/2 ", "2/4", "1/2", 3, 3, "1.5", " 1/2 ", "1.5", 3]
+    f = function_from_obj({"n": 1, "level": 4, "values": values + ["0"] * 6})
+    assert f.cells == tuple(Fraction(v) for v in values + ["0"] * 6)
+    # strings by their raw text, once each; ints where they stand
+    assert parsed == ["1/2", " 1/2 ", "2/4", 3, 3, "1.5", 3, "0"]
+
+
+def test_parsed_strings_stay_right_past_the_memo(monkeypatch):
+    # 5000 distinct strings, then the first 3192 again: the memo of 4096 is
+    # emptied at the 4097th, so the repeats are parsed again, and every
+    # value still parses to its own pair
+    import dyadicbmo.formats as formats_mod
+    real, parsed = formats_mod._ratio, []
+    monkeypatch.setattr(formats_mod, "_ratio", lambda obj: parsed.append(obj) or real(obj))
+    values = [f"{k}/7" for k in range(5000)] + [f"{k}/7" for k in range(3192)]
+    f = function_from_obj({"n": 1, "level": 13, "values": values})
+    assert f.cells == tuple(Fraction(k % 5000, 7) for k in range(8192))
+    assert len(parsed) == 8192
+
+
+@pytest.mark.parametrize("values,message", [
+    (["1/2", "1/2", "x", "1/2", "y"],
+     "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+    ([1, 1, True, 1, "1/0"], "expected a rational, got True"),
+    (["1", "1", 1.0, "1/0"], "expected an integer or 'p/q' string, got 1.0"),
+    (["3/4", "3/4", "1/0", "3/4", "1/0"],
+     "cannot parse rational '1/0': Fraction(1, 0)"),
+])
+def test_repeated_values_fail_at_the_first_bad_one(values, message):
+    with pytest.raises(InputError) as err:
+        function_from_obj({"n": 1, "level": 3, "values": values + [0] * (8 - len(values))})
+    assert str(err.value) == message
+
+
 # -- the integer parse of step files ---------------------------------------------
 
 def _spellings(x):

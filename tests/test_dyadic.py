@@ -444,7 +444,8 @@ def test_only_the_sum_pyramid_is_kept(n, depth, cells):
 @pytest.mark.parametrize("profile_first", [False, True])
 def test_norm_and_modulus_share_one_pass(monkeypatch, n, depth, cells, profile_first):
     """f >= 0 (|f| for a signed f) builds each oscillation level once for
-    the norm and the modulus together, and the witness level once more."""
+    the norm and the modulus together, and the witness level once more only
+    where n >= 2 and cubes tie for the norm."""
     from dyadicbmo import gr_profile
     from dyadicbmo.dyadic import _bmo_level
     built = []
@@ -459,9 +460,10 @@ def test_norm_and_modulus_share_one_pass(monkeypatch, n, depth, cells, profile_f
     readers = [bmo_argmax, gr_profile]
     for read in readers[::-1] if profile_first else readers:
         read(h)
-    witness = _bmo_level(h)[0]
+    witness, top = _bmo_level(h)
+    rebuilt = [witness] if n >= 2 and osc(h, witness).count(top) > 1 else []
     assert all(g is h for g, _ in built)
-    assert sorted(k for _, k in built) == sorted([*range(depth), witness])
+    assert sorted(k for _, k in built) == sorted([*range(depth), *rebuilt])
 
 
 @st.composite
@@ -505,3 +507,24 @@ def test_level_kernel_matches_oracles(f, profile_first):
     for k in range(h.depth + 1):
         assert profile.value_at_level(k) == max(
             [r for level, r in ratios if level >= k], default=0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kernel_functions())
+def test_witness_rebuilds_a_level_only_for_ties_in_two_or_more_dimensions(f):
+    """After the pass, bmo_argmax builds no level for n = 1 (Morton order is
+    flat order there) or a unique top, and one where n >= 2 and cubes tie
+    for the norm; the witness is the oracle's first tied cube either way."""
+    from unittest import mock
+    from dyadicbmo.dyadic import _bmo_level
+    k, top = _bmo_level(f)
+    osc = DyadicFunction._osc
+    tied = top and f.dim >= 2 and osc(f, k).count(top) > 1
+    with mock.patch.object(DyadicFunction, "_osc", autospec=True,
+                           side_effect=osc) as built:
+        report = bmo_argmax(f)
+    assert [c.args[1] for c in built.call_args_list] == ([k] if tied else [])
+    norm = bmo_norm_oracle(f)
+    cubes = sorted(all_cubes_oracle(f), key=lambda q: (q.level, q.flat()))
+    assert report.cube == next(q for q in cubes if oscillation_oracle(f, q) == norm)
+    assert report.oscillation == norm

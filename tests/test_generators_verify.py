@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -252,10 +253,36 @@ class TestExactDecisions:
         assert "rounded below" in result.failures[0]
 
 
+def _matching_mean_endpoint(g, x, d, mu, defect):
+    """Least b > a with the mean of g over (a,b] equal to mu, or None, for
+    the anchor a = x / (td * d), found on its own by bisection: the endpoint
+    that verify._matched_endpoints must give at every anchor of its sweep,
+    as (y, e) with b = y / (td * e).  From the first piece ending after a:
+    at the mean, its right end; below, none; above, the first breakpoint
+    with D <= D(a) closes the piece where the concave defect D crosses
+    D(a), and that piece's linear equation gives b."""
+    B, V = g._B, g._V
+    md = mu.denominator
+    w = mu.numerator * g._vd
+    i = bisect_right(B, x // d)  # first piece (t_{i-1}, t_i] with t_i > a
+    excess = V[i - 1] * md - w  # the sign of v - mu
+    if excess == 0:
+        return B[i] * d, d
+    if excess < 0:
+        return None
+    X = defect[i - 1] * d + excess * (x - B[i - 1] * d)
+    # first k > i with defect[k] <= D(a) (defect[i] > D(a))
+    lo = bisect_left(defect, True, i + 1, len(B), key=(X // d).__ge__)
+    if lo == len(B):
+        return None
+    W = w - V[lo - 1] * md  # (mu - v) * vd * md > 0
+    return (B[lo - 1] * W + defect[lo - 1]) * d - X, d * W
+
+
 def _endpoint(g, a):
     """The matched-mean endpoint from the anchor a, as a Fraction."""
     a, mu = Fraction(a), g.integral
-    end = verify_mod._matching_mean_endpoint(
+    end = _matching_mean_endpoint(
         g, a.numerator * g._td, a.denominator, mu, verify_mod._mean_defect(g, mu))
     return None if end is None else Fraction(end[0], g._td * end[1])
 
@@ -292,6 +319,43 @@ class TestMatchedMeanEndpoint:
                 assert _endpoint(g, a) == matched_mean_b_oracle(g, a, mu)
                 anchors_checked += 1
         assert with_flat >= 80 and anchors_checked > 2000
+
+
+@st.composite
+def sweep_inputs(draw):
+    """(g, d, anchors): the rearrangement of a function whose cells are
+    random, have one cell at the mean (a flat piece at mu) or one cell above
+    the others (a single piece above mu), and increasing anchor positions
+    over td * d: every breakpoint of g before 1 and some points between."""
+    n, depth = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    size = 1 << (n * depth)
+    value = st.fractions(-4, 4, max_denominator=5)
+    kind = draw(st.sampled_from(("random", "flat at the mean", "single above")))
+    if kind == "single above":
+        low = draw(value)
+        cells = [low] * size
+        cells[draw(st.integers(0, size - 1))] = low + draw(
+            st.fractions(Fraction(1, 5), 4, max_denominator=5))
+    else:
+        cells = draw(st.lists(value, min_size=size, max_size=size))
+        if kind == "flat at the mean":
+            cells[-1] = sum(cells[:-1], Fraction(0)) / (size - 1)
+    g = rearrange_signed(DyadicFunction(n, depth, cells))
+    d = draw(st.sampled_from((1, 2, 3, 8)))
+    end = g._td * d
+    between = draw(st.lists(st.integers(0, end - 1), max_size=24))
+    return g, d, sorted({*(b * d for b in g._B[:-1]), *between})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sweep_inputs())
+def test_sweep_matches_the_endpoint_of_each_anchor(inputs):
+    g, d, anchors = inputs
+    mu = g.integral
+    defect = verify_mod._mean_defect(g, mu)
+    swept = list(verify_mod._matched_endpoints(g, anchors, d, mu, defect))
+    assert swept == [(x, _matching_mean_endpoint(g, x, d, mu, defect))
+                     for x in anchors]
 
 
 def _thm31_per_t(f):
@@ -392,18 +456,43 @@ class TestThm31Blocks:
             f"log bound fails at t={t}: ")
 
 
+@pytest.mark.parametrize("side", ["above", "below"])
+@pytest.mark.parametrize("n, depth", [(1, 9), (2, 4), (3, 3)])
+def test_lemma21_reports_a_cube_whose_one_sided_form_is_off(monkeypatch, side, n, depth):
+    # every cube sampled (all of them at n = 2, L = 4), one of them above
+    # cell level given one unit more of its numerator on one side
+    f = DyadicFunction(n, depth, [Fraction((7919 * k) % 61 - 30, 7)
+                                  for k in range(1 << (n * depth))])
+    cubes = verify_mod._sampled_cubes(f)
+    assert verify_all(f, ["lemma21"]).results[0].checks == len(cubes)
+    above_cells = [q for q in cubes if q.level == depth - 1]
+    target = above_cells[len(above_cells) // 2]
+    real = verify_mod.one_sided_oscillation
+
+    def off(g, q, which):
+        value = real(g, q, which)
+        if q == target and which == side:
+            value += Fraction(2, g._den << 2 * n * (depth - q.level))
+        return value
+    monkeypatch.setattr(verify_mod, "one_sided_oscillation", off)
+    result = verify_all(f, ["lemma21"]).results[0]
+    assert (result.passed, result.checks) == (False, len(cubes))
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(f"one-sided forms differ on {target}: ")
+
+
 class TestLemma22Integers:
     def test_endpoint_one_unit_off_is_reported(self, monkeypatch):
         # distinct values around a mean no cell takes: no flat piece at the
         # mean, so moving b changes the window mean
         f = DyadicFunction(1, 3, [7, 3, 5, 0, 1, 6, 2, 4])
         assert verify_all(f, ["lemma22"]).passed
-        real = verify_mod._matching_mean_endpoint
+        real = verify_mod._matched_endpoints
 
-        def one_unit_early(g, x, d, mu, defect):
-            end = real(g, x, d, mu, defect)
-            return None if end is None else (end[0] - 1, end[1])
-        monkeypatch.setattr(verify_mod, "_matching_mean_endpoint", one_unit_early)
+        def one_unit_early(g, anchors, d, mu, defect):
+            for x, end in real(g, anchors, d, mu, defect):
+                yield x, None if end is None else (end[0] - 1, end[1])
+        monkeypatch.setattr(verify_mod, "_matched_endpoints", one_unit_early)
         result = verify_all(f, ["lemma22"]).results[0]
         assert not result.passed and result.failures
         assert all(m.startswith("endpoint solve failed at a=")
@@ -413,12 +502,13 @@ class TestLemma22Integers:
         f = DyadicFunction(1, 2, [Fraction(1, 3), 5, 0, 2])
         g = rearrange_signed(f)
         seen = []
-        real = verify_mod._matching_mean_endpoint
+        real = verify_mod._matched_endpoints
 
-        def recorded(g, x, d, mu, defect):
-            seen.append(Fraction(x, g._td * d))
-            return real(g, x, d, mu, defect)
-        monkeypatch.setattr(verify_mod, "_matching_mean_endpoint", recorded)
+        def recorded(g, anchors, d, mu, defect):
+            for x, end in real(g, anchors, d, mu, defect):
+                seen.append(Fraction(x, g._td * d))
+                yield x, end
+        monkeypatch.setattr(verify_mod, "_matched_endpoints", recorded)
         verify_all(f, ["lemma22"])
         # the anchors that have an endpoint: those in a piece at or above
         # the mean, here the first half

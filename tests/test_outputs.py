@@ -186,6 +186,10 @@ COMMANDS = [
     f"jn --input spike.json --lambda-grid {MAX_POINTS + 1}",
     # exit 2: a search past MAX_SEARCH_WORK, refused before any trial
     "search --n 1 --level 4 --iters 1000000000",
+    # a jnB search of 2^15 trial cells, within MAX_SEARCH_WORK at the probe's
+    # weight of 8 (and past it at a weight of 32, one per lambda)
+    "search --n 1 --level 12 --restarts 1 --iters 7 --seed 5 --objective jnB "
+    "--function-output best.json",
 ]
 
 

@@ -15,7 +15,7 @@ from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
                        SearchConfig, bmo_dyadic_norm, interval_bmo_norm,
                        ratio_objective, rearrange_signed, search)
 from dyadicbmo.cli import main
-from dyadicbmo.search import (MAX_SEARCH_WORK, PROBE_POINTS, _normalize,
+from dyadicbmo.search import (JN_PROBE_WEIGHT, MAX_SEARCH_WORK, _normalize,
                               _ratio)
 from conftest import normalize_oracle, random_function
 
@@ -175,14 +175,14 @@ class TestSearch:
                 SearchConfig(**bad)
 
     def test_config_bounds_the_work(self):
-        # restarts x (iterations + 1) x cells, times the probe's lambdas
+        # restarts x (iterations + 1) x cells, times the probe's weight
         half = MAX_SEARCH_WORK // 2
         SearchConfig(dim=1, depth=1, restarts=1, iterations=half - 1)
         SearchConfig(dim=1, depth=1, restarts=half // 2, iterations=1)
-        SearchConfig(dim=1, depth=1, restarts=1, iterations=half // PROBE_POINTS - 1,
+        SearchConfig(dim=1, depth=1, restarts=1, iterations=half // JN_PROBE_WEIGHT - 1,
                      objective="jn_B_probe")
         for big in (dict(iterations=half), dict(restarts=half // 2 + 1, iterations=1),
-                    dict(iterations=half // PROBE_POINTS, objective="jn_B_probe"),
+                    dict(iterations=half // JN_PROBE_WEIGHT, objective="jn_B_probe"),
                     dict(restarts=10 ** 9, iterations=10 ** 9)):
             with pytest.raises(InputError):
                 SearchConfig(**{"dim": 1, "depth": 1, "restarts": 1, **big})

@@ -655,3 +655,104 @@ class TestPairFamilies:
                             lambda q: calls.update(["morton"]) or original(q))
         assert verify_stopping(stopping_family(g, g.mean, "above"), f) == expected
         assert calls["morton"] == len(d.stopping_cubes) + len(d.parent_cover) > 0
+
+
+# -- the per-level verify_stopping against a per-pair reference -----------------
+
+
+def verify_stopping_per_pair(d, f):
+    """verify_stopping deciding facts (i)-(iii) pair by pair and marking E
+    by slices of cells: the report, failures in order, that the per-level
+    decision must give."""
+    from itertools import compress
+    from operator import gt, le
+    from dyadicbmo.dyadic import _morton_order
+    from dyadicbmo.stopping import StoppingReport
+    alpha, n, L, sums = d.threshold, f.dim, f.depth, f._sums()
+    crosses = gt if d.direction == "above" else le
+    alpha_den, bar = alpha.denominator, alpha.numerator * f._den
+    bars = [bar << n * (L - k) for k in range(L + 1)]
+    own = d.__dict__.get("_pairs")
+    if own is not None and own[0] is f:
+        _, stopping, cover = own
+
+        def named(bad):
+            return f._cubes(bad) if bad else ()
+    else:
+        cubes = [*d.stopping_cubes, *d.parent_cover]
+        pairs = [(q.level, q.morton()) for q in cubes]
+        stopping, cover = pairs[:len(d.stopping_cubes)], pairs[len(d.stopping_cubes):]
+        cube_at = dict(zip(pairs, cubes))
+
+        def named(bad):
+            return [cube_at[p] for p in bad]
+    not_crossing = [(k, z) for k, z in stopping
+                    if not crosses(sums[k][z] * alpha_den, bars[k])]
+    bad_fathers = [(k, z) for k, z in stopping
+                   if k == 0 or crosses(sums[k - 1][z >> n] * alpha_den, bars[k - 1])]
+    bad_parents = [(k, z) for k, z in cover if crosses(sums[k][z] * alpha_den, bars[k])]
+    outside = bytearray(b"\1") * len(f._nums)
+    for k, z in stopping:
+        cnt = 1 << n * (L - k)
+        outside[z * cnt:(z + 1) * cnt] = bytes(cnt)
+    cells = sums[L]
+    order = _morton_order(n, L)
+    bad_cells = sorted(order[z] for z in compress(range(len(outside)), outside)
+                       if crosses(cells[z] * alpha_den, bar))
+    failures = (
+        [f"stopping cube {q} does not cross {alpha}" for q in named(not_crossing)]
+        + ["root listed as a stopping cube" if q.level == 0
+           else f"father of {q} also crosses {alpha}" for q in named(bad_fathers)]
+        + [f"parent {p} crosses {alpha}" for p in named(bad_parents)]
+        + [f"cell {c} outside E crosses {alpha}" for c in bad_cells])
+    ok_measure = d.measure_E_star <= (1 << n) * d.measure_E
+    if not ok_measure:
+        failures.append(
+            f"|E*| = {d.measure_E_star} exceeds 2^n |E| = {(1 << n) * d.measure_E}")
+    return StoppingReport(stopping_cross=not not_crossing,
+                          fathers_do_not_cross=not bad_fathers,
+                          parents_do_not_cross=not bad_parents,
+                          complement_clean=not bad_cells,
+                          cover_measure_ok=ok_measure, failures=tuple(failures))
+
+
+@st.composite
+def corrupted_families(draw):
+    """(f, pairs, cubes): a decomposition of f at one of its thresholds,
+    each family changed at every level, the root's included (a cube of the
+    level added, one dropped, or one put in its child's or father's place),
+    once as pairs of f and once as public cubes in a shuffled order."""
+    f = draw(signed_functions().filter(lambda g: g.depth > 0))
+    n, L = f.dim, f.depth
+    alpha, direction = draw(st.sampled_from(_alphas(f)))
+    d = stopping_family(f, alpha, direction)
+    families = [list(d._pairs[1]), list(d._pairs[2])]
+    for k in range(L + 1):
+        for family in families:
+            at_k = [p for p in family if p[0] == k]
+            move = draw(st.sampled_from(("keep", "add", "drop", "child", "father")))
+            if move == "add":
+                family.append((k, draw(st.integers(0, (1 << n * k) - 1))))
+            elif at_k and move != "keep":
+                p = draw(st.sampled_from(at_k))
+                family.remove(p)
+                if move == "child" and k < L:
+                    family.append((k + 1, (p[1] << n) + draw(st.integers(0, (1 << n) - 1))))
+                elif move == "father" and k > 0:
+                    family.append((k - 1, p[1] >> n))
+    stopping, cover = (draw(st.permutations(family)) for family in families)
+    fields = dict(threshold=Fraction(alpha), direction=direction,
+                  measure_E=_measure(f, stopping), measure_E_star=_measure(f, cover))
+    pairs = CZDecomposition._of_pairs(f, stopping, cover, **fields)
+    by_pair = {p: f._cubes([p])[0] for p in {*stopping, *cover}}
+    cubes = CZDecomposition(stopping_cubes=tuple(map(by_pair.get, stopping)),
+                            parent_cover=tuple(map(by_pair.get, cover)), **fields)
+    return f, pairs, cubes
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(corrupted_families())
+def test_per_level_decision_equals_the_per_pair_reference(case):
+    f, pairs, cubes = case
+    for d in (pairs, cubes):
+        assert verify_stopping(d, f) == verify_stopping_per_pair(d, f)

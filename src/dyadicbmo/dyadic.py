@@ -322,7 +322,7 @@ class DyadicFunction:
         cnt = 2^(n(L-k)), its mean oscillation times den * cnt^2.  Level-L
         cubes are single cells with oscillation 0."""
         cnt, nums = 1 << (self.dim * (self.depth - k)), self._nums
-        return [sum(abs(a * cnt - s) for a in nums[z * cnt:(z + 1) * cnt])
+        return [sum([abs(a * cnt - s) for a in nums[z * cnt:(z + 1) * cnt]])
                 for z, s in enumerate(self._sums()[k])]
 
     def _level_bests(self):

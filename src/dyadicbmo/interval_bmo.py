@@ -90,11 +90,31 @@ class IntervalBMOBound:
 # ---------------------------------------------------------------------------
 
 def _monotone_norm(g):
-    """Exact sup of interval oscillation for monotone g, with witness.
+    """Exact sup of interval oscillation for monotone g, with witness: the
+    integer core _monotone_ints on g's arrays, a nondecreasing g negated
+    first, and its best value and argmax as Fractions."""
+    TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
+    if not g.is_nonincreasing:
+        V, Q = [-v for v in V], [-q for q in Q]
+    bn, bd, arg = _monotone_ints(TD, B, V, Q)
+    if arg is None:
+        return Fraction(0), (Fraction(0), Fraction(1))
+    side, tn, td = arg
+    td *= TD
+    return (Fraction(bn, bd * VD),
+            (Fraction(0), Fraction(tn, td)) if side == 0
+            else (Fraction(td - tn, td), Fraction(1)))
 
-    A nondecreasing g is negated first.  Windows [0,t] come from g itself,
-    windows [1-t,1] from its mirror -g(1-t), both read from g's integer
-    arrays (B over TD, V over VD, Q over TD*VD).  The window mean only
+
+def _monotone_ints(TD, B, V, Q):
+    """(bn, bd, arg): the sup of interval oscillation of the nonincreasing
+    step function with breakpoints B over TD, values V over VD and prefix
+    integrals Q over TD*VD is bn / (bd * VD), attained at t = tn / (td * TD)
+    of the window [0,t] (side 0) or [1-t,1] (side 1) for arg = (side, tn,
+    td); arg is None where the sup is 0.
+
+    Windows [0,t] read the function g the arrays hold, windows [1-t,1] its
+    mirror -g(1-t), built from the same arrays.  The window mean only
     falls, so kappa, the count of pieces above it, is carried forward.
     Each sub-segment (t in piece j, kappa fixed) gives the argmax of
     2*(a*t - C)/(VD*t^2), C = c*t_kappa: t* = 2C/a if strictly inside,
@@ -106,9 +126,6 @@ def _monotone_norm(g):
     or, falling throughout, the same point with the same value, which
     takes its place in the order, so the sup and the witness stay.
     """
-    TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
-    if not g.is_nonincreasing:
-        V, Q = [-v for v in V], [-q for q in Q]
     mirrored = ([TD - b for b in reversed(B)], [-v for v in reversed(V)],
                 [q - Q[-1] for q in reversed(Q)])
     bn, bd, arg = 0, 1, None
@@ -155,13 +172,7 @@ def _monotone_norm(g):
                 # the pieces at V[kappa] are now strictly above the mean
                 cn, cd = hn, hd
                 kappa += 1
-    if arg is None:
-        return Fraction(0), (Fraction(0), Fraction(1))
-    side, tn, td = arg
-    td *= TD
-    return (Fraction(bn, bd * VD),
-            (Fraction(0), Fraction(tn, td)) if side == 0
-            else (Fraction(td - tn, td), Fraction(1)))
+    return bn, bd, arg
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +396,12 @@ def _general_norm(g):
 # public entry point
 # ---------------------------------------------------------------------------
 
+def check_tol(tol):
+    """Raise InputError unless tol is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
+
+
 def interval_bmo_norm(g, tol=1e-9):
     """Two-sided certified bound on sup over intervals [a,b] of the oscillation.
 
@@ -396,8 +413,7 @@ def interval_bmo_norm(g, tol=1e-9):
     """
     if not isinstance(g, StepFunction1D):
         raise InputError("interval_bmo_norm expects a StepFunction1D")
-    if not 0 < tol < math.inf:
-        raise InputError(f"tolerance must be positive and finite, got {tol}")
+    check_tol(tol)
     h = g.merged()
     if len(h._V) == 1:
         return IntervalBMOBound(lower=Fraction(0), upper=0.0,

@@ -10,15 +10,20 @@ best function's cells become Fractions); fully deterministic for a fixed
 seed, with one RNG stream per restart so restarts may run in any order (or
 in parallel processes) without changing the result.
 
-A trial is scored from integers: the dyadic norm is the level and the
-oscillation numerator _bmo_level picks, with no witness cube or average,
-and the ratio is the integer pair lower.numerator * (den << 2n(L-k)) over
-lower.denominator * top.  Its float num / den is correctly rounded, as
-float(Fraction) is, so every annealing decision is the one the Fraction
-would make, and the 2^n cap test cross-multiplies.  The one Fraction
-ratio, the public bmo_dyadic_norm with its witness cube, and the check
-that the reported ratio is the certificate's lower bound over that norm
-are made once, for the reported best.
+A trial is scored from integers alone: the dyadic norm is the level and
+the oscillation numerator _bmo_level picks, with no witness cube or
+average; the interval norm of the signed rearrangement is the pair bn / bd
+of the monotone integer core (interval_bmo._monotone_ints), with no bound,
+witness or float; and the ratio is the integer pair
+bn * (den << 2n(L-k)) over bd * VD * top.  Its float num / den is
+correctly rounded, as float(Fraction) is, so every annealing decision is
+the one the Fraction would make, and the 2^n cap test cross-multiplies.
+Cells are kept in Morton order, so a trial's function is built with no
+permutation; the RNG draws public cell indices, mapped to their addresses.
+The one Fraction ratio, the interval bound (the certificate), the public
+bmo_dyadic_norm with its witness cube, and the check that the reported
+ratio is the certificate's lower bound over that norm are made once, for
+the reported best.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from fractions import Fraction
 from .dyadic import (DyadicFunction, _bmo_level, _morton_order,
                      bmo_dyadic_norm, check_grid_size, distribution_above)
 from .errors import InputError, PreconditionError
-from .interval_bmo import interval_bmo_norm
+from .interval_bmo import _monotone_ints, check_tol, interval_bmo_norm
 from .rearrangement import rearrange_signed
 
 OBJECTIVES = ("ratio_thm1", "jn_B_probe")
@@ -75,9 +80,7 @@ class SearchConfig:
         check_grid_size(self.dim, self.depth)
         if not (self.temp_initial > 0 and self.temp_final > 0):
             raise InputError("temp_initial and temp_final must be > 0")
-        if not 0 < self.tol < math.inf:
-            raise InputError("tolerance must be positive and finite, "
-                             f"got {self.tol}")
+        check_tol(self.tol)
         work = self.restarts * (self.iterations + 1) << self.dim * self.depth
         if self.objective == "jn_B_probe":
             work *= JN_PROBE_WEIGHT
@@ -105,31 +108,33 @@ class SearchResult:
     hard_cap: float
 
 
-def _ratio(f, tol):
-    """((num, den), bound): the certified lower bound of ||f_d||_* over the
-    dyadic norm of f, num / den, and the interval bound it came from; None
-    for a constant f.  The norm is top / (den_f * 4^(n(L-k))) from
-    _bmo_level, so no witness cube, average or Fraction is built."""
+def _ratio(f):
+    """(num, den): the certified lower bound of ||f_d||_* over the dyadic
+    norm of f is num / den; None for a constant f.  The lower bound is
+    bn / (bd * VD) from the monotone integer core on the signed
+    rearrangement's arrays, the norm top / (den_f * 4^(n(L-k))) from
+    _bmo_level, so no interval bound, witness, float or Fraction is built."""
     k, top = _bmo_level(f)
     if not top:
         return None
-    bound = interval_bmo_norm(rearrange_signed(f), tol)
-    lower = bound.lower
-    num = lower.numerator * (f._den << 2 * f.dim * (f.depth - k))
-    den = lower.denominator * top
+    g = rearrange_signed(f)
+    bn, bd, _ = _monotone_ints(g._td, g._B, g._V, g._prefix())
+    num = bn * (f._den << 2 * f.dim * (f.depth - k))
+    den = bd * g._vd * top
     if num > den << f.dim:
         raise AssertionError(
             f"ratio {Fraction(num, den)} exceeds the proven cap {1 << f.dim}; "
             f"this indicates a bug in the norm computation")
-    return (num, den), bound
+    return num, den
 
 
 def ratio_objective(f, tol=1e-9):
     """Certified lower bound of ||f_d||_* divided by the dyadic norm of f."""
-    scored = _ratio(f, tol)
+    check_tol(tol)
+    scored = _ratio(f)
     if scored is None:
         raise PreconditionError("the ratio is undefined for constant functions")
-    num, den = scored[0]
+    num, den = scored
     return num / den
 
 
@@ -156,21 +161,19 @@ def _jn_probe_score(f):
 
 
 def _score(f, cfg):
-    """(float score, exact score, certificate) of f; all None for a constant f.
-
-    The exact score is _ratio's integer pair for the ratio, whose
-    certificate is the interval bound behind it, and the float's Fraction
-    for the probe, with no certificate."""
+    """(float score, exact score) of f; both None for a constant f.  The
+    exact score is _ratio's integer pair for the ratio, the float's
+    Fraction for the probe."""
     if cfg.objective == "ratio_thm1":
-        scored = _ratio(f, cfg.tol)
+        scored = _ratio(f)
         if scored is None:
-            return None, None, None
-        (num, den), bound = scored
-        return num / den, (num, den), bound
+            return None, None
+        num, den = scored
+        return num / den, scored
     s = _jn_probe_score(f)
     if s is None:
-        return None, None, None
-    return s, Fraction(s), None
+        return None, None
+    return s, Fraction(s)
 
 
 def _normalize(nums, bits):
@@ -192,26 +195,29 @@ def _normalize(nums, bits):
 
 
 def _function(cfg, nums):
-    """The function whose public-order cells are nums / 2^denom_bits."""
-    return DyadicFunction._from_nums(
-        cfg.dim, cfg.depth, 1 << cfg.denom_bits,
-        [nums[p] for p in _morton_order(cfg.dim, cfg.depth)])
+    """The function whose Morton-order cells are nums / 2^denom_bits."""
+    return DyadicFunction._from_nums(cfg.dim, cfg.depth, 1 << cfg.denom_bits, nums)
 
 
 def _run_restart(cfg, restart_index):
     rng = random.Random(cfg.seed * 1_000_003 + restart_index)
     count = 1 << (cfg.dim * cfg.depth)
     den = 1 << cfg.denom_bits
+    # cells are kept in Morton order; the RNG draws public cell indices
+    order = _morton_order(cfg.dim, cfg.depth)
+    address = [0] * count
+    for z, p in enumerate(order):
+        address[p] = z
 
     for _ in range(65):  # a start and up to 64 retries past constant ones
-        cells = _normalize([rng.randrange(-den, den + 1) for _ in range(count)],
-                           cfg.denom_bits)
-        score, exact, cert = _score(_function(cfg, cells), cfg)
+        drawn = [rng.randrange(-den, den + 1) for _ in range(count)]
+        cells = _normalize([drawn[p] for p in order], cfg.denom_bits)
+        score, exact = _score(_function(cfg, cells), cfg)
         if score is not None:
             break
     else:
         return None
-    best_cells, best_score, best_exact, best_cert = cells, score, exact, cert
+    best_cells, best_score, best_exact = cells, score, exact
     trace = [(restart_index, 0, best_score)]
 
     cooling = (cfg.temp_final / cfg.temp_initial) ** (1.0 / max(cfg.iterations - 1, 1))
@@ -220,25 +226,25 @@ def _run_restart(cfg, restart_index):
     for it in range(1, cfg.iterations + 1):
         trial = list(cells)
         for _ in range(1 + rng.randrange(2)):
-            c = rng.randrange(count)
+            c = address[rng.randrange(count)]
             mag = max(1, int(step_num * temp / cfg.temp_initial))
             trial[c] += rng.choice((-1, 1)) * rng.randrange(1, mag + 1)
         trial = _normalize(trial, cfg.denom_bits)
-        new_score, new_exact, new_cert = _score(_function(cfg, trial), cfg)
+        new_score, new_exact = _score(_function(cfg, trial), cfg)
         if new_score is not None:
             delta = new_score - score
             if delta >= 0 or rng.random() < math.exp(delta / temp):
-                cells, score, exact, cert = trial, new_score, new_exact, new_cert
+                cells, score, exact = trial, new_score, new_exact
             if score > best_score:
-                best_cells, best_score, best_exact, best_cert = cells, score, exact, cert
+                best_cells, best_score, best_exact = cells, score, exact
                 trace.append((restart_index, it, best_score))
         temp *= cooling
-    return best_cells, best_score, best_exact, best_cert, trace
+    return best_cells, best_score, best_exact, trace
 
 
 def search(cfg):
-    """Multistart annealing; the best evaluation is reported with the
-    certificate it was scored with."""
+    """Multistart annealing; the best evaluation is reported with its
+    certificate, built once for it."""
     workers = min(cfg.threads, cfg.restarts, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -254,17 +260,19 @@ def search(cfg):
     for res in results:  # ascending restart index: ties keep the earliest
         if res is None:
             continue
-        trace.extend(res[4])
+        trace.extend(res[3])
         if best is None or res[1] > best[1]:
             best = res
     if best is None:
         raise PreconditionError("no valid (non-constant) candidate was found")
 
-    best_cells, score, exact, cert, _ = best
+    best_cells, score, exact, _ = best
     f = _function(cfg, best_cells)
+    cert = None
     if cfg.objective == "ratio_thm1":
         cap = float(1 << cfg.dim)
         exact = Fraction(*exact)
+        cert = interval_bmo_norm(rearrange_signed(f), cfg.tol)
         if exact != cert.lower / bmo_dyadic_norm(f):
             raise AssertionError(
                 f"the best score {exact} is not its certificate's lower "

@@ -73,8 +73,9 @@ class TestRatioObjective:
 
 class TestIntegerScore:
     def test_pair_is_the_fraction_ratio(self):
-        # the trial score is an integer pair; its float and value are those
-        # of the certified lower bound over the public dyadic norm
+        # the trial score is an integer pair; its value is the certified
+        # lower bound over the public dyadic norm, and its float is the
+        # ratio_objective value
         rng = random.Random(25)
         fs = [DyadicFunction(2, 1, ["5/3"] * 4)]
         for _ in range(120):
@@ -82,18 +83,39 @@ class TestIntegerScore:
             fs.append(random_function(rng, n, rng.randrange(1, 7 // n),
                                       denom_bits=rng.choice((0, 2, 4))))
         for f in fs:
-            scored = _ratio(f, 1e-9)
+            scored = _ratio(f)
             norm = bmo_dyadic_norm(f)
             if norm == 0:
                 assert scored is None
                 with pytest.raises(PreconditionError):
                     ratio_objective(f)
                 continue
-            (num, den), bound = scored
-            exact = bound.lower / norm
-            assert bound == interval_bmo_norm(rearrange_signed(f))
+            num, den = scored
+            exact = interval_bmo_norm(rearrange_signed(f)).lower / norm
             assert Fraction(num, den) == exact
             assert num / den == float(exact) == ratio_objective(f)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_ratio_objective_rejects_bad_tol(self, tol):
+        with pytest.raises(InputError, match="tolerance must be positive"):
+            ratio_objective(DyadicFunction(1, 2, [3, 1, 0, 2]), tol)
+
+    def test_search_builds_one_certificate(self, monkeypatch):
+        # trials are scored on the integer core; only the reported best
+        # gets an interval bound
+        search_mod = sys.modules["dyadicbmo.search"]
+        real, calls = search_mod.interval_bmo_norm, []
+
+        def counted(g, tol=1e-9):
+            calls.append(g)
+            return real(g, tol)
+
+        monkeypatch.setattr(search_mod, "interval_bmo_norm", counted)
+        res = search(SearchConfig(dim=2, depth=1, restarts=3, iterations=20,
+                                  seed=4))
+        assert len(calls) == 1
+        assert calls[0] == rearrange_signed(res.best_function)
+        assert res.certificate == real(calls[0])
 
 
 class TestExhaustiveBinaryCase:

@@ -62,29 +62,6 @@ def _spread(dim):
     return tuple(sum(((b >> j) & 1) << (j * dim) for j in range(8)) for b in range(256))
 
 
-@lru_cache(maxsize=8)
-def _gather(dim):
-    """The inverse of _spread(dim), from spread byte to byte."""
-    return {s: b for b, s in enumerate(_spread(dim))}
-
-
-def _unmorton(z, dim):
-    """The index tuple of the cube at Morton address z, coordinate dim-1
-    first: the coordinate whose bits sit at places o, o + dim, ... of z,
-    for o = 0..dim-1, gathered a spread byte at a time."""
-    gather, step = _gather(dim), 8 * dim
-    mask = _spread(dim)[255]
-    out = []
-    for o in range(dim):
-        x, i, shift = z >> o, 0, 0
-        while x:
-            i |= gather[x & mask] << shift
-            x >>= step
-            shift += 8
-        out.append(i)
-    return tuple(out)
-
-
 def check_grid_size(dim, depth):
     """InputError unless an n=dim, L=depth grid has at most 2^MAX_GRID_BITS
     cells and n <= MAX_GRID_BITS (a cube has 2^n children)."""
@@ -408,14 +385,15 @@ class DyadicFunction:
 
     def _cubes(self, pairs):
         """The cubes at (level, Morton address) pairs, sorted by (level, flat
-        index), the order of their first cells' public indices.  A flat
-        index orders the coordinates last one first, as _unmorton returns
-        them; for n = 1 the address is the index."""
-        n = self.dim
-        if n == 1:
-            return tuple(DyadicCubeId._exact(k, (z,)) for k, z in sorted(pairs))
-        return tuple(DyadicCubeId._exact(k, high_first[::-1]) for k, high_first
-                     in sorted((k, _unmorton(z, n)) for k, z in pairs))
+        index).  Each is named by its first cell's public index p: a level-k
+        cube's first cell has the cube's index shifted left by L - k, so p
+        orders the cubes of a level as their flat indices do."""
+        n, L = self.dim, self.depth
+        order = _morton_order(n, L)
+        firsts = sorted((k, order[z << n * (L - k)]) for k, z in pairs)
+        return tuple(DyadicCubeId._exact(k, tuple([i >> (L - k)
+                                                   for i in _decode(p, L, n)]))
+                     for k, p in firsts)
 
     # -- basic quantities ---------------------------------------------------
 

@@ -28,7 +28,7 @@ from mpmath.libmp import (from_int, from_rational, fone, fzero, mpf_add,
 from .errors import InputError, PreconditionError
 from .highprec import (IV_E, IV_ONE, IV_ZERO, PREC, iv_float, iv_from_fraction,
                        iv_int, iv_max, iv_pow, upper_float)
-from .rearrangement import _window, hardy_average, rearrange_abs
+from .rearrangement import _window, check_t, hardy_average, rearrange_abs
 
 P_CAP = 1.0e6
 
@@ -120,9 +120,7 @@ def sigma_level_for(t, n):
 
     2^-k <= 2 t^(1/n)  iff  2^-n(k+1) <= t, an exact rational comparison.
     """
-    t = Fraction(t)
-    if not 0 < t <= 1:
-        raise InputError(f"t must lie in (0,1], got {t}")
+    t = check_t(t)
     k = 0
     while Fraction(1, 1 << (n * (k + 1))) > t:
         k += 1
@@ -143,9 +141,7 @@ def theorem3_check(f, t, profile=None):
     _require_nonneg(f)
     if not any(f._nums):
         raise PreconditionError("requires a function not identically zero")
-    t = Fraction(t)
-    if not 0 < t <= 1:
-        raise InputError(f"t must lie in (0,1], got {t}")
+    t = check_t(t)
     favg, lhs = _window(rearrange_abs(f), Fraction(0), t)
     if profile is None:
         profile = gr_profile(f)
@@ -238,9 +234,7 @@ def _power_exponent(f):
 def theorem5_check(f, t):
     """lhs = F(t) exact; rhs = (p/(p-1)) * mean * t^(-1/p), rounded upward."""
     _require_nonneg(f)
-    t = Fraction(t)
-    if not 0 < t <= 1:
-        raise InputError(f"t must lie in (0,1], got {t}")
+    t = check_t(t)
     sol = _power_exponent(f)
     lhs = hardy_average(rearrange_abs(f), t)
     p = iv_float(sol.p)
@@ -283,9 +277,7 @@ def theorem4_bound(f, t, profile=None):
     _require_nonneg(f)
     if not any(f._nums):
         raise PreconditionError("requires a function not identically zero")
-    t = Fraction(t)
-    if not 0 < t <= 1:
-        raise InputError(f"t must lie in (0,1], got {t}")
+    t = check_t(t)
     c1, c2, c3, c4, inv_n = _theorem4_constants(f.dim)
     t_iv = iv_from_fraction(t)
     if mpf_lt(fone, mpf_mul(t_iv[0], c4[0], PREC, round_floor)):

@@ -34,8 +34,22 @@ sup exactly:
   The mean is linear-fractional, so the corner means span its range over
   the box (Boyd & Vandenberghe, Convex Optimization, 3.4), and the sup over
   the box is the largest box max of the bands that range meets.  A box max
-  sits at a corner, an edge stationary point or the interior critical
-  point, each a linear equation's root, so every candidate is rational.
+  sits at a corner or at an edge stationary point, a linear equation's
+  root, so every candidate is rational.  An interior critical point is
+  never the only max.  With v_S the value of the end piece in S, v_o the
+  other end's, a and b the means of the middle pieces in and out of S,
+  and HL the length in S, a band with F11 > 0 has
+
+      4 F11 F00 - 4 F10 F01 + (F11 M - F10 - F01)^2 = (P - R)^2 >= 0,
+      P = HL (v_S - a),  R = (M - HL)(b - v_o),
+
+  and with F11 = 0 the left side is (F10 - F01)^2.  It is the
+  discriminant of F on T = 0, the binary form -F11 s^2 + (F10 - F01 -
+  F11 M) s W + (F00 - F01 M) W^2 at (X, Y) = (s, -s - M W), which is
+  thus not definite.  That form is F's quadratic part on the plane T = 1,
+  where each critical point of 2F/T^2 with T > 0 is one of F: an
+  isolated one is a saddle, and a line of them has one value up to the
+  box's boundary.  One with T <= 0 lies outside the box.
   Two exact upper bounds skip work without changing the result: a pair's
   windows have values in [Lo, H] and means in the corner-mean range, so
   they oscillate at most 2(H-mu)(mu-Lo)/(H-Lo) at mu = (H+Lo)/2 clamped to
@@ -48,9 +62,9 @@ sup exactly:
   shrinks as i grows, so the pair loop stops at the first row whose range
   fails the test.
   The path runs in the same scaled integers: candidates are homogeneous
-  integer triples (X, Y, W), W > 0, reduced by their gcd (equal points are
-  equal tuples), and 2F/T^2 is homogeneous of degree 0, so candidates
-  compare by cross-multiplying.
+  integer triples (X, Y, W), W > 0, and 2F/T^2 is homogeneous of degree
+  0, so candidates compare by cross-multiplying, unreduced; the witness
+  is built as Fractions, which reduce it.
 
 The reported lower bound is attained at the rational witness; the upper bound
 is the same exact value rounded one float ulp upward.  tol changes no
@@ -115,8 +129,10 @@ def _monotone_ints(TD, B, V, Q):
 
     Windows [0,t] read the function g the arrays hold, windows [1-t,1] its
     mirror -g(1-t), built from the same arrays.  The window mean only
-    falls, so kappa, the count of pieces above it, is carried forward.
-    Each sub-segment (t in piece j, kappa fixed) gives the argmax of
+    falls, so kappa, the count of pieces above it, is carried forward: the
+    sub-segment loop steps it past each value the mean crosses (an empty
+    sub-segment where that is at a breakpoint), so it is right at each
+    breakpoint.  Each sub-segment (t in piece j, kappa fixed) gives the argmax of
     2*(a*t - C)/(VD*t^2), C = c*t_kappa: t* = 2C/a if strictly inside,
     else the end it rises towards.  Ties keep the first argmax (the [0,t]
     family in order, then [1-t,1]); a sub-segment's other points are
@@ -134,11 +150,9 @@ def _monotone_ints(TD, B, V, Q):
         for j in range(2, len(V) + 1):
             t0, t1 = B[j - 1], B[j]
             vj, P = V[j - 1], Q[j - 1]
-            c = P - vj * t0  # integral of (g - vj) over the prefix, >= 0
-            if c == 0:
-                continue  # prefix constant at vj: oscillation 0 throughout
-            while kappa < j - 1 and V[kappa] * t0 > P:
-                kappa += 1
+            # integral of (g - vj) over the prefix: > 0 on merged input, 0 on
+            # a run at vj, whose sub-segment then oscillates 0 throughout
+            c = P - vj * t0
             cn, cd = t0, 1  # sub-segment start
             while True:
                 if kappa < j - 1 and V[kappa] > vj:
@@ -179,46 +193,16 @@ def _monotone_ints(TD, B, V, Q):
 # general path: piece-pair boxes, one bilinear form per mean band
 # ---------------------------------------------------------------------------
 
-def _reduced(X, Y, W):
-    """The homogeneous point (X, Y, W), W > 0, divided by its gcd."""
-    d = math.gcd(X, Y, W)
-    return (X, Y, W) if d == 1 else (X // d, Y // d, W // d)
-
-
-def _interior_candidate(fq, M):
-    """The interior critical point of 2F/T^2 as a reduced triple, or None.
-
-    F_x = F_y is the line F11 (Y - X) = F01 - F10, and on it
-    G = F_x*T - 2F is linear in Y (the Y^2 terms cancel).  Where the
-    critical points fill a line instead (F11 != 0 with G vanishing on it,
-    or F11 = 0 with F10 = F01 != 0), the gradient vanishes along it, so
-    2F/T^2 is constant on its segment in the box.  The segment ends on the
-    box's boundary, at a corner or an edge stationary point (or on an edge
-    where 2F/T^2 is constant), candidates that come earlier and that a
-    point of equal value never displaces; so there is no interior candidate.
-    """
-    F11, F10, F01, F00 = fq
-    if F11 == 0:
-        return None
-    # X = Y + (F10 - F01)/F11 and Y = -C/(F11*B)
-    B = F11 * M - F10 - F01
-    if B == 0:
-        return None
-    C = F10 * (F11 * M - F10 + F01) - 2 * F00 * F11
-    W = F11 * B
-    if W < 0:
-        W, C, B = -W, -C, -B
-    return _reduced((F10 - F01) * B - C, -C, W)
-
-
 def _box_candidates(fq, M, Li, Lj):
-    """Reduced triples where the max of 2F/T^2 over [0,Li] x [0,Lj] can sit.
+    """Homogeneous points (X, Y, W), W > 0, where the max of 2F/T^2 over
+    [0,Li] x [0,Lj] can sit.
 
     F = F11 XY + F10 XW + F01 YW + F00 W^2 and T = X + Y + M*W.  The
     candidates are the corners, then the stationary point strictly inside
-    each edge, then the interior critical point if it lies in the box.  On
-    an edge one coordinate is fixed at c and F = p*s + q in the other one,
-    so (F/T^2)' = 0 is p*(s + c + M) = 2F, at s = (p*(c + M) - 2q)/p.
+    each edge; an interior critical point is never the only max (module
+    docstring).  On an edge one coordinate is fixed at c and F = p*s + q in
+    the other one, p >= 0 as F's coefficients are (_general_norm), so
+    (F/T^2)' = 0 is p*(s + c + M) = 2F, at s = (p*(c + M) - 2q)/p.
     """
     F11, F10, F01, F00 = fq
     pts = [(0, 0, 1), (Li, 0, 1), (Li, Lj, 1), (0, Lj, 1)]
@@ -228,16 +212,8 @@ def _box_candidates(fq, M, Li, Lj):
                                 (Lj, Li, F11 * Lj + F10, F01 * Lj + F00, False),
                                 (0, Lj, F01, F00, True)):
         s = p * (c + M) - 2 * q  # the root is s / p
-        if p < 0:
-            p, s = -p, -s
         if 0 < s < L * p:
-            pts.append(_reduced(c * p, s, p) if x_fixed
-                       else _reduced(s, c * p, p))
-    inner = _interior_candidate(fq, M)
-    if inner is not None:
-        X, Y, W = inner
-        if 0 <= X <= Li * W and 0 <= Y <= Lj * W:
-            pts.append(inner)
+            pts.append((c * p, s, p) if x_fixed else (s, c * p, p))
     return pts
 
 
@@ -313,7 +289,6 @@ def _general_norm(g):
             break  # the pair test below holds for every later pair
         vi = V[i - 1]
         Li = B[i] - B[i - 1]
-        top = low = vi
         asc = [vi]  # distinct values of pieces i..j, ascending
         mid = {}    # value -> (length, integral) of the pieces strictly between
         for j in range(i + 1, m + 1):
@@ -322,13 +297,10 @@ def _general_norm(g):
                 v, w = V[j - 2], B[j - 1] - B[j - 2]
                 hl, hs = mid.get(v, (0, 0))
                 mid[v] = (hl + w, hs + v * w)
-            if vj > top:
-                top = vj
-            elif vj < low:
-                low = vj
             r = bisect_left(asc, vj)
             if r == len(asc) or asc[r] != vj:
                 asc.insert(r, vj)
+            top, low = asc[-1], asc[0]
             span = top - low
             if span < jump or span * bd <= 2 * bn:
                 continue

@@ -19,7 +19,7 @@ from mpmath.libmp import (mpi_div, mpi_exp, mpi_log, mpi_mid, mpi_mul, mpi_neg,
 from .dyadic import bmo_dyadic_norm, distribution_above
 from .errors import InputError, PreconditionError
 from .highprec import IV_E, IV_ONE, PREC, iv_from_fraction, iv_int, upper_float
-from .rearrangement import rearrange_signed
+from .rearrangement import check_t, rearrange_signed
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,7 @@ def logbound_check(f, t):
     if f.mean != 0:
         raise PreconditionError(
             f"requires exact zero mean; got {f.mean} (subtract the average first)")
-    t = Fraction(t)
-    if not 0 < t <= 1:
-        raise InputError(f"t must lie in (0,1], got {t}")
+    t = check_t(t)
     lhs = rearrange_signed(f).value_at(t)
     norm = bmo_dyadic_norm(f)
     if norm == 0:

@@ -27,6 +27,14 @@ from .dyadic import DyadicFunction
 from .errors import InputError, PreconditionError
 
 
+def check_t(t):
+    """t as a Fraction; InputError unless it lies in (0,1]."""
+    t = Fraction(t)
+    if not 0 < t <= 1:
+        raise InputError(f"t must lie in (0,1], got {t}")
+    return t
+
+
 class StepFunction1D:
     """Left-continuous step function on (0,1].
 
@@ -152,9 +160,7 @@ class StepFunction1D:
 
     def value_at(self, t):
         """g(t) for t in (0,1], honoring left continuity."""
-        t = Fraction(t)
-        if not 0 < t <= 1:
-            raise InputError(f"t must lie in (0,1], got {t}")
+        t = check_t(t)
         i = self._piece(t.numerator * self._td, t.denominator)
         return Fraction(self._V[i - 1], self._vd)
 
@@ -254,9 +260,7 @@ def supinf_formula(f, t):
 
 def hardy_average(g, t):
     """(1/t) * integral of g over (0,t]."""
-    t = Fraction(t)
-    if not 0 < t <= 1:
-        raise InputError(f"t must lie in (0,1], got {t}")
+    t = check_t(t)
     return Fraction(g._integral_at(t.numerator * g._td, t.denominator),
                     g._td * g._vd * t.numerator)
 
@@ -325,9 +329,7 @@ def hardy_gap_check(g, t, gamma):
     """
     if not g.is_nonincreasing:
         raise PreconditionError("hardy_gap_check requires a nonincreasing step function")
-    t, gamma = Fraction(t), Fraction(gamma)
-    if not 0 < t <= 1:
-        raise InputError(f"t must lie in (0,1], got {t}")
+    t, gamma = check_t(t), Fraction(gamma)
     if gamma <= 1:
         raise PreconditionError(f"gamma must exceed 1, got {gamma}")
     favg, osc = _window(g, Fraction(0), t)

@@ -12,7 +12,7 @@ from dyadicbmo import (DyadicCubeId, DyadicFunction, InputError, bmo_argmax,
                        bmo_dyadic_norm, cube_average, distribution_above,
                        dyadic_maximal_function, every_cube, mean_oscillation,
                        one_sided_oscillation)
-from dyadicbmo.dyadic import MAX_GRID_BITS, _unmorton
+from dyadicbmo.dyadic import MAX_GRID_BITS
 from conftest import (all_cubes_oracle, average_oracle, bmo_norm_oracle,
                       cube_cells_oracle, maximal_oracle, oscillation_oracle,
                       random_cube, random_function)
@@ -374,17 +374,25 @@ def test_morton_table_matches_bit_loop(q):
     z = q.morton()
     assert z == morton_loop_oracle(q)
     assert 0 <= z < 1 << (q.dim * q.level)
-    assert _unmorton(z, q.dim)[::-1] == q.index
+
+
+@lru_cache(maxsize=None)
+def zero_function(n, depth):
+    return DyadicFunction(n, depth, [0] * (1 << (n * depth)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.data())
 def test_unmorton_round_trips_addresses(data):
+    # a cube's Morton address names it back through the function's cell
+    # table, on grids of up to 2^12 cells
     n = data.draw(st.integers(1, 4))
-    level = data.draw(st.integers(0, MAX_GRID_BITS // n))
-    z = data.draw(st.integers(0, (1 << (n * level)) - 1))
-    q = DyadicCubeId(level, _unmorton(z, n)[::-1])
-    assert q.morton() == z
+    depth = data.draw(st.integers(0, 12 // n))
+    level = data.draw(st.integers(0, depth))
+    top = (1 << level) - 1
+    coord = st.one_of(st.integers(0, top), st.sampled_from((0, top, top >> 1)))
+    q = DyadicCubeId(level, tuple(data.draw(coord) for _ in range(n)))
+    assert zero_function(n, depth)._cubes([(level, q.morton())]) == (q,)
 
 
 @lru_cache(maxsize=None)

@@ -451,6 +451,75 @@ class TestUpperBoundSkips:
         assert interval_mean_oscillation(g, *got[1]) == got[0]
 
 
+def interior_candidate(fq, M):
+    """The interior critical point of 2F/T^2 as a homogeneous triple, or None
+    where there is none or the critical points fill a line: the candidate
+    the general path once scored after the corners and the edge points.
+
+    F_x = F_y is the line F11 (Y - X) = F01 - F10, and on it G = F_x*T - 2F
+    is linear in Y (the Y^2 terms cancel)."""
+    F11, F10, F01, F00 = fq
+    if F11 == 0:
+        return None
+    # X = Y + (F10 - F01)/F11 and Y = -C/(F11*B)
+    B = F11 * M - F10 - F01
+    if B == 0:
+        return None
+    C = F10 * (F11 * M - F10 + F01) - 2 * F00 * F11
+    W = F11 * B
+    if W < 0:
+        W, C, B = -W, -C, -B
+    return (F10 - F01) * B - C, -C, W
+
+
+def box_score(fq, M, point):
+    """2F/T^2 at a homogeneous point with T > 0."""
+    F11, F10, F01, F00 = fq
+    X, Y, W = point
+    T = X + Y + M * W
+    return Fraction(2 * (F11 * X * Y + (F10 * X + F01 * Y + F00 * W) * W), T * T)
+
+
+class TestNoInteriorCandidate:
+    """The general path scores only corners and edge stationary points: on
+    every band it visits, a critical point inside the box is a saddle, so it
+    scores strictly below the best of those candidates."""
+
+    def test_interior_points_lose_to_the_box_candidates(self, monkeypatch):
+        bands = []
+        box_candidates = interval_bmo._box_candidates
+
+        def counted(fq, M, Li, Lj):
+            pts = box_candidates(fq, M, Li, Lj)
+            bands.append((fq, M, Li, Lj, pts))
+            return pts
+
+        monkeypatch.setattr(interval_bmo, "_box_candidates", counted)
+        rng = random.Random(60)
+        seen = inside = 0
+        while seen < 3000:
+            g = random_general(rng, rng.randrange(3, 12)).merged()
+            if len(g.values) < 2 or g.is_nonincreasing or g.is_nondecreasing:
+                continue
+            seen += 1
+            del bands[:]
+            _general_norm(g)
+            for fq, M, Li, Lj, pts in bands:
+                F11, F10, F01, F00 = fq
+                # F on T = 0 is never definite (the module docstring's identity)
+                assert 4 * F11 * F00 - 4 * F10 * F01 + (F11 * M - F10 - F01) ** 2 >= 0
+                inner = interior_candidate(fq, M)
+                if inner is None:
+                    continue
+                X, Y, W = inner
+                if not (0 <= X <= Li * W and 0 <= Y <= Lj * W) or X + Y + M * W <= 0:
+                    continue
+                inside += 1
+                best = max(box_score(fq, M, p) for p in pts if p[0] + p[1] + M * p[2] > 0)
+                assert box_score(fq, M, inner) < best
+        assert inside >= 80
+
+
 class TestMeanRange:
     """_mean_range is read by the band skip and the pair bound: it must hold
     every window mean of the box, and its ends must be window means."""

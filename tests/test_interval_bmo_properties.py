@@ -48,22 +48,69 @@ cut_points = st.sampled_from((2, 3, 5, 7, 8, 12, 64)).flatmap(
 @st.composite
 def monotone_step_functions(draw):
     """Monotone step functions of 2-24 unequal pieces, breakpoints over mixed
-    denominators, values from a pool small enough to leave unmerged runs of
-    ties, in either direction."""
-    cuts = draw(st.sets(cut_points, min_size=1, max_size=23))
-    pool = draw(st.lists(rationals, min_size=1, max_size=len(cuts) + 1))
-    vals = draw(st.lists(st.sampled_from(pool), min_size=len(cuts) + 1,
-                         max_size=len(cuts) + 1))
-    vals.sort(reverse=draw(st.booleans()))
+    denominators, in either direction, left unmerged: 1-6 distinct values,
+    each a run of 1-4 pieces, the first and last runs at least 2 long, so
+    both window families start on a prefix where the function is constant."""
+    distinct = sorted(draw(st.sets(rationals, min_size=1, max_size=6)),
+                      reverse=draw(st.booleans()))
+    runs = draw(st.lists(st.integers(1, 4), min_size=len(distinct),
+                         max_size=len(distinct)))
+    runs[0], runs[-1] = max(runs[0], 2), max(runs[-1], 2)
+    vals = [v for v, r in zip(distinct, runs) for _ in range(r)]
+    cuts = draw(st.sets(cut_points, min_size=len(vals) - 1,
+                        max_size=len(vals) - 1))
     return StepFunction1D([Fraction(0), *sorted(cuts), Fraction(1)], vals)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(monotone_step_functions())
 def test_monotone_path_matches_oracle(g):
+    # the unmerged g has a constant prefix in both families (c = 0 there)
+    vals = g.values
+    assert vals[0] == vals[1] and vals[-2] == vals[-1]
     for h in (g, g.merged()):
         dec = h if h.is_nonincreasing else h.negated()
         assert _monotone_norm(h) == monotone_norm_oracle(dec)
+
+
+# -- the general path's band form ------------------------------------------------
+
+@st.composite
+def bands(draw):
+    """(vi, vj, w_hi, middle): end values, the band's upper value w_hi and
+    the middle pieces as (value, length), with exactly one end in
+    S = {g >= w_hi}; w_hi is one of the window's values."""
+    values = st.integers(-9, 9)
+    middle = draw(st.lists(st.tuples(values, st.integers(1, 6)), max_size=6))
+    vi, vj = draw(values), draw(values)
+    w_hi = draw(st.sampled_from(sorted({vi, vj, *(v for v, _ in middle)})))
+    assume((vi >= w_hi) != (vj >= w_hi))
+    return vi, vj, w_hi, middle
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bands())
+def test_band_form_is_never_definite_on_the_line_at_infinity(band):
+    # F's coefficients as _general_norm computes them; where the ends lie on
+    # both sides of w_hi (F11 > 0), the discriminant of F on T = 0 is a
+    # square, so an interior critical point is never a max
+    vi, vj, w_hi, middle = band
+    M = sum(w for _, w in middle)
+    MI = sum(v * w for v, w in middle)
+    HL = sum(w for v, w in middle if v >= w_hi)
+    HI = sum(v * w for v, w in middle if v >= w_hi)
+    ib = 1 if vi >= w_hi else 0
+    jb = 1 if vj >= w_hi else 0
+    F11 = (vi - vj) * (ib - jb)
+    F10 = HI - vi * HL + ib * (vi * M - MI)
+    F01 = HI - vj * HL + jb * (vj * M - MI)
+    F00 = HI * M - MI * HL
+    assert F11 > 0 and F10 >= 0 and F01 >= 0 and F00 >= 0
+    v_S, v_o = (vi, vj) if ib else (vj, vi)
+    a = Fraction(HI, HL) if HL else 0             # mean of the middle in S
+    b = Fraction(MI - HI, M - HL) if M > HL else 0  # and out of it
+    P, R = HL * (v_S - a), (M - HL) * (b - v_o)
+    assert 4 * F11 * F00 - 4 * F10 * F01 + (F11 * M - F10 - F01) ** 2 == (P - R) ** 2
 
 
 # -- sub-segment ends of the monotone path ---------------------------------------

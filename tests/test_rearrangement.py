@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
                        StepFunction1D, hardy_average, hardy_gap_check,
                        interval_bmo_norm, interval_mean_oscillation,
-                       rearrange_abs,
-                       rearrange_signed, supinf_formula,
+                       logbound_check, rearrange_abs,
+                       rearrange_signed, sigma_level_for, supinf_formula,
+                       theorem3_check, theorem4_bound, theorem5_check,
                        value_mass_distribution)
 from conftest import (integral_to_oracle, interval_mean_oscillation_oracle,
                       merged_oracle, prefix_integrals_oracle, random_function,
@@ -497,3 +498,32 @@ def test_shift_without_a_rearrangement_carries_none():
     assert "rearr_signed" not in g._cache and "sorted" not in g._cache
     assert rearrange_signed(g) == counter_reference(g)
     assert g._cache["sorted"] == sorted(g._nums)
+
+
+# -- one check of t in (0,1] for every caller ------------------------------------
+
+DEC = StepFunction1D([0, Fraction(1, 2), 1], [1, 0])
+POS = DyadicFunction(1, 1, [1, 3])
+
+
+@pytest.mark.parametrize("call, ok, broken", [
+    (lambda g, t: g.value_at(t), DEC, None),
+    (hardy_average, DEC, None),
+    (lambda g, t: hardy_gap_check(g, t, 2), DEC, DEC.negated()),
+    (lambda n, t: sigma_level_for(t, n), 2, None),
+    (theorem3_check, POS, DyadicFunction(1, 1, [0, 0])),
+    (theorem4_bound, POS, DyadicFunction(1, 1, [-1, 3])),
+    (theorem5_check, POS, DyadicFunction(1, 1, [-1, 3])),
+    (logbound_check, DyadicFunction(1, 1, [1, -1]), POS),
+], ids=["value_at", "hardy_average", "hardy_gap_check", "sigma_level_for",
+        "theorem3_check", "theorem4_bound", "theorem5_check", "logbound_check"])
+def test_t_outside_the_unit_interval(call, ok, broken):
+    # each caller takes t in (0,1] and raises the same InputError outside
+    # it, after its own precondition errors
+    call(ok, Fraction(1, 16))  # under theorem4_bound's 1/(2^n e^2)
+    for t in (0, Fraction(-1, 2), Fraction(3, 2), 2):
+        with pytest.raises(InputError, match=rf"^t must lie in \(0,1\], got {t}$"):
+            call(ok, t)
+        if broken is not None:
+            with pytest.raises(PreconditionError):
+                call(broken, t)

@@ -15,6 +15,7 @@ L^q tail bound for q < p.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -153,11 +154,11 @@ def theorem3_check(f, t, profile=None):
 def solve_p(epsilon, n):
     """The unique p > 1 with p^p/(p-1)^(p-1) = 1/(2^(n-1) eps), from below.
 
-    Requires 0 < eps < 2^(1-n).  p is bisected on floats, each step decided
-    on 160-bit intervals: the lower end moves only where val(p) = p ln p -
-    (p-1) ln(p-1) lies certainly below ln(target), so p never exceeds the
-    root (the thm5 and cor1 bounds shrink as p grows).  p is 1.0 when the
-    root lies below 1 + 2^-52, and 1e6 (capped) when it lies above 1e6; the
+    Requires 0 < eps < 2^(1-n).  p is the largest float at which val(p) =
+    p ln p - (p-1) ln(p-1) lies certainly below ln(target) on 160-bit
+    intervals, so p never exceeds the root (the thm5 and cor1 bounds shrink
+    as p grows); a float estimate of the root says where to look.  p is 1.0
+    when the root lies below 1 + 2^-52, and 1e6 (capped) when it lies above 1e6; the
     downstream bounds only weaken under the cap.  residual is a certified
     upper bound of |p^p/(p-1)^(p-1) - target| at the returned p (target - 1
     at p = 1.0).  Solved once per (eps, n).
@@ -195,21 +196,88 @@ def _val(p):
                    mpi_mul(q, mpi_log(q, PREC), PREC), PREC)
 
 
+def _root_estimate(lt):
+    """A float near the root of val(p) = lt > 0, in float arithmetic.
+
+    With x = p - 1 and w = ln x, val = ln(1 + x) + x ln(1 + 1/x) is convex
+    and rising in w, so Newton's method from a w above the root descends to
+    it without overshooting; w = ln(expm1(lt)) is above it, since val > ln p.
+    Where lt < 2^-60 the root lies below 1 + 2^-52 and 1 + 2^-52 is given.
+    """
+    if lt < 2.0 ** -60:
+        return _ABOVE_ONE
+    w = math.log(math.expm1(lt))
+    for _ in range(100):
+        x = math.exp(w)
+        slope = x * math.log1p(1 / x)
+        step = (math.log1p(x) + slope - lt) / slope
+        if not step > 0 or w - step == w:
+            break
+        w -= step
+    return 1 + math.exp(w)
+
+
+_ABOVE_ONE = math.nextafter(1.0, math.inf)
+
+
+def _bits(x):
+    """The bit pattern of a float x >= 0, an integer that orders as x does."""
+    return int.from_bytes(struct.pack("<d", x), "little")
+
+
+def _from_bits(i):
+    return struct.unpack("<d", i.to_bytes(8, "little"))[0]
+
+
 @lru_cache(maxsize=256)
 def _solve_p_exact(epsilon, n):
+    """p is the largest float in (1, 1e6) at which val(p) < ln(target) is
+    certified (1.0 where there is none, 1e6 where 1e6 passes: capped).
+
+    The certified test is monotone over those floats, so that float is
+    found from a float estimate of the root: gallop out from it one, two,
+    four, ... floats until the test changes, then bisect between, on the
+    floats' bit patterns.  Monotone, because for floats 1 < u < v <= 1e6,
+    with u' = u + ulp(u) the float after u, val(v) - val(u) >= val(u') -
+    val(u) >= ulp(u) / u' > 2^-54 (val is concave with val'(p) =
+    ln(p / (p - 1)) > 1/p, and ulp(u) > u 2^-53), far above the width of
+    the 160-bit interval of val, below 2^-130 there; so the upper end at u
+    lies below the lower end at v, and a float that passes makes every
+    float below it pass.  Hence this is the float that bisecting (1, 1e6)
+    on the same test, midpoint by midpoint, ends at.
+    """
     target = iv_from_fraction(1 / (Fraction(1 << (n - 1)) * epsilon))
     log_target_lo = mpi_log(target, PREC)[0]
-    # lo moves only where val(mid) < ln(target) is certified, so lo stays
-    # below the root; the loop ends when no float lies between lo and hi
-    capped = mpf_lt(_val(P_CAP)[1], log_target_lo)
-    lo, hi = (P_CAP, P_CAP) if capped else (1.0, P_CAP)
-    mid = (lo + hi) / 2
-    while lo < mid < hi:
-        if mpf_lt(_val(mid)[1], log_target_lo):
-            lo = mid
+
+    def below(i):  # the certified test at the float with bit pattern i
+        return mpf_lt(_val(_from_bits(i))[1], log_target_lo)
+
+    capped = below(_bits(P_CAP))
+    if capped:
+        lo = P_CAP
+    else:
+        # below(lo) or lo is 1.0; hi is 1e6 or not below(hi)
+        lo, hi = _bits(1.0), _bits(P_CAP)
+        guess = _bits(_root_estimate(to_float(log_target_lo)))
+        guess = min(max(guess, lo + 1), hi - 1)
+        step = 1
+        if below(guess):
+            lo = guess
+            while lo + step < hi and below(lo + step):
+                lo, step = lo + step, 2 * step
+            hi = min(lo + step, hi)
         else:
-            hi = mid
-        mid = (lo + hi) / 2
+            hi = guess
+            while hi - step > lo and not below(hi - step):
+                hi, step = hi - step, 2 * step
+            lo = max(hi - step, lo)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        lo = _from_bits(lo)
     value = IV_ONE if lo == 1.0 else mpi_exp(_val(lo), PREC)
     residual = mpi_abs(mpi_sub(target, value, PREC), PREC)
     return ExponentSolution(epsilon=epsilon, n=n, p=lo,

@@ -77,6 +77,9 @@ class SearchConfig:
                              f"choose from {', '.join(OBJECTIVES)}")
         if self.dim < 1 or self.depth < 0 or self.denom_bits < 0:
             raise InputError("need dim >= 1, depth >= 0 and denom_bits >= 0")
+        if self.depth == 0:  # n * L = 0: one cell, a constant function
+            raise InputError("search needs depth >= 1: every one-cell "
+                             "function is constant and has no score")
         check_grid_size(self.dim, self.depth)
         if not (self.temp_initial > 0 and self.temp_final > 0):
             raise InputError("temp_initial and temp_final must be > 0")
@@ -212,12 +215,13 @@ def _run_restart(cfg, restart_index):
     for _ in range(65):  # a start and up to 64 retries past constant ones
         drawn = [rng.randrange(-den, den + 1) for _ in range(count)]
         cells = _normalize([drawn[p] for p in order], cfg.denom_bits)
-        score, exact = _score(_function(cfg, cells), cfg)
+        f = _function(cfg, cells)
+        score, exact = _score(f, cfg)
         if score is not None:
             break
     else:
         return None
-    best_cells, best_score, best_exact = cells, score, exact
+    best_f, best_score, best_exact = f, score, exact
     trace = [(restart_index, 0, best_score)]
 
     cooling = (cfg.temp_final / cfg.temp_initial) ** (1.0 / max(cfg.iterations - 1, 1))
@@ -230,21 +234,23 @@ def _run_restart(cfg, restart_index):
             mag = max(1, int(step_num * temp / cfg.temp_initial))
             trial[c] += rng.choice((-1, 1)) * rng.randrange(1, mag + 1)
         trial = _normalize(trial, cfg.denom_bits)
-        new_score, new_exact = _score(_function(cfg, trial), cfg)
+        trial_f = _function(cfg, trial)
+        new_score, new_exact = _score(trial_f, cfg)
         if new_score is not None:
             delta = new_score - score
             if delta >= 0 or rng.random() < math.exp(delta / temp):
                 cells, score, exact = trial, new_score, new_exact
-            if score > best_score:
-                best_cells, best_score, best_exact = cells, score, exact
-                trace.append((restart_index, it, best_score))
+                if score > best_score:  # never so for a score kept from before
+                    best_f, best_score, best_exact = trial_f, score, exact
+                    trace.append((restart_index, it, best_score))
         temp *= cooling
-    return best_cells, best_score, best_exact, trace
+    return best_f, best_score, best_exact, trace
 
 
 def search(cfg):
     """Multistart annealing; the best evaluation is reported with its
-    certificate, built once for it."""
+    certificate, built once for it on the best trial's function, whose
+    cached level pass and rearrangement the certificate reads."""
     workers = min(cfg.threads, cfg.restarts, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -266,8 +272,7 @@ def search(cfg):
     if best is None:
         raise PreconditionError("no valid (non-constant) candidate was found")
 
-    best_cells, score, exact, _ = best
-    f = _function(cfg, best_cells)
+    f, score, exact, _ = best  # the trial's function, its level pass kept
     cert = None
     if cfg.objective == "ratio_thm1":
         cap = float(1 << cfg.dim)

@@ -19,11 +19,14 @@ running max for |f|.
 
 Where only |E| is read, no decomposition is made: E is measured from the
 stopping pairs (_stopping_measure), and, without the running max, as the
-cells under some cube whose sum crosses the threshold (_crossing_measure).
+cells under some cube whose sum crosses the threshold, for many thresholds
+in one pass (_crossing_measures).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, groupby, repeat
@@ -166,20 +169,28 @@ def _stopping_measure(f, alpha):
     return _measure(f, stopping)
 
 
-def _crossing_measure(f, alpha):
-    """The same |E| from the sum pyramid alone, reading no running max: the
-    share of cells under some cube whose average exceeds alpha.  Level by
-    level, a cube is marked iff its father is or sums[k][z] * alpha_den >
-    num * den << n(L-k), the integer rule of verify_stopping."""
-    alpha = _checked_alpha(f, alpha, "above")
-    n, L, alpha_den = f.dim, f.depth, alpha.denominator
-    bar = alpha.numerator * f._den
-    marked = [False]  # the root's father
+def _crossing_measures(f, alphas):
+    """[|E| at alpha for alpha in alphas] from the sum pyramid alone,
+    reading no running max: the share of cells under some cube whose
+    average exceeds alpha.  A level-k cube with sum s crosses alpha iff
+    s << nk > a = floor(alpha den 2^(nL)) (the integer rule of
+    verify_stopping, sums[k][z] * alpha_den > num * den << n(L-k), scaled
+    by 2^(nk)), so with the thresholds a sorted, its rank, the number of
+    them some cube over it crosses, is the larger of its father's rank and
+    the number below s << nk.  One pass ranks every cube, and |E| at the
+    j-th threshold is the share of cells of rank above j."""
+    alphas = [_checked_alpha(f, alpha, "above") for alpha in alphas]
+    n, shift = f.dim, f.dim * f.depth
+    scaled = [(x.numerator * f._den << shift) // x.denominator for x in alphas]
+    ts = sorted(set(scaled))
+    ranks = [0]  # the root's father
     for k, sums in enumerate(f._sums()):
-        fathers = chain.from_iterable(zip(*[marked] * (1 << n)))
-        t = bar << n * (L - k)
-        marked = [m or s * alpha_den > t for m, s in zip(fathers, sums)]
-    return Fraction(sum(marked), len(marked))
+        fathers = chain.from_iterable(zip(*[ranks] * (1 << n)))
+        nk = n * k
+        ranks = [bisect_left(ts, s << nk, r) for r, s in zip(fathers, sums)]
+    counts = Counter(ranks).items()
+    return [Fraction(sum(c for r, c in counts if r > j), len(ranks))
+            for j in map(ts.index, scaled)]
 
 
 def verify_stopping(d, f):

@@ -28,11 +28,11 @@ from .highprec import lower_float
 from .interval_bmo import interval_bmo_norm
 from .johnnirenberg import (_lambda_grid, _log_bound, jn_abs_check, jn_check,
                             logbound_check)
-from .rearrangement import (_window_ints, hardy_average, hardy_gap_check,
+from .rearrangement import (hardy_average, hardy_gap_check,
                             interval_mean_oscillation, rearrange_abs,
                             rearrange_signed)
-from .stopping import (_crossing_measure, _stopping_measure, maximal_level_set,
-                       stopping_family, verify_stopping)
+from .stopping import (_crossing_measures, _stopping_measure,
+                       maximal_level_set, stopping_family, verify_stopping)
 
 SUITES = ("lemma21", "lemma22", "lemma23", "thm1", "thm2", "thm31",
           "remark31", "thm3", "thm4", "thm5", "cor1", "cz")
@@ -126,7 +126,7 @@ def _matched_endpoints(g, anchors, d, mu, defect):
     None.
 
     Positions are integers over td times a positive integer: the anchor is
-    a = x / (td * d), and the endpoint is returned as (y, e) with
+    a = x / (td * d) in [0, 1), and the endpoint is returned as (y, e) with
     b = y / (td * e), e a multiple of d.  g must be nonincreasing and merged
     (no two adjacent pieces share a value), as rearrange_signed returns it,
     so that a flat stretch at the mean is one piece; defect is
@@ -141,13 +141,21 @@ def _matched_endpoints(g, anchors, d, mu, defect):
     mean, D(a) rises, so that breakpoint only moves left: one pointer walks
     the pieces for a and one walks that breakpoint leftwards, O(pieces +
     anchors) in all.
+
+    That breakpoint always exists.  A piece above the mean is not the last
+    (g is nonincreasing with mean mu, so the last piece lies at or below
+    it), and D(0) = D(1) = 0 with D concave, so D(a) >= 0 = D(1): at the
+    first anchor above the mean the pointer, still at 1, passes the test
+    at t = 1 and moves left of the end, and it never moves right.  The
+    endpoint then lies on the piece (t_{lo-1}, t_lo] where D falls from
+    above D(a) to at most D(a), so a < t_i <= t_{lo-1} < b <= t_lo <= 1.
     """
     B, V = g._B, g._V
     md = mu.denominator
     w = mu.numerator * g._vd
-    i, lo, top = 1, len(B), len(B)
+    i, lo = 1, len(B)
     for x in anchors:
-        while i < top and B[i] * d <= x:  # the piece (t_{i-1}, t_i] with t_i > a
+        while B[i] * d <= x:  # the piece (t_{i-1}, t_i] with t_i > a
             i += 1
         excess = V[i - 1] * md - w  # the sign of v - mu
         if excess == 0:
@@ -157,26 +165,64 @@ def _matched_endpoints(g, anchors, d, mu, defect):
             yield x, None
             continue
         X = defect[i - 1] * d + excess * (x - B[i - 1] * d)
-        # the first k > i with defect[k] <= D(a): defect[i] > D(a), and past
-        # i the defect rises, then falls below D(a) for good
+        # the first k > i with defect[k] <= D(a): defect[i] > D(a) stops
+        # the walk, and past i the defect rises, then falls below D(a)
         Xd = X // d
-        while lo - 1 > i and defect[lo - 1] <= Xd:
+        while defect[lo - 1] <= Xd:
             lo -= 1
-        if lo == top:
-            yield x, None
-            continue
         W = w - V[lo - 1] * md  # (mu - v) * vd * md > 0
         yield x, ((B[lo - 1] * W + defect[lo - 1]) * d - X, d * W)
 
 
+def _matched_windows(g, anchors, d, mu):
+    """(x, y, e, J, L, num) for each anchor position x of anchors over
+    td * d, increasing and each in a piece of g at or above the mean mu:
+    the endpoint b = y / (td * e) that _matched_endpoints solves for, and
+    the window's (J, L, num) as _window_ints(g, x * (e // d), y, e) gives
+    them, num None where the window mean J / (vd * L) is not mu.
+
+    Each anchor has an endpoint, with a < b <= 1 (_matched_endpoints).  J
+    is read from the prefix integrals at a's piece and b's, not from the
+    defect the endpoint was solved on, each piece found by a pointer of its
+    own: a's moves right as the anchors rise, and b's moves left as the
+    endpoints fall.  Where the mean is mu, g > mu exactly on the pieces
+    before t_s, s the count of pieces above the mean, so num, twice the
+    excess of g over mu on (a, min(b, t_s)], needs no bisection.
+    O(pieces + anchors) in all.
+    """
+    B, V, Q = g._B, g._V, g._prefix()
+    md, w = mu.denominator, mu.numerator * g._vd
+    s = bisect_left(V, True, key=lambda v: v * md <= w)
+    i, j = 1, len(B) - 1  # t_{i-1} <= a < t_i and t_{j-1} < b <= t_j
+    defect = _mean_defect(g, mu)
+    for x, (y, e) in _matched_endpoints(g, anchors, d, mu, defect):
+        while B[i] * d <= x:
+            i += 1
+        while B[j - 1] * e >= y:
+            j -= 1
+        while B[j] * e < y:  # never for solved endpoints, which fall;
+            j += 1             # J stays exact at any b the solver gives
+        c = e // d
+        xa = x * c
+        ia = (Q[i - 1] * d + V[i - 1] * (x - B[i - 1] * d)) * c
+        J = Q[j - 1] * e + V[j - 1] * (y - B[j - 1] * e) - ia
+        L = y - xa
+        if J * md != w * L:
+            yield x, y, e, J, L, None
+            continue
+        ts = B[s] * e
+        yield x, y, e, J, L, (2 * ((Q[s] * e - ia) * L - J * (ts - xa))
+                              if xa < ts < y else 0)
+
+
 def _suite_lemma22(f):
     """Each anchor a (the eighths and the breakpoints of g, as positions over
-    D = lcm(td, 8)) with a matched-mean endpoint b: the window mean, read
-    from the integral of g apart from the defect the endpoint was solved
-    on, must be mu, and the window's oscillation at most the full one."""
+    D = lcm(td, 8)) in a piece at or above the mean: the mean of the window
+    up to its matched-mean endpoint b, read from the integral of g apart
+    from the defect b was solved on, must be mu, and the window's
+    oscillation at most the full one (_matched_windows)."""
     g = rearrange_signed(f)
     mu = g.integral
-    defect = _mean_defect(g, mu)
     base = interval_mean_oscillation(g, 0, 1)
     B, V, td, vd = g._B, g._V, g._td, g._vd
     bn, bd = base.numerator * vd, base.denominator
@@ -191,15 +237,8 @@ def _suite_lemma22(f):
             anchors.insert(j, x)
     failures = []
     checks = 0
-    for x, end in _matched_endpoints(g, anchors, d, mu, defect):
-        if end is None:
-            continue
-        y, e = end
-        xa = x * (e // d)
-        if not xa < y <= td * e:
-            continue
-        J, L, num = _window_ints(g, xa, y, e)
-        if J * md != w * L:
+    for x, y, e, J, L, num in _matched_windows(g, anchors, d, mu):
+        if num is None:
             failures.append(f"endpoint solve failed at a={Fraction(x, td * d)}: "
                             f"mean {Fraction(J, vd * L)} != {mu}")
             continue
@@ -224,6 +263,11 @@ def _suite_lemma23(f):
 
 
 def _suite_thm1(f):
+    """The certified lower bound of the rearrangement's interval norm is at
+    most 2^n times the dyadic norm, and the bound's upper end is not below
+    its lower end.  The second check cannot fail as the bound is built:
+    upper is the float after float(lower), so only a monkeypatched bound
+    makes it fail (the tests do), until upper is established on its own."""
     norm = bmo_dyadic_norm(f)
     bound = interval_bmo_norm(rearrange_signed(f))
     cap = (1 << f.dim) * norm
@@ -407,9 +451,10 @@ def _suite_cz(f):
     # the stopping cubes of |f| above alpha: the maximal side reads the
     # running max R of |f|, the crossing side only the sum pyramid
     h = f.abs()
-    for alpha in _cz_alphas(h)[0]:
+    alphas = _cz_alphas(h)[0]
+    for alpha, crossing in zip(alphas, _crossing_measures(h, alphas)):
         checks += 1
-        if maximal_level_set(h, alpha) != _crossing_measure(h, alpha):
+        if maximal_level_set(h, alpha) != crossing:
             failures.append(f"maximal-function level set disagrees at alpha={alpha}")
     for alpha in below:
         d = stopping_family(f, alpha, "below")

@@ -18,6 +18,7 @@ from dyadicbmo import (DyadicFunction, GenerationError, GeneratorSpec,
 from dyadicbmo.formats import canonical_json, function_to_obj
 from dyadicbmo.gurov import Theorem4Result
 from dyadicbmo.highprec import lower_float, upper_float
+from dyadicbmo.rearrangement import _window_ints
 from conftest import float_just_below, matched_mean_b_oracle, random_function
 
 
@@ -356,6 +357,49 @@ def test_sweep_matches_the_endpoint_of_each_anchor(inputs):
     swept = list(verify_mod._matched_endpoints(g, anchors, d, mu, defect))
     assert swept == [(x, _matching_mean_endpoint(g, x, d, mu, defect))
                      for x in anchors]
+
+
+def _at_or_above_the_mean(g, d, anchors):
+    """The anchors of a piece of g at or above its mean, the ones lemma22
+    sweeps."""
+    mu = g.integral
+    k = bisect_left(g._V, True, key=lambda v: Fraction(v, g._vd) < mu)
+    return [x for x in anchors if x < g._B[k] * d]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sweep_inputs())
+def test_windows_match_window_ints_at_every_anchor(inputs):
+    g, d, anchors = inputs
+    anchors = _at_or_above_the_mean(g, d, anchors)
+    mu = g.integral
+    windows = list(verify_mod._matched_windows(g, anchors, d, mu))
+    assert [w[0] for w in windows] == anchors
+    for x, y, e, J, L, num in windows:
+        assert 0 <= x * (e // d) < y <= g._td * e
+        assert (J, L, num) == _window_ints(g, x * (e // d), y, e)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(inputs=sweep_inputs(), data=st.data())
+def test_windows_read_any_endpoint(inputs, data):
+    # endpoints that need not fall, nor match the mean: J and L still as
+    # _window_ints reads them, num only where the mean is mu
+    g, d, anchors = inputs
+    anchors = _at_or_above_the_mean(g, d, anchors)
+    scale = data.draw(st.sampled_from((1, 2, 5)))
+    e = d * scale
+    ends = [data.draw(st.integers(x * scale + 1, g._td * e)) for x in anchors]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify_mod, "_matched_endpoints",
+                  lambda g, anchors, d, mu, defect: zip(anchors, ((y, e) for y in ends)))
+        windows = list(verify_mod._matched_windows(g, anchors, d, g.integral))
+    mu = g.integral
+    for (x, y, e_, J, L, num), b in zip(windows, ends):
+        assert (y, e_) == (b, e)
+        wJ, wL, wnum = _window_ints(g, x * scale, y, e)
+        assert (J, L) == (wJ, wL)
+        assert num == (wnum if Fraction(J, g._vd * L) == mu else None)
 
 
 def _thm31_per_t(f):

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import mpf_lt, mpi_abs, mpi_exp, mpi_log, mpi_sub
 
 from dyadicbmo import (DyadicFunction, GeneratorSpec,
                        PreconditionError, generate, gr_membership, gr_modulus,
                        gr_profile, hardy_average, lq_tail_bound, rearrange_abs,
                        sigma_level_for, solve_p, theorem3_check,
                        theorem4_bound, theorem5_check)
+from dyadicbmo.gurov import P_CAP, _solve_p_exact, _val
+from dyadicbmo.highprec import IV_ONE, PREC, iv_from_fraction, upper_float
 from conftest import all_cubes_oracle, average_oracle, oscillation_oracle, random_nonneg
 
 SPIKE = DyadicFunction(1, 2, [4, 0, 0, 0])
@@ -279,6 +282,50 @@ def test_p_certified_against_oracle(n, x):
     value = 1 if sol.p == 1.0 else mp.exp(_oracle_val(sol.p))
     assert sol.residual >= abs(value - target)
     assert sol.capped == (_oracle_val(1e6) < log_target)
+
+
+def _bisected_p(epsilon, n):
+    """(p, residual, capped) by bisecting (1, 1e6) on floats, one 160-bit
+    test per midpoint: the solver's result before it started from a float
+    estimate, kept as its reference."""
+    target = iv_from_fraction(1 / (Fraction(1 << (n - 1)) * epsilon))
+    log_target_lo = mpi_log(target, PREC)[0]
+    capped = mpf_lt(_val(P_CAP)[1], log_target_lo)
+    lo, hi = (P_CAP, P_CAP) if capped else (1.0, P_CAP)
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        if mpf_lt(_val(mid)[1], log_target_lo):
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    value = IV_ONE if lo == 1.0 else mpi_exp(_val(lo), PREC)
+    residual = upper_float(mpi_abs(mpi_sub(target, value, PREC), PREC))
+    return lo, residual, capped
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), x=st.one_of(
+    _fractions_below_one(),
+    st.integers(40, 80).map(lambda k: 1 - Fraction(1, 2 ** k)),  # p near 1
+    st.integers(1, 30).map(lambda k: Fraction(1, 10 ** 5 * k)),  # near the cap
+    st.just(Fraction(1, 10 ** 300))))
+def test_p_matches_the_bisecting_solver(n, x):
+    eps = x / (1 << (n - 1))
+    sol = _solve_p_exact.__wrapped__(eps, n)
+    assert (sol.p, sol.residual, sol.capped) == _bisected_p(eps, n)
+
+
+def test_bisecting_solver_edges():
+    # p = 1.0 (no float above 1 passes) and the cap, as the solver gives them
+    for n in (1, 2, 3, 4):
+        limit = Fraction(1, 1 << (n - 1))
+        for eps in (limit * (1 - Fraction(1, 10 ** 20)), limit / 10 ** 300,
+                    limit * (1 - Fraction(1, 2 ** 52))):
+            sol = _solve_p_exact.__wrapped__(eps, n)
+            assert (sol.p, sol.residual, sol.capped) == _bisected_p(eps, n)
+    assert _bisected_p(Fraction(1, 10 ** 20), 1)[2]
+    assert _bisected_p(1 - Fraction(1, 10 ** 20), 1)[0] == 1.0
 
 
 class TestTheorem5:

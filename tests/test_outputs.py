@@ -190,6 +190,8 @@ COMMANDS = [
     # weight of 8 (and past it at a weight of 32, one per lambda)
     "search --n 1 --level 12 --restarts 1 --iters 7 --seed 5 --objective jnB "
     "--function-output best.json",
+    # exit 2: a one-cell grid, refused before any candidate is drawn
+    "search --n 2 --level 0",
 ]
 
 

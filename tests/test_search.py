@@ -117,6 +117,34 @@ class TestIntegerScore:
         assert calls[0] == rearrange_signed(res.best_function)
         assert res.certificate == real(calls[0])
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_best_trial_function_is_reported(self, threads, monkeypatch):
+        # the reported function is the best trial's own, its level pass and
+        # rearrangement cached there: the certificate builds no level again
+        search_mod = sys.modules["dyadicbmo.search"]
+        cfg = SearchConfig(dim=1, depth=3, restarts=2, iterations=15, seed=2,
+                           threads=threads)
+        expected = search(cfg)
+        built, real = [], DyadicFunction._osc
+
+        def counted(f, k):
+            built.append(f)
+            return real(f, k)
+
+        monkeypatch.setattr(DyadicFunction, "_osc", counted)
+        made, real_function = [], search_mod._function
+        monkeypatch.setattr(search_mod, "_function",
+                            lambda cfg, nums: made.append(1) or real_function(cfg, nums))
+        res = search(cfg)
+        assert (res.best_function, res.trace, res.best_score_exact,
+                res.certificate) == (expected.best_function, expected.trace,
+                                     expected.best_score_exact, expected.certificate)
+        if threads == 1:  # trials in this process: one function each, no more
+            assert len(made) == cfg.restarts * (cfg.iterations + 1)
+            assert any(f is res.best_function for f in built)
+            assert built.count(res.best_function) == cfg.depth
+        assert "bmo" in res.best_function._cache
+
 
 class TestExhaustiveBinaryCase:
     def test_enumeration_oracle(self):
@@ -195,6 +223,19 @@ class TestSearch:
                     dict(temp_initial=-0.5), dict(denom_bits=-1)):
             with pytest.raises(InputError):
                 SearchConfig(**bad)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_one_cell_grid_is_refused_up_front(self, dim, monkeypatch, capsys):
+        # n * L = 0: no candidate is drawn, one error line, exit 2
+        search_mod = sys.modules["dyadicbmo.search"]
+        monkeypatch.setattr(search_mod, "_run_restart", None)
+        with pytest.raises(InputError, match="search needs depth >= 1"):
+            SearchConfig(dim=dim, depth=0)
+        assert main(["search", "--n", str(dim), "--level", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: search needs depth >= 1: every one-cell "
+                       "function is constant and has no score\n")
 
     def test_config_bounds_the_work(self):
         # restarts x (iterations + 1) x cells, times the probe's weight

@@ -14,7 +14,8 @@ from dyadicbmo import (CZDecomposition, DyadicCubeId, DyadicFunction,
                        PreconditionError, dyadic_maximal_function,
                        hardy_average, maximal_level_set,
                        rearrange_signed, stopping_family, verify_stopping)
-from dyadicbmo.stopping import _crossing_measure, _measure, _stopping_measure
+from dyadicbmo.stopping import (_checked_alpha, _crossing_measures, _measure,
+                                _stopping_measure)
 from dyadicbmo.verify import verify_all
 from conftest import (all_cubes_oracle, average_oracle, cube_cells_oracle,
                       first_crossings_oracle, maximal_oracle, parent_cover_oracle,
@@ -449,17 +450,51 @@ def test_measure_helpers_match_stopping_family(f, data):
             continue
         expected = stopping_family(g, alpha, "above").measure_E
         assert _stopping_measure(g, alpha) == expected
-        assert _crossing_measure(g, alpha) == expected
+        assert _crossing_measures(g, [alpha]) == [expected]
     if alpha >= f.abs().mean:  # M f = M |f|
         assert maximal_level_set(f, alpha) == stopping_family(
             f.abs(), alpha, "above").measure_E
 
 
 def test_measure_helpers_keep_preconditions():
-    for helper in (_stopping_measure, _crossing_measure):
+    for helper in (_stopping_measure, _crossing_measure,
+                   lambda f, alpha: _crossing_measures(f, [2, alpha])):
         with pytest.raises(PreconditionError):
             helper(SPIKE, Fraction(1, 2))  # alpha < mean
     assert _stopping_measure(SPIKE, 1) == _crossing_measure(SPIKE, 1) == Fraction(1, 2)
+    assert _crossing_measures(SPIKE, [1]) == [Fraction(1, 2)]
+    assert _crossing_measures(SPIKE, []) == []
+
+
+def _crossing_measure(f, alpha):
+    """|E| at one threshold from the sum pyramid, one pass per threshold:
+    the per-threshold form _crossing_measures replaced, kept as its
+    reference.  Level by level, a cube is marked iff its father is or
+    sums[k][z] * alpha_den > num * den << n(L-k)."""
+    alpha = _checked_alpha(f, alpha, "above")
+    n, L, alpha_den = f.dim, f.depth, alpha.denominator
+    bar = alpha.numerator * f._den
+    marked = [False]  # the root's father
+    for k, sums in enumerate(f._sums()):
+        fathers = [m for m in marked for _ in range(1 << n)]
+        t = bar << n * (L - k)
+        marked = [m or s * alpha_den > t for m, s in zip(fathers, sums)]
+    return Fraction(sum(marked), len(marked))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(f=signed_functions(), data=st.data())
+def test_crossing_ranks_match_one_pass_per_threshold(f, data):
+    # many thresholds at once, in any order and with repeats: cube averages
+    # of |f| (a cube at alpha does not cross) and one unit of the scaled
+    # grid 1/(den 2^(nL)) above them (the floor moves by one)
+    h = f.abs()
+    unit = Fraction(1, h._den << (h.dim * h.depth))
+    averages = sorted(a for a in {average_oracle(h, q) for q in all_cubes_oracle(h)}
+                      if a >= h.mean)
+    pool = averages + [a + unit for a in averages]
+    alphas = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    assert _crossing_measures(h, alphas) == [_crossing_measure(h, a) for a in alphas]
 
 
 class TestMaximalCheckReadsTwoSides:

@@ -178,6 +178,70 @@ class OscillationReport:
     oscillation: Fraction
 
 
+# -- the per-level kernel, on bare Morton-order numerators -------------------
+
+def _sum_pyramid(nums, dim, depth):
+    """Per-level lists of cube numerator sums, level 0 first and nums
+    itself last, Morton order: each sum adds a block of 2^n consecutive
+    neighbours one level down."""
+    block = 1 << dim
+    level, pyramid = nums, [nums]
+    for _ in range(depth):
+        level = list(map(sum, zip(*[iter(level)] * block)))
+        pyramid.append(level)
+    pyramid.reverse()
+    return pyramid
+
+
+def _osc_level(nums, pyramid, dim, k):
+    """Level k < L of the oscillation numerators of the numerators nums
+    with sum pyramid pyramid: osc[z] = sum of |cnt * num - sums[k][z]| over
+    the cells of cube z, cnt = 2^(n(L-k)), its mean oscillation times
+    den * cnt^2."""
+    cnt = 1 << (dim * (len(pyramid) - 1 - k))
+    return [sum([abs(a * cnt - s) for a in nums[z * cnt:(z + 1) * cnt]])
+            for z, s in enumerate(pyramid[k])]
+
+
+def _level_pass(osc, pyramid, dim, nonneg):
+    """(tops, ratios, firsts) from the levels osc(k) of _osc_level on the
+    sum pyramid pyramid: per level k < L, tops[k] the largest oscillation
+    numerator, firsts[k] the Morton address of the first cube attaining
+    it, or None where for n >= 2 another cube ties it, and, for nonneg
+    (f >= 0) only, ratios[k] the (o, s) of the largest ratio o / s of a
+    cube's oscillation numerator to its sum (the first of ties; (0, 1)
+    where every o is 0).  Builds each level once and keeps none."""
+    tops, ratios, firsts = [], [], []
+    for k, sums in enumerate(pyramid[:-1]):
+        level = osc(k)
+        top = max(level)
+        tops.append(top)
+        # Morton order is flat order for n = 1 only
+        firsts.append(level.index(top)
+                      if dim == 1 or level.count(top) == 1 else None)
+        if nonneg:  # s = 0 means f vanishes on the cube, o = 0
+            bo, bs = 0, 1
+            for o, s in zip(level, sums):
+                if o * bs > bo * s:
+                    bo, bs = o, s
+            ratios.append((bo, bs))
+    return tops, ratios, firsts
+
+
+def _norm_level(tops, dim):
+    """(k, top): the first level k whose largest mean oscillation is the
+    norm, and that largest oscillation numerator tops[k] (tops as
+    _level_pass gives them), so the norm is top / (den * 4^(n(L-k)));
+    (0, 0) for a constant function.  Level k's best oscillation is
+    tops[k] / (den * 4^(n(L-k))), so the levels compare on the integers
+    tops[k] << 2nk."""
+    keys = [top << 2 * dim * k for k, top in enumerate(tops)]
+    if not any(keys):
+        return 0, 0
+    k = keys.index(max(keys))
+    return k, tops[k]
+
+
 class DyadicFunction:
     """Immutable level-L piecewise-constant function on [0,1]^n.
 
@@ -246,6 +310,25 @@ class DyadicFunction:
         f._cache = {}
         return f
 
+    @classmethod
+    def _from_pass(cls, dim, depth, den, nums, pyramid, bests, ordered):
+        """The function _from_nums builds, handed what a kernel already made
+        on nums over den: the sum pyramid, the _level_pass and the sorted
+        numerators.  All three are reduced with nums by g = gcd(den, *nums):
+        sums, numerators and tops are linear in nums, and first cubes and
+        largest ratios o / s do not move (a ratio is (0, 1) iff its o is 0)."""
+        f = cls._from_nums(dim, depth, den, nums)
+        g = den // f._den
+        if g > 1:
+            tops, ratios, firsts = bests
+            pyramid = [[s // g for s in level] for level in pyramid]
+            bests = ([t // g for t in tops],
+                     [(o // g, s // g) if o else (0, 1) for o, s in ratios], firsts)
+            ordered = [a // g for a in ordered]
+        f._cache.update(sums=[*pyramid[:-1], f._nums], level_bests=bests,
+                        sorted=ordered)
+        return f
+
     @property
     def cells(self):
         """Cell values in public order (first coordinate fastest)."""
@@ -280,52 +363,23 @@ class DyadicFunction:
     # -- integer kernel -----------------------------------------------------
 
     def _sums(self):
-        """Per-level lists of cube numerator sums (over self._den), Morton order:
-        each sum adds a block of 2^n consecutive neighbours one level down."""
+        """The sum pyramid of the cells (_sum_pyramid), over self._den."""
         if "sums" not in self._cache:
-            block = 1 << self.dim
-            level = self._nums
-            pyramid = [level]
-            for _ in range(self.depth):
-                level = list(map(sum, zip(*[iter(level)] * block)))
-                pyramid.append(level)
-            pyramid.reverse()
-            self._cache["sums"] = pyramid
+            self._cache["sums"] = _sum_pyramid(self._nums, self.dim, self.depth)
         return self._cache["sums"]
 
     def _osc(self, k):
-        """Level k < L of the oscillation numerators, built on each call:
-        osc[z] = sum of |cnt * num - sums[k][z]| over the cells of cube z,
-        cnt = 2^(n(L-k)), its mean oscillation times den * cnt^2.  Level-L
-        cubes are single cells with oscillation 0."""
-        cnt, nums = 1 << (self.dim * (self.depth - k)), self._nums
-        return [sum([abs(a * cnt - s) for a in nums[z * cnt:(z + 1) * cnt]])
-                for z, s in enumerate(self._sums()[k])]
+        """Level k < L of the oscillation numerators (_osc_level), built on
+        each call.  Level-L cubes are single cells with oscillation 0."""
+        return _osc_level(self._nums, self._sums(), self.dim, k)
 
     def _level_bests(self):
-        """(tops, ratios, firsts): per level k < L, tops[k] the largest
-        _osc(k) numerator, firsts[k] the Morton address of the first cube
-        attaining it, or None where for n >= 2 another cube ties it, and,
-        for f >= 0 only, ratios[k] the (o, s) of the largest ratio o / s of
-        a cube's oscillation numerator to its sum (the first of ties; (0, 1)
-        where every o is 0).  One pass builds each level once and keeps
-        none, so the norm, its witness and the modulus share it."""
+        """(tops, ratios, firsts) of _level_pass over the levels _osc
+        builds, made once per function, so the norm, its witness and the
+        modulus share it."""
         if "level_bests" not in self._cache:
-            nonneg, tops, ratios, firsts = self.is_nonnegative, [], [], []
-            for k, sums in enumerate(self._sums()[:self.depth]):
-                osc = self._osc(k)
-                top = max(osc)
-                tops.append(top)
-                # Morton order is flat order for n = 1 only
-                firsts.append(osc.index(top)
-                              if self.dim == 1 or osc.count(top) == 1 else None)
-                if nonneg:  # s = 0 means f vanishes on the cube, o = 0
-                    bo, bs = 0, 1
-                    for o, s in zip(osc, sums):
-                        if o * bs > bo * s:
-                            bo, bs = o, s
-                    ratios.append((bo, bs))
-            self._cache["level_bests"] = tops, ratios, firsts
+            self._cache["level_bests"] = _level_pass(
+                self._osc, self._sums(), self.dim, self.is_nonnegative)
         return self._cache["level_bests"]
 
     def _running_max(self, sign):
@@ -508,17 +562,9 @@ def every_cube(f, max_level=None):
 
 
 def _bmo_level(f):
-    """(k, top): the first level k whose largest mean oscillation is the
-    norm, and that largest osc[k] numerator, so the norm is
-    top / (den * 4^(n(L-k))); (0, 0) for a constant f.  Level k's best
-    oscillation is max(osc[k]) / (den * 4^(n(L-k))), so the levels compare
-    on the integers max(osc[k]) << 2nk."""
-    tops = f._level_bests()[0]
-    keys = [top << 2 * f.dim * k for k, top in enumerate(tops)]
-    if not any(keys):
-        return 0, 0
-    k = keys.index(max(keys))
-    return k, tops[k]
+    """(k, top) of _norm_level for f's level pass: the norm is
+    top / (den * 4^(n(L-k))); (0, 0) for a constant f."""
+    return _norm_level(f._level_bests()[0], f.dim)
 
 
 def bmo_argmax(f):

@@ -275,6 +275,18 @@ def _general_norm(g):
     The band sums accumulate once down the distinct values of each pair.
     Cost: O(m^2 d) for m pieces and at most d <= m distinct values in a
     window, with O(1) integer work per kept band.
+
+    g must be merged and not constant, as interval_bmo_norm passes it; then
+    some candidate is positive, so a witness is always found.  Rows and
+    pairs stop only on span < jump or span <= 2 * bn (bd = 1 while bn is
+    0), so the adjacent pair (i, i + 1) with the largest jump is reached
+    while bn is still 0 if no earlier candidate is positive: every row up
+    to i spans at least jump > 0.  That pair has span = jump and M = 0,
+    so its mean range is [low, top], the pair bound is not clamped, and
+    its one band [low, top] is neither above nor below that range and
+    has num = span^2, passing both of its tests.  Exactly one of ib, jb
+    is 1, so F11 = |v_i - v_(i+1)| = jump and F10 = F01 = F00 = 0, and
+    the corner (L_i, L_(i+1)) gives 2 * jump * L_i * L_(i+1) > 0.
     """
     TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
     m = len(V)
@@ -357,8 +369,6 @@ def _general_norm(g):
                     d = T * T
                     if n * bd > bn * d:
                         bn, bd, arg = n, d, (i, j, X, Y, W)
-    if arg is None:
-        return Fraction(0), (Fraction(0), Fraction(1))
     i, j, X, Y, W = arg
     return (Fraction(bn, bd * VD),
             (Fraction(B[i] * W - X, W * TD), Fraction(B[j - 1] * W + Y, W * TD)))

@@ -35,6 +35,21 @@ def check_t(t):
     return t
 
 
+def _prefix_ints(B, V):
+    """Q[i] = the integral of the steps V over (0, B[i]], in the units of
+    B times those of V, integers."""
+    return tuple(accumulate((v * (hi - lo) for v, lo, hi in zip(V, B, B[1:])),
+                            initial=0))
+
+
+def _descending_runs(d):
+    """(B, V): the runs of the descending list d, run i holding the
+    positions B[i] <= p < B[i+1] of value V[i].  Runs end where the value
+    drops, found at C speed."""
+    B = (0, *compress(count(1), map(ne, d, d[1:])), len(d))
+    return B, tuple(map(d.__getitem__, B[:-1]))
+
+
 class StepFunction1D:
     """Left-continuous step function on (0,1].
 
@@ -106,9 +121,7 @@ class StepFunction1D:
     def _prefix(self):
         """Q[i] = td * vd * (integral of g over (0, t_i]), integers."""
         if "Q" not in self._cache:
-            B = self._B
-            self._cache["Q"] = tuple(accumulate(
-                (v * (hi - lo) for v, lo, hi in zip(self._V, B, B[1:])), initial=0))
+            self._cache["Q"] = _prefix_ints(self._B, self._V)
         return self._cache["Q"]
 
     def _piece(self, x, d):
@@ -227,9 +240,8 @@ def rearrange_signed(f):
     """
     if "rearr_signed" in f._cache:
         return f._cache["rearr_signed"]
-    d = f._sorted_nums()[::-1]
-    B = (0, *compress(count(1), map(ne, d, d[1:])), len(d))
-    g = StepFunction1D._from_ints(len(d), B, f._den, tuple(map(d.__getitem__, B[:-1])))
+    B, V = _descending_runs(f._sorted_nums()[::-1])
+    g = StepFunction1D._from_ints(B[-1], B, f._den, V)
     # the values are distinct and descending
     g._cache["merged"] = g._cache["nonincreasing"] = True
     f._cache["rearr_signed"] = g

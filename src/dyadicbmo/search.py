@@ -10,16 +10,17 @@ best function's cells become Fractions); fully deterministic for a fixed
 seed, with one RNG stream per restart so restarts may run in any order (or
 in parallel processes) without changing the result.
 
-A trial is scored from integers alone: the dyadic norm is the level and
-the oscillation numerator _bmo_level picks, with no witness cube or
-average; the interval norm of the signed rearrangement is the pair bn / bd
-of the monotone integer core (interval_bmo._monotone_ints), with no bound,
-witness or float; and the ratio is the integer pair
-bn * (den << 2n(L-k)) over bd * VD * top.  Its float num / den is
+A trial is scored by one kernel on its bare numerator list (_ratio_nums),
+with no DyadicFunction, StepFunction1D, gcd or cache: the level pass
+gives the norm's level k and top oscillation numerator, and the monotone
+integer core (interval_bmo._monotone_ints) on the runs of the sorted
+numerators the pair bn / bd; the ratio is the integer pair
+bn * (den << 2n(L-k)) over bd * den * top.  Its float num / den is
 correctly rounded, as float(Fraction) is, so every annealing decision is
 the one the Fraction would make, and the 2^n cap test cross-multiplies.
-Cells are kept in Morton order, so a trial's function is built with no
-permutation; the RNG draws public cell indices, mapped to their addresses.
+Cells are kept in Morton order, the order the kernels read; the RNG
+draws public cell indices, mapped to their addresses.  Only each
+restart's best becomes a DyadicFunction, handed the kernel's products.
 The one Fraction ratio, the interval bound (the certificate), the public
 bmo_dyadic_norm with its witness cube, and the check that the reported
 ratio is the certificate's lower bound over that norm are made once, for
@@ -33,12 +34,14 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .dyadic import (DyadicFunction, _bmo_level, _morton_order,
-                     bmo_dyadic_norm, check_grid_size, distribution_above)
+from .dyadic import (DyadicFunction, _level_pass, _morton_order, _norm_level,
+                     _osc_level, _sum_pyramid, bmo_dyadic_norm,
+                     check_grid_size, distribution_above)
 from .errors import InputError, PreconditionError
 from .interval_bmo import _monotone_ints, check_tol, interval_bmo_norm
-from .rearrangement import rearrange_signed
+from .rearrangement import _descending_runs, _prefix_ints, rearrange_signed
 
 OBJECTIVES = ("ratio_thm1", "jn_B_probe")
 # Thresholds of the jn_B_probe lambda grid: each trial reads one measure
@@ -111,24 +114,37 @@ class SearchResult:
     hard_cap: float
 
 
-def _ratio(f):
-    """(num, den): the certified lower bound of ||f_d||_* over the dyadic
-    norm of f is num / den; None for a constant f.  The lower bound is
-    bn / (bd * VD) from the monotone integer core on the signed
-    rearrangement's arrays, the norm top / (den_f * 4^(n(L-k))) from
-    _bmo_level, so no interval bound, witness, float or Fraction is built."""
-    k, top = _bmo_level(f)
+def _ratio_nums(dim, depth, den, nums):
+    """(num, den, made): num / den is the certified lower bound of
+    ||f_d||_* over the dyadic norm of the f with Morton-order numerators
+    nums over den; None for a constant f.  One kernel on the bare list,
+    unreduced: the norm is top / (den * 4^(n(L-k))) by _norm_level on the
+    level pass, the lower bound bn / (bd * den) the monotone core's on the
+    runs of the sorted numerators.  made is (pyramid, level pass, sorted
+    numerators) for DyadicFunction._from_pass; no object, gcd, cache,
+    bound, witness, float or Fraction is built."""
+    ordered = sorted(nums)
+    pyramid = _sum_pyramid(nums, dim, depth)
+    bests = _level_pass(partial(_osc_level, nums, pyramid, dim), pyramid, dim,
+                        ordered[0] >= 0)
+    k, top = _norm_level(bests[0], dim)
     if not top:
         return None
-    g = rearrange_signed(f)
-    bn, bd, _ = _monotone_ints(g._td, g._B, g._V, g._prefix())
-    num = bn * (f._den << 2 * f.dim * (f.depth - k))
-    den = bd * g._vd * top
-    if num > den << f.dim:
+    B, V = _descending_runs(ordered[::-1])
+    bn, bd, _ = _monotone_ints(B[-1], B, V, _prefix_ints(B, V))
+    num = bn * (den << 2 * dim * (depth - k))
+    den = bd * den * top
+    if num > den << dim:
         raise AssertionError(
-            f"ratio {Fraction(num, den)} exceeds the proven cap {1 << f.dim}; "
+            f"ratio {Fraction(num, den)} exceeds the proven cap {1 << dim}; "
             f"this indicates a bug in the norm computation")
-    return num, den
+    return num, den, (pyramid, bests, ordered)
+
+
+def _ratio(f):
+    """(num, den) of _ratio_nums for f; None for a constant f."""
+    scored = _ratio_nums(f.dim, f.depth, f._den, f._nums)
+    return scored and scored[:2]
 
 
 def ratio_objective(f, tol=1e-9):
@@ -163,20 +179,22 @@ def _jn_probe_score(f):
     return best if best > 0 else None
 
 
-def _score(f, cfg):
-    """(float score, exact score) of f; both None for a constant f.  The
-    exact score is _ratio's integer pair for the ratio, the float's
-    Fraction for the probe."""
+def _score(cfg, nums):
+    """(float score, exact score, made) of the trial with Morton-order
+    cells nums / 2^denom_bits; None for a constant one.  The ratio's exact
+    score is _ratio_nums's pair, made its products; the probe's is the
+    float's Fraction, made the trial's function."""
     if cfg.objective == "ratio_thm1":
-        scored = _ratio(f)
+        scored = _ratio_nums(cfg.dim, cfg.depth, 1 << cfg.denom_bits, nums)
         if scored is None:
-            return None, None
-        num, den = scored
-        return num / den, scored
+            return None
+        num, den, made = scored
+        return num / den, (num, den), made
+    f = _function(cfg, nums)
     s = _jn_probe_score(f)
     if s is None:
-        return None, None
-    return s, Fraction(s)
+        return None
+    return s, Fraction(s), f
 
 
 def _normalize(nums, bits):
@@ -215,14 +233,14 @@ def _run_restart(cfg, restart_index):
     for _ in range(65):  # a start and up to 64 retries past constant ones
         drawn = [rng.randrange(-den, den + 1) for _ in range(count)]
         cells = _normalize([drawn[p] for p in order], cfg.denom_bits)
-        f = _function(cfg, cells)
-        score, exact = _score(f, cfg)
-        if score is not None:
+        scored = _score(cfg, cells)
+        if scored is not None:
             break
     else:
         return None
-    best_f, best_score, best_exact = f, score, exact
-    trace = [(restart_index, 0, best_score)]
+    score = scored[0]
+    best = cells, *scored
+    trace = [(restart_index, 0, score)]
 
     cooling = (cfg.temp_final / cfg.temp_initial) ** (1.0 / max(cfg.iterations - 1, 1))
     temp = cfg.temp_initial
@@ -234,23 +252,25 @@ def _run_restart(cfg, restart_index):
             mag = max(1, int(step_num * temp / cfg.temp_initial))
             trial[c] += rng.choice((-1, 1)) * rng.randrange(1, mag + 1)
         trial = _normalize(trial, cfg.denom_bits)
-        trial_f = _function(cfg, trial)
-        new_score, new_exact = _score(trial_f, cfg)
-        if new_score is not None:
-            delta = new_score - score
+        scored = _score(cfg, trial)
+        if scored is not None:
+            delta = scored[0] - score
             if delta >= 0 or rng.random() < math.exp(delta / temp):
-                cells, score, exact = trial, new_score, new_exact
-                if score > best_score:  # never so for a score kept from before
-                    best_f, best_score, best_exact = trial_f, score, exact
-                    trace.append((restart_index, it, best_score))
+                cells, score = trial, scored[0]
+                if score > best[1]:  # never so for a score kept from before
+                    best = cells, *scored
+                    trace.append((restart_index, it, score))
         temp *= cooling
-    return best_f, best_score, best_exact, trace
+    cells, score, exact, made = best
+    if cfg.objective == "ratio_thm1":  # the best's function gets its products
+        made = DyadicFunction._from_pass(cfg.dim, cfg.depth, den, cells, *made)
+    return made, score, exact, trace
 
 
 def search(cfg):
     """Multistart annealing; the best evaluation is reported with its
     certificate, built once for it on the best trial's function, whose
-    cached level pass and rearrangement the certificate reads."""
+    handed-over level pass and sorted numerators the certificate reads."""
     workers = min(cfg.threads, cfg.restarts, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -272,7 +292,7 @@ def search(cfg):
     if best is None:
         raise PreconditionError("no valid (non-constant) candidate was found")
 
-    f, score, exact, _ = best  # the trial's function, its level pass kept
+    f, score, exact, _ = best
     cert = None
     if cfg.objective == "ratio_thm1":
         cap = float(1 << cfg.dim)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicbmo import DyadicFunction, InputError, StepFunction1D
+from dyadicbmo import (DyadicCubeId, DyadicFunction, InputError,
+                       PreconditionError, StepFunction1D, gr_profile,
+                       jn_abs_check, maximal_level_set)
 from dyadicbmo.cli import main
 from dyadicbmo.formats import (canonical_json, format_rational,
                                function_from_obj, function_to_obj,
@@ -717,3 +719,30 @@ def test_check_skips_power_bounds_at_p_one(tmp_path, capsys):
         assert suites[name]["skipped"] and suites[name]["checks"] == 0
         assert suites[name]["note"].startswith("p = 1.0")
     assert not any(s["skipped"] for n, s in suites.items() if n not in ("thm5", "cor1"))
+
+
+# input errors no command line reaches, each with its message
+NONNEG = DyadicFunction(1, 2, [1, 3, 0, 2])  # mean 3/2
+INPUT_ERRORS = [
+    (lambda: DyadicCubeId(-1, (0,)), InputError, "cube level must be >= 0, got -1"),
+    (lambda: DyadicCubeId(0, ()), InputError,
+     "cube index must have at least one coordinate"),
+    (lambda: gr_profile(NONNEG).value_at(Fraction(3, 2)), InputError,
+     "sigma must lie in [0,1], got 3/2"),
+    (lambda: jn_abs_check(NONNEG, 0), InputError, "lambda must be positive, got 0"),
+    (lambda: maximal_level_set(NONNEG, 1), PreconditionError,
+     "requires alpha >= the global average (3/2), got 1"),
+    (lambda: StepFunction1D([0, 1], [1]).integral_to(2), InputError,
+     "t must lie in [0,1], got 2"),
+    (lambda: function_from_obj([1]), InputError,
+     "a dyadic function must be a JSON object"),
+    (lambda: function_from_obj({"n": 1, "level": 1, "values": "12"}), InputError,
+     "'values' must be a list"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_ERRORS)
+def test_input_error_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

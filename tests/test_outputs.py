@@ -192,6 +192,8 @@ COMMANDS = [
     "--function-output best.json",
     # exit 2: a one-cell grid, refused before any candidate is drawn
     "search --n 2 --level 0",
+    # exit 2: interval-bmo with no --input
+    "interval-bmo",
 ]
 
 

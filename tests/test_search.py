@@ -4,6 +4,7 @@ import concurrent.futures
 import random
 import sys
 from concurrent.futures import Future
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -12,11 +13,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
-                       SearchConfig, bmo_dyadic_norm, interval_bmo_norm,
-                       ratio_objective, rearrange_signed, search)
+                       SearchConfig, bmo_argmax, bmo_dyadic_norm,
+                       interval_bmo_norm, ratio_objective, rearrange_signed,
+                       search)
 from dyadicbmo.cli import main
 from dyadicbmo.search import (JN_PROBE_WEIGHT, MAX_SEARCH_WORK, _normalize,
-                              _ratio)
+                              _ratio, _ratio_nums)
 from conftest import normalize_oracle, random_function
 
 # 2^m cells of numerators over 2^bits, as the search holds them
@@ -119,19 +121,25 @@ class TestIntegerScore:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_best_trial_function_is_reported(self, threads, monkeypatch):
-        # the reported function is the best trial's own, its level pass and
-        # rearrangement cached there: the certificate builds no level again
+        # the reported function is the best trial's, handed the kernel's sum
+        # pyramid, level pass and sorted numerators: the certificate builds
+        # no level pass and no sort for the reported best
         search_mod = sys.modules["dyadicbmo.search"]
         cfg = SearchConfig(dim=1, depth=3, restarts=2, iterations=15, seed=2,
                            threads=threads)
         expected = search(cfg)
-        built, real = [], DyadicFunction._osc
-
-        def counted(f, k):
-            built.append(f)
-            return real(f, k)
-
-        monkeypatch.setattr(DyadicFunction, "_osc", counted)
+        # a function's own level pass goes through dyadic's _level_pass and
+        # _osc; the trials' kernel through search's binding of the former
+        dyadic_mod = sys.modules["dyadicbmo.dyadic"]
+        built, passes, kept = [], [], []
+        real_osc, real_pass = DyadicFunction._osc, dyadic_mod._level_pass
+        monkeypatch.setattr(DyadicFunction, "_osc",
+                            lambda f, k: built.append(f) or real_osc(f, k))
+        monkeypatch.setattr(dyadic_mod, "_level_pass",
+                            lambda *a: passes.append(1) or real_pass(*a))
+        real_rearrange = search_mod.rearrange_signed
+        monkeypatch.setattr(search_mod, "rearrange_signed",
+                            lambda f: kept.append(set(f._cache)) or real_rearrange(f))
         made, real_function = [], search_mod._function
         monkeypatch.setattr(search_mod, "_function",
                             lambda cfg, nums: made.append(1) or real_function(cfg, nums))
@@ -139,11 +147,85 @@ class TestIntegerScore:
         assert (res.best_function, res.trace, res.best_score_exact,
                 res.certificate) == (expected.best_function, expected.trace,
                                      expected.best_score_exact, expected.certificate)
-        if threads == 1:  # trials in this process: one function each, no more
-            assert len(made) == cfg.restarts * (cfg.iterations + 1)
-            assert any(f is res.best_function for f in built)
-            assert built.count(res.best_function) == cfg.depth
+        # no trial builds a function, and no function builds a level
+        assert (made, built, passes) == ([], [], [])
+        assert kept == [{"sums", "level_bests", "sorted"}]
         assert "bmo" in res.best_function._cache
+
+
+class TestTrialKernel:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kernel_matches_the_public_path(self, seed):
+        # the kernel scores bare numerators over any den, unreduced, as the
+        # certificate over the public norm does; the products it hands to
+        # the best's function are what that function builds on its own
+        rng = random.Random(seed)
+        cases = [(1, 2, 5, [0, 0, 5, 5])]  # f >= 0, level 1 every o = 0, g = 5
+        for _ in range(50):
+            n = rng.choice([1, 2, 3])
+            depth = rng.randrange(1, 7 // n)
+            size = 1 << (n * depth)
+            pool = [rng.randrange(-8, 9) for _ in range(rng.choice((2, 3, size)))]
+            factor = rng.choice((1, 2, 3, 4, 12))  # shared by every numerator
+            nums = [factor * rng.choice(pool) for _ in range(size)]
+            if rng.random() < 0.25:
+                nums = [abs(a) for a in nums]
+            cases.append((n, depth, rng.choice((1, 3, 4, 12, 16)), nums))
+        for n, depth, den, nums in cases:
+            f = DyadicFunction._from_nums(n, depth, den, nums)
+            scored = _ratio_nums(n, depth, den, nums)
+            norm = bmo_dyadic_norm(f)
+            if norm == 0:
+                assert scored is None
+                continue
+            num, d, made = scored
+            assert Fraction(num, d) == interval_bmo_norm(rearrange_signed(f)).lower / norm
+            handed = DyadicFunction._from_pass(n, depth, den, nums, *made)
+            assert handed == f
+            assert handed._cache["sums"] == f._sums()
+            assert handed._cache["level_bests"] == f._level_bests()
+            assert handed._cache["sorted"] == f._sorted_nums()
+            assert bmo_argmax(handed) == bmo_argmax(f)
+
+    def test_a_ratio_one_unit_past_the_cap_is_refused(self, monkeypatch):
+        # the interval numerator bn at the cap passes; one unit higher the
+        # trial is refused, by _ratio and inside a search
+        search_mod = sys.modules["dyadicbmo.search"]
+        real, seen = search_mod._monotone_ints, []
+        monkeypatch.setattr(search_mod, "_monotone_ints",
+                            lambda *a: seen.append(real(*a)) or seen[-1])
+        f = DyadicFunction(1, 2, [3, 1, 0, 2])
+        num, den = _ratio(f)
+        bn, bd, arg = seen[0]
+        at_cap = (den << f.dim) * bn // num  # num is bn times a constant
+        monkeypatch.setattr(search_mod, "_monotone_ints",
+                            lambda *a: (at_cap, bd, arg))
+        ratio = Fraction(*_ratio(f))
+        assert ratio <= 2 < ratio + Fraction(num, den * bn)  # bn's unit
+        monkeypatch.setattr(search_mod, "_monotone_ints",
+                            lambda *a: (at_cap + 1, bd, arg))
+        with pytest.raises(AssertionError, match=r"exceeds the proven cap 2; "
+                           r"this indicates a bug in the norm computation"):
+            _ratio(f)
+        monkeypatch.setattr(search_mod, "_monotone_ints",
+                            lambda *a: (lambda b: (b[0] << 8, *b[1:]))(real(*a)))
+        with pytest.raises(AssertionError, match=r"exceeds the proven cap 2; "):
+            search(SearchConfig(dim=1, depth=2, restarts=1, iterations=5, seed=1))
+
+    def test_a_certificate_one_unit_off_is_refused(self, monkeypatch):
+        # a certificate whose lower bound is one unit off the reported
+        # ratio times the norm fails the search's final check
+        search_mod = sys.modules["dyadicbmo.search"]
+        real = search_mod.interval_bmo_norm
+
+        def off(g, tol=1e-9):
+            bound = real(g, tol)
+            return replace(bound, lower=bound.lower + Fraction(1, bound.lower.denominator))
+
+        monkeypatch.setattr(search_mod, "interval_bmo_norm", off)
+        with pytest.raises(AssertionError, match=r"the best score \S+ is not its "
+                           r"certificate's lower bound over the dyadic norm"):
+            search(SearchConfig(dim=1, depth=2, restarts=1, iterations=5, seed=1))
 
 
 class TestExhaustiveBinaryCase:

@@ -303,14 +303,19 @@ def theorem5_check(f, t):
     """lhs = F(t) exact; rhs = (p/(p-1)) * mean * t^(-1/p), rounded upward."""
     _require_nonneg(f)
     t = check_t(t)
-    sol = _power_exponent(f)
+    p = _power_exponent(f).p
     lhs = hardy_average(rearrange_abs(f), t)
-    p = iv_float(sol.p)
+    return lhs, upper_float(_theorem5_rhs(f, t, p))
+
+
+def _theorem5_rhs(f, t, p):
+    """(p/(p-1)) * mean * t^(-1/p) as an interval, for the float exponent p
+    > 1 of f: the rhs of theorem5_check, decreasing in t."""
+    p = iv_float(p)
     factor = mpi_div(p, mpi_sub(p, IV_ONE, PREC), PREC)
-    rhs = mpi_mul(mpi_mul(factor, iv_from_fraction(f.mean), PREC),
-                  iv_pow(iv_from_fraction(t), mpi_div(mpi_neg(IV_ONE, PREC), p, PREC)),
-                  PREC)
-    return lhs, upper_float(rhs)
+    return mpi_mul(mpi_mul(factor, iv_from_fraction(f.mean), PREC),
+                   iv_pow(iv_from_fraction(t), mpi_div(mpi_neg(IV_ONE, PREC), p, PREC)),
+                   PREC)
 
 
 @lru_cache(maxsize=None)
@@ -346,6 +351,19 @@ def theorem4_bound(f, t, profile=None):
     if not any(f._nums):
         raise PreconditionError("requires a function not identically zero")
     t = check_t(t)
+    rhs = _theorem4_rhs(f, t, profile)
+    lhs = hardy_average(rearrange_abs(f), t)
+    c1, c2, c3, c4, _ = _theorem4_constants(f.dim)
+    return Theorem4Result(lhs=lhs, rhs=upper_float(rhs),
+                          c1=upper_float(c1), c2=upper_float(c2),
+                          c3=upper_float(c3), c4=upper_float(c4))
+
+
+def _theorem4_rhs(f, t, profile):
+    """c1 * mean * exp(c2 * int_{c3 t^(1/n)}^1 v(sigma) dsigma/sigma) as an
+    interval, for t in (0, 1/c4] and f's profile (None: read it): the rhs
+    of theorem4_bound, nonincreasing in t (the lower limit rises with t, and
+    v >= 0)."""
     c1, c2, c3, c4, inv_n = _theorem4_constants(f.dim)
     t_iv = iv_from_fraction(t)
     if mpf_lt(fone, mpf_mul(t_iv[0], c4[0], PREC, round_floor)):
@@ -367,12 +385,8 @@ def theorem4_bound(f, t, profile=None):
         contrib = iv_max(mpi_sub(log_hi, log_eff, PREC), IV_ZERO)
         integral = mpi_add(integral, mpi_mul(iv_from_fraction(v_k), contrib, PREC),
                            PREC)
-    rhs = mpi_mul(mpi_mul(c1, iv_from_fraction(f.mean), PREC),
-                  mpi_exp(mpi_mul(c2, integral, PREC), PREC), PREC)
-    lhs = hardy_average(rearrange_abs(f), t)
-    return Theorem4Result(lhs=lhs, rhs=upper_float(rhs),
-                          c1=upper_float(c1), c2=upper_float(c2),
-                          c3=upper_float(c3), c4=upper_float(c4))
+    return mpi_mul(mpi_mul(c1, iv_from_fraction(f.mean), PREC),
+                   mpi_exp(mpi_mul(c2, integral, PREC), PREC), PREC)
 
 
 def lq_tail_bound(f, q):

@@ -51,10 +51,11 @@ def _scale(f, norm):
     return f._cache["jn_scale"]
 
 
-def _exp_bound(f, lam, norm):
-    """Upper endpoint of e * exp(-lam / (2^(n-1) e norm)), norm = ||f||."""
+def _exp_iv(f, lam, norm):
+    """e * exp(-lam / (2^(n-1) e norm)) as an interval, for norm = ||f|| > 0:
+    the rhs of jn_check and jn_abs_check, decreasing in lam."""
     expo = mpi_div(mpi_neg(iv_from_fraction(lam), PREC), _scale(f, norm), PREC)
-    return upper_float(mpi_mul(IV_E, mpi_exp(expo, PREC), PREC))
+    return mpi_mul(IV_E, mpi_exp(expo, PREC), PREC)
 
 
 def logbound_check(f, t):
@@ -102,7 +103,7 @@ def jn_check(f, lam):
     measure = distribution_above(f, lam, f.mean)
     if norm == 0:
         return measure, 0.0
-    return measure, _exp_bound(f, lam, norm)
+    return measure, upper_float(_exp_iv(f, lam, norm))
 
 
 def jn_abs_check(f, lam):
@@ -113,14 +114,19 @@ def jn_abs_check(f, lam):
     if lam <= 0:
         raise InputError(f"lambda must be positive, got {lam}")
     norm = bmo_dyadic_norm(f)
+    measure = _two_sided_measure(f, lam)
+    if norm == 0:
+        return measure, 0.0
+    return measure, upper_float(_exp_iv(f, lam, norm))
+
+
+def _two_sided_measure(f, lam):
+    """The measure of {|f - f_Q0| > lam} for a Fraction lam > 0: the lhs of
+    jn_abs_check."""
     center = f.mean
     upper = distribution_above(f, lam, center)
     # {f < center - lam}: the numerators a < (center - lam) den, that is below
     # its ceiling, counted by bisection
     thr = center - lam
     ceil = -(-thr.numerator * f._den // thr.denominator)
-    lower = Fraction(bisect_left(f._sorted_nums(), ceil), len(f._nums))
-    measure = upper + lower
-    if norm == 0:
-        return measure, 0.0
-    return measure, _exp_bound(f, lam, norm)
+    return upper + Fraction(bisect_left(f._sorted_nums(), ceil), len(f._nums))

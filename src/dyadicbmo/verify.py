@@ -20,13 +20,16 @@ from itertools import groupby, repeat
 from math import gcd
 
 from .dyadic import (DyadicCubeId, _decode, bmo_dyadic_norm,
-                     mean_oscillation, one_sided_oscillation)
+                     distribution_above, mean_oscillation,
+                     one_sided_oscillation)
 from .errors import InputError
-from .gurov import (_solve_p_exact, gr_membership, gr_profile, lq_tail_bound,
+from .gurov import (_power_exponent, _solve_p_exact, _theorem4_rhs,
+                    _theorem5_rhs, gr_membership, gr_profile, lq_tail_bound,
                     solve_p, theorem3_check, theorem4_bound, theorem5_check)
 from .highprec import lower_float
 from .interval_bmo import interval_bmo_norm
-from .johnnirenberg import (_lambda_grid, _log_bound, jn_abs_check, jn_check,
+from .johnnirenberg import (_exp_iv, _lambda_grid, _log_bound,
+                            _two_sided_measure, jn_abs_check, jn_check,
                             logbound_check)
 from .rearrangement import (hardy_average, hardy_gap_check,
                             interval_mean_oscillation, rearrange_abs,
@@ -83,6 +86,37 @@ class _Tally:
         self.checks += 1
         if lhs > rhs:
             self.failures.append(f"{what.format(*args)}: {lhs} > {rhs}")
+
+
+def _decide_runs(tally, at, lo, hi, run_max, rhs_iv, check, what):
+    """Decide check(at(i)) -> (lhs, rhs) under the rule for the grid points
+    i = lo..hi-1, a run of points at a time, into tally: the same checks and
+    failures, in grid order, as one decision per point.
+
+    The grid is one whose exact lhs is checked against an rhs that is
+    nonincreasing in i, rhs_iv(at(i)) an interval enclosing it and check's
+    rhs the upper end of that interval, rounded up.  A run a..b whose
+    largest lhs, run_max(a, b), is at most lower_float of rhs_iv(at(b))
+    passes at every point, as lhs_i <= rhs(at(b)) <= rhs(at(i)) <= check's
+    rhs at i; its right end still goes through check, and if check fails
+    there the run is decided point by point.  A run failing the test is
+    halved, the left half first, down to single points, which check
+    decides.
+    """
+    runs = [(lo, hi - 1)] if lo < hi else []
+    while runs:
+        a, b = runs.pop()
+        if a < b and run_max(a, b) > lower_float(rhs_iv(at(b))):
+            mid = (a + b) // 2
+            runs += [(mid + 1, b), (a, mid)]
+            continue
+        lhs, rhs = check(at(b))
+        if lhs > rhs:
+            for i in range(a, b):
+                tally.decide(*check(at(i)), what, at(i))
+        else:
+            tally.checks += b - a
+        tally.decide(lhs, rhs, what, at(b))
 
 
 def _sampled_cubes(f, cap=512):
@@ -281,48 +315,56 @@ def _suite_thm1(f):
 
 
 def _suite_thm2(f):
-    tally = _Tally()
+    """jn_check at each lambda of the grid, decided a run at a time
+    (_decide_runs): the rhs e exp(-lambda / (2^(n-1) e ||f||)) falls as
+    lambda rises.  The measure of {f - mean > lambda} must not rise along the
+    grid either; a rise is reported after the bound at its lambda."""
     grid = _lambda_grid(f)
-    prev_measure = None
-    for lam in grid:
-        measure, bnd = jn_check(f, lam)
-        tally.decide(measure, bnd, "distribution bound fails at lambda={}", lam)
-        if prev_measure is not None and measure > prev_measure:
-            tally.failures.append(f"measure increased along the lambda grid at {lam}")
-        prev_measure = measure
     if not grid:
         return _result("thm2", 0, [], skipped=True, note="constant function")
+    measures = [distribution_above(f, lam, f.mean) for lam in grid]
+    norm = bmo_dyadic_norm(f)  # > 0, as f is not constant
+    tally = _Tally()
+
+    def decide(lo, hi):
+        _decide_runs(tally, grid.__getitem__, lo, hi,
+                     lambda a, b: max(measures[a:b + 1]),
+                     lambda lam: _exp_iv(f, lam, norm),
+                     lambda lam: jn_check(f, lam),
+                     "distribution bound fails at lambda={}")
+    start = 0
+    for i in range(1, len(grid)):
+        if measures[i] > measures[i - 1]:
+            decide(start, i + 1)
+            tally.failures.append(f"measure increased along the lambda grid at {grid[i]}")
+            start = i + 1
+    decide(start, len(grid))
     return _result("thm2", tally.checks, tally.failures)
 
 
 def _suite_thm31(f):
     """logbound_check at every breakpoint t of the rearrangement gd of
-    g = f - mean, decided a run of breakpoints at a time.  gd(t) is
-    nonincreasing and the rhs is decreasing, so a run t_a < ... < t_b whose
-    first value gd(t_a) is at most the lower end of the rhs at t_b passes
-    the per-t rule everywhere (lower <= rhs <= upper).  A run failing that
-    test is halved, down to single breakpoints, which logbound_check
-    decides; an accepted run's right end goes through it as well."""
+    g = f - mean, decided a run of breakpoints at a time (_decide_runs):
+    the rhs 2^(n-1) e ||g|| ln(e/t) falls as t rises, and gd is
+    nonincreasing, so a run's largest value is its first."""
     norm = bmo_dyadic_norm(f)  # before the shift, so g reads it too
     g = f.shifted(-f.mean)
     gd = rearrange_signed(g)
     B, V, td, vd = gd._B, gd._V, gd._td, gd._vd
     tally = _Tally()
-    runs = [(1, len(B) - 1)]  # breakpoint indices, the leftmost run on top
-    while runs:
-        a, b = runs.pop()
-        # a < b needs two pieces, so g is not constant and norm > 0
-        if a < b and Fraction(V[a - 1], vd) > lower_float(
-                _log_bound(g, norm, Fraction(B[b], td))):
-            mid = (a + b) // 2
-            runs += [(mid + 1, b), (a, mid)]
-            continue
-        t = Fraction(B[b], td)
-        tally.decide(*logbound_check(g, t), "log bound fails at t={}", t)
-    return _result("thm31", len(B) - 1, tally.failures)
+    # a run of two breakpoints or more needs two pieces, so g is not
+    # constant and norm > 0
+    _decide_runs(tally, lambda i: Fraction(B[i], td), 1, len(B),
+                 lambda a, b: Fraction(V[a - 1], vd),
+                 lambda t: _log_bound(g, norm, t),
+                 lambda t: logbound_check(g, t), "log bound fails at t={}")
+    return _result("thm31", tally.checks, tally.failures)
 
 
 def _suite_remark31(f):
+    """h* against h = |f|'s integral, max and min, then jn_abs_check at each
+    lambda of the grid, decided a run at a time (_decide_runs): the rhs
+    e exp(-lambda / (2^(n-1) e ||h||)) falls as lambda rises."""
     h = f.abs()
     note = "" if f.is_nonnegative else "applied to |f|"
     tally = _Tally()
@@ -332,8 +374,15 @@ def _suite_remark31(f):
     if (g.integral != h.mean or g._V[0] * h._den != max(h._nums) * g._vd
             or g._V[-1] * h._den != min(h._nums) * g._vd):
         tally.failures.append("rearrangement of h misses h's integral, max or min")
-    for lam in _lambda_grid(h, points=8):
-        tally.decide(*jn_abs_check(h, lam), "two-sided bound fails at lambda={}", lam)
+    grid = _lambda_grid(h, points=8)
+    if grid:  # h is not constant, so ||h|| > 0
+        measures = [_two_sided_measure(h, lam) for lam in grid]
+        norm = bmo_dyadic_norm(h)
+        _decide_runs(tally, grid.__getitem__, 0, len(grid),
+                     lambda a, b: max(measures[a:b + 1]),
+                     lambda lam: _exp_iv(h, lam, norm),
+                     lambda lam: jn_abs_check(h, lam),
+                     "two-sided bound fails at lambda={}")
     return _result("remark31", 1 + tally.checks, tally.failures, note=note)
 
 
@@ -357,17 +406,28 @@ def _suite_thm3(f):
 
 
 def _suite_thm4(f):
+    """theorem4_bound at eight t up to 1/(2^(n+3)), decided a run at a time
+    (_decide_runs): in the rhs c1 mean exp(c2 int_{c3 t^(1/n)}^1 v dsigma /
+    sigma) the lower limit c3 t^(1/n) rises with t and v >= 0, so the rhs
+    does not rise."""
     h = f.abs()
     note = "" if f.is_nonnegative else "applied to |f|"
     if not any(h._nums):
         return _result("thm4", 0, [], skipped=True, note="identically zero")
     profile = gr_profile(h)
-    tally = _Tally()
     top = Fraction(1, 8 * (1 << h.dim))  # below the validity threshold 1/(2^n e^2)
-    for j in range(1, 9):
-        t = top * Fraction(j, 8)
+    grid = [top * Fraction(j, 8) for j in range(1, 9)]
+    g = rearrange_abs(h)
+    lhs = [hardy_average(g, t) for t in grid]
+
+    def check(t):
         res = theorem4_bound(h, t, profile=profile)
-        tally.decide(res.lhs, res.rhs, "exponential bound fails at t={}", t)
+        return res.lhs, res.rhs
+    tally = _Tally()
+    _decide_runs(tally, grid.__getitem__, 0, len(grid),
+                 lambda a, b: max(lhs[a:b + 1]),
+                 lambda t: _theorem4_rhs(h, t, profile), check,
+                 "exponential bound fails at t={}")
     return _result("thm4", tally.checks, tally.failures, note=note)
 
 
@@ -386,13 +446,21 @@ def _power_skip(name, h):
 
 
 def _suite_thm5(f):
+    """theorem5_check at the cell-aligned t, decided a run at a time
+    (_decide_runs): the rhs (p/(p-1)) mean t^(-1/p) falls as t rises."""
     h = f.abs()
     skipped = _power_skip("thm5", h)
     if skipped is not None:
         return skipped
+    grid = _cell_aligned_grid(h, cap=16)
+    g = rearrange_abs(h)
+    lhs = [hardy_average(g, t) for t in grid]
+    p = _power_exponent(h).p
     tally = _Tally()
-    for t in _cell_aligned_grid(h, cap=16):
-        tally.decide(*theorem5_check(h, t), "power bound fails at t={}", t)
+    _decide_runs(tally, grid.__getitem__, 0, len(grid),
+                 lambda a, b: max(lhs[a:b + 1]),
+                 lambda t: _theorem5_rhs(h, t, p),
+                 lambda t: theorem5_check(h, t), "power bound fails at t={}")
     return _result("thm5", tally.checks, tally.failures)
 
 

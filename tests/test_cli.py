@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicbmo import (DyadicCubeId, DyadicFunction, InputError,
-                       PreconditionError, StepFunction1D, gr_profile,
-                       jn_abs_check, maximal_level_set)
+from dyadicbmo import (DyadicCubeId, DyadicFunction, GeneratorSpec,
+                       InputError, PreconditionError, StepFunction1D,
+                       gr_profile, jn_abs_check, maximal_level_set,
+                       theorem3_check, theorem4_bound)
 from dyadicbmo.cli import main
 from dyadicbmo.formats import (canonical_json, format_rational,
                                function_from_obj, function_to_obj,
@@ -723,6 +724,7 @@ def test_check_skips_power_bounds_at_p_one(tmp_path, capsys):
 
 # input errors no command line reaches, each with its message
 NONNEG = DyadicFunction(1, 2, [1, 3, 0, 2])  # mean 3/2
+ZERO = DyadicFunction(1, 2, [0, 0, 0, 0])
 INPUT_ERRORS = [
     (lambda: DyadicCubeId(-1, (0,)), InputError, "cube level must be >= 0, got -1"),
     (lambda: DyadicCubeId(0, ()), InputError,
@@ -738,6 +740,21 @@ INPUT_ERRORS = [
      "a dyadic function must be a JSON object"),
     (lambda: function_from_obj({"n": 1, "level": 1, "values": "12"}), InputError,
      "'values' must be a list"),
+    (lambda: DyadicFunction(0, 1, [1]), InputError, "dimension must be >= 1, got 0"),
+    (lambda: DyadicFunction(1, -1, [1]), InputError, "depth must be >= 0, got -1"),
+    (lambda: step_from_obj([1]), InputError, "a step function must be a JSON object"),
+    (lambda: GeneratorSpec(kind="uniform-cells", dim=1, depth=1, low=2, high=1),
+     InputError, "value range is empty"),
+    (lambda: GeneratorSpec(kind="cascade-gr", dim=1, depth=1, target_eps=2),
+     InputError, "cascade target eps must lie in (0, 2)"),
+    (lambda: GeneratorSpec(kind="cascade-gr", dim=1, depth=1, multipliers=(2, 0)),
+     InputError, "cascade multipliers must be positive"),
+    (lambda: GeneratorSpec(kind="monotone-1d", dim=2, depth=1), InputError,
+     "monotone-1d generates one-dimensional functions"),
+    (lambda: theorem3_check(ZERO, Fraction(1, 2)), PreconditionError,
+     "requires a function not identically zero"),
+    (lambda: theorem4_bound(ZERO, Fraction(1, 16)), PreconditionError,
+     "requires a function not identically zero"),
 ]
 
 

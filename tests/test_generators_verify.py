@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadicbmo.gurov as gurov_mod
 import dyadicbmo.johnnirenberg as jn_mod
 import dyadicbmo.verify as verify_mod
 from dyadicbmo import (DyadicFunction, GenerationError, GeneratorSpec,
@@ -231,7 +232,7 @@ class TestExactDecisions:
         assert seen == {
             "lemma23": (12, 8, "gap bound fails at t=1/4, gamma=3/2: 3/2 > 1.25"),
             "thm2": (32, 8, "distribution bound fails at lambda=1/16: 3/2 > 1.25"),
-            "thm31": (2, 1, "log bound fails at t=1: 3/2 > 1.25"),
+            "thm31": (2, 2, "log bound fails at t=1/2: 3/2 > 1.25"),
             "remark31": (9, 8, "two-sided bound fails at lambda=1/4: 3/2 > 1.25"),
             "thm3": (8, 8, "rearrangement-modulus bound fails at t=1/8: 3/2 > 1.25"),
             "thm4": (8, 8, "exponential bound fails at t=1/128: 7/3 > 0.5"),
@@ -498,6 +499,241 @@ class TestThm31Blocks:
         assert failures == _thm31_per_t(f)[2]
         assert len(failures) == 1 and failures[0].startswith(
             f"log bound fails at t={t}: ")
+
+
+# the suites decided a run at a time besides thm31: each one's public check,
+# its failure message and where its lhs and rhs come from
+_RUN_CHECK = {"thm2": "jn_check", "remark31": "jn_abs_check",
+              "thm4": "theorem4_bound", "thm5": "theorem5_check"}
+_RUN_WHAT = {"thm2": "distribution bound fails at lambda={}",
+             "remark31": "two-sided bound fails at lambda={}",
+             "thm4": "exponential bound fails at t={}",
+             "thm5": "power bound fails at t={}"}
+_RUN_LHS = {"thm2": ((verify_mod, jn_mod), "distribution_above"),
+            "remark31": ((verify_mod, jn_mod), "_two_sided_measure"),
+            "thm4": ((verify_mod, gurov_mod), "hardy_average"),
+            "thm5": ((verify_mod, gurov_mod), "hardy_average")}
+
+
+def _run_target(suite, f):
+    return f if suite == "thm2" else f.abs()
+
+
+def _run_points(suite, h):
+    """The suite's grid on h, [] where the suite skips or has no grid."""
+    if suite == "thm2":
+        return verify_mod._lambda_grid(h)
+    if suite == "remark31":
+        return verify_mod._lambda_grid(h, points=8)
+    if suite == "thm4":
+        top = Fraction(1, 8 * (1 << h.dim))
+        return [top * Fraction(j, 8) for j in range(1, 9)] if any(h._nums) else []
+    if verify_mod._power_skip("thm5", h) is not None:
+        return []
+    return verify_mod._cell_aligned_grid(h, cap=16)
+
+
+def _run_public(suite, h, x):
+    out = getattr(verify_mod, _RUN_CHECK[suite])(h, x)
+    return (out.lhs, out.rhs) if suite == "thm4" else out
+
+
+def _run_rhs_iv(suite, h, x):
+    if suite in ("thm2", "remark31"):
+        return jn_mod._exp_iv(h, x, bmo_dyadic_norm(h))
+    if suite == "thm4":
+        return gurov_mod._theorem4_rhs(h, x, None)
+    return gurov_mod._theorem5_rhs(h, x, gurov_mod._power_exponent(h).p)
+
+
+def _run_per_point(suite, f):
+    """(checks, passed, failures) of suite by one public check per grid
+    point, the rule the run path must reproduce (remark31's check of h*
+    counts once and passes)."""
+    h = _run_target(suite, f)
+    xs = _run_points(suite, h)
+    failures, prev = [], None
+    for x in xs:
+        lhs, rhs = _run_public(suite, h, x)
+        if lhs > rhs:
+            failures.append(f"{_RUN_WHAT[suite].format(x)}: {lhs} > {rhs}")
+        if suite == "thm2" and prev is not None and lhs > prev:
+            failures.append(f"measure increased along the lambda grid at {x}")
+        prev = lhs
+    return len(xs) + (suite == "remark31"), not failures, tuple(failures[:8])
+
+
+def _run_decided(suite, f):
+    result = verify_all(f, [suite]).results[0]
+    return result.checks, result.passed, result.failures
+
+
+def _plantable(suite, h, i):
+    """The j <= i for which _plant_lhs can make exactly points j..i fail:
+    0, and each j whose rhs lies wholly below the rhs at j - 1."""
+    xs = _run_points(suite, h)
+    return [j for j in range(i + 1)
+            if j == 0 or upper_float(_run_rhs_iv(suite, h, xs[j]))
+            < lower_float(_run_rhs_iv(suite, h, xs[j - 1]))]
+
+
+def _plant_lhs(monkeypatch, suite, h, i, j):
+    """Raise the lhs at grid points 0..i to a c strictly between the rhs at
+    x_j and at x_(j-1), for j in _plantable(suite, h, i), in verify and in
+    the public check alike.  The lhs stays nonincreasing where it was, and
+    the bound fails at x_j, ..., x_i alone; return those x."""
+    xs = _run_points(suite, h)
+    above = Fraction(upper_float(_run_rhs_iv(suite, h, xs[j])))
+    below = (Fraction(lower_float(_run_rhs_iv(suite, h, xs[j - 1])))
+             if j else above + 1)
+    assert above < below
+    c = (above + below) / 2
+    raised = set(xs[:i + 1])
+    modules, name = _RUN_LHS[suite]
+    real = getattr(verify_mod, name)
+
+    def planted(g, x, *rest):
+        value = real(g, x, *rest)
+        return max(value, c) if x in raised else value
+    for module in modules:
+        monkeypatch.setattr(module, name, planted)
+    return xs[j:i + 1]
+
+
+def _fails_at(real, points):
+    """Wrap a public check so that its rhs sits just below its lhs at the
+    given points and is left alone elsewhere."""
+    just_below = _rhs_just_below(real)
+
+    def patched(h, x, *args, **kwargs):
+        return (just_below if x in points else real)(h, x, *args, **kwargs)
+    return patched
+
+
+def _counted(real, calls):
+    """Wrap a public check so that it appends each grid point it is called at."""
+    def counted(h, x, *args, **kwargs):
+        calls.append(x)
+        return real(h, x, *args, **kwargs)
+    return counted
+
+
+_RUN_SUITES = pytest.mark.parametrize("suite", sorted(_RUN_CHECK))
+_PLANT_GRIDS = st.tuples(st.sampled_from(["uniform-cells", "cascade-gr"]),
+                         st.integers(1, 3), st.integers(1, 7))
+_CASCADES = st.tuples(st.just("cascade-gr"), st.integers(1, 3), st.integers(1, 7))
+
+
+class TestRunDecisions:
+    """thm2, remark31, thm4 and thm5 decide their grids a run at a time and
+    report what one public check per point reports."""
+
+    @_RUN_SUITES
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_THM31_GRIDS, st.integers(0, 2 ** 16))
+    def test_matches_per_point_rule(self, suite, grid, seed):
+        f = _grid(*grid, seed)
+        assert _run_decided(suite, f) == _run_per_point(suite, f)
+
+    @_RUN_SUITES
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_PLANT_GRIDS, _CASCADES, st.integers(0, 2 ** 16), st.data())
+    def test_planted_violations_match_per_point_rule(self, suite, grid, cascade,
+                                                     seed, data):
+        # thm5 applies where the modulus is small: plant it on cascades
+        f = _grid(*(cascade if suite == "thm5" else grid), seed)
+        h = _run_target(suite, f)
+        xs = _run_points(suite, h)
+        if not xs:
+            return  # a constant f: nothing to plant
+        i = data.draw(st.integers(0, len(xs) - 1))
+        j = data.draw(st.sampled_from(_plantable(suite, h, i)))
+        with pytest.MonkeyPatch.context() as mp:
+            failing = _plant_lhs(mp, suite, h, i, j)
+            decided = _run_decided(suite, f)
+            assert decided == _run_per_point(suite, f)
+        # in grid order, the first 8 kept
+        assert not decided[1] and len(decided[2]) == min(len(failing), 8)
+        for x, failure in zip(failing, decided[2]):
+            assert failure.startswith(_RUN_WHAT[suite].format(x) + ": ")
+
+    @_RUN_SUITES
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_PLANT_GRIDS, _CASCADES, st.integers(0, 2 ** 16), st.data())
+    def test_public_check_failing_past_the_run_test_falls_back(
+            self, suite, grid, cascade, seed, data):
+        # a public check that fails at a run's right end, where the run test
+        # passed on the true values, and at a point inside that run: the run
+        # is then decided point by point
+        f = _grid(*(cascade if suite == "thm5" else grid), seed)
+        xs = _run_points(suite, _run_target(suite, f))
+        if not xs:
+            return
+        binding = _RUN_CHECK[suite]
+        ends = []  # each run's right end, in grid order
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify_mod, binding, _counted(getattr(verify_mod, binding), ends))
+            _run_decided(suite, f)
+        m = data.draw(st.integers(0, len(ends) - 1))
+        run = xs[xs.index(ends[m - 1]) + 1 if m else 0:xs.index(ends[m]) + 1]
+        points = {ends[m], data.draw(st.sampled_from(run))}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify_mod, binding,
+                       _fails_at(getattr(verify_mod, binding), points))
+            decided = _run_decided(suite, f)
+            assert decided == _run_per_point(suite, f)
+        assert [m.split(": ")[0] for m in decided[2]] == [
+            _RUN_WHAT[suite].format(x) for x in sorted(points)]
+
+    @_RUN_SUITES
+    def test_planted_violation_inside_a_long_run(self, monkeypatch, suite):
+        f = generate(GeneratorSpec(kind="cascade-gr", dim=1, depth=7, seed=1))
+        h = _run_target(suite, f)
+        xs = _run_points(suite, h)
+        calls = []
+        monkeypatch.setattr(verify_mod, _RUN_CHECK[suite],
+                            _counted(getattr(verify_mod, _RUN_CHECK[suite]), calls))
+        checks = len(xs) + (suite == "remark31")
+        assert _run_decided(suite, f) == (checks, True, ())
+        # decided in runs, each run's right end through the public check
+        assert len(calls) < len(xs) and calls == sorted(calls) and calls[-1] == xs[-1]
+        i = len(xs) * 2 // 3
+        j = _plantable(suite, h, i)[-1]
+        failing = _plant_lhs(monkeypatch, suite, h, i, j)
+        calls.clear()
+        decided = _run_decided(suite, f)
+        assert decided[:2] == (checks, False) and xs[i] in calls
+        assert decided == _run_per_point(suite, f)
+        assert [m.split(": ")[0] for m in decided[2]] == [
+            _RUN_WHAT[suite].format(x) for x in failing[:8]]
+
+    def test_rising_measure_is_reported_at_its_lambda(self, monkeypatch):
+        f = generate(GeneratorSpec(kind="cascade-gr", dim=1, depth=7, seed=1))
+        grid = verify_mod._lambda_grid(f)
+        k = 20
+        real = verify_mod.distribution_above
+
+        def rising(g, lam, center):  # the measure at grid[k] rises past grid[k-1]'s
+            if lam == grid[k]:
+                return real(g, grid[k - 1], center) + Fraction(1, 1 << 20)
+            return real(g, lam, center)
+        monkeypatch.setattr(verify_mod, "distribution_above", rising)
+        rise = f"measure increased along the lambda grid at {grid[k]}"
+        assert _run_decided("thm2", f) == (32, False, (rise,))
+        # in grid order: the bound at a lambda before the rise there
+        monkeypatch.setattr(verify_mod, "jn_check", _fails_at(
+            verify_mod.jn_check, {grid[k], grid[-1]}))
+        checks, passed, failures = _run_decided("thm2", f)
+        bound = "distribution bound fails at lambda={}"
+        assert (checks, passed) == (32, False)
+        assert [m.split(": ")[0] for m in failures] == [
+            bound.format(grid[k]), rise, bound.format(grid[-1])]
+
+    @pytest.mark.parametrize("suite", ["thm3", "thm4"])
+    def test_identically_zero_is_skipped(self, suite):
+        result = verify_all(DyadicFunction(1, 2, [0, 0, 0, 0]), [suite]).results[0]
+        assert (result.passed, result.skipped, result.checks) == (True, True, 0)
+        assert result.note == "identically zero"
 
 
 @pytest.mark.parametrize("side", ["above", "below"])

@@ -567,6 +567,17 @@ def _bmo_level(f):
     return _norm_level(f._level_bests()[0], f.dim)
 
 
+def _level_ratios(f):
+    """Per level k < L of f >= 0, the largest ratio of a level-k cube's
+    mean oscillation to its average, exact, from the level pass: with o
+    the cube's oscillation numerator, s its sum and cnt = 2^(n(L-k)) its
+    cell count, the ratio is o / (s cnt) (0 where every o is 0).  The
+    modulus profile is their running max from the deepest level up."""
+    n, L = f.dim, f.depth
+    return [Fraction(o, s << n * (L - k))
+            for k, (o, s) in enumerate(f._level_bests()[1])]
+
+
 def bmo_argmax(f):
     """Maximal mean oscillation over all dyadic cubes, with its witness cube.
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .dyadic import DyadicFunction, _morton_order, check_grid_size
+from .dyadic import (DyadicFunction, _level_ratios, _morton_order,
+                     check_grid_size)
 from .errors import GenerationError, InputError
 
 KINDS = ("uniform-cells", "monotone-1d", "cascade-gr")
@@ -67,23 +68,29 @@ def _uniform_nums(rng, count, low, high, bits):
 
 
 def _cascade(rng, dim, depth, spread_bits, spread, multipliers):
-    """Multiplicative cascade: each child value = parent * factor near 1."""
+    """Multiplicative cascade: each child value = parent * factor near 1, on
+    integers.  Every factor is a numerator over one denominator d: a
+    multiplier's over the lcm of theirs, or 1 + spread k / 2^b, k uniform
+    in -2^b..2^b, over spread.denominator * 2^b.  The numerators multiply
+    down the tree, so the leaves are over d^depth."""
+    if multipliers:
+        d = lcm(*(m.denominator for m in multipliers))
+        factors = [m.numerator * (d // m.denominator) for m in multipliers]
 
-    def draw_factor():
-        if multipliers:
-            return rng.choice(multipliers)
-        return 1 + spread * Fraction(
-            rng.randrange(-(1 << spread_bits), (1 << spread_bits) + 1),
-            1 << spread_bits)
+        def draw():
+            return rng.choice(factors)
+    else:
+        d, h = spread.denominator << spread_bits, 1 << spread_bits
+
+        def draw():
+            return d + spread.numerator * rng.randrange(-h, h + 1)
 
     # children are drawn in Morton order, so the leaves come out in it
-    level = [Fraction(1)]
+    level = [1]
     digits = range(1 << dim)
     for _ in range(depth):
-        level = [parent * draw_factor() for parent in level for _ in digits]
-    den = lcm(*(v.denominator for v in level))
-    return DyadicFunction._from_nums(
-        dim, depth, den, [v.numerator * (den // v.denominator) for v in level])
+        level = [parent * draw() for parent in level for _ in digits]
+    return DyadicFunction._from_nums(dim, depth, d ** depth, level)
 
 
 def generate(spec):
@@ -100,12 +107,11 @@ def generate(spec):
         nums, den = _uniform_nums(rng, count, spec.low, spec.high, spec.denom_bits)
         return DyadicFunction._from_nums(1, spec.depth, den, sorted(nums, reverse=True))
     # cascade-gr
-    from .gurov import gr_membership
     spread = min(Fraction(1, 8), spec.target_eps / 4)
     for _ in range(spec.cascade_retries):
         f = _cascade(rng, spec.dim, spec.depth, spec.denom_bits, spread,
                      spec.multipliers)
-        if gr_membership(f) <= spec.target_eps:
+        if max(_level_ratios(f), default=0) <= spec.target_eps:
             return f
         spread /= 2
     raise GenerationError(

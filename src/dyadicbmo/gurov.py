@@ -26,6 +26,7 @@ from mpmath.libmp import (from_int, from_rational, fone, fzero, mpf_add,
                           mpi_abs, mpi_add, mpi_div, mpi_exp, mpi_log,
                           mpi_mul, mpi_neg, mpi_sub, round_floor, to_float)
 
+from .dyadic import _level_ratios
 from .errors import InputError, PreconditionError
 from .highprec import (IV_E, IV_ONE, IV_ZERO, PREC, iv_float, iv_from_fraction,
                        iv_int, iv_max, iv_pow, upper_float)
@@ -93,12 +94,9 @@ def gr_profile(f):
     _require_nonneg(f)
     if "gr_profile" in f._cache:
         return f._cache["gr_profile"]
-    # oscillation / average of a level-k cube is osc / (s * cnt), s its sum
-    # and cnt its cell count; level-L cubes give 0
-    per_level = [Fraction(o, s << (f.dim * (f.depth - k)))
-                 for k, (o, s) in enumerate(f._level_bests()[1])]
-    # v at sigma = 2^-k is the largest ratio over levels k..L, deepest first
-    values = tuple(accumulate(reversed(per_level), max, initial=Fraction(0)))
+    # v at sigma = 2^-k is the largest ratio over levels k..L, deepest
+    # first; level-L cubes give 0
+    values = tuple(accumulate(reversed(_level_ratios(f)), max, initial=Fraction(0)))
     breaks = tuple(Fraction(1, 1 << k) for k in range(f.depth, -1, -1))
     profile = GRProfile(sigma_breaks=breaks, values=values,
                         epsilon_global=values[-1], nonneg=True)
@@ -119,13 +117,17 @@ def gr_membership(f):
 def sigma_level_for(t, n):
     """Level k* with 2^-k* the largest dyadic side <= min(2 t^(1/n), 1).
 
-    2^-k <= 2 t^(1/n)  iff  2^-n(k+1) <= t, an exact rational comparison.
+    2^-k <= 2 t^(1/n)  iff  2^-n(k+1) <= t = p/q  iff  p << n(k+1) >= q.
+    With e the least shift for which p << e >= q, k* is the least k >= 0
+    with n(k+1) >= e.  Shifted by the difference of the bit lengths, p has
+    q's bit length, so that shift or the next is e.
     """
     t = check_t(t)
-    k = 0
-    while Fraction(1, 1 << (n * (k + 1))) > t:
-        k += 1
-    return k
+    p, q = t.numerator, t.denominator
+    e = q.bit_length() - p.bit_length()
+    if p << e < q:
+        e += 1
+    return max(0, (e - 1) // n)
 
 
 def theorem3_check(f, t, profile=None):

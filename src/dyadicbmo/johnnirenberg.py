@@ -83,8 +83,11 @@ def _log_bound(f, norm, t):
 
 
 def _lambda_grid(f, points=32):
-    """The thresholds 2 spread i/points, i = 1..points; [] for a constant f."""
-    spread = Fraction(max(f._nums) - min(f._nums), f._den)
+    """The thresholds 2 spread i/points, i = 1..points; [] for a constant f.
+    The spread max - min is read from the ends of the sorted numerators,
+    which every caller's measures bisect anyway."""
+    nums = f._sorted_nums()
+    spread = Fraction(nums[-1] - nums[0], f._den)
     if spread == 0:
         return []
     return [2 * spread * Fraction(i, points) for i in range(1, points + 1)]

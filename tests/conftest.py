@@ -17,7 +17,8 @@ from mpmath.libmp import (from_float, from_int, from_rational, fzero, mpf_add,
                           mpf_div, mpf_exp, mpf_log, mpf_mul, round_floor,
                           to_float)
 
-from dyadicbmo import DyadicCubeId, DyadicFunction, gr_profile
+from dyadicbmo import (DyadicCubeId, DyadicFunction, GenerationError,
+                       gr_membership, gr_profile)
 
 # (dim, depth) palettes for random corpora; weights favor small grids with a
 # deterministic sprinkle of the large desk-scale sizes.
@@ -496,6 +497,42 @@ def stopping_oracle(f, alpha, direction):
             crossing.append(q)
     return [q for q in crossing
             if not any(o != q and o.contains(q) for o in crossing)]
+
+
+def cascade_oracle(spec, refused=0):
+    """generate(spec) for a cascade-gr spec, one Fraction per tree node:
+    each child of a cube, in the order of DyadicCubeId.children(), is its
+    father's value times a factor drawn from the spec's multipliers, or
+    1 + spread k / 2^denom_bits with k uniform in -2^b..2^b; the spread
+    starts at min(1/8, target / 4) and halves at each retry until the
+    function's modulus meets the target.  The first `refused` attempts are
+    retried whatever their modulus."""
+    rng = random.Random(spec.seed)
+    bits = spec.denom_bits
+    spread = min(Fraction(1, 8), spec.target_eps / 4)
+    for attempt in range(spec.cascade_retries):
+        level = {DyadicCubeId.root(spec.dim): Fraction(1)}
+        for _ in range(spec.depth):
+            children = {}
+            for q, v in level.items():
+                for child in q.children():
+                    if spec.multipliers:
+                        factor = rng.choice(spec.multipliers)
+                    else:
+                        factor = 1 + spread * Fraction(
+                            rng.randrange(-(1 << bits), (1 << bits) + 1), 1 << bits)
+                    children[child] = v * factor
+            level = children
+        cells = [None] * len(level)
+        for q, v in level.items():
+            cells[q.flat()] = v
+        f = DyadicFunction(spec.dim, spec.depth, cells)
+        if attempt >= refused and gr_membership(f) <= spec.target_eps:
+            return f
+        spread /= 2
+    raise GenerationError(
+        f"could not reach modulus target {spec.target_eps} within "
+        f"{spec.cascade_retries} attempts")
 
 
 def running_max_oracle(f, sign):

@@ -7,9 +7,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dyadicbmo.generators as generators_mod
 import dyadicbmo.gurov as gurov_mod
 import dyadicbmo.johnnirenberg as jn_mod
 import dyadicbmo.verify as verify_mod
@@ -20,7 +21,16 @@ from dyadicbmo.formats import canonical_json, function_to_obj
 from dyadicbmo.gurov import Theorem4Result
 from dyadicbmo.highprec import lower_float, upper_float
 from dyadicbmo.rearrangement import _window_ints
-from conftest import float_just_below, matched_mean_b_oracle, random_function
+from conftest import (cascade_oracle, float_just_below, matched_mean_b_oracle,
+                      random_function)
+
+
+# pinned aggressive multipliers, tiny target, seed whose draws never
+# coincide: all retries produce a modulus far above the target
+INFEASIBLE_CASCADE = GeneratorSpec(kind="cascade-gr", dim=1, depth=1, seed=25,
+                                   target_eps=Fraction(1, 10 ** 6),
+                                   multipliers=(Fraction(1, 2), Fraction(3, 2)),
+                                   cascade_retries=4)
 
 
 class TestGenerators:
@@ -61,14 +71,8 @@ class TestGenerators:
         assert all(v > 0 for v in f.cells)
 
     def test_cascade_infeasible_target_fails_loudly(self):
-        # pinned aggressive multipliers, tiny target, seed whose draws never
-        # coincide: all retries produce a modulus far above the target
-        spec = GeneratorSpec(kind="cascade-gr", dim=1, depth=1, seed=25,
-                             target_eps=Fraction(1, 10 ** 6),
-                             multipliers=(Fraction(1, 2), Fraction(3, 2)),
-                             cascade_retries=4)
         with pytest.raises(GenerationError):
-            generate(spec)
+            generate(INFEASIBLE_CASCADE)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
@@ -97,6 +101,53 @@ class TestGenerators:
                                        high=Fraction(7, 3)))
             digest.update(canonical_json(function_to_obj(f)).encode())
         assert digest.hexdigest() == sha
+
+
+@st.composite
+def cascade_specs(draw):
+    """cascade-gr specs of n = 1-3 up to 1024 cells: adaptive spreads of
+    0-9 denominator bits, or int and Fraction multipliers, whose small
+    targets often take retries or exhaust them."""
+    n = draw(st.integers(1, 3))
+    multipliers = draw(st.one_of(st.just(()), st.lists(st.sampled_from(
+        (1, 2, Fraction(7, 8), Fraction(9, 8), Fraction(1, 3), Fraction(5, 4))),
+        min_size=1, max_size=4)))
+    return GeneratorSpec(
+        kind="cascade-gr", dim=n, depth=draw(st.integers(0, {1: 6, 2: 5, 3: 3}[n])),
+        seed=draw(st.integers(0, 1 << 32)), denom_bits=draw(st.integers(0, 9)),
+        target_eps=draw(st.sampled_from((Fraction(3, 2), Fraction(1, 8),
+                                         Fraction(1, 64), Fraction(1, 4096)))),
+        multipliers=tuple(multipliers), cascade_retries=draw(st.integers(1, 8)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cascade_specs(), st.integers(0, 2))
+@example(INFEASIBLE_CASCADE, 0)
+def test_cascade_matches_the_fraction_oracle(spec, refused):
+    # the integer cascade makes the Fraction one's function, or its error.
+    # The first `refused` attempts are refused whatever their modulus: an
+    # adaptive cascade within the size cap meets its target at the first
+    # attempt, so only this makes its spread halve
+    real = generators_mod._level_ratios
+    attempts = []
+
+    def refusing(f):
+        attempts.append(f)
+        return [Fraction(2)] if len(attempts) <= refused else real(f)
+    try:
+        expected = cascade_oracle(spec, refused)
+    except GenerationError as error:
+        expected = error
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(generators_mod, "_level_ratios", refusing)
+        if isinstance(expected, GenerationError):
+            with pytest.raises(GenerationError) as raised:
+                generate(spec)
+            assert str(raised.value) == str(expected)
+            return
+        f = generate(spec)
+    assert (f.dim, f.depth, f._den, f._nums) == (
+        expected.dim, expected.depth, expected._den, expected._nums)
 
 
 class TestVerifyAll:
@@ -759,6 +810,101 @@ def test_lemma21_reports_a_cube_whose_one_sided_form_is_off(monkeypatch, side, n
     assert (result.passed, result.checks) == (False, len(cubes))
     assert len(result.failures) == 1
     assert result.failures[0].startswith(f"one-sided forms differ on {target}: ")
+
+
+def _threshold_one_unit_low(target, above):
+    """DyadicFunction._stopping with the scaled threshold floor(alpha den
+    2^(nL)) one unit low at alpha = target in the direction above."""
+    real = DyadicFunction._stopping
+
+    def off(f, alphas, direction):
+        if direction == above:
+            unit = Fraction(1, f._den << f.dim * f.depth)
+            alphas = [a - unit if a == target else a for a in alphas]
+        return real(f, alphas, direction)
+    return off
+
+
+class TestEachFailureIsReported:
+    """One kernel one unit off makes one check of a suite fail, and the
+    suite reports that failure and no other."""
+
+    # above the mean 2 the alphas are 2, 7/2 and 5; below it 0, 1/2, 1
+    # and 3/2.  f = 5 on one cell only, so only that cell stops at 5 one
+    # unit low, and f = 0 on one cell only, so only that cell is left
+    # outside E at 0 one unit low
+    F = DyadicFunction(1, 2, [0, 1, 2, 5])
+
+    def test_cz_stopping_cube_that_does_not_cross(self, monkeypatch):
+        assert _run_decided("cz", self.F) == (14, True, ())
+        monkeypatch.setattr(DyadicFunction, "_stopping",
+                            _threshold_one_unit_low(Fraction(5), True))
+        assert _run_decided("cz", self.F) == (14, False, (
+            "structure checks fail at alpha=5: ('stopping cube "
+            "DyadicCubeId(level=2, index=(3,)) does not cross 5',)",))
+
+    def test_cz_below_cell_outside_e_that_crosses(self, monkeypatch):
+        monkeypatch.setattr(DyadicFunction, "_stopping",
+                            _threshold_one_unit_low(Fraction(0), False))
+        assert _run_decided("cz", self.F) == (14, False, (
+            "below-direction checks fail at alpha=0: "
+            "('cell 0 outside E crosses 0',)",))
+
+    def test_cz_measure_that_grows_with_alpha(self, monkeypatch):
+        # above the mean 9/2: alphas 9/2, 8, 17/2, 9, and E is the right
+        # half at both 9/2 and 8, so one cell more at 8 is a rise
+        f = DyadicFunction(1, 2, [0, 1, 8, 9])
+        real = verify_mod.stopping_family
+
+        def one_cell_more(g, alpha, direction):
+            d = real(g, alpha, direction)
+            if (alpha, direction) == (8, "above"):
+                d = dataclasses.replace(d, measure_E=d.measure_E + Fraction(1, 4))
+            return d
+        assert _run_decided("cz", f) == (15, True, ())
+        monkeypatch.setattr(verify_mod, "stopping_family", one_cell_more)
+        assert _run_decided("cz", f) == (
+            15, False, ("|E| increased as alpha grew, at alpha=8",))
+
+    def test_cz_matched_threshold_whose_measure_exceeds_t(self, monkeypatch):
+        # f* = 4 on (0, 1/2]: F(1/4) = 4, and one unit (1/2) below it the
+        # cell of 4 stops, of measure 1/2
+        f = DyadicFunction(1, 1, [4, 0])
+        real = verify_mod.hardy_average
+
+        def one_unit_low(g, t):
+            return real(g, t) - (Fraction(1, 2) if t == Fraction(1, 4) else 0)
+        assert _run_decided("cz", f) == (9, True, ())
+        monkeypatch.setattr(verify_mod, "hardy_average", one_unit_low)
+        assert _run_decided("cz", f) == (9, False, (
+            "|E| = 1/2 exceeds t = 1/4 at the matched threshold",))
+
+    def test_thm1_lower_bound_above_the_cap(self, monkeypatch):
+        # the dyadic norm at lower / 2^n passes; one unit of its lattice,
+        # 1 / (den 4^(nL)), below it fails
+        f = DyadicFunction(1, 3, [7, 3, 5, 0, 1, 6, 2, 4])
+        lower = verify_mod.interval_bmo_norm(rearrange_signed(f)).lower
+        assert (bmo_dyadic_norm(f), lower) == (Fraction(5, 2), 2)
+        unit = Fraction(1, 4 ** 3)
+        for shrink, failures in ((0, ()), (unit, (
+                "certified lower bound 2 exceeds 2^n norm 63/32",))):
+            monkeypatch.setattr(verify_mod, "bmo_dyadic_norm",
+                                lambda g, shrink=shrink: lower / 2 - shrink)
+            assert _run_decided("thm1", f) == (2, not failures, failures)
+
+    def test_lemma22_window_above_the_full_oscillation(self, monkeypatch):
+        # the anchor 0's window is [0, 1], whose oscillation is the full
+        # interval's exactly: one unit more of its numerator exceeds it
+        f = DyadicFunction(1, 3, [7, 3, 5, 0, 1, 6, 2, 4])
+        real = verify_mod._matched_windows
+
+        def one_unit_more(g, anchors, d, mu):
+            for x, y, e, J, L, num in real(g, anchors, d, mu):
+                yield x, y, e, J, L, num + 1 if x == 0 else num
+        assert _run_decided("lemma22", f) == (4, True, ())
+        monkeypatch.setattr(verify_mod, "_matched_windows", one_unit_more)
+        assert _run_decided("lemma22", f) == (4, False, (
+            "oscillation on [0,1] exceeds the full interval's",))
 
 
 class TestLemma22Integers:

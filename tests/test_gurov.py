@@ -137,6 +137,33 @@ class TestModulus:
                 f, Fraction(1, 1 << k))
 
 
+def _sigma_level_loop(t, n):
+    """sigma_level_for by walking k up from 0 while 2^-n(k+1) > t, one
+    Fraction per step: its computation before the level came from bit
+    lengths, kept as its reference."""
+    k = 0
+    while Fraction(1, 1 << (n * (k + 1))) > t:
+        k += 1
+    return k
+
+
+def _t_in_unit_interval():
+    """t in (0, 1]: random ones, 1, and ones at and next to powers of two."""
+    near_power = st.tuples(st.integers(0, 90), st.integers(-1, 1)).map(
+        lambda ed: Fraction(1, max(1, (1 << ed[0]) + ed[1])))
+    above_power = st.tuples(st.integers(1, 90), st.integers(1, 3)).map(
+        lambda em: Fraction((1 << em[1]) + 1, 1 << (em[0] + em[1])))
+    return st.one_of(
+        st.fractions(0, 1, max_denominator=2 ** 80).filter(lambda t: t > 0),
+        st.just(Fraction(1)), near_power, above_power.filter(lambda t: t <= 1))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(n=st.integers(1, 20), t=_t_in_unit_interval())
+def test_sigma_level_matches_the_level_loop(n, t):
+    assert sigma_level_for(t, n) == _sigma_level_loop(t, n)
+
+
 class TestTheorem3:
     def test_spike_values(self):
         assert theorem3_check(SPIKE, Fraction(1, 4)) == (0, 8)

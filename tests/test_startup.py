@@ -17,6 +17,7 @@ WAVE = {"breakpoints": [0, "1/4", "1/2", "3/4", 1], "values": [0, 2, 1, 3]}
 # every subcommand that needs none of HEAVY, run through cli.main
 LIGHT = ["interval-bmo --input wave.json",
          "generate --kind uniform-cells --n 2 --level 3 --seed 4 --output f.json",
+         "generate --kind cascade-gr --n 2 --level 3 --seed 4 --output c.json",
          "search --n 1 --level 3 --restarts 2 --iters 5 --threads 1 "
          "--function-output best.json",
          "norm --input f.json", "rearrange --input f.json --samples 4",

@@ -3,7 +3,7 @@
 Three kinds: independent uniform cell values on a dyadic lattice, sorted
 nonincreasing 1-d profiles, and multiplicative cascades targeting a requested
 oscillation-to-mean modulus (verified exactly before the function is emitted,
-with retries at shrinking spread).
+and redrawn on a miss; adaptive cascades have not been seen to miss).
 """
 
 from __future__ import annotations
@@ -95,7 +95,14 @@ def _cascade(rng, dim, depth, spread_bits, spread, multipliers):
 
 def generate(spec):
     """Deterministic function for the given spec; exact post-verification
-    of the cascade target."""
+    of the cascade target.
+
+    A cascade that misses its target is redrawn, at half the spread when
+    it has no multipliers.  No adaptive spec is known to miss: probed up
+    to n*L = 20 (n = 1, 2, 4, 20 at L = 20, 10, 5, 1; denom_bits 0 and 6;
+    eps 1/8 and 1/1000; seeds 1-3), each met it at the first draw, with
+    level ratios up to 0.75-0.85 eps (n = 1, L = 20, denom_bits 0).
+    """
     rng = random.Random(spec.seed)
     count = 1 << (spec.dim * spec.depth)
     if spec.kind == "uniform-cells":

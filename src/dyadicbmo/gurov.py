@@ -53,16 +53,20 @@ class GRProfile:
         return self.values[depth - k]
 
     def value_at(self, sigma):
+        """v at the least level k with 2^-k <= sigma = p/q: p << k >= q."""
         sigma = Fraction(sigma)
         if not 0 <= sigma <= 1:
             raise InputError(f"sigma must lie in [0,1], got {sigma}")
-        depth = len(self.values) - 1
-        if sigma < Fraction(1, 1 << depth):
+        if not sigma:
             return Fraction(0)
-        k = 0
-        while Fraction(1, 1 << k) > sigma:
-            k += 1
-        return self.value_at_level(k)
+        return self.value_at_level(_least_shift(sigma.numerator, sigma.denominator))
+
+
+def _least_shift(p, q):
+    """The least e >= 0 with p << e >= q, for 0 < p <= q: shifted by the
+    difference of the bit lengths, p has q's, so that shift or the next."""
+    e = q.bit_length() - p.bit_length()
+    return e if p << e >= q else e + 1
 
 
 @dataclass(frozen=True)
@@ -119,15 +123,10 @@ def sigma_level_for(t, n):
 
     2^-k <= 2 t^(1/n)  iff  2^-n(k+1) <= t = p/q  iff  p << n(k+1) >= q.
     With e the least shift for which p << e >= q, k* is the least k >= 0
-    with n(k+1) >= e.  Shifted by the difference of the bit lengths, p has
-    q's bit length, so that shift or the next is e.
+    with n(k+1) >= e.
     """
     t = check_t(t)
-    p, q = t.numerator, t.denominator
-    e = q.bit_length() - p.bit_length()
-    if p << e < q:
-        e += 1
-    return max(0, (e - 1) // n)
+    return max(0, (_least_shift(t.numerator, t.denominator) - 1) // n)
 
 
 def theorem3_check(f, t, profile=None):

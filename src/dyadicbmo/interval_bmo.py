@@ -50,17 +50,12 @@ sup exactly:
   where each critical point of 2F/T^2 with T > 0 is one of F: an
   isolated one is a saddle, and a line of them has one value up to the
   box's boundary.  One with T <= 0 lies outside the box.
-  Two exact upper bounds skip work without changing the result: a pair's
-  windows have values in [Lo, H] and means in the corner-mean range, so
-  they oscillate at most 2(H-mu)(mu-Lo)/(H-Lo) at mu = (H+Lo)/2 clamped to
-  that range; and F's coefficients of x, y and xy are >= 0, so with M the
-  middle length each band's 2F/T^2 is at most 2F(L_i, L_j)/M^2.  A pair
-  or band whose bound is below max|jump|/2 (which a balanced window
-  attains) or no more than the best value so far holds no candidate that
-  is the first to reach the sup, so the value and its witness stay.  The
-  pair bound is at most half the range of the pieces from i on, which
-  shrinks as i grows, so the pair loop stops at the first row whose range
-  fails the test.
+  One rule skips work without changing the result (_general_norm): rows,
+  pairs or bands whose exact upper bound is below max|jump|/2, which a
+  balanced window attains, or no more than the best value so far hold no
+  candidate that is the first to reach the sup.  The bounds are half the
+  range of the values, 2(H-mu)(mu-Lo)/(H-Lo) at the centre clamped to a
+  pair's corner-mean range, and 2F(L_i, L_j)/M^2 for a band.
   The path runs in the same scaled integers: candidates are homogeneous
   integer triples (X, Y, W), W > 0, and 2F/T^2 is homogeneous of degree
   0, so candidates compare by cross-multiplying, unreduced; the witness
@@ -251,42 +246,42 @@ def _general_norm(g):
     is at most the oscillation at its point, itself at most the sup, so the
     first candidate to reach the sup is a witness.
 
-    Pruning by an upper bound keeps the sup and the witness too: the
-    balanced window around the largest jump attains seed = max|jump|/2, so
-    a pair or band whose bound is < seed, or <= best (ties keep the first
-    candidate), holds no candidate that is the first to attain the final
-    sup.  Three bounds are used, all exact integer comparisons:
+    Pruning keeps the sup and the witness too, by one rule: the balanced
+    window around the largest jump attains seed = max|jump|/2, so windows
+    whose bound is < seed, or <= best (ties keep the first candidate),
+    hold no candidate that is the first to attain the final sup.
+    pruned(n, d) tests a bound n/(d VD) exactly, for four skips:
 
     * values in [Lo, H] with mean mu oscillate at most
-      2(H-mu)(mu-Lo)/(H-Lo), concave in mu; with H and Lo the max and min
-      over pieces i..j, its max over a mean range is at (H+Lo)/2 clamped
-      to it.  Over all means that is (H-Lo)/2, the first pair test; over
-      the box's mean range, the second; over [w_lo, w_hi], the band test.
-      Pieces i..j lie among pieces i..m, whose range only shrinks as i
-      grows while best only grows, so the row whose range fails the first
-      pair test, and every later row, holds no pair that passes it.
+      2(H-mu)(mu-Lo)/(H-Lo), concave in mu, at most (H-Lo)/2 over all
+      means.  With H and Lo the max and min over pieces i..m that is the
+      row break: pieces i..j lie among them, and their range only shrinks
+      as i grows while best only grows, so the first row it prunes, and
+      every later row, holds no pair that passes it.  Over pieces i..j it
+      is the pair span, and at (H+Lo)/2 clamped to the box's mean range
+      the clamped pair bound.
     * F is bilinear, so its max over the box sits at a corner, and that
       corner is (L_i, L_j): F10 = int over the middle of (g - vi) on S if
       vi < w_hi, of (vi - g) off S if not, so F10 >= 0, as are F01 and
       F11 = (vi - vj)(ib - jb), and F00 >= 0.  T >= M > 0 on the box when
       the pieces are not adjacent, so each band's 2F/T^2 is at most
-      2F(L_i, L_j)/M^2, checked before its candidates are built.
+      2F(L_i, L_j)/M^2: the box bound, tested before the candidates.
 
     The band sums accumulate once down the distinct values of each pair.
     Cost: O(m^2 d) for m pieces and at most d <= m distinct values in a
     window, with O(1) integer work per kept band.
 
     g must be merged and not constant, as interval_bmo_norm passes it; then
-    some candidate is positive, so a witness is always found.  Rows and
-    pairs stop only on span < jump or span <= 2 * bn (bd = 1 while bn is
-    0), so the adjacent pair (i, i + 1) with the largest jump is reached
-    while bn is still 0 if no earlier candidate is positive: every row up
-    to i spans at least jump > 0.  That pair has span = jump and M = 0,
-    so its mean range is [low, top], the pair bound is not clamped, and
-    its one band [low, top] is neither above nor below that range and
-    has num = span^2, passing both of its tests.  Exactly one of ib, jb
-    is 1, so F11 = |v_i - v_(i+1)| = jump and F10 = F01 = F00 = 0, and
-    the corner (L_i, L_(i+1)) gives 2 * jump * L_i * L_(i+1) > 0.
+    some candidate is positive, so a witness is always found.  While bn
+    is 0 the rule prunes only bounds below the seed or at 0, so the
+    adjacent pair (i, i + 1) with the largest jump is reached if no
+    earlier candidate is positive: every row up to i spans at least
+    jump > 0.  That pair has span = jump and M = 0, so its mean range is
+    [low, top], the pair bound is not clamped, there is no box bound, and
+    its one band [low, top] is neither above nor below that range.
+    Exactly one of ib, jb is 1, so F11 = |v_i - v_(i+1)| = jump and
+    F10 = F01 = F00 = 0, and the corner (L_i, L_(i+1)) gives
+    2 * jump * L_i * L_(i+1) > 0.
     """
     TD, B, VD, V, Q = g._td, g._B, g._vd, g._V, g._prefix()
     m = len(V)
@@ -295,10 +290,13 @@ def _general_norm(g):
     highs = list(accumulate(reversed(V), max))[::-1]
     lows = list(accumulate(reversed(V), min))[::-1]
     bn, bd, arg = 0, 1, None
+
+    def pruned(n, d):  # n/d, d > 0, is below the seed jump/2 or <= bn/bd
+        return 2 * n < jump * d or n * bd <= bn * d
+
     for i in range(1, m + 1):
-        span = highs[i - 1] - lows[i - 1]
-        if span < jump or span * bd <= 2 * bn:
-            break  # the pair test below holds for every later pair
+        if pruned(highs[i - 1] - lows[i - 1], 2):
+            break  # every later row too
         vi = V[i - 1]
         Li = B[i] - B[i - 1]
         asc = [vi]  # distinct values of pieces i..j, ascending
@@ -314,7 +312,7 @@ def _general_norm(g):
                 asc.insert(r, vj)
             top, low = asc[-1], asc[0]
             span = top - low
-            if span < jump or span * bd <= 2 * bn:
+            if pruned(span, 2):
                 continue
             Lj = B[j] - B[j - 1]
             M = B[j - 1] - B[i]
@@ -328,12 +326,9 @@ def _general_norm(g):
                 pn, pd = hn, hd
             else:
                 pd = 0
-            if pd:
-                # 2 * VD * pair bound = 4ab / (span * pd^2)
-                ab = (top * pd - pn) * (pn - low * pd)
-                if 4 * ab < jump * span * pd * pd \
-                        or 2 * ab * bd <= span * bn * pd * pd:
-                    continue
+            if pd and pruned(2 * (top * pd - pn) * (pn - low * pd),
+                             span * pd * pd):
+                continue
             HL = HI = 0  # length and integral of the middle pieces >= w_hi
             for r in range(len(asc) - 1, 0, -1):
                 w_hi, w_lo = asc[r], asc[r - 1]
@@ -344,11 +339,6 @@ def _general_norm(g):
                     continue  # above every window mean of the box
                 if w_hi * ld < ln:
                     break  # below them, as is every later band
-                # 2 * VD * band bound = num / span, at 2*mu clamped to the band
-                mu2 = min(max(top + low, 2 * w_lo), 2 * w_hi)
-                num = (2 * top - mu2) * (mu2 - 2 * low)
-                if num < jump * span or num * bd <= 2 * span * bn:
-                    continue
                 ib = 1 if vi >= w_hi else 0
                 jb = 1 if vj >= w_hi else 0
                 # F = S1*T - N*L1 expanded in (x, y): bilinear, no x^2 or y^2
@@ -356,11 +346,10 @@ def _general_norm(g):
                 F10 = HI - vi * HL + ib * (vi * M - MI)
                 F01 = HI - vj * HL + jb * (vj * M - MI)
                 F00 = HI * M - MI * HL
-                if M:
-                    # F at (Li, Lj) over min T = M bounds 2F/T^2 on the box
-                    fmax = F00 + F10 * Li + F01 * Lj + F11 * Li * Lj
-                    if 4 * fmax < jump * M * M or 2 * fmax * bd <= bn * M * M:
-                        continue
+                # F at (Li, Lj) over min T = M bounds 2F/T^2 on the box
+                if M and pruned(2 * (F00 + F10 * Li + F01 * Lj + F11 * Li * Lj),
+                                M * M):
+                    continue
                 for X, Y, W in _box_candidates((F11, F10, F01, F00), M, Li, Lj):
                     T = X + Y + M * W
                     if T <= 0:

@@ -18,6 +18,7 @@ with the input by construction.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, compress, count
 from math import gcd, lcm
@@ -258,7 +259,8 @@ def supinf_formula(f, t):
 
     Brute-force form: for t = k cells' worth of mass the optimal set is the
     union of the k cells of largest |f|, so the answer is the k-th largest
-    absolute cell value.  Restricted to cell-aligned t.
+    absolute cell value, read from |f|'s sorted numerators.  Restricted to
+    cell-aligned t.
     """
     t = Fraction(t)
     total = len(f._nums)
@@ -266,8 +268,7 @@ def supinf_formula(f, t):
     if k.denominator != 1 or not 1 <= k <= total:
         raise InputError(
             f"t must be a multiple of 1/{total} in (0,1], got {t}")
-    ordered = sorted(map(abs, f._nums), reverse=True)
-    return Fraction(ordered[int(k) - 1], f._den)
+    return Fraction(f.abs()._sorted_nums()[total - int(k)], f._den)
 
 
 def hardy_average(g, t):
@@ -349,13 +350,12 @@ def hardy_gap_check(g, t, gamma):
 
 
 def value_mass_distribution(obj):
-    """Map value -> total measure carried, for a DyadicFunction or StepFunction1D."""
-    dist = {}
+    """Map value -> total measure carried, for a DyadicFunction or
+    StepFunction1D, in the order the values first appear."""
     if isinstance(obj, DyadicFunction):
-        mass = Fraction(1, len(obj._nums))
-        for v in obj.cells:
-            dist[v] = dist.get(v, Fraction(0)) + mass
-    else:
-        for lo, hi, v in obj.pieces():
-            dist[v] = dist.get(v, Fraction(0)) + (hi - lo)
-    return {v: m for v, m in dist.items() if m != 0}
+        total = len(obj._nums)
+        return {v: Fraction(c, total) for v, c in Counter(obj.cells).items()}
+    dist = {}
+    for lo, hi, v in obj.pieces():
+        dist[v] = dist.get(v, 0) + (hi - lo)
+    return dist

@@ -288,6 +288,15 @@ class TestCubeIds:
         assert q.side == Fraction(1, 4)
         assert q.measure == Fraction(1, 16)
 
+    def test_support(self):
+        assert DyadicCubeId(2, (1, 3)).support() == (
+            (Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), Fraction(1)))
+        assert Q0_1D.support() == ((0, 1),)
+
+    def test_function_repr(self):
+        assert repr(DyadicFunction(2, 1, [1, 2, 3, 4])) == \
+            "DyadicFunction(n=2, L=1, cells=4)"
+
     def test_cell_count_per_level(self):
         for n, depth in [(1, 4), (2, 3), (3, 2)]:
             f = DyadicFunction(n, depth, list(range(1 << (n * depth))))

@@ -786,6 +786,11 @@ class TestRunDecisions:
         assert (result.passed, result.skipped, result.checks) == (True, True, 0)
         assert result.note == "identically zero"
 
+    def test_cor1_at_mean_zero(self):
+        # eps = 0, so only q = 1, whose tail bound at mean 0 is 0
+        result = verify_all(DyadicFunction(1, 2, [0, 0, 0, 0]), ["cor1"]).results[0]
+        assert (result.passed, result.skipped, result.checks) == (True, False, 1)
+
 
 @pytest.mark.parametrize("side", ["above", "below"])
 @pytest.mark.parametrize("n, depth", [(1, 9), (2, 4), (3, 3)])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import mpf_lt, mpi_abs, mpi_exp, mpi_log, mpi_sub
 
-from dyadicbmo import (DyadicFunction, GeneratorSpec,
+from dyadicbmo import (DyadicFunction, GeneratorSpec, GRProfile,
                        PreconditionError, generate, gr_membership, gr_modulus,
                        gr_profile, hardy_average, lq_tail_bound, rearrange_abs,
                        sigma_level_for, solve_p, theorem3_check,
@@ -162,6 +162,41 @@ def _t_in_unit_interval():
 @given(n=st.integers(1, 20), t=_t_in_unit_interval())
 def test_sigma_level_matches_the_level_loop(n, t):
     assert sigma_level_for(t, n) == _sigma_level_loop(t, n)
+
+
+def _value_at_loop(profile, sigma):
+    """GRProfile.value_at by walking k up from 0 while 2^-k > sigma, one
+    Fraction per step, and 0 below the cell side: its computation before
+    the level came from bit lengths, kept as its reference."""
+    depth = len(profile.values) - 1
+    if sigma < Fraction(1, 1 << depth):
+        return Fraction(0)
+    k = 0
+    while Fraction(1, 1 << k) > sigma:
+        k += 1
+    return profile.value_at_level(k)
+
+
+def _sigma_in_unit_interval():
+    """sigma in [0, 1]: 0, 1, powers of two 2^-L, values just below and
+    just above them, and non-dyadic ones."""
+    power = st.integers(0, 40).map(lambda e: Fraction(1, 1 << e))
+    near = st.tuples(st.integers(0, 40), st.integers(1, 60),
+                     st.sampled_from((-1, 1))).map(
+        lambda e: Fraction((1 << e[1]) + e[2], 1 << (e[0] + e[1])))
+    return st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), power,
+                     near.filter(lambda s: s <= 1),
+                     st.fractions(0, 1, max_denominator=10 ** 9))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(depth=st.integers(0, 30), sigma=_sigma_in_unit_interval())
+def test_value_at_matches_the_level_loop(depth, sigma):
+    # distinct values per level, so a level one off reads another value
+    values = tuple(Fraction(k) for k in range(depth + 1))
+    profile = GRProfile(sigma_breaks=(), values=values,
+                        epsilon_global=values[-1], nonneg=True)
+    assert profile.value_at(sigma) == _value_at_loop(profile, sigma)
 
 
 class TestTheorem3:

@@ -59,6 +59,18 @@ class TestStepFunction:
         assert g.integral == 1
         assert g.integral_to(Fraction(1, 8)) == Fraction(1, 2)
 
+    def test_repr(self):
+        g = StepFunction1D([0, Fraction(1, 4), Fraction(1, 2), 1], [2, 2, 1])
+        assert repr(g) == "StepFunction1D(pieces=3)"
+
+    def test_value_masses_in_first_appearance_order(self):
+        f = DyadicFunction(1, 2, [3, -1, 3, 0])
+        assert list(value_mass_distribution(f).items()) == [
+            (3, Fraction(1, 2)), (-1, Fraction(1, 4)), (0, Fraction(1, 4))]
+        g = StepFunction1D([0, Fraction(1, 4), Fraction(1, 2), 1], [2, -1, 2])
+        assert list(value_mass_distribution(g).items()) == [
+            (2, Fraction(3, 4)), (-1, Fraction(1, 4))]
+
     def test_merged(self):
         g = StepFunction1D([0, Fraction(1, 4), Fraction(1, 2), 1], [2, 2, 1])
         h = g.merged()

@@ -17,8 +17,8 @@ from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
                        interval_bmo_norm, ratio_objective, rearrange_signed,
                        search)
 from dyadicbmo.cli import main
-from dyadicbmo.search import (JN_PROBE_WEIGHT, MAX_SEARCH_WORK, _normalize,
-                              _ratio, _ratio_nums)
+from dyadicbmo.search import (JN_PROBE_WEIGHT, MAX_SEARCH_WORK, OBJECTIVES,
+                              _jn_probe_score, _normalize, _ratio, _ratio_nums)
 from conftest import normalize_oracle, random_function
 
 # 2^m cells of numerators over 2^bits, as the search holds them
@@ -248,6 +248,20 @@ class TestExhaustiveBinaryCase:
 
 
 class TestSearch:
+    def test_probe_has_no_score_on_a_constant_function(self):
+        assert _jn_probe_score(DyadicFunction(1, 2, [3, 3, 3, 3])) is None
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_every_draw_constant_finds_no_candidate(self, monkeypatch, objective):
+        # every cell of every start draws 0, so each restart gives up after
+        # its retries and no restart has a best to report
+        monkeypatch.setattr(random.Random, "randrange", lambda self, *args: 0)
+        cfg = SearchConfig(dim=1, depth=2, restarts=2, iterations=5, seed=1,
+                           objective=objective)
+        with pytest.raises(PreconditionError,
+                           match="no valid \\(non-constant\\) candidate"):
+            search(cfg)
+
     def test_deterministic_given_seed(self):
         cfg = SearchConfig(dim=1, depth=2, restarts=2, iterations=50, seed=9)
         a = search(cfg)

@@ -80,6 +80,10 @@ print(json.dumps([listed, before, wrong, callable(dyadicbmo.search)]))
     assert search_is_function
 
 
+def test_dir_lists_every_public_name():
+    assert set(dyadicbmo.__all__) <= set(dir(dyadicbmo))
+
+
 def test_check_help_lists_every_suite(capsys):
     from dyadicbmo.cli import main
     from dyadicbmo.verify import SUITES

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Fail when tier-1 leaves a line of src/dyadicbmo unrun that ALLOWED does
-not name, or when an entry of ALLOWED names no unrun line.
+not name, or when an entry of ALLOWED names no unrun line or more than one.
 
-    python tools/coverage_floor.py [extra pytest arguments]
+    python tools/coverage_floor.py
 
 Needs Python 3.12+ (sys.monitoring) and pytest; no coverage package.  It
 runs the tier-1 tests in this process with line events on, so the tests
@@ -10,11 +10,13 @@ that start a fresh interpreter add nothing.  The lines that can run are
 the line numbers of every code object compiled from the package's files;
 co_lines also yields numbers <= 0, which name no source line.  An allowed
 line is keyed by its file and its stripped source text, with the reason it
-does not run.  Exit code: pytest's when a test fails, 1 when the floor
-fails, 0 when it holds.
+does not run, and must match exactly one unrun line, so a second unrun
+line with the same text fails too.  Exit code: pytest's when a test fails,
+1 when the floor fails, 0 when it holds.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +43,7 @@ def runnable(path):
     return lines
 
 
-def main(argv):
+def main():
     if sys.version_info < (3, 12):
         print("coverage_floor: needs Python 3.12+ (sys.monitoring)", file=sys.stderr)
         return 2
@@ -60,7 +62,7 @@ def main(argv):
     mon.set_events(TOOL, mon.events.LINE)
     try:
         code = pytest.main(["-q", "--continue-on-collection-errors",
-                            "-p", "no:cacheprovider", str(ROOT / "tests"), *argv])
+                            "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         mon.set_events(TOOL, 0)
         mon.free_tool_id(TOOL)
@@ -79,18 +81,22 @@ def main(argv):
         for line, text in sorted(runnable(path).items()):
             if (path, line) not in seen:
                 unrun.append((path.name, line, text))
-    used = {(name, text) for name, _, text in unrun}
+    count = Counter((name, text) for name, _, text in unrun)
     missing = [(name, line, text) for name, line, text in unrun
                if (name, text) not in ALLOWED]
-    stale = [key for key in ALLOWED if key not in used]
+    stale = [key for key in ALLOWED if not count[key]]
+    doubled = [key for key in ALLOWED if count[key] > 1]
     for name, line, text in missing:
         print(f"not run by any test: src/dyadicbmo/{name}:{line}: {text}")
     for name, text in stale:
         print(f"allowed but run by a test, or gone: {name}: {text}")
+    for name, text in doubled:
+        at = ", ".join(str(line) for n, line, t in unrun if (n, t) == (name, text))
+        print(f"allowed once but unrun at lines {at}: src/dyadicbmo/{name}: {text}")
     print(f"coverage_floor: {len(unrun)} unrun lines, {len(ALLOWED)} allowed, "
-          f"{len(missing)} missing, {len(stale)} stale")
-    return 1 if missing or stale else 0
+          f"{len(missing)} missing, {len(stale)} stale, {len(doubled)} doubled")
+    return 1 if missing or stale or doubled else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -18,7 +18,7 @@ from .errors import GenerationError, InputError
 from .formats import (dump_json, format_float, format_rational,
                       function_from_obj, function_to_obj, load_json,
                       parse_rational, step_from_obj, step_to_obj, write_csv)
-from .generators import GeneratorSpec, generate
+from .generators import KINDS, GeneratorSpec, generate
 from .interval_bmo import interval_bmo_norm
 from .rearrangement import hardy_average, rearrange_abs, rearrange_signed
 from .search import SearchConfig, search
@@ -124,8 +124,7 @@ def _build_parser():
 
     p = subs.add_parser("generate", help="generate a random function")
     _common_flags(p)
-    p.add_argument("--kind", choices=("uniform-cells", "monotone-1d",
-                                      "cascade-gr"), required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, default=1, help="dimension")
     p.add_argument("--level", type=int, default=3, help="grid depth")
     p.add_argument("--low", default="-8", help="value range low (uniform)")

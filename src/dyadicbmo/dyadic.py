@@ -203,17 +203,18 @@ def _osc_level(nums, pyramid, dim, k):
             for z, s in enumerate(pyramid[k])]
 
 
-def _level_pass(osc, pyramid, dim, nonneg):
-    """(tops, ratios, firsts) from the levels osc(k) of _osc_level on the
-    sum pyramid pyramid: per level k < L, tops[k] the largest oscillation
-    numerator, firsts[k] the Morton address of the first cube attaining
-    it, or None where for n >= 2 another cube ties it, and, for nonneg
-    (f >= 0) only, ratios[k] the (o, s) of the largest ratio o / s of a
-    cube's oscillation numerator to its sum (the first of ties; (0, 1)
-    where every o is 0).  Builds each level once and keeps none."""
+def _level_pass(nums, pyramid, dim, nonneg):
+    """(tops, ratios, firsts) from the levels _osc_level builds on the
+    numerators nums with sum pyramid pyramid: per level k < L, tops[k] the
+    largest oscillation numerator, firsts[k] the Morton address of the
+    first cube attaining it, or None where for n >= 2 another cube ties
+    it, and, for nonneg (f >= 0) only, ratios[k] the (o, s) of the largest
+    ratio o / s of a cube's oscillation numerator to its sum (the first of
+    ties; (0, 1) where every o is 0).  Builds each level once and keeps
+    none; level L is skipped, its cubes single cells with oscillation 0."""
     tops, ratios, firsts = [], [], []
     for k, sums in enumerate(pyramid[:-1]):
-        level = osc(k)
+        level = _osc_level(nums, pyramid, dim, k)
         top = max(level)
         tops.append(top)
         # Morton order is flat order for n = 1 only
@@ -310,25 +311,6 @@ class DyadicFunction:
         f._cache = {}
         return f
 
-    @classmethod
-    def _from_pass(cls, dim, depth, den, nums, pyramid, bests, ordered):
-        """The function _from_nums builds, handed what a kernel already made
-        on nums over den: the sum pyramid, the _level_pass and the sorted
-        numerators.  All three are reduced with nums by g = gcd(den, *nums):
-        sums, numerators and tops are linear in nums, and first cubes and
-        largest ratios o / s do not move (a ratio is (0, 1) iff its o is 0)."""
-        f = cls._from_nums(dim, depth, den, nums)
-        g = den // f._den
-        if g > 1:
-            tops, ratios, firsts = bests
-            pyramid = [[s // g for s in level] for level in pyramid]
-            bests = ([t // g for t in tops],
-                     [(o // g, s // g) if o else (0, 1) for o, s in ratios], firsts)
-            ordered = [a // g for a in ordered]
-        f._cache.update(sums=[*pyramid[:-1], f._nums], level_bests=bests,
-                        sorted=ordered)
-        return f
-
     @property
     def cells(self):
         """Cell values in public order (first coordinate fastest)."""
@@ -368,18 +350,12 @@ class DyadicFunction:
             self._cache["sums"] = _sum_pyramid(self._nums, self.dim, self.depth)
         return self._cache["sums"]
 
-    def _osc(self, k):
-        """Level k < L of the oscillation numerators (_osc_level), built on
-        each call.  Level-L cubes are single cells with oscillation 0."""
-        return _osc_level(self._nums, self._sums(), self.dim, k)
-
     def _level_bests(self):
-        """(tops, ratios, firsts) of _level_pass over the levels _osc
-        builds, made once per function, so the norm, its witness and the
-        modulus share it."""
+        """(tops, ratios, firsts) of _level_pass on the cells, made once
+        per function, so the norm, its witness and the modulus share it."""
         if "level_bests" not in self._cache:
             self._cache["level_bests"] = _level_pass(
-                self._osc, self._sums(), self.dim, self.is_nonnegative)
+                self._nums, self._sums(), self.dim, self.is_nonnegative)
         return self._cache["level_bests"]
 
     def _running_max(self, sign):
@@ -561,12 +537,6 @@ def every_cube(f, max_level=None):
             yield DyadicCubeId.from_flat(k, j, f.dim)
 
 
-def _bmo_level(f):
-    """(k, top) of _norm_level for f's level pass: the norm is
-    top / (den * 4^(n(L-k))); (0, 0) for a constant f."""
-    return _norm_level(f._level_bests()[0], f.dim)
-
-
 def _level_ratios(f):
     """Per level k < L of f >= 0, the largest ratio of a level-k cube's
     mean oscillation to its average, exact, from the level pass: with o
@@ -584,20 +554,21 @@ def bmo_argmax(f):
     Cubes strictly below cell resolution carry zero oscillation and are
     excluded; ties resolve to the lowest (level, flat index).  The norm and
     its witness are built once, for the first level that attains the
-    largest (_bmo_level).  The pass that found it names the witness, but
+    largest (_norm_level).  The pass that found it names the witness, but
     for n >= 2 the first of tied cubes in Morton order need not be the
     first by flat index: only then are that level's oscillations rebuilt.
     """
     if "bmo" in f._cache:
         return f._cache["bmo"]
-    k, top = _bmo_level(f)
+    k, top = _norm_level(f._level_bests()[0], f.dim)
     if not top:
         best, best_cube = Fraction(0), DyadicCubeId.root(f.dim)
     else:
         best = Fraction(top, f._den << 2 * f.dim * (f.depth - k))
         first = f._level_bests()[2][k]
         if first is None:  # tied for n >= 2: the first by flat index
-            best_cube = f._cubes((k, z) for z, o in enumerate(f._osc(k))
+            level = _osc_level(f._nums, f._sums(), f.dim, k)
+            best_cube = f._cubes((k, z) for z, o in enumerate(level)
                                  if o == top)[0]
         else:
             best_cube = f._cubes([(k, first)])[0]

@@ -20,11 +20,13 @@ correctly rounded, as float(Fraction) is, so every annealing decision is
 the one the Fraction would make, and the 2^n cap test cross-multiplies.
 Cells are kept in Morton order, the order the kernels read; the RNG
 draws public cell indices, mapped to their addresses.  Only each
-restart's best becomes a DyadicFunction, handed the kernel's products.
+restart's best becomes a DyadicFunction, built from its numerators alone.
 The one Fraction ratio, the interval bound (the certificate), the public
 bmo_dyadic_norm with its witness cube, and the check that the reported
 ratio is the certificate's lower bound over that norm are made once, for
-the reported best.
+the reported best: the norm and the rearrangement are recomputed there
+from the reported function, so a fault in the trial kernel cannot also
+pass the check.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .dyadic import (DyadicFunction, _level_pass, _morton_order, _norm_level,
-                     _osc_level, _sum_pyramid, bmo_dyadic_norm,
-                     check_grid_size, distribution_above)
+                     _sum_pyramid, bmo_dyadic_norm, check_grid_size,
+                     distribution_above)
 from .errors import InputError, PreconditionError
 from .interval_bmo import _monotone_ints, check_tol, interval_bmo_norm
 from .rearrangement import _descending_runs, _prefix_ints, rearrange_signed
@@ -115,19 +116,17 @@ class SearchResult:
 
 
 def _ratio_nums(dim, depth, den, nums):
-    """(num, den, made): num / den is the certified lower bound of
-    ||f_d||_* over the dyadic norm of the f with Morton-order numerators
-    nums over den; None for a constant f.  One kernel on the bare list,
-    unreduced: the norm is top / (den * 4^(n(L-k))) by _norm_level on the
-    level pass, the lower bound bn / (bd * den) the monotone core's on the
-    runs of the sorted numerators.  made is (pyramid, level pass, sorted
-    numerators) for DyadicFunction._from_pass; no object, gcd, cache,
-    bound, witness, float or Fraction is built."""
+    """(num, den): num / den is the certified lower bound of ||f_d||_*
+    over the dyadic norm of the f with Morton-order numerators nums over
+    den; None for a constant f.  One kernel on the bare list, unreduced:
+    the norm is top / (den * 4^(n(L-k))) by _norm_level on the level
+    pass, the lower bound bn / (bd * den) the monotone core's on the runs
+    of the sorted numerators.  No object, gcd, cache, bound, witness,
+    float or Fraction is built."""
     ordered = sorted(nums)
     pyramid = _sum_pyramid(nums, dim, depth)
-    bests = _level_pass(partial(_osc_level, nums, pyramid, dim), pyramid, dim,
-                        ordered[0] >= 0)
-    k, top = _norm_level(bests[0], dim)
+    tops = _level_pass(nums, pyramid, dim, ordered[0] >= 0)[0]
+    k, top = _norm_level(tops, dim)
     if not top:
         return None
     B, V = _descending_runs(ordered[::-1])
@@ -138,19 +137,13 @@ def _ratio_nums(dim, depth, den, nums):
         raise AssertionError(
             f"ratio {Fraction(num, den)} exceeds the proven cap {1 << dim}; "
             f"this indicates a bug in the norm computation")
-    return num, den, (pyramid, bests, ordered)
-
-
-def _ratio(f):
-    """(num, den) of _ratio_nums for f; None for a constant f."""
-    scored = _ratio_nums(f.dim, f.depth, f._den, f._nums)
-    return scored and scored[:2]
+    return num, den
 
 
 def ratio_objective(f, tol=1e-9):
     """Certified lower bound of ||f_d||_* divided by the dyadic norm of f."""
     check_tol(tol)
-    scored = _ratio(f)
+    scored = _ratio_nums(f.dim, f.depth, f._den, f._nums)
     if scored is None:
         raise PreconditionError("the ratio is undefined for constant functions")
     num, den = scored
@@ -180,21 +173,15 @@ def _jn_probe_score(f):
 
 
 def _score(cfg, nums):
-    """(float score, exact score, made) of the trial with Morton-order
-    cells nums / 2^denom_bits; None for a constant one.  The ratio's exact
-    score is _ratio_nums's pair, made its products; the probe's is the
-    float's Fraction, made the trial's function."""
+    """(float score, exact score) of the trial with Morton-order cells
+    nums / 2^denom_bits; None for a constant one.  The ratio's exact score
+    is _ratio_nums's pair, the probe's the float's Fraction."""
+    den = 1 << cfg.denom_bits
     if cfg.objective == "ratio_thm1":
-        scored = _ratio_nums(cfg.dim, cfg.depth, 1 << cfg.denom_bits, nums)
-        if scored is None:
-            return None
-        num, den, made = scored
-        return num / den, (num, den), made
-    f = _function(cfg, nums)
-    s = _jn_probe_score(f)
-    if s is None:
-        return None
-    return s, Fraction(s), f
+        scored = _ratio_nums(cfg.dim, cfg.depth, den, nums)
+        return None if scored is None else (scored[0] / scored[1], scored)
+    s = _jn_probe_score(DyadicFunction._from_nums(cfg.dim, cfg.depth, den, nums))
+    return None if s is None else (s, Fraction(s))
 
 
 def _normalize(nums, bits):
@@ -213,11 +200,6 @@ def _normalize(nums, bits):
         return [x << -s for x in d]
     half = 1 << (s - 1)
     return [(x + half - 1 + ((x >> s) & 1)) >> s for x in d]
-
-
-def _function(cfg, nums):
-    """The function whose Morton-order cells are nums / 2^denom_bits."""
-    return DyadicFunction._from_nums(cfg.dim, cfg.depth, 1 << cfg.denom_bits, nums)
 
 
 def _run_restart(cfg, restart_index):
@@ -261,16 +243,17 @@ def _run_restart(cfg, restart_index):
                     best = cells, *scored
                     trace.append((restart_index, it, score))
         temp *= cooling
-    cells, score, exact, made = best
-    if cfg.objective == "ratio_thm1":  # the best's function gets its products
-        made = DyadicFunction._from_pass(cfg.dim, cfg.depth, den, cells, *made)
-    return made, score, exact, trace
+    cells, score, exact = best
+    f = DyadicFunction._from_nums(cfg.dim, cfg.depth, den, cells)
+    return f, score, exact, trace
 
 
 def search(cfg):
     """Multistart annealing; the best evaluation is reported with its
-    certificate, built once for it on the best trial's function, whose
-    handed-over level pass and sorted numerators the certificate reads."""
+    certificate, built once for it: the dyadic norm and the rearrangement
+    are recomputed from the reported function's own numerators, and the
+    reported score must equal the certificate's lower bound over that
+    norm."""
     workers = min(cfg.threads, cfg.restarts, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -37,9 +37,6 @@ from .rearrangement import (hardy_average, hardy_gap_check,
 from .stopping import (_crossing_measures, _stopping_measure,
                        maximal_level_set, stopping_family, verify_stopping)
 
-SUITES = ("lemma21", "lemma22", "lemma23", "thm1", "thm2", "thm31",
-          "remark31", "thm3", "thm4", "thm5", "cor1", "cz")
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -554,6 +551,7 @@ _RUNNERS = {
     "cor1": _suite_cor1,
     "cz": _suite_cz,
 }
+SUITES = tuple(_RUNNERS)
 
 
 def verify_all(f, suites=None):

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadicbmo.dyadic as dyadic_mod
 from dyadicbmo import (DyadicCubeId, DyadicFunction, InputError, bmo_argmax,
                        bmo_dyadic_norm, cube_average, distribution_above,
                        dyadic_maximal_function, every_cube, mean_oscillation,
                        one_sided_oscillation)
-from dyadicbmo.dyadic import MAX_GRID_BITS
+from dyadicbmo.dyadic import MAX_GRID_BITS, _norm_level
 from conftest import (all_cubes_oracle, average_oracle, bmo_norm_oracle,
                       cube_cells_oracle, maximal_oracle, oscillation_oracle,
                       random_cube, random_function)
@@ -464,22 +465,22 @@ def test_norm_and_modulus_share_one_pass(monkeypatch, n, depth, cells, profile_f
     the norm and the modulus together, and the witness level once more only
     where n >= 2 and cubes tie for the norm."""
     from dyadicbmo import gr_profile
-    from dyadicbmo.dyadic import _bmo_level
     built = []
-    osc = DyadicFunction._osc
+    osc = dyadic_mod._osc_level
 
-    def counted(self, k):
-        built.append((self, k))
-        return osc(self, k)
+    def counted(nums, pyramid, dim, k):
+        built.append((nums, k))
+        return osc(nums, pyramid, dim, k)
 
-    monkeypatch.setattr(DyadicFunction, "_osc", counted)
+    monkeypatch.setattr(dyadic_mod, "_osc_level", counted)
     h = DyadicFunction(n, depth, cells).abs()
     readers = [bmo_argmax, gr_profile]
     for read in readers[::-1] if profile_first else readers:
         read(h)
-    witness, top = _bmo_level(h)
-    rebuilt = [witness] if n >= 2 and osc(h, witness).count(top) > 1 else []
-    assert all(g is h for g, _ in built)
+    witness, top = _norm_level(h._level_bests()[0], h.dim)
+    tied = osc(h._nums, h._sums(), n, witness).count(top) > 1
+    rebuilt = [witness] if n >= 2 and tied else []
+    assert all(nums is h._nums for nums, _ in built)
     assert sorted(k for _, k in built) == sorted([*range(depth), *rebuilt])
 
 
@@ -505,7 +506,6 @@ def kernel_functions(draw):
 @given(kernel_functions(), st.booleans())
 def test_level_kernel_matches_oracles(f, profile_first):
     from dyadicbmo import gr_profile
-    from dyadicbmo.dyadic import _bmo_level
     h = f.abs()
     if profile_first:
         gr_profile(h)
@@ -517,7 +517,7 @@ def test_level_kernel_matches_oracles(f, profile_first):
     assert bmo_argmax(f).average == average_oracle(f, witness)
     k = witness.level
     top = norm * f._den * (1 << 2 * f.dim * (f.depth - k))
-    assert _bmo_level(f) == ((k, top) if norm else (0, 0))
+    assert _norm_level(f._level_bests()[0], f.dim) == ((k, top) if norm else (0, 0))
     ratios = [(q.level, oscillation_oracle(h, q) / average_oracle(h, q))
               for q in all_cubes_oracle(h) if average_oracle(h, q)]
     profile = gr_profile(h)
@@ -533,14 +533,12 @@ def test_witness_rebuilds_a_level_only_for_ties_in_two_or_more_dimensions(f):
     flat order there) or a unique top, and one where n >= 2 and cubes tie
     for the norm; the witness is the oracle's first tied cube either way."""
     from unittest import mock
-    from dyadicbmo.dyadic import _bmo_level
-    k, top = _bmo_level(f)
-    osc = DyadicFunction._osc
-    tied = top and f.dim >= 2 and osc(f, k).count(top) > 1
-    with mock.patch.object(DyadicFunction, "_osc", autospec=True,
-                           side_effect=osc) as built:
+    k, top = _norm_level(f._level_bests()[0], f.dim)
+    osc = dyadic_mod._osc_level
+    tied = top and f.dim >= 2 and osc(f._nums, f._sums(), f.dim, k).count(top) > 1
+    with mock.patch.object(dyadic_mod, "_osc_level", side_effect=osc) as built:
         report = bmo_argmax(f)
-    assert [c.args[1] for c in built.call_args_list] == ([k] if tied else [])
+    assert [c.args[3] for c in built.call_args_list] == ([k] if tied else [])
     norm = bmo_norm_oracle(f)
     cubes = sorted(all_cubes_oracle(f), key=lambda q: (q.level, q.flat()))
     assert report.cube == next(q for q in cubes if oscillation_oracle(f, q) == norm)

@@ -1,11 +1,13 @@
 """Extremal search: determinism, caps, the exhaustive binary case."""
 
 import concurrent.futures
+import multiprocessing
 import random
 import sys
 from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -13,13 +15,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dyadicbmo import (DyadicFunction, InputError, PreconditionError,
-                       SearchConfig, bmo_argmax, bmo_dyadic_norm,
-                       interval_bmo_norm, ratio_objective, rearrange_signed,
-                       search)
+                       SearchConfig, bmo_dyadic_norm, interval_bmo_norm,
+                       ratio_objective, rearrange_signed, search)
 from dyadicbmo.cli import main
 from dyadicbmo.search import (JN_PROBE_WEIGHT, MAX_SEARCH_WORK, OBJECTIVES,
-                              _jn_probe_score, _normalize, _ratio, _ratio_nums)
+                              _jn_probe_score, _normalize, _ratio_nums)
 from conftest import normalize_oracle, random_function
+
+
+def ratio_pair(f):
+    """The trial kernel's (num, den) on f's numerators; None for a constant f."""
+    return _ratio_nums(f.dim, f.depth, f._den, f._nums)
+
 
 # 2^m cells of numerators over 2^bits, as the search holds them
 lattices = st.integers(0, 6).flatmap(lambda m: st.lists(
@@ -85,7 +92,7 @@ class TestIntegerScore:
             fs.append(random_function(rng, n, rng.randrange(1, 7 // n),
                                       denom_bits=rng.choice((0, 2, 4))))
         for f in fs:
-            scored = _ratio(f)
+            scored = ratio_pair(f)
             norm = bmo_dyadic_norm(f)
             if norm == 0:
                 assert scored is None
@@ -121,44 +128,57 @@ class TestIntegerScore:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_best_trial_function_is_reported(self, threads, monkeypatch):
-        # the reported function is the best trial's, handed the kernel's sum
-        # pyramid, level pass and sorted numerators: the certificate builds
-        # no level pass and no sort for the reported best
+        # the reported function is the best trial's, built from its
+        # numerators alone: no trial builds a function, and the reported
+        # one builds its own level pass once, for the certificate
         search_mod = sys.modules["dyadicbmo.search"]
         cfg = SearchConfig(dim=1, depth=3, restarts=2, iterations=15, seed=2,
                            threads=threads)
         expected = search(cfg)
-        # a function's own level pass goes through dyadic's _level_pass and
-        # _osc; the trials' kernel through search's binding of the former
+        # a function's own level pass goes through dyadic's _level_pass; the
+        # trials' kernel through search's binding of it
         dyadic_mod = sys.modules["dyadicbmo.dyadic"]
-        built, passes, kept = [], [], []
-        real_osc, real_pass = DyadicFunction._osc, dyadic_mod._level_pass
-        monkeypatch.setattr(DyadicFunction, "_osc",
-                            lambda f, k: built.append(f) or real_osc(f, k))
+        made, passes, kept = [], [], []
+        real_pass, real_from_nums = dyadic_mod._level_pass, DyadicFunction._from_nums
         monkeypatch.setattr(dyadic_mod, "_level_pass",
-                            lambda *a: passes.append(1) or real_pass(*a))
+                            lambda *a: passes.append(a[0]) or real_pass(*a))
+        monkeypatch.setattr(DyadicFunction, "_from_nums",
+                            lambda *a: made.append(1) or real_from_nums(*a))
         real_rearrange = search_mod.rearrange_signed
         monkeypatch.setattr(search_mod, "rearrange_signed",
                             lambda f: kept.append(set(f._cache)) or real_rearrange(f))
-        made, real_function = [], search_mod._function
-        monkeypatch.setattr(search_mod, "_function",
-                            lambda cfg, nums: made.append(1) or real_function(cfg, nums))
         res = search(cfg)
         assert (res.best_function, res.trace, res.best_score_exact,
                 res.certificate) == (expected.best_function, expected.trace,
                                      expected.best_score_exact, expected.certificate)
-        # no trial builds a function, and no function builds a level
-        assert (made, built, passes) == ([], [], [])
-        assert kept == [{"sums", "level_bests", "sorted"}]
+        # one function per restart, in the process that runs it
+        assert len(made) == (cfg.restarts if threads == 1 else 0)
+        assert passes == [res.best_function._nums]
+        assert kept == [set()]  # nothing is handed to the reported function
         assert "bmo" in res.best_function._cache
+
+    def test_a_fault_in_the_trial_kernel_is_refused(self, monkeypatch):
+        # every nonzero top of the trials' level pass one unit high: the
+        # trial scores are wrong, and the certificate, which recomputes the
+        # norm and the rearrangement from the reported function, refuses it
+        search_mod = sys.modules["dyadicbmo.search"]
+        real = search_mod._level_pass
+
+        def faulty(*args):
+            tops, ratios, firsts = real(*args)
+            return [t + 1 if t else 0 for t in tops], ratios, firsts
+
+        monkeypatch.setattr(search_mod, "_level_pass", faulty)
+        with pytest.raises(AssertionError, match=r"the best score \S+ is not its "
+                           r"certificate's lower bound over the dyadic norm"):
+            search(SearchConfig(dim=1, depth=3, restarts=2, iterations=30, seed=1))
 
 
 class TestTrialKernel:
     @pytest.mark.parametrize("seed", range(3))
     def test_kernel_matches_the_public_path(self, seed):
         # the kernel scores bare numerators over any den, unreduced, as the
-        # certificate over the public norm does; the products it hands to
-        # the best's function are what that function builds on its own
+        # certificate over the public norm does
         rng = random.Random(seed)
         cases = [(1, 2, 5, [0, 0, 5, 5])]  # f >= 0, level 1 every o = 0, g = 5
         for _ in range(50):
@@ -178,35 +198,28 @@ class TestTrialKernel:
             if norm == 0:
                 assert scored is None
                 continue
-            num, d, made = scored
-            assert Fraction(num, d) == interval_bmo_norm(rearrange_signed(f)).lower / norm
-            handed = DyadicFunction._from_pass(n, depth, den, nums, *made)
-            assert handed == f
-            assert handed._cache["sums"] == f._sums()
-            assert handed._cache["level_bests"] == f._level_bests()
-            assert handed._cache["sorted"] == f._sorted_nums()
-            assert bmo_argmax(handed) == bmo_argmax(f)
+            assert Fraction(*scored) == interval_bmo_norm(rearrange_signed(f)).lower / norm
 
     def test_a_ratio_one_unit_past_the_cap_is_refused(self, monkeypatch):
         # the interval numerator bn at the cap passes; one unit higher the
-        # trial is refused, by _ratio and inside a search
+        # trial is refused, by _ratio_nums and inside a search
         search_mod = sys.modules["dyadicbmo.search"]
         real, seen = search_mod._monotone_ints, []
         monkeypatch.setattr(search_mod, "_monotone_ints",
                             lambda *a: seen.append(real(*a)) or seen[-1])
         f = DyadicFunction(1, 2, [3, 1, 0, 2])
-        num, den = _ratio(f)
+        num, den = ratio_pair(f)
         bn, bd, arg = seen[0]
         at_cap = (den << f.dim) * bn // num  # num is bn times a constant
         monkeypatch.setattr(search_mod, "_monotone_ints",
                             lambda *a: (at_cap, bd, arg))
-        ratio = Fraction(*_ratio(f))
+        ratio = Fraction(*ratio_pair(f))
         assert ratio <= 2 < ratio + Fraction(num, den * bn)  # bn's unit
         monkeypatch.setattr(search_mod, "_monotone_ints",
                             lambda *a: (at_cap + 1, bd, arg))
         with pytest.raises(AssertionError, match=r"exceeds the proven cap 2; "
                            r"this indicates a bug in the norm computation"):
-            _ratio(f)
+            ratio_pair(f)
         monkeypatch.setattr(search_mod, "_monotone_ints",
                             lambda *a: (lambda b: (b[0] << 8, *b[1:]))(real(*a)))
         with pytest.raises(AssertionError, match=r"exceeds the proven cap 2; "):
@@ -370,6 +383,20 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err == f"error: tolerance must be positive and finite, got {tol}\n"
         assert not (tmp_path / "best.json").exists()
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_pooled_restarts_match_serial_under_start_method(self, method, monkeypatch):
+        # forkserver and spawn workers import the package afresh and inherit
+        # no state from this process; two workers only
+        search_mod = sys.modules["dyadicbmo.search"]
+        cfg = SearchConfig(dim=1, depth=2, restarts=2, iterations=30, seed=5)
+        serial = search(cfg)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            partial(concurrent.futures.ProcessPoolExecutor,
+                                    mp_context=multiprocessing.get_context(method)))
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+        pooled = search(replace(cfg, threads=2))
+        assert pooled == serial
 
     def test_pool_clamped(self, monkeypatch):
         # a pool that runs inline and records its size: no process starts

@@ -62,7 +62,8 @@ def main():
     mon.set_events(TOOL, mon.events.LINE)
     try:
         code = pytest.main(["-q", "--continue-on-collection-errors",
-                            "-p", "no:cacheprovider", str(ROOT / "tests")])
+                            "--durations=15", "-p", "no:cacheprovider",
+                            str(ROOT / "tests")])
     finally:
         mon.set_events(TOOL, 0)
         mon.free_tool_id(TOOL)

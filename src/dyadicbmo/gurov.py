@@ -394,11 +394,12 @@ def lq_tail_bound(f, q):
     """The q-th power integral against the decay bound.
 
     bound = (p/(p-1))^q * mean^q * p/(p-q), from integrating the power decay
-    of the Hardy average; requires 1 <= q < p, with p the certified float
-    below the root from solve_p (1e6 for eps = 0).  q is taken exactly (a
-    float as its exact rational).  The integral is exact for an integer q
-    and otherwise summed at 160 bits, with every step rounded down; the
-    bound is rounded up.
+    of the Hardy average (_lq_rhs); requires 1 <= q < p, with p the
+    certified float below the root from solve_p (1e6 for eps = 0).  q is
+    taken exactly (a float as its exact rational).  The integral is exact
+    for an integer q and otherwise summed at 160 bits, with every step
+    rounded down; the bound is rounded up.  The cor1 suite calls this for a
+    fractional q only where _lq_moment_bound does not already decide it.
     """
     sol = _power_exponent(f)
     if not 1 <= q < sol.p:
@@ -423,12 +424,58 @@ def lq_tail_bound(f, q):
                 acc = mpf_add(acc, x, PREC, round_floor)
         acc = mpf_div(acc, from_int(len(f._nums)), PREC, round_floor)
         lq = math.nextafter(to_float(acc, rnd=round_floor), -math.inf)
+    return lq, upper_float(_lq_rhs(f, q, sol.p))
+
+
+def _lq_rhs(f, q, p):
+    """(p/(p-1))^q * mean^q * p/(p-q) as an interval, for 1 <= q < p and
+    the float exponent p of f: the rhs of lq_tail_bound (0 at mean 0)."""
     mean = f.mean
     if mean == 0:
-        return lq, upper_float(IV_ZERO)
+        return IV_ZERO
     q_iv = iv_from_fraction(q)
-    p = iv_float(sol.p)
+    p = iv_float(p)
     factor = iv_pow(mpi_div(p, mpi_sub(p, IV_ONE, PREC), PREC), q_iv)
     bound = mpi_mul(mpi_mul(factor, iv_pow(iv_from_fraction(mean), q_iv), PREC), p,
                     PREC)
-    return lq, upper_float(mpi_div(bound, mpi_sub(p, q_iv, PREC), PREC))
+    return mpi_div(bound, mpi_sub(p, q_iv, PREC), PREC)
+
+
+# The most bits (k+1) * bit_length(max numerator) that _lq_moment_bound
+# lets the exact powers a^(k+1) reach: up to about 4096 bits one costs less
+# than one 160-bit term of lq_tail_bound's sum, and far past it more.
+MOMENT_BITS = 4096
+
+
+def _lq_moment_bound(f, q):
+    """An interval whose upper end bounds int |f|^q from above for a float
+    q >= 1 and f >= 0 not identically zero, or None where the exact powers
+    would pass MOMENT_BITS.
+
+    With k = floor(q) and theta = q - k, Hoelder's inequality with the
+    exponents 1/(1-theta) and 1/theta (Lyapunov's inequality) gives int f^q
+    <= M_k^(1-theta) * M_(k+1)^theta for the exact moments M_j = S_j /
+    (den^j N), S_j the sum of the j-th powers of the N numerators over den.
+    So the bound is exp((1-theta) ln S_k + theta ln S_(k+1) - q ln den -
+    ln N) on 160-bit intervals; the exact integers S_k, S_(k+1) enter
+    rounded outward, and den^q is never built.
+    """
+    q = Fraction(q)
+    k = q.numerator // q.denominator
+    nums = f._nums
+    if (k + 1) * max(nums).bit_length() > MOMENT_BITS:
+        return None
+    s_k = s_k1 = 0
+    for a in nums:
+        a_k = a ** k
+        s_k += a_k
+        s_k1 += a_k * a
+    theta = q - k
+    log_bound = mpi_sub(
+        mpi_add(mpi_mul(iv_from_fraction(1 - theta), mpi_log(iv_int(s_k), PREC), PREC),
+                mpi_mul(iv_from_fraction(theta), mpi_log(iv_int(s_k1), PREC), PREC),
+                PREC),
+        mpi_add(mpi_mul(iv_from_fraction(q), mpi_log(iv_int(f._den), PREC), PREC),
+                mpi_log(iv_int(len(nums)), PREC), PREC),
+        PREC)
+    return mpi_exp(log_bound, PREC)

@@ -9,6 +9,7 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -95,24 +96,31 @@ def random_cube(rng, f):
 
 # -- independent oracles ----------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _cell_flats_oracle(dim, depth):
+    """Each cell's flat index by its coordinates (first coordinate fastest),
+    in units of the cell side 2^-L: decoded once per grid."""
+    side = 1 << depth
+    flats = {}
+    for flat in range(side ** dim):
+        rest, coords = flat, []
+        for _ in range(dim):
+            coords.append(rest % side)
+            rest //= side
+        flats[tuple(coords)] = flat
+    return flats
+
+
 def cube_cells_oracle(f, q):
     """Cells inside q by geometric containment of cell corners, in units of
-    the cell side 2^-L (so the comparisons are integer)."""
+    the cell side 2^-L (so the comparisons are integer): along each axis the
+    coordinates i with [i, i+1] inside q's side, and then every cell whose
+    coordinates all pass, in flat order."""
     qside = 1 << (f.depth - q.level)
-    out = []
-    for flat in range(len(f.cells)):
-        rest = flat
-        inside = True
-        for m in range(f.dim):
-            i = rest % (1 << f.depth)
-            rest //= 1 << f.depth
-            qlo, qhi = q.index[m] * qside, (q.index[m] + 1) * qside
-            if not (qlo <= i and i + 1 <= qhi):
-                inside = False
-                break
-        if inside:
-            out.append(flat)
-    return out
+    inside = [[i for i in range(1 << f.depth)
+               if j * qside <= i and i + 1 <= (j + 1) * qside] for j in q.index]
+    flats = _cell_flats_oracle(f.dim, f.depth)
+    return sorted(flats[c] for c in product(*inside))
 
 
 def average_oracle(f, q):

@@ -275,6 +275,9 @@ class TestExactDecisions:
         for binding in ("hardy_gap_check", "jn_check", "logbound_check", "jn_abs_check",
                         "theorem3_check", "theorem5_check", "lq_tail_bound"):
             monkeypatch.setattr(verify_mod, binding, failing)
+        # cor1's fractional q reaches lq_tail_bound only where the moment
+        # bound does not decide it
+        monkeypatch.setattr(verify_mod, "_lq_moment_bound", lambda *args: None)
         monkeypatch.setattr(verify_mod, "theorem4_bound", lambda *args, **kwargs:
                             Theorem4Result(Fraction(7, 3), 0.5, 1, 1, 1, 1))
         report = verify_all(DyadicFunction(1, 3, [8, 9, 8, 8, 9, 9, 8, 9]))
@@ -790,6 +793,45 @@ class TestRunDecisions:
         # eps = 0, so only q = 1, whose tail bound at mean 0 is 0
         result = verify_all(DyadicFunction(1, 2, [0, 0, 0, 0]), ["cor1"]).results[0]
         assert (result.passed, result.skipped, result.checks) == (True, False, 1)
+
+
+class TestCor1MomentFirst:
+    """cor1 decides its fractional q on exact moments where they decide it,
+    and by lq_tail_bound's 160-bit sum elsewhere, with the same report."""
+
+    NEAR_CONSTANT = DyadicFunction(1, 6, [10 ** 6 + (7919 * i) % 2 for i in range(64)])
+
+    @staticmethod
+    def _sum_calls(monkeypatch, f):
+        calls = []
+        real = verify_mod.lq_tail_bound
+
+        def counted(h, q):
+            calls.append(q)
+            return real(h, q)
+
+        monkeypatch.setattr(verify_mod, "lq_tail_bound", counted)
+        result = verify_all(f, ["cor1"]).results[0]
+        assert (result.passed, result.skipped, result.checks) == (True, False, 2)
+        return calls
+
+    @pytest.mark.parametrize("n, depth", [(1, 8), (2, 4), (3, 3)])
+    def test_moments_decide_a_cascade(self, monkeypatch, n, depth):
+        f = generate(GeneratorSpec(kind="cascade-gr", dim=n, depth=depth, seed=5))
+        assert self._sum_calls(monkeypatch, f) == [1]
+
+    def test_near_constant_grid_is_summed(self, monkeypatch):
+        # eps is tiny and q near 3.7e5, so the moments would pass MOMENT_BITS
+        calls = self._sum_calls(monkeypatch, self.NEAR_CONSTANT)
+        assert len(calls) == 2 and calls[0] == 1 and calls[1] > 3 * 10 ** 5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_report_as_the_sum(self, monkeypatch, seed):
+        f = generate(GeneratorSpec(kind="cascade-gr", dim=1 + seed % 3,
+                                   depth=(6, 3, 2)[seed % 3], seed=seed))
+        first = verify_all(f, ["cor1"]).to_obj()
+        monkeypatch.setattr(verify_mod, "_lq_moment_bound", lambda *args: None)
+        assert verify_all(f, ["cor1"]).to_obj() == first
 
 
 @pytest.mark.parametrize("side", ["above", "below"])

@@ -18,9 +18,12 @@ from dyadicbmo import (DyadicFunction, GeneratorSpec, GRProfile,
                        gr_profile, hardy_average, lq_tail_bound, rearrange_abs,
                        sigma_level_for, solve_p, theorem3_check,
                        theorem4_bound, theorem5_check)
-from dyadicbmo.gurov import P_CAP, _solve_p_exact, _val
-from dyadicbmo.highprec import IV_ONE, PREC, iv_from_fraction, upper_float
-from conftest import all_cubes_oracle, average_oracle, oscillation_oracle, random_nonneg
+from dyadicbmo.gurov import (MOMENT_BITS, P_CAP, _lq_moment_bound, _solve_p_exact,
+                            _val)
+from dyadicbmo.highprec import (IV_ONE, PREC, iv_from_fraction, lower_float,
+                                upper_float)
+from conftest import (all_cubes_oracle, average_oracle, lq_oracle,
+                      oscillation_oracle, random_nonneg)
 
 SPIKE = DyadicFunction(1, 2, [4, 0, 0, 0])
 
@@ -508,6 +511,39 @@ class TestLqTail:
             assert ctx.mpf(lq) <= exact
             assert exact - ctx.mpf(lq) <= exact * 1e-15
             assert lq <= bound
+
+    def test_moment_bound_lies_above_the_sum(self):
+        # Lyapunov's bound on the exact moments is at least the integral,
+        # so at least lq_oracle's sum rounded down; at an integer q it
+        # encloses the exact integral
+        ctx = MPContext()
+        ctx.prec = 300
+        for seed in range(12):
+            f = generate(GeneratorSpec(kind="cascade-gr", dim=1 + seed % 3,
+                                       depth=(8, 4, 3)[seed % 3], seed=seed))
+            p = solve_p(gr_membership(f), f.dim).p
+            for q in (1.5, 2, 2.75, 1 + (p - 1) / 2):
+                if not q < p:
+                    continue
+                bound = _lq_moment_bound(f, q)
+                lq, _ = lq_oracle(f, q, p)
+                assert upper_float(bound) >= lq
+                exact = ctx.fsum(ctx.power(ctx.mpf(v.numerator) / v.denominator, q)
+                                 for v in f.cells) / len(f.cells)
+                assert ctx.mpf(upper_float(bound)) >= exact
+                if q == 2:
+                    assert lower_float(bound) <= lq <= upper_float(bound)
+
+    def test_moment_bound_declines_past_its_bits(self):
+        # numerators of at most 16 bits: (k+1) * 16 stays within
+        # MOMENT_BITS for k + 1 = MOMENT_BITS // 16, and not for one more
+        f = DyadicFunction(1, 2, [1, 1 << 15, 3, 0])
+        last = MOMENT_BITS // 16 - 1
+        assert _lq_moment_bound(f, last + 0.5) is not None
+        assert _lq_moment_bound(f, last + 1) is None
+        near_constant = DyadicFunction(1, 6, [10 ** 6 + (7919 * i) % 2 for i in range(64)])
+        p = solve_p(gr_membership(near_constant), 1).p
+        assert _lq_moment_bound(near_constant, 1 + (p - 1) / 2) is None
 
     def test_rejects_q_at_p(self):
         f = generate(GeneratorSpec(kind="cascade-gr", dim=2, depth=2, seed=3,
